@@ -269,7 +269,7 @@ def cmd_functor(args):
 def cmd_nat(args):
     doc = _load(args.file)
     t = doc.transformation(args.t)
-    item = doc._section("transformations", args.t)
+    item = doc.section("transformations", args.t)
     if args.f is not None and item["f"] != args.f:
         raise _Usage(f"transformation {args.t!r} starts at {item['f']!r}, not {args.f!r}")
     if args.g is not None and item["g"] != args.g:
@@ -282,7 +282,7 @@ def cmd_nat(args):
 def cmd_modification(args):
     doc = _load(args.file)
     md = doc.modification(args.m)
-    item = doc._section("modifications", args.m)
+    item = doc.section("modifications", args.m)
     if args.s is not None and item["s"] != args.s:
         raise _Usage(f"modification {args.m!r} starts at {item['s']!r}, not {args.s!r}")
     if args.t is not None and item["t"] != args.t:

@@ -26,6 +26,7 @@ from .graphs import (
     NGraph,
     SpaceTooLarge,
     automorphisms,
+    hom_buckets,
     is_monoidal_carrier,
     is_skeletal,
 )
@@ -45,6 +46,7 @@ from .structures import (
     composable_pairs,
     composable_triples,
     h_composable_pairs,
+    interchange_partners,
 )
 
 
@@ -191,9 +193,7 @@ def _extensions_exist(G, spec, v_entries, h_entries, open_vkeys, open_hkeys, typ
         want_t = vt.get((tmap[key[0]], tmap[key[1]]))
         if want_s is None or want_t is None:
             continue
-        for v in range(G.count(d)):
-            if smap[v] != want_s or tmap[v] != want_t:
-                continue
+        for v in hom_buckets(G, d).get((want_s, want_t), ()):
             h_entries[j][key] = v
             S = _structure(G, spec, v_entries, h_entries)
             ok = _passes_flags(S)
@@ -222,13 +222,9 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
 
     # typed candidates for vertical keys are fixed up front
     typed_v = {}
-    for j, key in vkeys:
+    for j, (a, b) in vkeys:
         d = j + 1
-        smap, tmap = G.src_map(d), G.tgt_map(d)
-        a, b = key
-        typed_v[(j, key)] = tuple(
-            v for v in range(G.count(d)) if smap[v] == smap[a] and tmap[v] == tmap[b]
-        )
+        typed_v[(j, (a, b))] = hom_buckets(G, d).get((G.src_map(d)[a], G.tgt_map(d)[b]), ())
 
     # incremental associativity support: which triples can a key decide
     trip = {j: composable_triples(G, j) for j in levels}
@@ -248,14 +244,8 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
     quads = {}
     if spec.flags.interchange:
         for j in h_levels:
-            vp = composable_pairs(G, j + 1)
-            hp = set(h_composable_pairs(G, j))
-            qs = []
-            for a, a2 in vp:
-                for b, b2 in vp:
-                    if (a, b) in hp and (a2, b2) in hp:
-                        qs.append((a, a2, b, b2))
-            quads[j] = qs
+            quads[j] = [(a, a2, b, b2) for (a, a2), partners in interchange_partners(G, j)
+                        for b, b2 in partners]
 
     v_entries = {j: {} for j in levels}
     h_entries = {j: {} for j in h_levels}
@@ -345,8 +335,7 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
             if want_s is None or want_t is None:
                 base = ()
             else:
-                base = tuple(v for v in range(G.count(d))
-                             if smap[v] == want_s and tmap[v] == want_t)
+                base = hom_buckets(G, d).get((want_s, want_t), ())
         if spec.flags.global_:
             return base
         return base + (None,)
@@ -380,6 +369,9 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
         search(0)
     except _Stop:
         result.exhausted = False
+    # ``search`` refers to itself; emptying its cell breaks the cycle so the
+    # search state is freed on return instead of at the next full collection
+    del search
     result.nodes = state["nodes"]
     result.iso_count = len(result.canonical_counts)
     result.elapsed = time.monotonic() - start

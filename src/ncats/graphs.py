@@ -16,7 +16,9 @@ product of their own (a monoidal carrier).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 SECTION_VIOLATION = "SectionViolation"
 GLOBULARITY_VIOLATION = "GlobularityViolation"
@@ -181,9 +183,13 @@ def _collect_issues(n, minus_one, zero_type, src, tgt, idn):
 
 class NGraph:
     """Immutable carrier. Construct through ``validate_graph`` for untrusted
-    input; the constructor itself re-checks every invariant and raises."""
+    input; the constructor itself re-checks every invariant and raises.
 
-    __slots__ = ("n", "tail", "_src", "_tgt", "_idn", "labels", "_data")
+    Integer indices derived from the boundary data (see ``per_carrier``) are
+    memoized in a private slot on first use; the memo takes no part in
+    equality or hashing."""
+
+    __slots__ = ("n", "tail", "_src", "_tgt", "_idn", "labels", "_data", "_memo")
 
     def __init__(self, n, tail, src, tgt, idn, labels=None):
         src = tuple(tuple(m) for m in src)
@@ -201,6 +207,7 @@ class NGraph:
             labels = tuple(tuple(row) for row in labels)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_data", (n, tail, src, tgt, idn))
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("NGraph is immutable")
@@ -289,6 +296,64 @@ def validate_graph(raw) -> NGraph | ValidationReport:
     return NGraph(n, StructureTail(minus_one, zero_type), src, tgt, idn, raw.get("labels"))
 
 
+def per_carrier(fn):
+    """Memoize ``fn(G, *args)`` on the carrier ``G``.
+
+    The value is computed on first use and lives as long as ``G`` does.
+    Callers share it, so memoized values are immutable: tuples, or
+    read-only mappings of tuples.
+    """
+    @functools.wraps(fn)
+    def memoized(G, *args):
+        key = (fn, args)
+        try:
+            return G._memo[key]
+        except KeyError:
+            value = G._memo[key] = fn(G, *args)
+            return value
+    return memoized
+
+
+@per_carrier
+def boundary_map(G: NGraph, d: int, j: int, side: str) -> tuple[int, ...]:
+    """The index of the dimension-``j`` boundary of every d-cell, following
+    the chosen boundary map down one dimension at a time."""
+    if side not in (SOURCE, TARGET):
+        raise ValueError(f"side must be {SOURCE!r} or {TARGET!r}")
+    if not 0 <= d <= G.n:
+        raise BadLevel(f"no boundary below dimension {d}")
+    if not -1 <= j < d:
+        raise BadLevel(f"no dimension-{j} boundary for a cell of dimension {d}")
+    step = G.src_map(d) if side == SOURCE else G.tgt_map(d)
+    if j == d - 1:
+        return step
+    below = boundary_map(G, d - 1, j, side)
+    return tuple(below[x] for x in step)
+
+
+def _buckets(keys):
+    out = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return MappingProxyType({key: tuple(cells) for key, cells in out.items()})
+
+
+@per_carrier
+def boundary_fibers(G: NGraph, d: int, j: int, side: str):
+    """The d-cells grouped by their dimension-``j`` boundary on one side:
+    boundary index -> cells in ascending order."""
+    return _buckets(boundary_map(G, d, j, side))
+
+
+@per_carrier
+def hom_buckets(G: NGraph, d: int):
+    """The d-cells grouped by type: (source, target) -> cells in ascending
+    order."""
+    if not 0 <= d <= G.n:
+        raise BadLevel(f"no cells with a type at dimension {d}")
+    return _buckets(zip(G.src_map(d), G.tgt_map(d)))
+
+
 def cell_type(G: NGraph, z: CellId) -> tuple[CellId, CellId]:
     """The ordered boundary pair that decides which hom-set ``z`` can sit in."""
     return (G.src(z), G.tgt(z))
@@ -301,24 +366,18 @@ def hom_set(G: NGraph, x: CellId, y: CellId) -> HomSet:
     if not 0 <= x.dim <= G.n - 1:
         raise BadLevel(f"hom-sets live over dimensions 0..{G.n - 1}, got {x.dim}")
     d = x.dim + 1
-    members = tuple(
-        CellId(d, i)
-        for i, (s, t) in enumerate(zip(G.src_map(d), G.tgt_map(d)))
-        if s == x.index and t == y.index
-    )
+    members = tuple(CellId(d, i) for i in hom_buckets(G, d).get((x.index, y.index), ()))
     return HomSet(x.dim, x, y, members)
 
 
 def iterated_boundary(G: NGraph, z: CellId, j: int, side: str) -> CellId:
-    """Walk the chosen boundary map from ``z`` down to dimension ``j``."""
+    """The dimension-``j`` boundary of ``z`` reached by following the chosen
+    boundary map all the way down."""
     if side not in (SOURCE, TARGET):
         raise ValueError(f"side must be {SOURCE!r} or {TARGET!r}")
     if not -1 <= j < z.dim:
         raise BadLevel(f"no dimension-{j} boundary for a cell of dimension {z.dim}")
-    step = G.src if side == SOURCE else G.tgt
-    while z.dim > j:
-        z = step(z)
-    return z
+    return CellId(j, boundary_map(G, z.dim, j, side)[z.index])
 
 
 def is_skeletal(G: NGraph) -> bool:

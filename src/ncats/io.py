@@ -175,14 +175,16 @@ class GraphDocument:
             out.append(CocompTable(j, entries))
         return out
 
-    def _section(self, section, name):
-        for item in self.data.get(section, ()):
+    def section(self, kind: str, name: str) -> dict:
+        """The raw item called ``name`` in the section ``kind`` (such as
+        ``"transformations"``); raises DanglingReference when absent."""
+        for item in self.data.get(kind, ()):
             if item["name"] == name:
                 return item
-        raise DanglingReference(name, section)
+        raise DanglingReference(name, kind)
 
     def morphism(self, name: str) -> GraphMorphism:
-        item = self._section("morphisms", name)
+        item = self.section("morphisms", name)
         G = self.graph()
         if not isinstance(G, NGraph):
             raise ParseError(f"carrier is invalid: {G}")
@@ -192,7 +194,7 @@ class GraphDocument:
         return GraphMorphism(G, G, comps)
 
     def transformation(self, name: str) -> Transformation:
-        item = self._section("transformations", name)
+        item = self.section("transformations", name)
         f = self.morphism(item["f"])
         g = self.morphism(item["g"])
         levels = tuple(item["levels"])
@@ -203,7 +205,7 @@ class GraphDocument:
         return Transformation(f, g, comps, levels)
 
     def modification(self, name: str) -> Modification:
-        item = self._section("modifications", name)
+        item = self.section("modifications", name)
         s = self.transformation(item["s"])
         t = self.transformation(item["t"])
         comps = {}

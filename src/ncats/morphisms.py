@@ -28,6 +28,7 @@ from .graphs import (
     NGraph,
     SpaceTooLarge,
     StructureTail,
+    hom_buckets,
     opposite,
 )
 from .structures import (
@@ -382,7 +383,6 @@ def enumerate_functors(cE: CategoryStructure, cF: CategoryStructure, bound: int 
             for x, up in enumerate(E.idn_map(d - 1)):
                 forced[up] = F.idn_map(d - 1)[lower[x]]
         smap, tmap = E.src_map(d), E.tgt_map(d)
-        fs, ft = F.src_map(d), F.tgt_map(d)
 
         def assign(i):
             if i == cnt:
@@ -396,8 +396,7 @@ def enumerate_functors(cE: CategoryStructure, cF: CategoryStructure, bound: int 
             if d == 0:
                 cands = range(F.count(0))
             else:
-                want = (maps[d - 1][smap[i]], maps[d - 1][tmap[i]])
-                cands = [j for j in range(F.count(d)) if (fs[j], ft[j]) == want]
+                cands = hom_buckets(F, d).get((maps[d - 1][smap[i]], maps[d - 1][tmap[i]]), ())
             for j in cands:
                 img[i] = j
                 assign(i + 1)
@@ -420,10 +419,8 @@ def enumerate_transformations(f: GraphMorphism, g: GraphMorphism,
     space = 1
     for i in levels:
         d = i + 1
-        fs, ft = F.src_map(d), F.tgt_map(d)
         for x in range(E.count(i)):
-            want = (f.comps[i][x], g.comps[i][x])
-            cand[(i, x)] = [v for v in range(F.count(d)) if (fs[v], ft[v]) == want]
+            cand[(i, x)] = hom_buckets(F, d).get((f.comps[i][x], g.comps[i][x]), ())
             space *= max(1, len(cand[(i, x)]))
             if space > bound:
                 raise SpaceTooLarge(f"transformation space exceeds {bound}")
@@ -440,10 +437,6 @@ def enumerate_transformations(f: GraphMorphism, g: GraphMorphism,
         if check_transformation(t, cE, cF).passed:
             out.append(t)
     return out
-
-
-def _composite_key(m: GraphMorphism):
-    return (m.comps,)
 
 
 def build_cat_of_cats(cats: list[CategoryStructure], depth: int = 2):

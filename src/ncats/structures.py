@@ -16,7 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import CellId, NGraph, is_monoidal_carrier, iterated_boundary, SOURCE, TARGET
+from .graphs import (
+    SOURCE,
+    TARGET,
+    CellId,
+    NGraph,
+    boundary_fibers,
+    boundary_map,
+    hom_buckets,
+    is_monoidal_carrier,
+    iterated_boundary,  # noqa: F401 - part of this module's namespace; perfbench's tracer rebinds it
+    per_carrier,
+)
 
 PASS = "pass"
 FAIL = "fail"
@@ -154,53 +165,67 @@ def composable(G: NGraph, j: int, a: int, b: int) -> bool:
     return G.tgt_map(j + 1)[a] == G.src_map(j + 1)[b]
 
 
-def composable_pairs(G: NGraph, j: int):
-    """All admissible level-j keys, lexicographically."""
+@per_carrier
+def _successors(G: NGraph, j: int):
+    """For each (j+1)-cell, the cells that can follow it at level j."""
     d = j + 1
-    cnt = G.count(d)
+    cells = range(G.count(d))
     if j == -1:
-        return [(a, b) for a in range(cnt) for b in range(cnt)]
-    smap, tmap = G.src_map(d), G.tgt_map(d)
-    by_src = {}
-    for b in range(cnt):
-        by_src.setdefault(smap[b], []).append(b)
-    return [(a, b) for a in range(cnt) for b in by_src.get(tmap[a], ())]
+        return (cells,) * len(cells)
+    after = boundary_fibers(G, d, j, SOURCE)
+    return tuple(after.get(t, ()) for t in G.tgt_map(d))
+
+
+@per_carrier
+def composable_pairs(G: NGraph, j: int):
+    """All admissible level-j keys, lexicographically, as a tuple computed
+    once per carrier."""
+    after = _successors(G, j)
+    return tuple((a, b) for a, nxt in enumerate(after) for b in nxt)
+
+
+def _walk_triples(G: NGraph, j: int):
+    after = _successors(G, j)
+    for a, nxt in enumerate(after):
+        for b in nxt:
+            for c in after[b]:
+                yield a, b, c
 
 
 def composable_triples(G: NGraph, j: int):
-    d = j + 1
-    cnt = G.count(d)
-    if j == -1:
-        return [(a, b, c) for a in range(cnt) for b in range(cnt) for c in range(cnt)]
-    smap, tmap = G.src_map(d), G.tgt_map(d)
-    by_src = {}
-    for b in range(cnt):
-        by_src.setdefault(smap[b], []).append(b)
-    out = []
-    for a in range(cnt):
-        for b in by_src.get(tmap[a], ()):
-            for c in by_src.get(tmap[b], ()):
-                out.append((a, b, c))
-    return out
+    """All composable level-j triples, lexicographically.  Rebuilt on every
+    call: the list grows with the cube of the cell count."""
+    return list(_walk_triples(G, j))
 
 
-def h_composable(G: NGraph, j: int, a: int, b: int) -> bool:
-    d = j + 2
-    return (
-        iterated_boundary(G, CellId(d, a), j, TARGET)
-        == iterated_boundary(G, CellId(d, b), j, SOURCE)
-    )
-
-
+@per_carrier
 def h_composable_pairs(G: NGraph, j: int):
+    """All level-j horizontal keys, lexicographically, as a tuple computed
+    once per carrier: (j+2)-cells whose dimension-j boundaries meet."""
     d = j + 2
-    cnt = G.count(d)
-    outer_t = [iterated_boundary(G, CellId(d, i), j, TARGET).index for i in range(cnt)]
-    outer_s = [iterated_boundary(G, CellId(d, i), j, SOURCE).index for i in range(cnt)]
+    after = boundary_fibers(G, d, j, SOURCE)
+    return tuple((a, b) for a, t in enumerate(boundary_map(G, d, j, TARGET))
+                 for b in after.get(t, ()))
+
+
+@per_carrier
+def interchange_partners(G: NGraph, j: int):
+    """Each level-(j+1) key (a, a2) of (j+2)-cells, in ``composable_pairs``
+    order, with the keys (b, b2), in the same order, such that (a, b) and
+    (a2, b2) are level-j horizontal keys: the quadruples that middle-four
+    exchange constrains.  Computed once per carrier; the partner tuples are
+    shared, so the index grows with the number of keys, not quadruples."""
+    d = j + 2
+    outer_t = boundary_map(G, d, j, TARGET)
+    outer_s = boundary_map(G, d, j, SOURCE)
+    vpairs = composable_pairs(G, j + 1)
     by_outer_src = {}
-    for b in range(cnt):
-        by_outer_src.setdefault(outer_s[b], []).append(b)
-    return [(a, b) for a in range(cnt) for b in by_outer_src.get(outer_t[a], ())]
+    for pair in vpairs:
+        by_outer_src.setdefault(outer_s[pair[0]], []).append(pair)
+    by_outer_src = {x: tuple(pairs) for x, pairs in by_outer_src.items()}
+    # by globularity the two cells of a level-(j+1) key share their
+    # dimension-j boundaries, so (a2, b2) meets exactly when (a, b) does
+    return tuple((pair, by_outer_src.get(outer_t[pair[0]], ())) for pair in vpairs)
 
 
 class CategoryStructure:
@@ -226,10 +251,13 @@ class CategoryStructure:
                 raise StructureError(f"duplicate vertical table at level {t.level}")
             d = t.level + 1
             cnt = graph.count(d)
+            # at level -1 the carrier is monoidal: every 0-cell runs from
+            # and to the one (-1)-cell, so every key meets
+            tmap, smap = graph.tgt_map(d), graph.src_map(d)
             for (a, b), v in t.entries.items():
                 if not (0 <= a < cnt and 0 <= b < cnt and 0 <= v < cnt):
                     raise StructureError(f"level {t.level} entry ({a}, {b}) -> {v} out of range")
-                if not composable(graph, t.level, a, b):
+                if tmap[a] != smap[b]:
                     raise NotComposable(f"level {t.level} key ({a}, {b}) is not composable")
             self.vtables[t.level] = t
         for t in htables.values() if isinstance(htables, dict) else htables:
@@ -239,10 +267,12 @@ class CategoryStructure:
                 raise StructureError(f"duplicate horizontal table at level {t.level}")
             d = t.level + 2
             cnt = graph.count(d)
+            outer_t = boundary_map(graph, d, t.level, TARGET)
+            outer_s = boundary_map(graph, d, t.level, SOURCE)
             for (a, b), v in t.entries.items():
                 if not (0 <= a < cnt and 0 <= b < cnt and 0 <= v < cnt):
                     raise StructureError(f"horizontal level {t.level} entry ({a}, {b}) -> {v} out of range")
-                if not h_composable(graph, t.level, a, b):
+                if outer_t[a] != outer_s[b]:
                     raise NotComposable(f"horizontal level {t.level} key ({a}, {b}) shares no boundary")
             self.htables[t.level] = t
 
@@ -392,7 +422,7 @@ def check_associativity(S: CategoryStructure, j: int) -> AxiomReport:
     entries = S.vtables[j].entries
     bad = []
     lopsided = []
-    for a, b, c in composable_triples(G, j):
+    for a, b, c in _walk_triples(G, j):
         ab = entries.get((a, b))
         bc = entries.get((b, c))
         left = entries.get((ab, c)) if ab is not None else None
@@ -420,25 +450,20 @@ def check_interchange(S: CategoryStructure, j: int) -> AxiomReport:
     if j + 1 not in S.vtables or j not in S.htables:
         raise MissingTables(f"interchange at level {j} needs the vertical table "
                             f"at level {j + 1} and the horizontal table at level {j}")
-    G = S.graph
     d = j + 2
     V = S.vtables[j + 1].entries
     H = S.htables[j].entries
-    vpairs = composable_pairs(G, j + 1)
-    cnt = G.count(d)
-    outer_t = [iterated_boundary(G, CellId(d, i), j, TARGET).index for i in range(cnt)]
-    outer_s = [iterated_boundary(G, CellId(d, i), j, SOURCE).index for i in range(cnt)]
     bad = []
     lopsided = []
-    for a, a2 in vpairs:
-        for b, b2 in vpairs:
-            if outer_t[a] != outer_s[b] or outer_t[a2] != outer_s[b2]:
-                continue
-            va = V.get((a, a2))
+    for (a, a2), partners in interchange_partners(S.graph, j):
+        va = V.get((a, a2))
+        if va is None:
+            continue
+        for b, b2 in partners:
             vb = V.get((b, b2))
             hab = H.get((a, b))
             hab2 = H.get((a2, b2))
-            if va is None or vb is None or hab is None or hab2 is None:
+            if vb is None or hab is None or hab2 is None:
                 continue
             lhs = H.get((va, vb))
             rhs = V.get((hab, hab2))
@@ -470,9 +495,7 @@ def check_groupoid(S: CategoryStructure, j: int) -> AxiomReport:
     idn = G.idn_map(j)
     smap, tmap = G.src_map(d), G.tgt_map(d)
     entries = S.vtables[j].entries
-    by_type = {}
-    for b in range(G.count(d)):
-        by_type.setdefault((smap[b], tmap[b]), []).append(b)
+    by_type = hom_buckets(G, d)
     bad = []
     for a in range(G.count(d)):
         x, y = smap[a], tmap[a]
@@ -495,12 +518,8 @@ def inverses(S: CategoryStructure, j: int, a: CellId) -> list[CellId]:
     idn = G.idn_map(j)
     x, y = G.src_map(d)[a.index], G.tgt_map(d)[a.index]
     entries = S.vtables[j].entries
-    out = []
-    for b in range(G.count(d)):
-        if G.src_map(d)[b] == y and G.tgt_map(d)[b] == x:
-            if entries.get((a.index, b)) == idn[x] and entries.get((b, a.index)) == idn[y]:
-                out.append(CellId(d, b))
-    return out
+    return [CellId(d, b) for b in hom_buckets(G, d).get((y, x), ())
+            if entries.get((a.index, b)) == idn[x] and entries.get((b, a.index)) == idn[y]]
 
 
 def check_cocategory(G: NGraph, D: CocompTable) -> AxiomReport:

@@ -1,0 +1,206 @@
+"""The integer indices derived once per carrier agree with step-by-step
+walks over ``CellId`` objects, and leave the carrier's identity alone."""
+
+import pytest
+
+from ncats import (
+    CategoryStructure,
+    CellId,
+    CompTable,
+    HCompTable,
+    NGraph,
+    build_cat_of_cats,
+    check_interchange,
+    check_typing,
+    composable_pairs,
+    h_composable_pairs,
+    hom_set,
+    iterated_boundary,
+    skeletal_graph,
+)
+from ncats.cobordism import build_cob_truncation, gen_sets_graph
+from ncats.graphs import SOURCE, TARGET, BadLevel, boundary_map, hom_buckets
+from ncats.structures import NotComposable, composable_triples
+
+from util import z2_structure
+
+
+def carriers():
+    Z = z2_structure()[1]
+    return {
+        "cob-2": build_cob_truncation(2)[0],
+        "sets-2": gen_sets_graph(2),
+        "cat-of-cats-3": build_cat_of_cats([Z], depth=3)[0],
+        "skeletal-2-2": skeletal_graph(2, 2),
+    }
+
+
+def walk(G, z, j, side):
+    step = G.src if side == SOURCE else G.tgt
+    while z.dim > j:
+        z = step(z)
+    return z
+
+
+def equal_copy(G):
+    return NGraph(G.n, G.tail,
+                  [G.src_map(d) for d in range(G.n + 1)],
+                  [G.tgt_map(d) for d in range(G.n + 1)],
+                  [G.idn_map(d) for d in range(G.n)])
+
+
+def warm(G):
+    for d in range(G.n + 1):
+        hom_buckets(G, d)
+        for j in range(-1, d):
+            for side in (SOURCE, TARGET):
+                boundary_map(G, d, j, side)
+    for j in range(-1, G.n):
+        composable_pairs(G, j)
+    for j in range(G.n - 1):
+        h_composable_pairs(G, j)
+
+
+@pytest.mark.parametrize("name", ["cob-2", "sets-2", "cat-of-cats-3", "skeletal-2-2"])
+def test_boundary_maps_match_step_by_step_walks(name):
+    G = carriers()[name]
+    for d in range(G.n + 1):
+        for j in range(-1, d):
+            for side in (SOURCE, TARGET):
+                bmap = boundary_map(G, d, j, side)
+                assert isinstance(bmap, tuple) and len(bmap) == G.count(d)
+                for i in range(G.count(d)):
+                    want = walk(G, CellId(d, i), j, side)
+                    assert CellId(j, bmap[i]) == want
+                    assert iterated_boundary(G, CellId(d, i), j, side) == want
+
+
+def test_boundary_map_keeps_argument_checks():
+    G = carriers()["cob-2"]
+    with pytest.raises(ValueError):
+        iterated_boundary(G, CellId(1, 0), 0, "sideways")
+    with pytest.raises(ValueError):
+        boundary_map(G, 1, 0, "sideways")
+    with pytest.raises(BadLevel):
+        iterated_boundary(G, CellId(1, 0), 1, SOURCE)
+    with pytest.raises(BadLevel):
+        iterated_boundary(G, CellId(G.n + 1, 0), 0, SOURCE)
+    with pytest.raises(BadLevel):
+        boundary_map(G, 0, -2, TARGET)
+
+
+@pytest.mark.parametrize("name", ["cob-2", "sets-2", "cat-of-cats-3", "skeletal-2-2"])
+def test_pair_lists_and_buckets_match_naive_scans(name):
+    G = carriers()[name]
+    for j in range(-1, G.n):
+        d = j + 1
+        cells = range(G.count(d))
+        if j == -1:
+            naive = [(a, b) for a in cells for b in cells]
+        else:
+            tmap, smap = G.tgt_map(d), G.src_map(d)
+            naive = [(a, b) for a in cells for b in cells if tmap[a] == smap[b]]
+        pairs = composable_pairs(G, j)
+        assert isinstance(pairs, tuple) and list(pairs) == naive
+        assert composable_pairs(G, j) is pairs
+        if len(cells) <= 40:
+            if j == -1:
+                triples = [(a, b, c) for a in cells for b in cells for c in cells]
+            else:
+                triples = [(a, b, c) for a, b in naive for c in cells if tmap[b] == smap[c]]
+            assert composable_triples(G, j) == triples
+    for j in range(G.n - 1):
+        cells = [CellId(j + 2, i) for i in range(G.count(j + 2))]
+        naive = [(a.index, b.index) for a in cells for b in cells
+                 if walk(G, a, j, TARGET) == walk(G, b, j, SOURCE)]
+        pairs = h_composable_pairs(G, j)
+        assert isinstance(pairs, tuple) and list(pairs) == naive
+    for d in range(G.n):
+        for x in G.cells(d):
+            for y in G.cells(d):
+                want = tuple(CellId(d + 1, i) for i in range(G.count(d + 1))
+                             if G.src_map(d + 1)[i] == x.index and G.tgt_map(d + 1)[i] == y.index)
+                assert hom_set(G, x, y).members == want
+                assert hom_buckets(G, d + 1).get((x.index, y.index), ()) == tuple(z.index for z in want)
+
+
+def test_warmed_graph_keeps_its_identity():
+    for G in carriers().values():
+        fresh = equal_copy(G)
+        before = hash(G)
+        warm(G)
+        assert G == fresh and fresh == G
+        assert hash(G) == hash(fresh) == before
+        assert len({G, fresh}) == 1
+        with pytest.raises(AttributeError):
+            G.n = 5
+        with pytest.raises(TypeError):
+            hom_buckets(G, 1)[(0, 0)] = ()
+
+
+def test_construction_checks_keys_through_the_index():
+    # level -1 keys always meet on a monoidal carrier
+    G = skeletal_graph(2, 1)
+    S = CategoryStructure(G, [CompTable(-1, {(0, 1): 0, (1, 0): 1})])
+    assert S.vtables[-1].entries == {(0, 1): 0, (1, 0): 1}
+    Z = z2_structure()[1]
+    C, T = build_cat_of_cats([Z, Z], depth=2)
+    outer_t = [walk(C, CellId(2, i), 0, TARGET).index for i in range(C.count(2))]
+    outer_s = [walk(C, CellId(2, i), 0, SOURCE).index for i in range(C.count(2))]
+    a, b = next((a, b) for a in range(C.count(2)) for b in range(C.count(2))
+                if outer_t[a] != outer_s[b])
+    with pytest.raises(NotComposable):
+        CategoryStructure(C, list(T.vtables.values()), [HCompTable(0, {(a, b): a})])
+
+
+def naive_interchange(S, j):
+    """Every pair of vertical keys against every other, with boundaries
+    found by walking cell by cell."""
+    G = S.graph
+    d = j + 2
+    V = S.vtables[j + 1].entries
+    H = S.htables[j].entries
+    cells = range(G.count(d))
+    vpairs = [(a, a2) for a in cells for a2 in cells if G.tgt_map(d)[a] == G.src_map(d)[a2]]
+    outer_t = [walk(G, CellId(d, i), j, TARGET) for i in cells]
+    outer_s = [walk(G, CellId(d, i), j, SOURCE) for i in cells]
+    bad, lopsided = [], []
+    for a, a2 in vpairs:
+        for b, b2 in vpairs:
+            if outer_t[a] != outer_s[b] or outer_t[a2] != outer_s[b2]:
+                continue
+            parts = (V.get((a, a2)), V.get((b, b2)), H.get((a, b)), H.get((a2, b2)))
+            if None in parts:
+                continue
+            va, vb, hab, hab2 = parts
+            lhs, rhs = H.get((va, vb)), V.get((hab, hab2))
+            quad = (CellId(d, a), CellId(d, a2), CellId(d, b), CellId(d, b2))
+            if lhs is not None and rhs is not None:
+                if lhs != rhs:
+                    bad.append(("interchange", quad, CellId(d, lhs), CellId(d, rhs)))
+            elif lhs is not None or rhs is not None:
+                lopsided.append(("partiality-asymmetry", quad))
+    return bad, lopsided
+
+
+def test_interchange_rewrites_match_naive_reference():
+    Z = z2_structure()[1]
+    G, S = build_cat_of_cats([Z, Z], depth=2)
+    entries = S.htables[0].entries
+    vtables = list(S.vtables.values())
+    rewrites = [S]
+    for key, val in sorted(entries.items()):
+        for alt in range(G.count(2)):
+            if alt != val:
+                bent = CategoryStructure(G, vtables, [HCompTable(0, {**entries, key: alt})], S.flags)
+                if check_typing(bent).passed:
+                    rewrites.append(bent)
+    assert len(rewrites) == 1 + 128
+    found = 0
+    for R in rewrites:
+        check = check_interchange(R, 0).checks[0]
+        bad, lopsided = naive_interchange(R, 0)
+        assert [(c.kind, c.cells, c.expected, c.actual) for c in check.counterexamples] == bad
+        assert [(c.kind, c.cells) for c in check.asymmetric] == lopsided
+        found += len(bad) + len(lopsided)
+    assert found > 0

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from ncats import (
@@ -106,6 +109,22 @@ def test_node_budget_interrupts():
     res = enumerate_structures(G, spec(GLOBAL, limits=EnumLimits(max_nodes=10)))
     assert not res.exhausted
     assert res.nodes <= 11
+
+
+def test_search_state_is_freed_on_return():
+    """A finished search leaves no reference cycle behind: the result goes
+    away with its last reference, without waiting for the cyclic collector."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for limits in (EnumLimits(), EnumLimits(max_nodes=3)):
+            res = enumerate_structures(loops_graph(2), spec(MONOID, limits=limits))
+            gone = weakref.ref(res)
+            del res
+            assert gone() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_level_minus_one_needs_monoidal_carrier():

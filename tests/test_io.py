@@ -126,8 +126,12 @@ def test_morphism_sections_round_trip():
     doc = parse(serialize(doc))
     assert doc.morphism("F").comps == ident.comps
     assert doc.transformation("T").comps == ts[0].comps
+    item = doc.section("transformations", "T")
+    assert (item["f"], item["g"]) == ("F", "F")
     with pytest.raises(DanglingReference):
         doc.morphism("nope")
+    with pytest.raises(DanglingReference):
+        doc.section("transformations", "F")
     schema_validate(doc.data, graph_schema())
 
 
