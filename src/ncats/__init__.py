@@ -23,6 +23,7 @@ from .graphs import (
     ValidationReport,
     automorphisms,
     cell_type,
+    graph_maps,
     hom_graph,
     hom_set,
     is_monoidal_carrier,

@@ -174,10 +174,34 @@ def _structure(G, spec, v_entries, h_entries):
     return CategoryStructure(G, vtables, htables, spec.flags)
 
 
-def _extensions_exist(G, spec, v_entries, h_entries, open_vkeys, open_hkeys, typed_v):
+def _keys(G, levels, h_levels):
+    """The table keys in search order: vertical levels ascending, then
+    horizontal levels, each with its keys in lexicographic order."""
+    vkeys = [(j, key) for j in levels for key in sorted(composable_pairs(G, j))]
+    hkeys = [(j, key) for j in h_levels for key in sorted(h_composable_pairs(G, j))]
+    return vkeys, hkeys
+
+
+def _h_candidates(G, v_entries, j, key):
+    """The cells a horizontal key may take: those typed by the vertical
+    composites of its boundaries, none while either composite is absent."""
+    d = j + 2
+    vt = v_entries.get(j, {})
+    smap, tmap = G.src_map(d), G.tgt_map(d)
+    a, b = key
+    want_s = vt.get((smap[a], smap[b]))
+    want_t = vt.get((tmap[a], tmap[b]))
+    if want_s is None or want_t is None:
+        return ()
+    return hom_buckets(G, d).get((want_s, want_t), ())
+
+
+def _extensions_exist(G, spec, v_entries, h_entries, vkeys, hkeys, typed_v):
     """Whether any single absent entry could be filled while keeping the
     requested axioms; used for the maximal-only filter."""
-    for (j, key) in open_vkeys:
+    for (j, key) in vkeys:
+        if key in v_entries[j]:
+            continue
         for v in typed_v[(j, key)]:
             v_entries[j][key] = v
             S = _structure(G, spec, v_entries, h_entries)
@@ -185,15 +209,10 @@ def _extensions_exist(G, spec, v_entries, h_entries, open_vkeys, open_hkeys, typ
             del v_entries[j][key]
             if ok:
                 return True
-    for (j, key) in open_hkeys:
-        d = j + 2
-        vt = v_entries.get(j, {})
-        smap, tmap = G.src_map(d), G.tgt_map(d)
-        want_s = vt.get((smap[key[0]], smap[key[1]]))
-        want_t = vt.get((tmap[key[0]], tmap[key[1]]))
-        if want_s is None or want_t is None:
+    for (j, key) in hkeys:
+        if key in h_entries[j]:
             continue
-        for v in hom_buckets(G, d).get((want_s, want_t), ()):
+        for v in _h_candidates(G, v_entries, j, key):
             h_entries[j][key] = v
             S = _structure(G, spec, v_entries, h_entries)
             ok = _passes_flags(S)
@@ -201,6 +220,30 @@ def _extensions_exist(G, spec, v_entries, h_entries, open_vkeys, open_hkeys, typ
             if ok:
                 return True
     return False
+
+
+def _recorder(G, spec, result, vkeys, hkeys, typed_v):
+    """The record step both routes share.  The returned function takes one
+    complete assignment; when it passes the flags (and, in maximal-only
+    mode, admits no single-entry extension) it is tallied raw and by
+    canonical form, keeping the first representative of each class."""
+    auts = automorphisms(G)
+    maximal = spec.maximal_only and not spec.flags.global_
+    cap = spec.limits.max_representatives
+
+    def record(v_entries, h_entries):
+        S = _structure(G, spec, v_entries, h_entries)
+        if not _passes_flags(S):
+            return
+        if maximal and _extensions_exist(G, spec, v_entries, h_entries, vkeys, hkeys, typed_v):
+            return
+        result.raw_count += 1
+        form = canonical_form(S, auts)
+        if form not in result.canonical_counts and len(result.representatives) < cap:
+            result.representatives.append(S)
+        result.canonical_counts[form] += 1
+
+    return record
 
 
 def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
@@ -215,16 +258,16 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
     levels, h_levels = _resolve_levels(G, spec)
     limits = spec.limits
     start = time.monotonic()
-    auts = automorphisms(G)
-
-    vkeys = [(j, key) for j in levels for key in sorted(composable_pairs(G, j))]
-    hkeys = [(j, key) for j in h_levels for key in sorted(h_composable_pairs(G, j))]
+    vkeys, hkeys = _keys(G, levels, h_levels)
 
     # typed candidates for vertical keys are fixed up front
     typed_v = {}
     for j, (a, b) in vkeys:
         d = j + 1
         typed_v[(j, (a, b))] = hom_buckets(G, d).get((G.src_map(d)[a], G.tgt_map(d)[b]), ())
+
+    result = EnumResult(0, 0, [], True)
+    record = _recorder(G, spec, result, vkeys, hkeys, typed_v)
 
     # incremental associativity support: which triples can a key decide
     trip = {j: composable_triples(G, j) for j in levels}
@@ -251,7 +294,6 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
     h_entries = {j: {} for j in h_levels}
     order = [("v",) + k for k in vkeys] + [("h",) + k for k in hkeys]
 
-    result = EnumResult(0, 0, [], True)
     state = {"nodes": 0}
 
     def tick():
@@ -298,21 +340,6 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
                 return False
         return True
 
-    def record():
-        S = _structure(G, spec, v_entries, h_entries)
-        if not _passes_flags(S):
-            return
-        if spec.maximal_only and not spec.flags.global_:
-            open_v = [(j, k) for j, k in vkeys if k not in v_entries[j]]
-            open_h = [(j, k) for j, k in hkeys if k not in h_entries[j]]
-            if _extensions_exist(G, spec, v_entries, h_entries, open_v, open_h, typed_v):
-                return
-        result.raw_count += 1
-        form = canonical_form(S, auts)
-        if form not in result.canonical_counts and len(result.representatives) < limits.max_representatives:
-            result.representatives.append(S)
-        result.canonical_counts[form] += 1
-
     def candidates(pos):
         kind, j, key = order[pos]
         if kind == "v":
@@ -326,23 +353,14 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
                 elif b == idn[tmap[b]]:
                     base = (a,) if a in base else ()
         else:
-            d = j + 2
-            vt = v_entries.get(j, {})
-            smap, tmap = G.src_map(d), G.tgt_map(d)
-            a, b = key
-            want_s = vt.get((smap[a], smap[b]))
-            want_t = vt.get((tmap[a], tmap[b]))
-            if want_s is None or want_t is None:
-                base = ()
-            else:
-                base = hom_buckets(G, d).get((want_s, want_t), ())
+            base = _h_candidates(G, v_entries, j, key)
         if spec.flags.global_:
             return base
         return base + (None,)
 
     def search(pos):
         if pos == len(order):
-            record()
+            record(v_entries, h_entries)
             return
         kind, j, key = order[pos]
         ent = v_entries[j] if kind == "v" else h_entries[j]
@@ -387,10 +405,7 @@ def brute_force_oracle(G: NGraph, spec: EnumSpec = EnumSpec(), space_bound: int 
     """
     levels, h_levels = _resolve_levels(G, spec)
     start = time.monotonic()
-    auts = automorphisms(G)
-
-    vkeys = [(j, key) for j in levels for key in sorted(composable_pairs(G, j))]
-    hkeys = [(j, key) for j in h_levels for key in sorted(h_composable_pairs(G, j))]
+    vkeys, hkeys = _keys(G, levels, h_levels)
 
     domains = []
     for j, _key in vkeys:
@@ -406,19 +421,20 @@ def brute_force_oracle(G: NGraph, spec: EnumSpec = EnumSpec(), space_bound: int 
         if space > space_bound:
             raise SpaceTooLarge(f"assignment space exceeds {space_bound}")
 
-    # membership tables for a cheap typing pre-reject on the vertical part;
+    # typed cells of every vertical key, scanned from the raw maps: a cheap
+    # pre-reject here, and the extension candidates of the maximal filter;
     # survivors still go through the real checkers
     typed = []
     for j, (a, b) in vkeys:
         d = j + 1
         smap, tmap = G.src_map(d), G.tgt_map(d)
-        typed.append(frozenset(
+        typed.append(tuple(
             v for v in range(G.count(d)) if smap[v] == smap[a] and tmap[v] == tmap[b]
         ))
 
     nv = len(vkeys)
     result = EnumResult(0, 0, [], True)
-    maximal = spec.maximal_only and not spec.flags.global_
+    record = _recorder(G, spec, result, vkeys, hkeys, dict(zip(vkeys, typed)))
 
     for combo in itertools.product(*domains):
         ok = True
@@ -436,20 +452,7 @@ def brute_force_oracle(G: NGraph, spec: EnumSpec = EnumSpec(), space_bound: int 
         for (j, key), value in zip(hkeys, combo[nv:]):
             if value is not None:
                 h_entries[j][key] = value
-        S = _structure(G, spec, v_entries, h_entries)
-        if not _passes_flags(S):
-            continue
-        if maximal:
-            typed_v = {vk: tuple(sorted(members)) for vk, members in zip(vkeys, typed)}
-            open_v = [(j, k) for j, k in vkeys if k not in v_entries[j]]
-            open_h = [(j, k) for j, k in hkeys if k not in h_entries[j]]
-            if _extensions_exist(G, spec, v_entries, h_entries, open_v, open_h, typed_v):
-                continue
-        result.raw_count += 1
-        form = canonical_form(S, auts)
-        if form not in result.canonical_counts and len(result.representatives) < spec.limits.max_representatives:
-            result.representatives.append(S)
-        result.canonical_counts[form] += 1
+        record(v_entries, h_entries)
 
     result.iso_count = len(result.canonical_counts)
     result.elapsed = time.monotonic() - start

@@ -383,19 +383,10 @@ def iterated_boundary(G: NGraph, z: CellId, j: int, side: str) -> CellId:
 def is_skeletal(G: NGraph) -> bool:
     """True when every same-type hom-set at every level holds exactly one cell."""
     for d in range(0, G.n):
-        cells = list(G.cells(d))
-        if d == 0:
-            groups = [cells]
-        else:
-            by_type = {}
-            for x in cells:
-                by_type.setdefault(cell_type(G, x), []).append(x)
-            groups = list(by_type.values())
-        for group in groups:
-            for x in group:
-                for y in group:
-                    if len(hom_set(G, x, y).members) != 1:
-                        return False
+        above = hom_buckets(G, d + 1)
+        for group in hom_buckets(G, d).values():
+            if any(len(above.get((x, y), ())) != 1 for x in group for y in group):
+                return False
     return True
 
 
@@ -510,61 +501,71 @@ def _fiber_signature(G, d):
     return list(zip(out, inn))
 
 
-def automorphisms(G: NGraph) -> list[GraphAutomorphism]:
-    """Every self-isomorphism of the carrier, in a deterministic order.
+def graph_maps(E: NGraph, F: NGraph, bijective: bool = False):
+    """The component tuples of every graph morphism E -> F, in lexicographic
+    order (dimensions ascending, cells ascending, images ascending).
 
-    Backtracks dimension by dimension: images of identity cells are forced
-    by the section below, the rest range over unused cells of the same type
-    under the lower bijection.
+    Backtracks over the cells of E one at a time: the image of an identity
+    cell is forced by the section below, every other d-cell ranges over the
+    d-cells of F typed by the images of its boundaries (all 0-cells at
+    d = 0).  ``bijective`` keeps only isomorphisms, pruning with injectivity
+    and the fiber sizes one dimension up, which isomorphisms preserve.
     """
-    sigs = [_fiber_signature(G, d) for d in range(G.n + 1)]
-    results = []
-
-    def extend(d, maps):
-        if d > G.n:
-            results.append(GraphAutomorphism(tuple(maps)))
+    if E.n != F.n:
+        raise DimensionMismatch(f"carriers have heights {E.n} and {F.n}")
+    if E.tail.minus_one_count != F.tail.minus_one_count or (
+            E.count(0) > 0 and E.tail.zero_type != F.tail.zero_type):
+        return
+    dims = range(E.n + 1)
+    if bijective:
+        if any(E.count(d) != F.count(d) for d in dims):
             return
-        cnt = G.count(d)
-        forced = {}
-        if d >= 1:
-            lower = maps[d - 1]
-            for x, up in enumerate(G.idn_map(d - 1)):
-                forced[up] = G.idn_map(d - 1)[lower[x]]
-        img = [-1] * cnt
-        used = [False] * cnt
-        smap, tmap = G.src_map(d), G.tgt_map(d)
+        sig_e = [_fiber_signature(E, d) for d in dims]
+        sig_f = [_fiber_signature(F, d) for d in dims]
+    img = [[-1] * E.count(d) for d in dims]
+    # the cells of E in search order, each with the cell below whose
+    # identity it is (-1 if none) and its two boundary cells
+    slots = []
+    for d in dims:
+        idn_of = {up: x for x, up in enumerate(E.idn_map(d - 1))} if d else {}
+        slots += [(d, i, idn_of.get(i, -1), E.src_map(d)[i], E.tgt_map(d)[i])
+                  for i in range(E.count(d))]
 
-        def assign(i):
-            if i == cnt:
-                extend(d + 1, maps + [tuple(img)])
-                return
-            if i in forced:
-                j = forced[i]
-                if used[j] or sigs[d][i] != sigs[d][j]:
-                    return
-                if d >= 1 and (maps[d - 1][smap[i]] != smap[j] or maps[d - 1][tmap[i]] != tmap[j]):
-                    return
-                img[i] = j
-                used[j] = True
-                assign(i + 1)
-                used[j] = False
-                img[i] = -1
-                return
-            for j in range(cnt):
-                if used[j] or sigs[d][i] != sigs[d][j]:
-                    continue
-                if d >= 1 and (maps[d - 1][smap[i]] != smap[j] or maps[d - 1][tmap[i]] != tmap[j]):
-                    continue
-                img[i] = j
-                used[j] = True
-                assign(i + 1)
-                used[j] = False
-                img[i] = -1
+    def options(k):
+        d, i, x, s, t = slots[k]
+        if d == 0:
+            cands = range(F.count(0))
+        elif x >= 0:
+            cands = (F.idn_map(d - 1)[img[d - 1][x]],)
+        else:
+            cands = hom_buckets(F, d).get((img[d - 1][s], img[d - 1][t]), ())
+        if bijective:
+            return iter([j for j in cands if j not in img[d] and sig_f[d][j] == sig_e[d][i]])
+        return iter(cands)
 
-        assign(0)
+    stack = [None] * len(slots)     # candidate iterators of slots[:k]
+    k = 0
+    while True:
+        if k == len(slots):
+            yield tuple(map(tuple, img))
+        else:
+            stack[k] = options(k)
+            k += 1
+        # move the deepest slot to its next candidate, backing out of
+        # exhausted slots (an unassigned cell holds -1)
+        while k:
+            d, i, _x, _s, _t = slots[k - 1]
+            j = img[d][i] = next(stack[k - 1], -1)
+            if j >= 0:
+                break
+            k -= 1
+        if not k:
+            return
 
-    extend(0, [])
-    return results
+
+def automorphisms(G: NGraph) -> list[GraphAutomorphism]:
+    """Every self-isomorphism of the carrier, in lexicographic order."""
+    return [GraphAutomorphism(maps) for maps in graph_maps(G, G, bijective=True)]
 
 
 def skeletal_graph(objects: int, n: int, minus_one: int = 1, seed=None) -> NGraph:

@@ -28,6 +28,7 @@ from .graphs import (
     NGraph,
     SpaceTooLarge,
     StructureTail,
+    graph_maps,
     hom_buckets,
     opposite,
 )
@@ -259,6 +260,8 @@ class Modification:
     def __post_init__(self):
         if (self.s.f, self.s.g) != (self.t.f, self.t.g):
             raise GraphError("modification endpoints are not parallel transformations")
+        if self.s.levels != self.t.levels:
+            raise GraphError(f"modification endpoints have levels {self.s.levels} and {self.t.levels}")
         comps = {i: tuple(m) for i, m in self.comps.items()}
         object.__setattr__(self, "comps", comps)
         E, F = self.s.f.domain, self.s.f.codomain
@@ -348,8 +351,7 @@ def check_modification(md: Modification, cE: CategoryStructure, cF: CategoryStru
 def enumerate_functors(cE: CategoryStructure, cF: CategoryStructure, bound: int = 10 ** 6) -> list[GraphMorphism]:
     """Every functor from cE to cF, in a deterministic order.
 
-    Builds graph morphisms dimension by dimension (identity images forced,
-    everything else ranging over the right hom-set) and keeps those that
+    Filters the graph morphisms ``graph_maps`` lists down to those that
     preserve all defined composites.
     """
     E, F = cE.graph, cF.graph
@@ -368,43 +370,10 @@ def enumerate_functors(cE: CategoryStructure, cF: CategoryStructure, bound: int 
             raise SpaceTooLarge(f"functor space exceeds {bound}")
 
     out = []
-
-    def extend(d, maps):
-        if d > E.n:
-            m = GraphMorphism(E, F, tuple(maps))
-            if check_functor(m, cE, cF).passed:
-                out.append(m)
-            return
-        cnt = E.count(d)
-        img = [-1] * cnt
-        forced = {}
-        if d >= 1:
-            lower = maps[d - 1]
-            for x, up in enumerate(E.idn_map(d - 1)):
-                forced[up] = F.idn_map(d - 1)[lower[x]]
-        smap, tmap = E.src_map(d), E.tgt_map(d)
-
-        def assign(i):
-            if i == cnt:
-                extend(d + 1, maps + [tuple(img)])
-                return
-            if i in forced:
-                img[i] = forced[i]
-                assign(i + 1)
-                img[i] = -1
-                return
-            if d == 0:
-                cands = range(F.count(0))
-            else:
-                cands = hom_buckets(F, d).get((maps[d - 1][smap[i]], maps[d - 1][tmap[i]]), ())
-            for j in cands:
-                img[i] = j
-                assign(i + 1)
-                img[i] = -1
-
-        assign(0)
-
-    extend(0, [])
+    for comps in graph_maps(E, F):
+        m = GraphMorphism(E, F, comps)
+        if check_functor(m, cE, cF).passed:
+            out.append(m)
     return out
 
 

@@ -222,6 +222,30 @@ def test_modification_subcommand(tmp_path, capsys):
     _ = capsys.readouterr()
 
 
+def test_modification_with_unequal_levels_exits_one(tmp_path, capsys):
+    from ncats import build_cat_of_cats, identity_morphism
+    from ncats.morphisms import Modification
+
+    G, S = build_cat_of_cats([z2_structure()[1]], depth=3)
+    I = identity_morphism(G)
+    idf = G.idn_map(0)[0]
+    low = Transformation(I, I, {0: (idf,)}, (0,))
+    high = Transformation(I, I, {0: (idf,), 1: tuple(G.idn_map(1))}, (0, 1))
+    md = Modification(high, high, {0: (G.idn_map(1)[idf],), 1: (0,) * G.count(1)})
+    doc = build_document(G, S.vtables.values(), S.htables.values(), flags=S.flags,
+                         morphisms={"I": I},
+                         transformations={"low": ("I", "I", low), "high": ("I", "I", high)},
+                         modifications={"M": ("high", "high", md)})
+    obj = json.loads(serialize(doc))
+    obj["modifications"][0]["t"] = "low"
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(obj))
+    assert main(["modification", str(path), "--m", "M"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "levels" in err
+    assert "Traceback" not in err
+
+
 def test_console_script_help():
     proc = subprocess.run([sys.executable, "-m", "ncats.cli", "--help"],
                           capture_output=True, text=True)

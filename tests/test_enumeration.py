@@ -75,6 +75,12 @@ def test_oracle_agreement_partial_mode():
     slow = brute_force_oracle(G, spec())
     assert fast.raw_count == slow.raw_count == 81
     assert fast.canonical_counts == slow.canonical_counts
+    for G in (loops_graph(2), parallel_pair_graph()):
+        for flags in (AxiomFlags(), AxiomFlags(associative=True)):
+            fast = enumerate_structures(G, spec(flags, maximal_only=True))
+            slow = brute_force_oracle(G, spec(flags, maximal_only=True))
+            assert fast.raw_count == slow.raw_count
+            assert fast.canonical_counts == slow.canonical_counts
 
 
 def test_maximal_only_keeps_inextensible_tables():

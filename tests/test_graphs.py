@@ -193,6 +193,29 @@ def test_skeletal_graph_generator():
     assert any(skeletal_graph(3, 1, seed=s) != a for s in range(5, 10))
 
 
+def hom_set_is_skeletal(G):
+    """The definition read literally: at every level, every pair of cells
+    of one type spans a hom-set with exactly one member."""
+    for d in range(G.n):
+        groups = {}
+        for x in G.cells(d):
+            groups.setdefault(cell_type(G, x) if d else None, []).append(x)
+        for group in groups.values():
+            if any(len(hom_set(G, x, y).members) != 1 for x in group for y in group):
+                return False
+    return True
+
+
+def test_is_skeletal_matches_hom_set_reference():
+    rng = random.Random(11)
+    graphs = [random_graph(rng, n=n, max_cells=m)
+              for n in (1, 2, 3) for m in (1, 2, 3, 4) for _ in range(10)]
+    graphs += [skeletal_graph(k, n, seed=k + n) for k in (0, 1, 2, 3) for n in (1, 2)]
+    verdicts = [is_skeletal(G) for G in graphs]
+    assert verdicts == [hom_set_is_skeletal(G) for G in graphs]
+    assert True in verdicts and False in verdicts
+
+
 def test_chain_graph_has_empty_composite_hom():
     G = chain_graph()
     assert hom_set(G, CellId(0, 0), CellId(0, 2)).members == ()

@@ -1,9 +1,13 @@
+import itertools
+import random
+
 import pytest
 
 from ncats import (
     AxiomFlags,
     CategoryStructure,
     CompTable,
+    GraphAutomorphism,
     GraphError,
     GraphMorphism,
     Modification,
@@ -12,6 +16,7 @@ from ncats import (
     StructureTail,
     Transformation,
     VarianceSpec,
+    automorphisms,
     build_cat_of_cats,
     check_category,
     check_contravariant,
@@ -23,6 +28,7 @@ from ncats import (
     compose_morphisms,
     enumerate_functors,
     enumerate_transformations,
+    graph_maps,
     identity_morphism,
 )
 from ncats.structures import FAIL, NOT_APPLICABLE
@@ -30,6 +36,7 @@ from ncats.structures import FAIL, NOT_APPLICABLE
 from util import (
     arrow_graph,
     loops_graph,
+    random_graph,
     total_order_structure,
     z2_structure,
 )
@@ -133,6 +140,33 @@ def test_enumerated_functors_check_out():
     _, T2 = total_order_structure(2)
     for m in enumerate_functors(T2, T2):
         assert check_functor(m, T2, T2).passed
+
+
+def product_graph_maps(E, F):
+    """Every raw component assignment E -> F, in ``itertools.product``
+    order, that the graph-morphism check accepts."""
+    per_dim = [list(itertools.product(range(F.count(d)), repeat=E.count(d)))
+               for d in range(E.n + 1)]
+    return [comps for comps in itertools.product(*per_dim)
+            if check_graph_morphism(GraphMorphism(E, F, comps)).passed]
+
+
+def is_bijective(F, comps):
+    return all(sorted(m) == list(range(F.count(d))) for d, m in enumerate(comps))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_graph_maps_match_filtered_product(n):
+    rng = random.Random(40 + n)
+    for _ in range(6):
+        E = random_graph(rng, n=n, max_cells=3)
+        for F in (E, random_graph(rng, n=n, max_cells=3)):
+            reference = product_graph_maps(E, F)
+            assert list(graph_maps(E, F)) == reference
+            bijections = [comps for comps in reference if is_bijective(F, comps)]
+            assert list(graph_maps(E, F, bijective=True)) == bijections
+            if F is E:
+                assert automorphisms(E) == [GraphAutomorphism(comps) for comps in bijections]
 
 
 def test_transformation_construction_errors():
@@ -241,6 +275,21 @@ def test_modification_checks():
     chk = rep.find("modification-cells", 0)
     assert chk.verdict == FAIL
     assert any(c.kind == "cell-square" for c in chk.counterexamples)
+
+
+def test_modification_endpoints_need_equal_levels():
+    G, _S = cat_of_z2s(1, depth=3)
+    I = identity_morphism(G)
+    idf = G.idn_map(0)[0]
+    idn1 = tuple(G.idn_map(1)[a] for a in range(G.count(1)))
+    low = Transformation(I, I, {0: (idf,)}, (0,))
+    high = Transformation(I, I, {0: (idf,), 1: idn1}, (0, 1))
+    comps = {0: (G.idn_map(1)[idf],), 1: (0,) * G.count(1)}
+    Modification(high, high, comps)
+    with pytest.raises(GraphError):
+        Modification(high, low, comps)
+    with pytest.raises(GraphError):
+        Modification(low, high, {0: comps[0]})
 
 
 def test_modification_without_horizontal_table():
