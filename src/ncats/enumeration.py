@@ -94,8 +94,7 @@ class EnumResult:
     canonical_counts: Counter = field(default_factory=Counter)
 
 
-class _Stop(Exception):
-    pass
+_END = object()
 
 
 def _resolve_levels(G: NGraph, spec: EnumSpec):
@@ -149,46 +148,51 @@ def canonical_form(S: CategoryStructure, auts=None) -> bytes:
     """
     if auts is None:
         auts = automorphisms(S.graph)
+    tables = [("v", j, j + 1, S.vtables[j].entries) for j in sorted(S.vtables)]
+    tables += [("h", j, j + 2, S.htables[j].entries) for j in sorted(S.htables)]
     best = None
-    vlevels = sorted(S.vtables)
-    hlevels = sorted(S.htables)
     for phi in auts:
         parts = []
-        for j in vlevels:
-            m = phi.maps[j + 1]
-            parts.append((j, "v", tuple(sorted(
-                (m[a], m[b], m[v]) for (a, b), v in S.vtables[j].entries.items()))))
-        for j in hlevels:
-            m = phi.maps[j + 2]
-            parts.append((j, "h", tuple(sorted(
-                (m[a], m[b], m[v]) for (a, b), v in S.htables[j].entries.items()))))
+        for kind, j, d, entries in tables:
+            m = phi.maps[d]
+            parts.append((j, kind, tuple(sorted(
+                (m[a], m[b], m[v]) for (a, b), v in entries.items()))))
         blob = repr(parts).encode()
         if best is None or blob < best:
             best = blob
     return best
 
 
-def _structure(G, spec, v_entries, h_entries):
-    vtables = [CompTable(j, dict(e)) for j, e in sorted(v_entries.items())]
-    htables = [HCompTable(j, dict(e)) for j, e in sorted(h_entries.items())]
-    return CategoryStructure(G, vtables, htables, spec.flags)
+def _structure(G, spec, tables):
+    made = {"v": [], "h": []}
+    for (kind, j), entries in tables.items():
+        made[kind].append((CompTable if kind == "v" else HCompTable)(j, dict(entries)))
+    return CategoryStructure(G, made["v"], made["h"], spec.flags)
 
 
 def _keys(G, levels, h_levels):
-    """The table keys in search order: vertical levels ascending, then
-    horizontal levels, each with its keys in lexicographic order."""
-    vkeys = [(j, key) for j in levels for key in sorted(composable_pairs(G, j))]
-    hkeys = [(j, key) for j in h_levels for key in sorted(h_composable_pairs(G, j))]
-    return vkeys, hkeys
+    """The table names and the slot list.  A table is named (kind, level):
+    kind "v" composes (level+1)-cells vertically, "h" (level+2)-cells
+    horizontally; vertical levels ascend first, then horizontal ones.  The
+    slots are every (kind, level, key) in search order, each table's keys
+    in lexicographic order."""
+    names = [("v", j) for j in levels] + [("h", j) for j in h_levels]
+    slots = [(kind, j, key) for kind, j in names for key in sorted(
+        (composable_pairs if kind == "v" else h_composable_pairs)(G, j))]
+    return names, slots
 
 
-def _h_candidates(G, v_entries, j, key):
-    """The cells a horizontal key may take: those typed by the vertical
-    composites of its boundaries, none while either composite is absent."""
+def _candidates(G, tables, typed, slot):
+    """The cells a slot may take.  A vertical key takes the cells typed by
+    its ends, fixed up front in ``typed``; a horizontal key takes those
+    typed by the vertical composites of its boundaries, none while either
+    composite is absent."""
+    kind, j, (a, b) = slot
+    if kind == "v":
+        return typed[slot]
     d = j + 2
-    vt = v_entries.get(j, {})
+    vt = tables["v", j]
     smap, tmap = G.src_map(d), G.tgt_map(d)
-    a, b = key
     want_s = vt.get((smap[a], smap[b]))
     want_t = vt.get((tmap[a], tmap[b]))
     if want_s is None or want_t is None:
@@ -196,33 +200,24 @@ def _h_candidates(G, v_entries, j, key):
     return hom_buckets(G, d).get((want_s, want_t), ())
 
 
-def _extensions_exist(G, spec, v_entries, h_entries, vkeys, hkeys, typed_v):
+def _extensions_exist(G, spec, tables, slots, typed):
     """Whether any single absent entry could be filled while keeping the
     requested axioms; used for the maximal-only filter."""
-    for (j, key) in vkeys:
-        if key in v_entries[j]:
+    for slot in slots:
+        kind, j, key = slot
+        ent = tables[kind, j]
+        if key in ent:
             continue
-        for v in typed_v[(j, key)]:
-            v_entries[j][key] = v
-            S = _structure(G, spec, v_entries, h_entries)
-            ok = _passes_flags(S)
-            del v_entries[j][key]
-            if ok:
-                return True
-    for (j, key) in hkeys:
-        if key in h_entries[j]:
-            continue
-        for v in _h_candidates(G, v_entries, j, key):
-            h_entries[j][key] = v
-            S = _structure(G, spec, v_entries, h_entries)
-            ok = _passes_flags(S)
-            del h_entries[j][key]
+        for v in _candidates(G, tables, typed, slot):
+            ent[key] = v
+            ok = _passes_flags(_structure(G, spec, tables))
+            del ent[key]
             if ok:
                 return True
     return False
 
 
-def _recorder(G, spec, result, vkeys, hkeys, typed_v):
+def _recorder(G, spec, result, slots, typed):
     """The record step both routes share.  The returned function takes one
     complete assignment; when it passes the flags (and, in maximal-only
     mode, admits no single-entry extension) it is tallied raw and by
@@ -231,11 +226,11 @@ def _recorder(G, spec, result, vkeys, hkeys, typed_v):
     maximal = spec.maximal_only and not spec.flags.global_
     cap = spec.limits.max_representatives
 
-    def record(v_entries, h_entries):
-        S = _structure(G, spec, v_entries, h_entries)
+    def record(tables):
+        S = _structure(G, spec, tables)
         if not _passes_flags(S):
             return
-        if maximal and _extensions_exist(G, spec, v_entries, h_entries, vkeys, hkeys, typed_v):
+        if maximal and _extensions_exist(G, spec, tables, slots, typed):
             return
         result.raw_count += 1
         form = canonical_form(S, auts)
@@ -253,28 +248,31 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
     in lexicographic order, then horizontal levels the same way, and
     candidate values ascend (with "absent" tried last in partial mode).
     Hitting the node or time limit returns the partial tally with
-    ``exhausted=False``.
+    ``exhausted=False``.  The backtracking keeps its own stack, so the
+    number of keys does not bound the search depth.
     """
     levels, h_levels = _resolve_levels(G, spec)
-    limits = spec.limits
+    limits, flags = spec.limits, spec.flags
     start = time.monotonic()
-    vkeys, hkeys = _keys(G, levels, h_levels)
+    names, slots = _keys(G, levels, h_levels)
 
     # typed candidates for vertical keys are fixed up front
-    typed_v = {}
-    for j, (a, b) in vkeys:
-        d = j + 1
-        typed_v[(j, (a, b))] = hom_buckets(G, d).get((G.src_map(d)[a], G.tgt_map(d)[b]), ())
+    typed = {}
+    for slot in slots:
+        kind, j, (a, b) = slot
+        if kind == "v":
+            d = j + 1
+            typed[slot] = hom_buckets(G, d).get((G.src_map(d)[a], G.tgt_map(d)[b]), ())
 
     result = EnumResult(0, 0, [], True)
-    record = _recorder(G, spec, result, vkeys, hkeys, typed_v)
+    record = _recorder(G, spec, result, slots, typed)
 
     # incremental associativity support: which triples can a key decide
     trip = {j: composable_triples(G, j) for j in levels}
     trip_by_pair = {j: {} for j in levels}
     trip_by_first = {j: {} for j in levels}
     trip_by_third = {j: {} for j in levels}
-    if spec.flags.associative:
+    if flags.associative:
         for j in levels:
             for t in trip[j]:
                 a, b, c = t
@@ -285,27 +283,15 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
                 trip_by_third[j].setdefault(c, []).append(t)
 
     quads = {}
-    if spec.flags.interchange:
+    if flags.interchange:
         for j in h_levels:
             quads[j] = [(a, a2, b, b2) for (a, a2), partners in interchange_partners(G, j)
                         for b, b2 in partners]
 
-    v_entries = {j: {} for j in levels}
-    h_entries = {j: {} for j in h_levels}
-    order = [("v",) + k for k in vkeys] + [("h",) + k for k in hkeys]
-
-    state = {"nodes": 0}
-
-    def tick():
-        state["nodes"] += 1
-        if state["nodes"] > limits.max_nodes:
-            raise _Stop
-        if limits.time_budget is not None and state["nodes"] % 1024 == 0:
-            if time.monotonic() - start > limits.time_budget:
-                raise _Stop
+    tables = {name: {} for name in names}
 
     def assoc_ok(j, key, value):
-        ent = v_entries[j]
+        ent = tables["v", j]
         a, b = key
         seen = trip_by_pair[j].get(key, ())
         todo = list(seen)
@@ -325,10 +311,9 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
         return True
 
     def interchange_ok(j):
-        V = v_entries.get(j + 1)
-        H = h_entries.get(j)
-        if V is None or H is None:
+        if ("h", j) not in tables:
             return True
+        V, H = tables["v", j + 1], tables["h", j]
         for a, a2, b, b2 in quads[j]:
             va, vb = V.get((a, a2)), V.get((b, b2))
             hab, hab2 = H.get((a, b)), H.get((a2, b2))
@@ -341,56 +326,49 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
         return True
 
     def candidates(pos):
-        kind, j, key = order[pos]
-        if kind == "v":
-            base = typed_v[(j, key)]
-            if spec.flags.unital and j >= 0:
-                idn = G.idn_map(j)
-                smap, tmap = G.src_map(j + 1), G.tgt_map(j + 1)
-                a, b = key
-                if a == idn[smap[a]]:
-                    base = (b,) if b in base else ()
-                elif b == idn[tmap[b]]:
-                    base = (a,) if a in base else ()
-        else:
-            base = _h_candidates(G, v_entries, j, key)
-        if spec.flags.global_:
-            return base
-        return base + (None,)
+        slot = slots[pos]
+        kind, j, (a, b) = slot
+        base = _candidates(G, tables, typed, slot)
+        if kind == "v" and flags.unital and j >= 0:
+            idn = G.idn_map(j)
+            if a == idn[G.src_map(j + 1)[a]]:
+                base = (b,) if b in base else ()
+            elif b == idn[G.tgt_map(j + 1)[b]]:
+                base = (a,) if a in base else ()
+        return iter(base if flags.global_ else base + (None,))
 
-    def search(pos):
-        if pos == len(order):
-            record(v_entries, h_entries)
-            return
-        kind, j, key = order[pos]
-        ent = v_entries[j] if kind == "v" else h_entries[j]
-        for value in candidates(pos):
-            tick()
-            if value is None:
-                search(pos + 1)
-                continue
+    # Backtracking with an explicit stack: stack[pos] iterates the candidates
+    # of slots[pos], whose entry holds the value last taken from it
+    nodes = 0
+    stack = [candidates(0)] if slots else []
+    if not slots:
+        record(tables)
+    while stack:
+        pos = len(stack) - 1
+        kind, j, key = slots[pos]
+        ent = tables[kind, j]
+        ent.pop(key, None)
+        value = next(stack[pos], _END)
+        if value is _END:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > limits.max_nodes or (
+                limits.time_budget is not None and nodes % 1024 == 0
+                and time.monotonic() - start > limits.time_budget):
+            result.exhausted = False
+            break
+        if value is not None:
             ent[key] = value
-            ok = True
-            if kind == "v" and spec.flags.associative:
-                ok = assoc_ok(j, key, value)
-            if ok and spec.flags.interchange:
-                if kind == "v":
-                    if j - 1 in h_entries:
-                        ok = interchange_ok(j - 1)
-                else:
-                    ok = interchange_ok(j)
-            if ok:
-                search(pos + 1)
-            del ent[key]
-
-    try:
-        search(0)
-    except _Stop:
-        result.exhausted = False
-    # ``search`` refers to itself; emptying its cell breaks the cycle so the
-    # search state is freed on return instead of at the next full collection
-    del search
-    result.nodes = state["nodes"]
+            if kind == "v" and flags.associative and not assoc_ok(j, key, value):
+                continue
+            if flags.interchange and not interchange_ok(j - 1 if kind == "v" else j):
+                continue
+        if pos + 1 < len(slots):
+            stack.append(candidates(pos + 1))
+        else:
+            record(tables)
+    result.nodes = nodes
     result.iso_count = len(result.canonical_counts)
     result.elapsed = time.monotonic() - start
     return result
@@ -405,54 +383,42 @@ def brute_force_oracle(G: NGraph, spec: EnumSpec = EnumSpec(), space_bound: int 
     """
     levels, h_levels = _resolve_levels(G, spec)
     start = time.monotonic()
-    vkeys, hkeys = _keys(G, levels, h_levels)
-
-    domains = []
-    for j, _key in vkeys:
-        cells = tuple(range(G.count(j + 1)))
-        domains.append(cells if spec.flags.global_ else cells + (None,))
-    for j, _key in hkeys:
-        cells = tuple(range(G.count(j + 2)))
-        domains.append(cells if spec.flags.global_ else cells + (None,))
+    names, slots = _keys(G, levels, h_levels)
 
     space = 1
-    for d in domains:
-        space *= len(d)
+    domains = []
+    for kind, j, _key in slots:
+        cells = tuple(range(G.count(j + 1 if kind == "v" else j + 2)))
+        domains.append(cells if spec.flags.global_ else cells + (None,))
+        space *= len(domains[-1])
         if space > space_bound:
             raise SpaceTooLarge(f"assignment space exceeds {space_bound}")
 
     # typed cells of every vertical key, scanned from the raw maps: a cheap
     # pre-reject here, and the extension candidates of the maximal filter;
-    # survivors still go through the real checkers
-    typed = []
-    for j, (a, b) in vkeys:
-        d = j + 1
-        smap, tmap = G.src_map(d), G.tgt_map(d)
-        typed.append(tuple(
-            v for v in range(G.count(d)) if smap[v] == smap[a] and tmap[v] == tmap[b]
-        ))
+    # survivors still go through the real checkers.  Vertical slots come
+    # first, so zipping an assignment with ``typed`` pairs exactly those.
+    typed = {}
+    for slot in slots:
+        kind, j, (a, b) = slot
+        if kind == "v":
+            d = j + 1
+            smap, tmap = G.src_map(d), G.tgt_map(d)
+            typed[slot] = tuple(
+                v for v in range(G.count(d)) if smap[v] == smap[a] and tmap[v] == tmap[b])
 
-    nv = len(vkeys)
     result = EnumResult(0, 0, [], True)
-    record = _recorder(G, spec, result, vkeys, hkeys, dict(zip(vkeys, typed)))
+    record = _recorder(G, spec, result, slots, typed)
 
     for combo in itertools.product(*domains):
-        ok = True
-        for value, members in zip(combo, typed):
-            if value is not None and value not in members:
-                ok = False
-                break
-        if not ok:
+        if any(value is not None and value not in members
+               for value, members in zip(combo, typed.values())):
             continue
-        v_entries = {j: {} for j in levels}
-        h_entries = {j: {} for j in h_levels}
-        for (j, key), value in zip(vkeys, combo[:nv]):
+        tables = {name: {} for name in names}
+        for (kind, j, key), value in zip(slots, combo):
             if value is not None:
-                v_entries[j][key] = value
-        for (j, key), value in zip(hkeys, combo[nv:]):
-            if value is not None:
-                h_entries[j][key] = value
-        record(v_entries, h_entries)
+                tables[kind, j][key] = value
+        record(tables)
 
     result.iso_count = len(result.canonical_counts)
     result.elapsed = time.monotonic() - start

@@ -138,26 +138,18 @@ class GraphDocument:
         G = self.graph()
         if not isinstance(G, NGraph):
             raise ParseError(f"carrier is invalid: {G}")
-        vtables, htables = [], []
-        for t in self._tables({VERTICAL, MINUS_ONE}):
+        made = {CompTable: [], HCompTable: []}
+        for t in self._tables({VERTICAL, MINUS_ONE, HORIZONTAL}):
             j = t["level"]
-            d = j + 1
+            table = HCompTable if t["kind"] == HORIZONTAL else CompTable
+            d = j + 2 if table is HCompTable else j + 1
             entries = {}
             for a, b, v in t["entries"]:
                 key = (self.index_of(d, a, "table"), self.index_of(d, b, "table"))
                 _expect(key not in entries, f"duplicate entry ({a}, {b}) at level {j}")
                 entries[key] = self.index_of(d, v, "table")
-            vtables.append(CompTable(j, entries))
-        for t in self._tables({HORIZONTAL}):
-            j = t["level"]
-            d = j + 2
-            entries = {}
-            for a, b, v in t["entries"]:
-                key = (self.index_of(d, a, "table"), self.index_of(d, b, "table"))
-                _expect(key not in entries, f"duplicate entry ({a}, {b}) at level {j}")
-                entries[key] = self.index_of(d, v, "table")
-            htables.append(HCompTable(j, entries))
-        return CategoryStructure(G, vtables, htables,
+            made[table].append(table(j, entries))
+        return CategoryStructure(G, made[CompTable], made[HCompTable],
                                  self.flags() if flags is None else flags)
 
     def cotables(self) -> list[CocompTable]:
@@ -253,9 +245,17 @@ def _check_component_map(sec, keys, value_ids, what):
     return {k: sec[k] for k in keys}
 
 
+def _records(obj, key):
+    """The list under ``key``, empty when the key is absent."""
+    items = obj.get(key, [])
+    _expect(isinstance(items, list), f"{key} must be a list")
+    return items
+
+
 def _check_entries(t, ids_by_dim, n):
+    _expect(isinstance(t, dict), "table records must be objects")
     kind = t.get("kind")
-    _expect(kind in _KIND_ORDER, f"unknown table kind {kind!r}")
+    _expect(isinstance(kind, str) and kind in _KIND_ORDER, f"unknown table kind {kind!r}")
     level = t.get("level")
     _expect(isinstance(level, int), "table level must be an integer")
     if kind == MINUS_ONE:
@@ -265,8 +265,10 @@ def _check_entries(t, ids_by_dim, n):
     _expect(lo <= level <= hi, f"{kind} table level {level} outside {lo}..{hi}")
     width = 4 if kind == CO else 3
     value_dim = level + 2 if kind == HORIZONTAL else level + 1
+    raw = t.get("entries", [])
+    _expect(isinstance(raw, list), f"{kind} table entries must be a list")
     entries = []
-    for e in t.get("entries", ()):
+    for e in raw:
         _expect(isinstance(e, list) and len(e) == width,
                 f"{kind} table entries must be lists of {width} ids")
         dims = (value_dim, level, value_dim, value_dim) if kind == CO \
@@ -328,19 +330,19 @@ def parse(text: str | bytes) -> GraphDocument:
             "tail": {"minus_one": minus_one},
             "dims": norm_dims, "identities": norm_idn}
 
-    if obj.get("tables"):
+    if _records(obj, "tables"):
         tables = [_check_entries(t, ids_by_dim, n) for t in obj["tables"]]
         tagged = {(t["kind"], t["level"]) for t in tables}
         _expect(len(tagged) == len(tables), "duplicate table for one kind and level")
         data["tables"] = sorted(tables, key=lambda t: (_KIND_ORDER[t["kind"]], t["level"]))
 
-    if obj.get("flags"):
-        flags = obj["flags"]
-        _expect(isinstance(flags, list) and all(f in FLAG_NAMES for f in flags),
+    flags = _records(obj, "flags")
+    if flags:
+        _expect(all(f in FLAG_NAMES for f in flags),
                 f"flags must be drawn from {FLAG_NAMES}")
         data["flags"] = [f for f in FLAG_NAMES if f in flags]
 
-    if obj.get("morphisms"):
+    if _records(obj, "morphisms"):
         names = set()
         out = []
         for item in obj["morphisms"]:
@@ -361,7 +363,7 @@ def parse(text: str | bytes) -> GraphDocument:
     else:
         morphism_names = set()
 
-    if obj.get("transformations"):
+    if _records(obj, "transformations"):
         names = set()
         out = []
         for item in obj["transformations"]:
@@ -372,11 +374,12 @@ def parse(text: str | bytes) -> GraphDocument:
                     "transformations need unique string names")
             names.add(name)
             for end in ("f", "g"):
-                if item.get(end) not in morphism_names:
+                if not isinstance(item.get(end), str) or item[end] not in morphism_names:
                     raise DanglingReference(item.get(end), f"transformation {name!r} {end}")
             levels = item.get("levels", [0])
-            _expect(isinstance(levels, list) and levels == sorted(set(levels))
-                    and all(isinstance(i, int) and 0 <= i <= n - 1 for i in levels),
+            _expect(isinstance(levels, list)
+                    and all(isinstance(i, int) and 0 <= i <= n - 1 for i in levels)
+                    and levels == sorted(set(levels)),
                     f"transformation {name!r} levels must be sorted dimensions below {n}")
             comps = item.get("comps")
             _expect(isinstance(comps, dict) and set(comps) == {str(i) for i in levels},
@@ -391,7 +394,7 @@ def parse(text: str | bytes) -> GraphDocument:
     else:
         transformation_names = set()
 
-    if obj.get("modifications"):
+    if _records(obj, "modifications"):
         names = set()
         out = []
         by_name = {t["name"]: t for t in data.get("transformations", ())}
@@ -402,9 +405,11 @@ def parse(text: str | bytes) -> GraphDocument:
                     "modifications need unique string names")
             names.add(name)
             for end in ("s", "t"):
-                if item.get(end) not in transformation_names:
+                if not isinstance(item.get(end), str) or item[end] not in transformation_names:
                     raise DanglingReference(item.get(end), f"modification {name!r} {end}")
-            levels = by_name[item["s"]]["levels"]
+            levels, t_levels = by_name[item["s"]]["levels"], by_name[item["t"]]["levels"]
+            _expect(levels == t_levels,
+                    f"modification {name!r} endpoints have levels {levels} and {t_levels}")
             _expect(all(i + 2 <= n for i in levels),
                     f"modification {name!r} needs cells two dimensions up")
             comps = item.get("comps")

@@ -1,26 +1,30 @@
+import copy
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from jsonschema import validate as schema_validate
 
 from ncats import (
     AxiomFlags,
     CategoryStructure,
     CompTable,
+    build_cat_of_cats,
     build_document,
     document_from_graph,
     document_from_structure,
     enumerate_functors,
     enumerate_transformations,
+    identity_morphism,
     parse,
     serialize,
 )
 from ncats.cli import main
 from ncats.morphisms import Transformation
 
-from util import loops_graph, z2_structure
+from util import long_order_graph, loops_graph, z2_structure
 
 from test_io import report_schema
 
@@ -222,8 +226,7 @@ def test_modification_subcommand(tmp_path, capsys):
     _ = capsys.readouterr()
 
 
-def test_modification_with_unequal_levels_exits_one(tmp_path, capsys):
-    from ncats import build_cat_of_cats, identity_morphism
+def test_modification_with_unequal_levels_exits_two(tmp_path, capsys):
     from ncats.morphisms import Modification
 
     G, S = build_cat_of_cats([z2_structure()[1]], depth=3)
@@ -240,10 +243,74 @@ def test_modification_with_unequal_levels_exits_one(tmp_path, capsys):
     obj["modifications"][0]["t"] = "low"
     path = tmp_path / "mod.json"
     path.write_text(json.dumps(obj))
-    assert main(["modification", str(path), "--m", "M"]) == 1
+    assert main(["modification", str(path), "--m", "M"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "levels" in err
     assert "Traceback" not in err
+
+
+def test_enumerate_deep_carrier(tmp_path, capsys):
+    """1540 table keys: more than a recursive search has stack frames for."""
+    path = write(tmp_path, "order.json", document_from_graph(long_order_graph()))
+    assert main(["enumerate", path, "--flags", "global"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _fuzz_bases():
+    """Valid documents, each with an endomorphism named I: Z2 and the
+    2-graph of categories and functors on Z2."""
+    out = []
+    for G, S in (z2_structure(), build_cat_of_cats([z2_structure()[1]])):
+        doc = build_document(G, S.vtables.values(), S.htables.values(), flags=S.flags,
+                             morphisms={"I": identity_morphism(G)})
+        out.append(json.loads(serialize(doc)))
+    return out
+
+
+_FUZZ_BASES = _fuzz_bases()
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4)
+    | st.sampled_from(["", "x", "I", "c0_0", "c1_1", "c2_3", "global", "vertical"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "src", "kind", "level", "entries", "name"]),
+                      inner, max_size=3),
+    max_leaves=4)
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for k in sorted(node):
+            yield from _paths(node[k], path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _paths(v, path + (i,))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_documents_end_in_documented_exit_codes(tmp_path, capsys, data):
+    """Replacing or deleting one JSON node of a valid document never lets
+    an exception escape the CLI."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_BASES)))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        doc = data.draw(_JSON)
+    else:
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_JSON)
+    target = tmp_path / "mutant.json"
+    target.write_text(json.dumps(doc))
+    for argv in (["check"], ["enumerate", "--max-nodes", "2000"], ["functor", "--name", "I"]):
+        assert main(argv + [str(target)]) in (0, 1, 2, 3)
+    capsys.readouterr()
 
 
 def test_console_script_help():

@@ -18,7 +18,7 @@ from ncats import (
 from ncats.enumeration import LevelUnavailable
 from ncats.graphs import NGraph, StructureTail, automorphisms
 
-from util import chain_graph, loops_graph, parallel_pair_graph
+from util import chain_graph, long_order_graph, loops_graph, parallel_pair_graph
 
 GLOBAL = AxiomFlags(global_=True)
 MONOID = AxiomFlags(global_=True, unital=True, associative=True)
@@ -115,6 +115,11 @@ def test_node_budget_interrupts():
     res = enumerate_structures(G, spec(GLOBAL, limits=EnumLimits(max_nodes=10)))
     assert not res.exhausted
     assert res.nodes <= 11
+
+
+def test_search_depth_is_not_bounded_by_the_call_stack():
+    res = enumerate_structures(long_order_graph(), spec(GLOBAL))
+    assert (res.raw_count, res.iso_count, res.exhausted, res.nodes) == (1, 1, True, 1540)
 
 
 def test_search_state_is_freed_on_return():

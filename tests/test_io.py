@@ -209,6 +209,29 @@ def test_structural_rejections():
     ])
     with pytest.raises(ParseError):
         parse(json.dumps(doc))
+    # wrongly typed sections and records: a ParseError, not a TypeError
+    # or AttributeError from walking them
+    morphism = {"name": "I", "comps": [{"x": "x"}, {"i": "i"}]}
+    transformation = {"name": "T", "f": "I", "g": "I", "levels": [0], "comps": {"0": {"x": "i"}}}
+    for doc in (
+        bad_copy(tables=1),
+        bad_copy(tables=[1]),
+        bad_copy(tables=[{"kind": "vertical", "level": 0, "entries": 5}]),
+        bad_copy(tables=[{"kind": [], "level": 0, "entries": []}]),
+        bad_copy(morphisms=1),
+        bad_copy(transformations=1),
+        bad_copy(modifications=1),
+        bad_copy(tables={}),
+        bad_copy(flags=""),
+        bad_copy(morphisms=None),
+        bad_copy(morphisms=[morphism], transformations=[dict(transformation, f=[])]),
+        bad_copy(morphisms=[morphism], transformations=[dict(transformation, levels=[[0]])]),
+        bad_copy(morphisms=[morphism], transformations=[dict(transformation, levels=[0, "a"])]),
+        bad_copy(morphisms=[morphism], transformations=[transformation],
+                 modifications=[{"name": "M", "s": "T", "t": {}, "comps": {}}]),
+    ):
+        with pytest.raises(ParseError):
+            parse(json.dumps(doc))
 
 
 def test_load_document_from_path_and_stream(tmp_path):

@@ -72,6 +72,12 @@ def total_order_structure(k):
         AxiomFlags(global_=True, unital=True, associative=True))
 
 
+def long_order_graph():
+    """The total order on 20 objects: 1540 composable pairs, each a table
+    key, and a unique global structure."""
+    return total_order_structure(20)[0]
+
+
 def random_graph(rng: random.Random, n=1, max_cells=4):
     """A valid carrier with randomized counts and boundaries.
 
