@@ -22,10 +22,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .graphs import (
+    SOURCE,
+    TARGET,
     GraphError,
     NGraph,
     SpaceTooLarge,
     automorphisms,
+    boundary_map,
     hom_buckets,
     is_monoidal_carrier,
     is_skeletal,
@@ -282,16 +285,45 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
                 trip_by_first[j].setdefault(a, []).append(t)
                 trip_by_third[j].setdefault(c, []).append(t)
 
-    quads = {}
-    if flags.interchange:
-        for j in h_levels:
-            quads[j] = [(a, a2, b, b2) for (a, a2), partners in interchange_partners(G, j)
-                        for b, b2 in partners]
-
     tables = {name: {} for name in names}
 
-    def assoc_ok(j, key, value):
-        ent = tables["v", j]
+    # incremental interchange support: for each slot of a table X, the
+    # quadruples that read its key.  A quadruple is written from X's side as
+    # (p, q, r, s), with X-keys (p, q), (r, s) and keys (p, r), (q, s) of the
+    # other table Y: (a, a2, b, b2) for the vertical table, (a, b, a2, b2)
+    # for the horizontal one.  It reads the X-keys it holds, and the X-key
+    # (Y(p, r), Y(q, s)); for the latter, the quadruples are pre-filtered by
+    # the boundaries those composites have, (ys[p], yt[r]) and (ys[q], yt[s]),
+    # which holds because the search only places typed values
+    watched = {}
+    if flags.interchange:
+        for j in h_levels:
+            d = j + 2
+            quads = [(a, a2, b, b2) for (a, a2), partners in interchange_partners(G, j)
+                     for b, b2 in partners]
+            for x_name, y_name, side_quads in (
+                    (("v", j + 1), ("h", j), quads),
+                    (("h", j), ("v", j + 1), [(a, b, a2, b2) for a, a2, b, b2 in quads])):
+                ys = boundary_map(G, d, y_name[1], SOURCE)
+                yt = boundary_map(G, d, y_name[1], TARGET)
+                by_key, by_type = {}, {}
+                for t in side_quads:
+                    p, q, r, s = t
+                    by_key.setdefault((p, q), []).append(t)
+                    if (r, s) != (p, q):
+                        by_key.setdefault((r, s), []).append(t)
+                    by_type.setdefault((ys[p], yt[r], ys[q], yt[s]), []).append(t)
+                for slot in slots:
+                    kind, level, (x, y) = slot
+                    if (kind, level) == x_name:
+                        watched[slot] = (tables[y_name], by_key.get((x, y), ()),
+                                         by_type.get((ys[x], yt[x], ys[y], yt[y]), ()))
+
+    # each slot with its table and its interchange watch, resolved once
+    steps = [(tables[kind, j], kind, j, key, watched.get((kind, j, key)))
+             for kind, j, key in slots]
+
+    def assoc_ok(ent, j, key):
         a, b = key
         seen = trip_by_pair[j].get(key, ())
         todo = list(seen)
@@ -310,18 +342,23 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
                 return False
         return True
 
-    def interchange_ok(j):
-        if ("h", j) not in tables:
+    def interchange_ok(X, key, Y, holding, composing):
+        """Middle-four exchange on the quadruples that read ``key`` of X;
+        every other quadruple reads only entries its parent node passed."""
+        if not Y:
             return True
-        V, H = tables["v", j + 1], tables["h", j]
-        for a, a2, b, b2 in quads[j]:
-            va, vb = V.get((a, a2)), V.get((b, b2))
-            hab, hab2 = H.get((a, b)), H.get((a2, b2))
-            if va is None or vb is None or hab is None or hab2 is None:
+        x, y = key
+        todo = list(holding)
+        for t in composing:
+            if Y.get((t[0], t[2])) == x and Y.get((t[1], t[3])) == y:
+                todo.append(t)
+        for p, q, r, s in todo:
+            xl, xr = X.get((p, q)), X.get((r, s))
+            yl, yr = Y.get((p, r)), Y.get((q, s))
+            if xl is None or xr is None or yl is None or yr is None:
                 continue
-            lhs = H.get((va, vb))
-            rhs = V.get((hab, hab2))
-            if lhs is not None and rhs is not None and lhs != rhs:
+            one, other = Y.get((xl, xr)), X.get((yl, yr))
+            if one is not None and other is not None and one != other:
                 return False
         return True
 
@@ -345,8 +382,7 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
         record(tables)
     while stack:
         pos = len(stack) - 1
-        kind, j, key = slots[pos]
-        ent = tables[kind, j]
+        ent, kind, j, key, watch = steps[pos]
         ent.pop(key, None)
         value = next(stack[pos], _END)
         if value is _END:
@@ -360,9 +396,9 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
             break
         if value is not None:
             ent[key] = value
-            if kind == "v" and flags.associative and not assoc_ok(j, key, value):
+            if kind == "v" and flags.associative and not assoc_ok(ent, j, key):
                 continue
-            if flags.interchange and not interchange_ok(j - 1 if kind == "v" else j):
+            if watch is not None and not interchange_ok(ent, key, *watch):
                 continue
         if pos + 1 < len(slots):
             stack.append(candidates(pos + 1))

@@ -308,6 +308,10 @@ def compose(S: CategoryStructure, a: CellId, b: CellId, j: int) -> CellId:
         raise NotDefined(f"level {j} table has no entry for ({a}, {b})") from None
 
 
+def _by_cells(c: Counterexample):
+    return c.cells
+
+
 def check_typing(S: CategoryStructure) -> AxiomReport:
     """Every entry must land in the hom-set spanned by its key.
 
@@ -316,24 +320,27 @@ def check_typing(S: CategoryStructure) -> AxiomReport:
     """
     checks = []
     G = S.graph
+    # entries are scanned as stored; the counterexamples, if any, are then
+    # put in key order
     for j in sorted(S.vtables):
         d = j + 1
         smap, tmap = G.src_map(d), G.tgt_map(d)
         bad = []
-        for (a, b), v in sorted(S.vtables[j].entries.items()):
+        for (a, b), v in S.vtables[j].entries.items():
             if smap[v] != smap[a] or tmap[v] != tmap[b]:
                 bad.append(Counterexample(
                     "typing", (CellId(d, a), CellId(d, b)),
                     expected=(CellId(d - 1, smap[a]), CellId(d - 1, tmap[b])),
                     actual=CellId(d, v),
                 ))
+        bad.sort(key=_by_cells)
         checks.append(AxiomCheck("typing", j, FAIL if bad else PASS, bad))
     for j in sorted(S.htables):
         d = j + 2
         smap, tmap = G.src_map(d), G.tgt_map(d)
         vt = S.vtables.get(j)
         bad = []
-        for (a, b), v in sorted(S.htables[j].entries.items()):
+        for (a, b), v in S.htables[j].entries.items():
             want_s = vt.entries.get((smap[a], smap[b])) if vt else None
             want_t = vt.entries.get((tmap[a], tmap[b])) if vt else None
             if want_s is None or want_t is None:
@@ -348,6 +355,7 @@ def check_typing(S: CategoryStructure) -> AxiomReport:
                     expected=(CellId(d - 1, want_s), CellId(d - 1, want_t)),
                     actual=CellId(d, v),
                 ))
+        bad.sort(key=_by_cells)
         checks.append(AxiomCheck("typing-horizontal", j, FAIL if bad else PASS, bad))
     return AxiomReport(checks)
 
@@ -467,12 +475,13 @@ def check_interchange(S: CategoryStructure, j: int) -> AxiomReport:
                 continue
             lhs = H.get((va, vb))
             rhs = V.get((hab, hab2))
+            if (lhs is None and rhs is None) or lhs == rhs:
+                continue
             cells = (CellId(d, a), CellId(d, a2), CellId(d, b), CellId(d, b2))
             if lhs is not None and rhs is not None:
-                if lhs != rhs:
-                    bad.append(Counterexample("interchange", cells,
-                                              expected=CellId(d, lhs), actual=CellId(d, rhs)))
-            elif lhs is not None or rhs is not None:
+                bad.append(Counterexample("interchange", cells,
+                                          expected=CellId(d, lhs), actual=CellId(d, rhs)))
+            else:
                 lopsided.append(Counterexample("partiality-asymmetry", cells,
                                                expected="both evaluation orders defined or neither"))
     return _single("interchange", j, FAIL if bad else PASS, bad, asymmetric=lopsided)
