@@ -4,14 +4,15 @@ Two routes compute the same answer.  ``enumerate_structures`` backtracks
 over table entries in a fixed order (levels ascending, keys lexicographic),
 pruning branches as soon as typing, unit, associativity or interchange
 constraints are decided and can never recover.  ``brute_force_oracle``
-iterates the raw assignment space with no pruning at all and filters each
-candidate through the axiom checkers; it exists so the search can be
-checked against an implementation too simple to share its bugs.
+iterates the raw assignment space with no pruning at all; it exists so the
+search can be checked against an implementation too simple to share its
+bugs.  Both hand each complete assignment to one record step, which runs
+the checkers' own integer scans on it, whatever the search pruned.
 
 Structures are counted both raw and up to isomorphism.  Two structures on
 the same carrier are isomorphic when some graph automorphism carries one
 table family onto the other, so the canonical form of a structure is the
-least serialization over its automorphism orbit.
+least integer image of its tables over the automorphism orbit, serialized.
 """
 
 from __future__ import annotations
@@ -34,22 +35,27 @@ from .graphs import (
     is_skeletal,
 )
 from .structures import (
-    FAIL,
-    PASS,
     AxiomFlags,
     CategoryStructure,
     CompTable,
     HCompTable,
-    check_associativity,
-    check_global,
-    check_groupoid,
-    check_interchange,
-    check_typing,
-    check_units,
+    assoc_scan,
+    check_associativity,  # noqa: F401 - the checkers stay module globals; perfbench's tracer rebinds them
+    check_global,  # noqa: F401
+    check_groupoid,  # noqa: F401
+    check_interchange,  # noqa: F401
+    check_typing,  # noqa: F401
+    check_units,  # noqa: F401
     composable_pairs,
     composable_triples,
+    global_scan,
+    groupoid_scan,
     h_composable_pairs,
+    htyping_scan,
     interchange_partners,
+    interchange_scan,
+    typing_scan,
+    units_scan,
 )
 
 
@@ -88,6 +94,11 @@ class EnumSpec:
 
 @dataclass
 class EnumResult:
+    """The tally of one enumeration.  ``records`` counts the complete
+    assignments that reached the record step, and ``rejected_at_record``
+    those it turned down: failing the flags, or extensible in maximal-only
+    mode."""
+
     raw_count: int
     iso_count: int
     representatives: list[CategoryStructure]
@@ -95,6 +106,8 @@ class EnumResult:
     nodes: int = 0
     elapsed: float = 0.0
     canonical_counts: Counter = field(default_factory=Counter)
+    records: int = 0
+    rejected_at_record: int = 0
 
 
 _END = object()
@@ -117,53 +130,61 @@ def _resolve_levels(G: NGraph, spec: EnumSpec):
     return levels, h_levels
 
 
-def _passes_flags(S: CategoryStructure) -> bool:
-    """The definitional filter: does the candidate satisfy every axiom its
-    flags request, per the checkers themselves."""
-    if not check_typing(S).passed:
-        return False
-    flags = S.flags
-    for j in sorted(S.vtables):
-        if flags.global_ and not check_global(S, j).passed:
-            return False
-        if flags.unital and check_units(S, j).checks[0].verdict == FAIL:
-            return False
-        if flags.associative and not check_associativity(S, j).passed:
-            return False
-        if flags.groupoid:
-            verdict = check_units(S, j).checks[0].verdict
-            if verdict == FAIL:
-                return False
-            if verdict == PASS and not check_groupoid(S, j).passed:
-                return False
-    if flags.interchange:
-        for j in sorted(S.htables):
-            if j + 1 in S.vtables and not check_interchange(S, j).passed:
-                return False
-    return True
+def _scans(G: NGraph, flags: AxiomFlags, tables):
+    """The checkers' integer scans that the flags request, one per axiom and
+    table, made lazily, on entry dicts keyed by (kind, level) as in the
+    search."""
+    for (kind, j), entries in tables.items():
+        if kind == "v":
+            yield typing_scan(G, j, entries)
+            if flags.global_:
+                yield global_scan(composable_pairs(G, j), entries)
+            if (flags.unital or flags.groupoid) and j >= 0:
+                # one unit scan serves both flags; it is the groupoid
+                # precondition, so inverses are scanned only once it passes
+                yield units_scan(G, j, entries, flags.global_)
+                if flags.groupoid:
+                    yield groupoid_scan(G, j, entries)
+            if flags.associative:
+                yield assoc_scan(G, j, entries)
+        else:
+            yield htyping_scan(G, j, entries, tables.get(("v", j), {}))
+            if flags.global_ and ("v", j) in tables:
+                yield global_scan(h_composable_pairs(G, j), entries)
+            if flags.interchange and ("v", j + 1) in tables:
+                yield interchange_scan(G, j, tables["v", j + 1], entries)
+
+
+def _passes_flags(G: NGraph, flags: AxiomFlags, tables) -> bool:
+    """The definitional filter: whether the tables satisfy every axiom the
+    flags request, as ``check_category`` would decide, stopping at the first
+    violation."""
+    return all(next(scan, None) is None for scan in _scans(G, flags, tables))
 
 
 def canonical_form(S: CategoryStructure, auts=None) -> bytes:
-    """Least serialization of the table family over the automorphism orbit.
+    """Least image of the table family over the automorphism orbit.
 
-    Structures on the same carrier have equal canonical forms exactly when
-    some automorphism relabels one into the other.
+    Each automorphism's image is one list of integers per table: the
+    relabeled entries (a, b) -> v coded as (a*N + b)*N + v, N the number of
+    cells the table composes, and sorted.  Only the least image is
+    serialized.  Structures on the same carrier have equal canonical forms
+    exactly when some automorphism relabels one into the other.
     """
+    G = S.graph
     if auts is None:
-        auts = automorphisms(S.graph)
+        auts = automorphisms(G)
     tables = [("v", j, j + 1, S.vtables[j].entries) for j in sorted(S.vtables)]
     tables += [("h", j, j + 2, S.htables[j].entries) for j in sorted(S.htables)]
     best = None
     for phi in auts:
-        parts = []
-        for kind, j, d, entries in tables:
-            m = phi.maps[d]
-            parts.append((j, kind, tuple(sorted(
-                (m[a], m[b], m[v]) for (a, b), v in entries.items()))))
-        blob = repr(parts).encode()
-        if best is None or blob < best:
-            best = blob
-    return best
+        image = []
+        for _kind, _j, d, entries in tables:
+            m, n = phi.maps[d], G.count(d)
+            image.append(sorted([(m[a] * n + m[b]) * n + m[v] for (a, b), v in entries.items()]))
+        if best is None or image < best:
+            best = image
+    return repr([(j, kind, codes) for (kind, j, _d, _e), codes in zip(tables, best)]).encode()
 
 
 def _structure(G, spec, tables):
@@ -213,7 +234,7 @@ def _extensions_exist(G, spec, tables, slots, typed):
             continue
         for v in _candidates(G, tables, typed, slot):
             ent[key] = v
-            ok = _passes_flags(_structure(G, spec, tables))
+            ok = _passes_flags(G, spec.flags, tables)
             del ent[key]
             if ok:
                 return True
@@ -230,11 +251,12 @@ def _recorder(G, spec, result, slots, typed):
     cap = spec.limits.max_representatives
 
     def record(tables):
+        result.records += 1
+        if not _passes_flags(G, spec.flags, tables) or (
+                maximal and _extensions_exist(G, spec, tables, slots, typed)):
+            result.rejected_at_record += 1
+            return
         S = _structure(G, spec, tables)
-        if not _passes_flags(S):
-            return
-        if maximal and _extensions_exist(G, spec, tables, slots, typed):
-            return
         result.raw_count += 1
         form = canonical_form(S, auts)
         if form not in result.canonical_counts and len(result.representatives) < cap:

@@ -308,9 +308,136 @@ def compose(S: CategoryStructure, a: CellId, b: CellId, j: int) -> CellId:
         raise NotDefined(f"level {j} table has no entry for ({a}, {b})") from None
 
 
-def _by_cells(c: Counterexample):
-    return c.cells
+# -- one integer scan per axiom ---------------------------------------------
+#
+# Each scan reads plain entry dicts ({(a, b): v}) and yields one integer
+# tuple per violation.  The checkers below turn those tuples into
+# counterexamples at the report edge; the enumeration's record step only
+# asks whether a scan yields anything, so it stops at the first violation.
 
+
+def typing_scan(G: NGraph, j: int, entries):
+    """Vertical level-j entries that leave the hom-set spanned by their
+    key, as (a, b, v), in stored order."""
+    d = j + 1
+    smap, tmap = G.src_map(d), G.tgt_map(d)
+    for (a, b), v in entries.items():
+        if smap[v] != smap[a] or tmap[v] != tmap[b]:
+            yield a, b, v
+
+
+def htyping_scan(G: NGraph, j: int, entries, ventries):
+    """Horizontal level-j entries not typed by the vertical composites of
+    their boundaries in ``ventries`` (the vertical entries at level j), as
+    (a, b, v, want_s, want_t) in stored order; the wanted boundaries are
+    None when either composite is missing."""
+    d = j + 2
+    smap, tmap = G.src_map(d), G.tgt_map(d)
+    for (a, b), v in entries.items():
+        want_s = ventries.get((smap[a], smap[b]))
+        want_t = ventries.get((tmap[a], tmap[b]))
+        if want_s is None or want_t is None:
+            yield a, b, v, None, None
+        elif smap[v] != want_s or tmap[v] != want_t:
+            yield a, b, v, want_s, want_t
+
+
+def global_scan(keys, entries):
+    """The keys, in order, that have no entry."""
+    for key in keys:
+        if key not in entries:
+            yield key
+
+
+def units_scan(G: NGraph, j: int, entries, total: bool):
+    """Unit-law violations at level j >= 0, cell by cell, as
+    (side, key, a, got): side 0 for the left unit key (idn(src a), a) and 1
+    for the right one (a, idn(tgt a)), ``got`` the entry there.  A missing
+    entry (``got`` None) is a violation only when ``total``."""
+    d = j + 1
+    idn = G.idn_map(j)
+    smap, tmap = G.src_map(d), G.tgt_map(d)
+    for a in range(G.count(d)):
+        for side, key in ((0, (idn[smap[a]], a)), (1, (a, idn[tmap[a]]))):
+            got = entries.get(key)
+            if got is None:
+                if total:
+                    yield side, key, a, None
+            elif got != a:
+                yield side, key, a, got
+
+
+def assoc_scan(G: NGraph, j: int, entries, lopsided=None):
+    """Composable level-j triples whose two bracketings are both defined
+    and differ, as (a, b, c, left, right), lexicographically.
+
+    Given a list, the scan also appends to ``lopsided`` each triple, as
+    (a, b, c), with exactly one bracketing defined; without one it skips
+    every triple whose first pair has no entry.
+    """
+    after = _successors(G, j)
+    get = entries.get
+    for a, nxt in enumerate(after):
+        for b in nxt:
+            ab = get((a, b))
+            if ab is None and lopsided is None:
+                continue
+            for c in after[b]:
+                bc = get((b, c))
+                left = get((ab, c)) if ab is not None else None
+                right = get((a, bc)) if bc is not None else None
+                if left is not None and right is not None:
+                    if left != right:
+                        yield a, b, c, left, right
+                elif lopsided is not None and (left is not None or right is not None):
+                    lopsided.append((a, b, c))
+
+
+def interchange_scan(G: NGraph, j: int, V, H, lopsided=None):
+    """Middle-four exchange between the vertical entries ``V`` at level
+    j+1 and the horizontal entries ``H`` at level j: the quadruples
+    (a, a2, b, b2), in ``interchange_partners`` order, whose four inner
+    composites and both outer ones are defined and disagree, as
+    (a, a2, b, b2, lhs, rhs).  Given a list, the scan also appends to
+    ``lopsided`` each quadruple with only one outer composite defined."""
+    for (a, a2), partners in interchange_partners(G, j):
+        va = V.get((a, a2))
+        if va is None:
+            continue
+        for b, b2 in partners:
+            vb = V.get((b, b2))
+            hab = H.get((a, b))
+            hab2 = H.get((a2, b2))
+            if vb is None or hab is None or hab2 is None:
+                continue
+            lhs = H.get((va, vb))
+            rhs = V.get((hab, hab2))
+            if lhs is not None and rhs is not None:
+                if lhs != rhs:
+                    yield a, a2, b, b2, lhs, rhs
+            elif lopsided is not None and (lhs is not None or rhs is not None):
+                lopsided.append((a, a2, b, b2))
+
+
+def _inverses(G: NGraph, j: int, entries, a: int):
+    """The two-sided inverses of the (j+1)-cell ``a``, ascending."""
+    d = j + 1
+    idn = G.idn_map(j)
+    x, y = G.src_map(d)[a], G.tgt_map(d)[a]
+    for b in hom_buckets(G, d).get((y, x), ()):
+        if entries.get((a, b)) == idn[x] and entries.get((b, a)) == idn[y]:
+            yield b
+
+
+def groupoid_scan(G: NGraph, j: int, entries):
+    """The (j+1)-cells, ascending, with no two-sided inverse at level j;
+    meaningful once the unit law holds there."""
+    for a in range(G.count(j + 1)):
+        if next(_inverses(G, j, entries, a), None) is None:
+            yield a
+
+
+# -- the checkers: the scans' violations as counterexamples -----------------
 
 def check_typing(S: CategoryStructure) -> AxiomReport:
     """Every entry must land in the hom-set spanned by its key.
@@ -320,42 +447,31 @@ def check_typing(S: CategoryStructure) -> AxiomReport:
     """
     checks = []
     G = S.graph
-    # entries are scanned as stored; the counterexamples, if any, are then
-    # put in key order
+    # the scans yield entries as stored; the counterexamples are put in key
+    # order
     for j in sorted(S.vtables):
         d = j + 1
         smap, tmap = G.src_map(d), G.tgt_map(d)
-        bad = []
-        for (a, b), v in S.vtables[j].entries.items():
-            if smap[v] != smap[a] or tmap[v] != tmap[b]:
-                bad.append(Counterexample(
-                    "typing", (CellId(d, a), CellId(d, b)),
-                    expected=(CellId(d - 1, smap[a]), CellId(d - 1, tmap[b])),
-                    actual=CellId(d, v),
-                ))
-        bad.sort(key=_by_cells)
+        bad = [Counterexample("typing", (CellId(d, a), CellId(d, b)),
+                              expected=(CellId(d - 1, smap[a]), CellId(d - 1, tmap[b])),
+                              actual=CellId(d, v))
+               for a, b, v in sorted(typing_scan(G, j, S.vtables[j].entries))]
         checks.append(AxiomCheck("typing", j, FAIL if bad else PASS, bad))
     for j in sorted(S.htables):
         d = j + 2
-        smap, tmap = G.src_map(d), G.tgt_map(d)
         vt = S.vtables.get(j)
         bad = []
-        for (a, b), v in S.htables[j].entries.items():
-            want_s = vt.entries.get((smap[a], smap[b])) if vt else None
-            want_t = vt.entries.get((tmap[a], tmap[b])) if vt else None
-            if want_s is None or want_t is None:
-                bad.append(Counterexample(
-                    "untypeable", (CellId(d, a), CellId(d, b)),
-                    expected="vertical composite of the boundaries",
-                    actual=CellId(d, v),
-                ))
-            elif smap[v] != want_s or tmap[v] != want_t:
-                bad.append(Counterexample(
-                    "typing", (CellId(d, a), CellId(d, b)),
-                    expected=(CellId(d - 1, want_s), CellId(d - 1, want_t)),
-                    actual=CellId(d, v),
-                ))
-        bad.sort(key=_by_cells)
+        for a, b, v, want_s, want_t in sorted(
+                htyping_scan(G, j, S.htables[j].entries, vt.entries if vt else {})):
+            cells = (CellId(d, a), CellId(d, b))
+            if want_s is None:
+                bad.append(Counterexample("untypeable", cells,
+                                          expected="vertical composite of the boundaries",
+                                          actual=CellId(d, v)))
+            else:
+                bad.append(Counterexample("typing", cells,
+                                          expected=(CellId(d - 1, want_s), CellId(d - 1, want_t)),
+                                          actual=CellId(d, v)))
         checks.append(AxiomCheck("typing-horizontal", j, FAIL if bad else PASS, bad))
     return AxiomReport(checks)
 
@@ -366,22 +482,17 @@ def check_global(S: CategoryStructure, j: int) -> AxiomReport:
         raise NoTableAtLevel(f"no vertical table at level {j}")
     G = S.graph
     d = j + 1
-    entries = S.vtables[j].entries
-    bad = [
-        Counterexample("missing", (CellId(d, a), CellId(d, b)))
-        for a, b in composable_pairs(G, j)
-        if (a, b) not in entries
-    ]
+    bad = [Counterexample("missing", (CellId(d, a), CellId(d, b)))
+           for a, b in global_scan(composable_pairs(G, j), S.vtables[j].entries)]
     checks = [AxiomCheck("global", j, FAIL if bad else PASS, bad)]
     if j in S.htables:
-        hentries = S.htables[j].entries
-        hbad = [
-            Counterexample("missing", (CellId(j + 2, a), CellId(j + 2, b)))
-            for a, b in h_composable_pairs(G, j)
-            if (a, b) not in hentries
-        ]
+        hbad = [Counterexample("missing", (CellId(j + 2, a), CellId(j + 2, b)))
+                for a, b in global_scan(h_composable_pairs(G, j), S.htables[j].entries)]
         checks.append(AxiomCheck("global-horizontal", j, FAIL if hbad else PASS, hbad))
     return AxiomReport(checks)
+
+
+_UNIT_SIDES = ("unit-left", "unit-right")
 
 
 def check_units(S: CategoryStructure, j: int) -> AxiomReport:
@@ -396,26 +507,16 @@ def check_units(S: CategoryStructure, j: int) -> AxiomReport:
                        notes=["no identity section below dimension 0"])
     if j not in S.vtables:
         raise NoTableAtLevel(f"no vertical table at level {j}")
-    G = S.graph
     d = j + 1
-    idn = G.idn_map(j)
-    smap, tmap = G.src_map(d), G.tgt_map(d)
-    entries = S.vtables[j].entries
     bad = []
-    for a in range(G.count(d)):
-        left = (idn[smap[a]], a)
-        right = (a, idn[tmap[a]])
-        for key, kind in ((left, "unit-left"), (right, "unit-right")):
-            got = entries.get(key)
-            if got is None:
-                if S.flags.global_:
-                    bad.append(Counterexample(kind + "-missing",
-                                              (CellId(d, key[0]), CellId(d, key[1])),
-                                              expected=CellId(d, a)))
-            elif got != a:
-                bad.append(Counterexample(kind,
-                                          (CellId(d, key[0]), CellId(d, key[1])),
-                                          expected=CellId(d, a), actual=CellId(d, got)))
+    for side, (p, q), a, got in units_scan(S.graph, j, S.vtables[j].entries, S.flags.global_):
+        cells = (CellId(d, p), CellId(d, q))
+        if got is None:
+            bad.append(Counterexample(_UNIT_SIDES[side] + "-missing", cells,
+                                      expected=CellId(d, a)))
+        else:
+            bad.append(Counterexample(_UNIT_SIDES[side], cells,
+                                      expected=CellId(d, a), actual=CellId(d, got)))
     return _single("units", j, FAIL if bad else PASS, bad)
 
 
@@ -425,26 +526,15 @@ def check_associativity(S: CategoryStructure, j: int) -> AxiomReport:
     separately; partiality alone is not a violation."""
     if j not in S.vtables:
         raise NoTableAtLevel(f"no vertical table at level {j}")
-    G = S.graph
     d = j + 1
-    entries = S.vtables[j].entries
-    bad = []
     lopsided = []
-    for a, b, c in _walk_triples(G, j):
-        ab = entries.get((a, b))
-        bc = entries.get((b, c))
-        left = entries.get((ab, c)) if ab is not None else None
-        right = entries.get((a, bc)) if bc is not None else None
-        if left is not None and right is not None:
-            if left != right:
-                bad.append(Counterexample(
-                    "associativity", (CellId(d, a), CellId(d, b), CellId(d, c)),
-                    expected=CellId(d, left), actual=CellId(d, right)))
-        elif left is not None or right is not None:
-            lopsided.append(Counterexample(
-                "partiality-asymmetry", (CellId(d, a), CellId(d, b), CellId(d, c)),
-                expected="both bracketings defined or neither"))
-    return _single("associativity", j, FAIL if bad else PASS, bad, asymmetric=lopsided)
+    bad = [Counterexample("associativity", (CellId(d, a), CellId(d, b), CellId(d, c)),
+                          expected=CellId(d, left), actual=CellId(d, right))
+           for a, b, c, left, right in assoc_scan(S.graph, j, S.vtables[j].entries, lopsided)]
+    asymmetric = [Counterexample("partiality-asymmetry", (CellId(d, a), CellId(d, b), CellId(d, c)),
+                                 expected="both bracketings defined or neither")
+                  for a, b, c in lopsided]
+    return _single("associativity", j, FAIL if bad else PASS, bad, asymmetric=asymmetric)
 
 
 def check_interchange(S: CategoryStructure, j: int) -> AxiomReport:
@@ -459,32 +549,15 @@ def check_interchange(S: CategoryStructure, j: int) -> AxiomReport:
         raise MissingTables(f"interchange at level {j} needs the vertical table "
                             f"at level {j + 1} and the horizontal table at level {j}")
     d = j + 2
-    V = S.vtables[j + 1].entries
-    H = S.htables[j].entries
-    bad = []
     lopsided = []
-    for (a, a2), partners in interchange_partners(S.graph, j):
-        va = V.get((a, a2))
-        if va is None:
-            continue
-        for b, b2 in partners:
-            vb = V.get((b, b2))
-            hab = H.get((a, b))
-            hab2 = H.get((a2, b2))
-            if vb is None or hab is None or hab2 is None:
-                continue
-            lhs = H.get((va, vb))
-            rhs = V.get((hab, hab2))
-            if (lhs is None and rhs is None) or lhs == rhs:
-                continue
-            cells = (CellId(d, a), CellId(d, a2), CellId(d, b), CellId(d, b2))
-            if lhs is not None and rhs is not None:
-                bad.append(Counterexample("interchange", cells,
-                                          expected=CellId(d, lhs), actual=CellId(d, rhs)))
-            else:
-                lopsided.append(Counterexample("partiality-asymmetry", cells,
-                                               expected="both evaluation orders defined or neither"))
-    return _single("interchange", j, FAIL if bad else PASS, bad, asymmetric=lopsided)
+    bad = [Counterexample("interchange", tuple(CellId(d, x) for x in quad[:4]),
+                          expected=CellId(d, quad[4]), actual=CellId(d, quad[5]))
+           for quad in interchange_scan(S.graph, j, S.vtables[j + 1].entries,
+                                        S.htables[j].entries, lopsided)]
+    asymmetric = [Counterexample("partiality-asymmetry", tuple(CellId(d, x) for x in quad),
+                                 expected="both evaluation orders defined or neither")
+                  for quad in lopsided]
+    return _single("interchange", j, FAIL if bad else PASS, bad, asymmetric=asymmetric)
 
 
 def check_groupoid(S: CategoryStructure, j: int) -> AxiomReport:
@@ -496,39 +569,25 @@ def check_groupoid(S: CategoryStructure, j: int) -> AxiomReport:
     if j == -1:
         return _single("groupoid", -1, NOT_APPLICABLE,
                        notes=["no identity section below dimension 0"])
-    units = check_units(S, j)
-    if not units.passed:
-        raise UnitsRequired(f"unit law fails at level {j}; inversion is undecidable")
+    if j not in S.vtables:
+        raise NoTableAtLevel(f"no vertical table at level {j}")
     G = S.graph
+    entries = S.vtables[j].entries
+    if next(units_scan(G, j, entries, S.flags.global_), None) is not None:
+        raise UnitsRequired(f"unit law fails at level {j}; inversion is undecidable")
     d = j + 1
     idn = G.idn_map(j)
     smap, tmap = G.src_map(d), G.tgt_map(d)
-    entries = S.vtables[j].entries
-    by_type = hom_buckets(G, d)
-    bad = []
-    for a in range(G.count(d)):
-        x, y = smap[a], tmap[a]
-        found = False
-        for b in by_type.get((y, x), ()):
-            if entries.get((a, b)) == idn[x] and entries.get((b, a)) == idn[y]:
-                found = True
-                break
-        if not found:
-            bad.append(Counterexample("no-inverse", (CellId(d, a),),
-                                      expected=(CellId(d, idn[x]), CellId(d, idn[y]))))
+    bad = [Counterexample("no-inverse", (CellId(d, a),),
+                          expected=(CellId(d, idn[smap[a]]), CellId(d, idn[tmap[a]])))
+           for a in groupoid_scan(G, j, entries)]
     return _single("groupoid", j, FAIL if bad else PASS, bad)
 
 
 def inverses(S: CategoryStructure, j: int, a: CellId) -> list[CellId]:
     """All two-sided inverses of ``a`` at level j (used to confirm that a
     passing groupoid check pins the inverse down uniquely)."""
-    G = S.graph
-    d = j + 1
-    idn = G.idn_map(j)
-    x, y = G.src_map(d)[a.index], G.tgt_map(d)[a.index]
-    entries = S.vtables[j].entries
-    return [CellId(d, b) for b in hom_buckets(G, d).get((y, x), ())
-            if entries.get((a.index, b)) == idn[x] and entries.get((b, a.index)) == idn[y]]
+    return [CellId(j + 1, b) for b in _inverses(S.graph, j, S.vtables[j].entries, a.index)]
 
 
 def check_cocategory(G: NGraph, D: CocompTable) -> AxiomReport:

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 
@@ -17,8 +18,9 @@ from ncats import (
     skeletal_graph,
     verify_skeletal_uniqueness,
 )
+from ncats import enumeration
 from ncats.enumeration import LevelUnavailable
-from ncats.graphs import NGraph, StructureTail, automorphisms
+from ncats.graphs import NGraph, StructureTail, automorphisms, hom_buckets
 
 from util import (
     chain_graph,
@@ -31,6 +33,7 @@ from util import (
 
 GLOBAL = AxiomFlags(global_=True)
 MONOID = AxiomFlags(global_=True, unital=True, associative=True)
+GROUP = AxiomFlags(global_=True, unital=True, associative=True, groupoid=True)
 TWO_CATEGORY = AxiomFlags(global_=True, unital=True, associative=True, interchange=True)
 
 
@@ -206,6 +209,101 @@ def test_two_categories_on_the_cat_of_cats_carrier():
     G = build_cat_of_cats([z2_structure()[1]], depth=2)[0]
     res = enumerate_structures(G, spec(TWO_CATEGORY, include_horizontal=True))
     assert (res.exhausted, res.raw_count, res.iso_count, res.nodes) == (True, 2098, 2098, 13282)
+    assert (res.records, res.rejected_at_record) == (2098, 0)
+
+
+def test_record_counters():
+    """Every completed assignment is a record; the ones the verdict turns
+    down are counted apart.  ``groupoid`` prunes nothing in the search, so
+    all but the groups among the order-4 monoids are rejected at record."""
+    G = loops_graph(4)
+    monoids = enumerate_structures(G, spec(MONOID))
+    groups = enumerate_structures(G, spec(GROUP))
+    assert (monoids.raw_count, monoids.records, monoids.rejected_at_record) == (156, 156, 0)
+    assert (groups.raw_count, groups.records, groups.rejected_at_record) == (4, 156, 152)
+
+
+def test_record_scans_the_unit_law_once_per_level(monkeypatch):
+    """Under ``groupoid`` the one unit scan of a level is also the
+    precondition of the inverse scan."""
+    levels = []
+    real = enumeration.units_scan
+
+    def counted(G, j, *rest):
+        levels.append(j)
+        return real(G, j, *rest)
+
+    monkeypatch.setattr(enumeration, "units_scan", counted)
+    res = enumerate_structures(loops_graph(4), spec(GROUP))
+    assert (res.raw_count, res.iso_count, res.records) == (4, 2, 156)
+    assert levels == [0] * 156
+
+
+def _assignments(G, sp, rng, count):
+    """Table families on the spec's slots, as the search keys them: every
+    raw assignment when ``count`` is None (each key takes any cell of its
+    dimension or nothing), else ``count`` random ones, mostly typed so that
+    the later axioms get a say."""
+    names, slots = enumeration._keys(G, *enumeration._resolve_levels(G, sp))
+    if count is None:
+        cells = [tuple(range(G.count(j + 1 if kind == "v" else j + 2))) + (None,)
+                 for kind, j, _key in slots]
+        combos = itertools.product(*cells)
+    else:
+        combos = (None for _ in range(count))
+    for combo in combos:
+        tables = {name: {} for name in names}
+        for pos, (kind, j, (a, b)) in enumerate(slots):
+            if combo is not None:
+                value = combo[pos]
+            else:
+                d = j + 1 if kind == "v" else j + 2
+                smap, tmap = G.src_map(d), G.tgt_map(d)
+                if kind == "v":
+                    typ = (smap[a], tmap[b])
+                else:
+                    vt = tables["v", j]
+                    typ = (vt.get((smap[a], smap[b])), vt.get((tmap[a], tmap[b])))
+                typed = hom_buckets(G, d).get(typ, ())
+                r = rng.random()
+                if r < 0.2:
+                    value = None
+                elif r < 0.3 or not typed:
+                    value = rng.randrange(G.count(d))
+                else:
+                    value = rng.choice(typed)
+            if value is not None:
+                tables[kind, j][(a, b)] = value
+        yield tables
+
+
+def test_verdict_agrees_with_the_checkers():
+    """The record step's verdict, run on bare entry dicts, decides exactly
+    as ``check_category`` does on the structure they make."""
+    rng = random.Random(6)
+    every = [AxiomFlags(*bits) for bits in itertools.product((False, True), repeat=5)]
+    some = [AxiomFlags(), GLOBAL, AxiomFlags(unital=True), AxiomFlags(associative=True),
+            MONOID, GROUP, AxiomFlags(unital=True, groupoid=True),
+            AxiomFlags(global_=True, groupoid=True)]
+    two = [AxiomFlags(), AxiomFlags(interchange=True), AxiomFlags(global_=True, interchange=True),
+           AxiomFlags(associative=True, interchange=True), TWO_CATEGORY,
+           AxiomFlags(unital=True, groupoid=True), AxiomFlags(groupoid=True, interchange=True),
+           AxiomFlags(True, True, True, True, True)]
+    cases = [
+        (loops_graph(2), spec(levels=(-1, 0)), None, every),
+        (parallel_pair_graph(), spec(), 1000, some),
+        (random_graph(random.Random(67), n=2, max_cells=3), spec(include_horizontal=True), 1200,
+         two),
+    ]
+    for G, sp, count, flag_sets in cases:
+        seen = set()
+        for tables in _assignments(G, sp, rng, count):
+            for flags in flag_sets:
+                S = enumeration._structure(G, EnumSpec(flags=flags), tables)
+                verdict = enumeration._passes_flags(G, flags, tables)
+                assert verdict == check_category(S).passed, (S, tables)
+                seen.add(verdict)
+        assert seen == {False, True}
 
 
 def test_verify_skeletal_uniqueness():

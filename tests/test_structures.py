@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from ncats import (
@@ -237,3 +240,193 @@ def test_cocategory_typing():
     assert "co-right" in kinds
     with pytest.raises(NoTableAtLevel):
         check_cocategory(G, CocompTable(3, {}))
+
+
+# -- the checkers' reports against naive references -------------------------
+#
+# Each reference walks keys, triples and cells from the definitions through
+# the CellId API, in the order the reports list them, and gives every check
+# as (axiom, level, verdict, counterexamples, asymmetric), each
+# counterexample as (kind, cells, expected, actual).
+
+def _as_tuples(report):
+    def cx(items):
+        return [(c.kind, c.cells, c.expected, c.actual) for c in items]
+    return [(c.axiom, c.level, c.verdict, cx(c.counterexamples), cx(c.asymmetric))
+            for c in report.checks]
+
+
+def _check(axiom, level, bad, asymmetric=()):
+    return (axiom, level, FAIL if bad else PASS, list(bad), list(asymmetric))
+
+
+def _hom(G, z):
+    return (G.src(z), G.tgt(z))
+
+
+def _ref_typing(S):
+    G = S.graph
+    out = []
+    for j, t in sorted(S.vtables.items()):
+        d = j + 1
+        bad = []
+        for (a, b), v in sorted(t.entries.items()):
+            A, B, V = CellId(d, a), CellId(d, b), CellId(d, v)
+            if _hom(G, V) != (G.src(A), G.tgt(B)):
+                bad.append(("typing", (A, B), (G.src(A), G.tgt(B)), V))
+        out.append(_check("typing", j, bad))
+    for j, t in sorted(S.htables.items()):
+        d = j + 2
+        vt = S.vtables[j].entries if j in S.vtables else {}
+        bad = []
+        for (a, b), v in sorted(t.entries.items()):
+            A, B, V = CellId(d, a), CellId(d, b), CellId(d, v)
+            s = vt.get((G.src(A).index, G.src(B).index))
+            e = vt.get((G.tgt(A).index, G.tgt(B).index))
+            if s is None or e is None:
+                bad.append(("untypeable", (A, B), "vertical composite of the boundaries", V))
+            elif _hom(G, V) != (CellId(d - 1, s), CellId(d - 1, e)):
+                bad.append(("typing", (A, B), (CellId(d - 1, s), CellId(d - 1, e)), V))
+        out.append(_check("typing-horizontal", j, bad))
+    return out
+
+
+def _pairs(G, j):
+    n = G.count(j + 1)
+    return [(a, b) for a, b in itertools.product(range(n), repeat=2) if composable(G, j, a, b)]
+
+
+def _ref_global(S, j):
+    d = j + 1
+    entries = S.vtables[j].entries
+    out = [_check("global", j, [("missing", (CellId(d, a), CellId(d, b)), None, None)
+                                for a, b in _pairs(S.graph, j) if (a, b) not in entries])]
+    if j in S.htables:
+        hentries = S.htables[j].entries
+        out.append(_check("global-horizontal", j, [
+            ("missing", (CellId(d + 1, a), CellId(d + 1, b)), None, None)
+            for a, b in h_composable_pairs(S.graph, j) if (a, b) not in hentries]))
+    return out
+
+
+def _ref_units(S, j):
+    G = S.graph
+    d = j + 1
+    entries = S.vtables[j].entries
+    bad = []
+    for a in range(G.count(d)):
+        A = CellId(d, a)
+        for kind, (p, q) in (("unit-left", (G.idn(G.src(A)), A)),
+                             ("unit-right", (A, G.idn(G.tgt(A))))):
+            got = entries.get((p.index, q.index))
+            if got is None and S.flags.global_:
+                bad.append((kind + "-missing", (p, q), A, None))
+            elif got is not None and got != a:
+                bad.append((kind, (p, q), A, CellId(d, got)))
+    return [_check("units", j, bad)]
+
+
+def _ref_associativity(S, j):
+    d = j + 1
+    entries = S.vtables[j].entries
+    bad, lopsided = [], []
+    for a, b, c in itertools.product(range(S.graph.count(d)), repeat=3):
+        if not (composable(S.graph, j, a, b) and composable(S.graph, j, b, c)):
+            continue
+        ab, bc = entries.get((a, b)), entries.get((b, c))
+        left = None if ab is None else entries.get((ab, c))
+        right = None if bc is None else entries.get((a, bc))
+        cells = (CellId(d, a), CellId(d, b), CellId(d, c))
+        if left is not None and right is not None and left != right:
+            bad.append(("associativity", cells, CellId(d, left), CellId(d, right)))
+        elif (left is None) != (right is None):
+            lopsided.append(("partiality-asymmetry", cells,
+                             "both bracketings defined or neither", None))
+    return [_check("associativity", j, bad, lopsided)]
+
+
+def _ref_groupoid(S, j):
+    G = S.graph
+    d = j + 1
+    entries = S.vtables[j].entries
+    bad = []
+    for a in range(G.count(d)):
+        A = CellId(d, a)
+        ids = (G.idn(G.src(A)), G.idn(G.tgt(A)))
+        if not any(_hom(G, CellId(d, b)) == (G.tgt(A), G.src(A))
+                   and entries.get((a, b)) == ids[0].index and entries.get((b, a)) == ids[1].index
+                   for b in range(G.count(d))):
+            bad.append(("no-inverse", (A,), ids, None))
+    return [_check("groupoid", j, bad)]
+
+
+def _random_one_graph_structures(rng, count):
+    """Partial, often untyped or non-unital tables on small 1-graphs; about
+    half of them get every unit entry right, so inverses get checked."""
+    for G in (loops_graph(3), parallel_pair_graph(), arrow_graph()):
+        idn = G.idn_map(0)
+        for _ in range(count):
+            unital = rng.random() < 0.5
+            entries = {}
+            for a, b in composable_pairs(G, 0):
+                typed = [v for v in range(G.count(1)) if
+                         _hom(G, CellId(1, v)) == (G.src(CellId(1, a)), G.tgt(CellId(1, b)))]
+                r = rng.random()
+                if unital and a in idn:
+                    entries[(a, b)] = b
+                elif unital and b in idn:
+                    entries[(a, b)] = a
+                elif r < 0.1 or (r < 0.2 and not typed):
+                    entries[(a, b)] = rng.randrange(G.count(1))
+                elif r < 0.7 and typed:
+                    entries[(a, b)] = rng.choice(typed)
+            yield CategoryStructure(G, [CompTable(0, entries)], [],
+                                    AxiomFlags(global_=rng.random() < 0.5))
+
+
+def _bent_two_categories(rng, count):
+    """The two-category on the cat-of-cats carrier with vertical entries
+    removed and horizontal entries rewritten or removed: untypeable and
+    mistyped horizontal entries, missing keys, lopsided triples."""
+    G, S = build_cat_of_cats([z2_structure()[1]], depth=2)
+    for _ in range(count):
+        vt = {j: dict(t.entries) for j, t in S.vtables.items()}
+        for j, entries in vt.items():
+            for key in rng.sample(sorted(entries), rng.randrange(3)):
+                del entries[key]
+        ht = dict(S.htables[0].entries)
+        for key in rng.sample(sorted(ht), rng.randrange(4)):
+            ht[key] = rng.randrange(G.count(2))
+        for key in rng.sample(sorted(ht), rng.randrange(2)):
+            del ht[key]
+        yield CategoryStructure(G, [CompTable(j, e) for j, e in vt.items()],
+                                [HCompTable(0, ht)], AxiomFlags(global_=rng.random() < 0.5))
+
+
+def test_reports_match_naive_references():
+    """Same kinds, cells, expected and actual values, in the same order, on
+    partial and failing tables."""
+    rng = random.Random(11)
+    seen = set()
+    for S in [*_random_one_graph_structures(rng, 150), *_bent_two_categories(rng, 40)]:
+        got = _as_tuples(check_typing(S))
+        assert got == _ref_typing(S)
+        for j in sorted(S.vtables):
+            units = _ref_units(S, j)
+            for checker, reference in ((check_global, _ref_global(S, j)),
+                                       (check_units, units),
+                                       (check_associativity, _ref_associativity(S, j))):
+                got += _as_tuples(checker(S, j))
+                assert got[-len(reference):] == reference
+            if units[0][2] == FAIL:
+                with pytest.raises(UnitsRequired):
+                    check_groupoid(S, j)
+            else:
+                got += _as_tuples(check_groupoid(S, j))
+                assert got[-1:] == _ref_groupoid(S, j)
+        seen.update((axiom, verdict) for axiom, _j, verdict, _bad, _asym in got)
+        seen.update((axiom, "asymmetric") for axiom, _j, _v, _bad, asym in got if asym)
+    for axiom in ("typing", "typing-horizontal", "global", "global-horizontal", "units",
+                  "associativity", "groupoid"):
+        assert {(axiom, PASS), (axiom, FAIL)} <= seen, axiom
+    assert ("associativity", "asymmetric") in seen
