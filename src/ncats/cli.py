@@ -87,16 +87,26 @@ def _env_limit(name, cast, fallback):
         raise _Usage(f"{name} must be a number, got {raw!r}") from None
 
 
+def _at_least_zero(name, value):
+    # nan fails every comparison, so it is turned down with the negatives
+    if not value >= 0:
+        raise _Usage(f"{name} must be at least 0, got {value}")
+    return value
+
+
+def _budget(args, option, env, cast):
+    """The option's value, else the environment's, else the default."""
+    value = getattr(args, option)
+    if value is None:
+        return _at_least_zero(env, _env_limit(env, cast, getattr(EnumLimits, option)))
+    return _at_least_zero("--" + option.replace("_", "-"), value)
+
+
 def _limits(args):
-    max_nodes = args.max_nodes
-    if max_nodes is None:
-        max_nodes = _env_limit("NCATS_MAX_NODES", int, EnumLimits.max_nodes)
-    budget = args.time_budget
-    if budget is None:
-        budget = _env_limit("NCATS_TIME_BUDGET", float, EnumLimits.time_budget)
-    kwargs = {"max_nodes": max_nodes, "time_budget": budget}
+    kwargs = {"max_nodes": _budget(args, "max_nodes", "NCATS_MAX_NODES", int),
+              "time_budget": _budget(args, "time_budget", "NCATS_TIME_BUDGET", float)}
     if getattr(args, "representatives", None) is not None:
-        kwargs["max_representatives"] = args.representatives
+        kwargs["max_representatives"] = _at_least_zero("--representatives", args.representatives)
     return EnumLimits(**kwargs)
 
 

@@ -9,6 +9,15 @@ search can be checked against an implementation too simple to share its
 bugs.  Both hand each complete assignment to one record step, which runs
 the checkers' own integer scans on it, whatever the search pruned.
 
+The search checks associativity only on the triples that read the entry
+(a, b) -> v it has just set, in four roles: (a, b, c) for each c that can
+follow b, (p, a, b) for each p that can precede a, (p, q, b) for each key
+(p, q) whose value is a, and (a, q, r) for each key (q, r) whose value is
+b.  The last two come from a preimage index per table, value -> keys now
+holding it, which the search appends to when it sets an entry and pops
+from when it clears one; its stack sets and clears entries last-in,
+first-out, so the key it clears is always the last one listed.
+
 Structures are counted both raw and up to isomorphism.  Two structures on
 the same carrier are isomorphic when some graph automorphism carries one
 table family onto the other, so the canonical form of a structure is the
@@ -29,6 +38,7 @@ from .graphs import (
     NGraph,
     SpaceTooLarge,
     automorphisms,
+    boundary_fibers,
     boundary_map,
     hom_buckets,
     is_monoidal_carrier,
@@ -47,7 +57,7 @@ from .structures import (
     check_typing,  # noqa: F401
     check_units,  # noqa: F401
     composable_pairs,
-    composable_triples,
+    composable_triples,  # noqa: F401 - unused here; perfbench's tracer rebinds it
     global_scan,
     groupoid_scan,
     h_composable_pairs,
@@ -292,21 +302,6 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
     result = EnumResult(0, 0, [], True)
     record = _recorder(G, spec, result, slots, typed)
 
-    # incremental associativity support: which triples can a key decide
-    trip = {j: composable_triples(G, j) for j in levels}
-    trip_by_pair = {j: {} for j in levels}
-    trip_by_first = {j: {} for j in levels}
-    trip_by_third = {j: {} for j in levels}
-    if flags.associative:
-        for j in levels:
-            for t in trip[j]:
-                a, b, c = t
-                trip_by_pair[j].setdefault((a, b), []).append(t)
-                if (b, c) != (a, b):
-                    trip_by_pair[j].setdefault((b, c), []).append(t)
-                trip_by_first[j].setdefault(a, []).append(t)
-                trip_by_third[j].setdefault(c, []).append(t)
-
     tables = {name: {} for name in names}
 
     # incremental interchange support: for each slot of a table X, the
@@ -341,26 +336,59 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
                         watched[slot] = (tables[y_name], by_key.get((x, y), ()),
                                          by_type.get((ys[x], yt[x], ys[y], yt[y]), ()))
 
-    # each slot with its table and its interchange watch, resolved once
-    steps = [(tables[kind, j], kind, j, key, watched.get((kind, j, key)))
-             for kind, j, key in slots]
+    # incremental associativity support: for each vertical slot (a, b), its
+    # table's preimage index (value -> keys now holding it, in the order
+    # they were set) and the cells that can follow b or precede a
+    assoc_watch = {}
+    if flags.associative:
+        for j in levels:
+            d = j + 1
+            preimage = [[] for _ in range(G.count(d))]
+            if j == -1:
+                cells = range(G.count(d))
+                after = before = [cells] * G.count(d)
+            else:
+                follow = boundary_fibers(G, d, j, SOURCE)
+                precede = boundary_fibers(G, d, j, TARGET)
+                after = [follow.get(t, ()) for t in G.tgt_map(d)]
+                before = [precede.get(s, ()) for s in G.src_map(d)]
+            for a, b in composable_pairs(G, j):
+                assoc_watch["v", j, (a, b)] = (preimage, after[b], before[a])
 
-    def assoc_ok(ent, j, key):
+    # each slot with its table and its watches, resolved once
+    steps = [(tables[slot[:2]], slot[2], assoc_watch.get(slot), watched.get(slot))
+             for slot in slots]
+
+    def assoc_ok(ent, key, v, watch):
+        """Associativity on the triples that read the new entry (a, b) -> v,
+        in the four roles the module docstring lists; every other triple
+        reads only entries its parent node passed."""
         a, b = key
-        seen = trip_by_pair[j].get(key, ())
-        todo = list(seen)
-        for t in trip_by_third[j].get(b, ()):
-            if ent.get((t[0], t[1])) == a:
-                todo.append(t)
-        for t in trip_by_first[j].get(a, ()):
-            if ent.get((t[1], t[2])) == b:
-                todo.append(t)
-        for p, q, r in todo:
-            pq = ent.get((p, q))
-            qr = ent.get((q, r))
-            left = ent.get((pq, r)) if pq is not None else None
-            right = ent.get((p, qr)) if qr is not None else None
-            if left is not None and right is not None and left != right:
+        preimage, after, before = watch
+        get = ent.get
+        for c in after:
+            bc = get((b, c))
+            right = get((a, bc)) if bc is not None else None
+            if right is not None:
+                left = get((v, c))
+                if left is not None and left != right:
+                    return False
+        for p in before:
+            pa = get((p, a))
+            left = get((pa, b)) if pa is not None else None
+            if left is not None:
+                right = get((p, v))
+                if right is not None and right != left:
+                    return False
+        for p, q in preimage[a]:
+            qb = get((q, b))
+            right = get((p, qb)) if qb is not None else None
+            if right is not None and right != v:
+                return False
+        for q, r in preimage[b]:
+            aq = get((a, q))
+            left = get((aq, r)) if aq is not None else None
+            if left is not None and left != v:
                 return False
         return True
 
@@ -404,8 +432,10 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
         record(tables)
     while stack:
         pos = len(stack) - 1
-        ent, kind, j, key, watch = steps[pos]
-        ent.pop(key, None)
+        ent, key, assoc, watch = steps[pos]
+        old = ent.pop(key, None)
+        if old is not None and assoc is not None:
+            assoc[0][old].pop()
         value = next(stack[pos], _END)
         if value is _END:
             stack.pop()
@@ -418,8 +448,10 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
             break
         if value is not None:
             ent[key] = value
-            if kind == "v" and flags.associative and not assoc_ok(ent, j, key):
-                continue
+            if assoc is not None:
+                assoc[0][value].append(key)
+                if not assoc_ok(ent, key, value, assoc):
+                    continue
             if watch is not None and not interchange_ok(ent, key, *watch):
                 continue
         if pos + 1 < len(slots):

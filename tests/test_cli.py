@@ -123,6 +123,33 @@ def test_enumerate_and_budget(z2_file, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["--max-nodes", "-1"], {}),
+    ([], {"NCATS_MAX_NODES": "-5"}),
+    (["--time-budget", "-1"], {}),
+    (["--time-budget", "nan"], {}),
+    ([], {"NCATS_TIME_BUDGET": "-0.5"}),
+    ([], {"NCATS_TIME_BUDGET": "nan"}),
+    (["--representatives", "-1"], {}),
+])
+def test_nonsense_budgets_are_usage_errors(z2_file, capsys, monkeypatch, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(["enumerate", z2_file, "--flags", "global", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_zero_budgets_stay_budgets(z2_file, capsys):
+    assert main(["enumerate", z2_file, "--flags", "global", "--max-nodes", "0"]) == 3
+    assert "verdict: limit" in capsys.readouterr().out
+    assert main(["enumerate", z2_file, "--flags", "global", "--representatives", "0",
+                 "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["counts"]["raw"] == 16
+
+
 def test_enumerate_json(z2_file, capsys):
     assert main(["enumerate", z2_file, "--flags",
                  "global,unital,associative", "--json"]) == 0

@@ -205,6 +205,45 @@ def test_interchange_search_matches_oracle():
                 assert fast.nodes == nodes[name], (seed, name, maximal)
 
 
+def _loops_with_identity_at(k, r):
+    """``loops_graph(k)`` with loop r as the identity."""
+    return NGraph(1, StructureTail(1, (0, 0)), [[0], [0] * k], [[0], [0] * k], [[r]])
+
+
+ASSOCIATIVE = AxiomFlags(associative=True)
+GLOBAL_ASSOCIATIVE = AxiomFlags(global_=True, associative=True)
+
+# (carrier, spec, oracle fits, nodes, records), frozen from the search that
+# rescanned every triple ending in b or starting with a whenever it set
+# (a, b); the record step re-checks every structure, so a weaker prune
+# would show only as more nodes
+ASSOCIATIVE_NODES = [
+    *((_loops_with_identity_at(4, r), spec(MONOID), False, nodes, 156)
+      for r, nodes in enumerate((2513, 2733, 4379, 7211))),
+    (loops_graph(3), spec(ASSOCIATIVE), False, 82604, 31789),
+    (loops_graph(3), spec(GLOBAL), False, 29523, 19683),
+    (loops_graph(3), spec(GLOBAL_ASSOCIATIVE), True, 1230, 113),
+    (loops_graph(2), spec(ASSOCIATIVE, levels=(-1, 0)), True, 230, 130),
+    (loops_graph(2), spec(GLOBAL_ASSOCIATIVE, levels=(-1, 0)), True, 27, 8),
+    (parallel_pair_graph(), spec(ASSOCIATIVE), True, 456, 257),
+    (parallel_pair_graph(), spec(ASSOCIATIVE, maximal_only=True), True, 456, 257),
+]
+
+
+def test_associativity_prune_node_counts():
+    """The watched associativity prune visits exactly the nodes of a full
+    rescan of the triples through each new entry, and agrees with the
+    unpruned oracle where its space fits."""
+    for G, sp, oracle, nodes, records in ASSOCIATIVE_NODES:
+        res = enumerate_structures(G, sp)
+        assert res.exhausted
+        assert (res.nodes, res.records) == (nodes, records), (sp, res.nodes, res.records)
+        if oracle:
+            slow = brute_force_oracle(G, sp)
+            assert res.raw_count == slow.raw_count
+            assert res.canonical_counts == slow.canonical_counts
+
+
 def test_two_categories_on_the_cat_of_cats_carrier():
     G = build_cat_of_cats([z2_structure()[1]], depth=2)[0]
     res = enumerate_structures(G, spec(TWO_CATEGORY, include_horizontal=True))
