@@ -103,11 +103,8 @@ def _budget(args, option, env, cast):
 
 
 def _limits(args):
-    kwargs = {"max_nodes": _budget(args, "max_nodes", "NCATS_MAX_NODES", int),
-              "time_budget": _budget(args, "time_budget", "NCATS_TIME_BUDGET", float)}
-    if getattr(args, "representatives", None) is not None:
-        kwargs["max_representatives"] = _at_least_zero("--representatives", args.representatives)
-    return EnumLimits(**kwargs)
+    return EnumLimits(max_nodes=_budget(args, "max_nodes", "NCATS_MAX_NODES", int),
+                      time_budget=_budget(args, "time_budget", "NCATS_TIME_BUDGET", float))
 
 
 def _load(path):
@@ -349,8 +346,6 @@ def _build_parser():
                     help="search horizontal tables too")
     sp.add_argument("--maximal-only", action="store_true",
                     help="in partial mode keep only inextensible tables")
-    sp.add_argument("--representatives", type=int, default=None,
-                    help="how many representative structures to retain")
     budgets(sp)
     sp.set_defaults(func=cmd_enumerate)
 

@@ -4,10 +4,18 @@ Two routes compute the same answer.  ``enumerate_structures`` backtracks
 over table entries in a fixed order (levels ascending, keys lexicographic),
 pruning branches as soon as typing, unit, associativity or interchange
 constraints are decided and can never recover.  ``brute_force_oracle``
-iterates the raw assignment space with no pruning at all; it exists so the
-search can be checked against an implementation too simple to share its
-bugs.  Both hand each complete assignment to one record step, which runs
-the checkers' own integer scans on it, whatever the search pruned.
+iterates the raw assignment space, pruning nothing but untyped vertical
+values; it exists so the search can be checked against an implementation
+too simple to share its bugs.  Both hand each complete assignment to one
+record step, which runs the checkers' own integer scans on it, whatever
+the search pruned.
+
+The search reads one slot table, built once next to the slot list: each
+slot's entry dict and key, its values and the watches of the constraints
+that read it.  A vertical key's values are the cells typed by its ends,
+narrowed by the unit law under ``unital``, "absent" last in partial mode;
+a horizontal key's depend on vertical entries, so they are read when the
+search reaches it.  The maximal-only filter tries the same values.
 
 The search checks associativity only on the triples that read the entry
 (a, b) -> v it has just set, in four roles: (a, b, c) for each c that can
@@ -38,7 +46,6 @@ from .graphs import (
     NGraph,
     SpaceTooLarge,
     automorphisms,
-    boundary_fibers,
     boundary_map,
     hom_buckets,
     is_monoidal_carrier,
@@ -64,6 +71,7 @@ from .structures import (
     htyping_scan,
     interchange_partners,
     interchange_scan,
+    neighbours,
     typing_scan,
     units_scan,
 )
@@ -216,14 +224,10 @@ def _keys(G, levels, h_levels):
     return names, slots
 
 
-def _candidates(G, tables, typed, slot):
-    """The cells a slot may take.  A vertical key takes the cells typed by
-    its ends, fixed up front in ``typed``; a horizontal key takes those
-    typed by the vertical composites of its boundaries, none while either
-    composite is absent."""
-    kind, j, (a, b) = slot
-    if kind == "v":
-        return typed[slot]
+def _h_values(G, tables, slot):
+    """The cells a horizontal slot may take: those typed by the vertical
+    composites of its boundaries, none while either composite is absent."""
+    _kind, j, (a, b) = slot
     d = j + 2
     vt = tables["v", j]
     smap, tmap = G.src_map(d), G.tgt_map(d)
@@ -234,15 +238,75 @@ def _candidates(G, tables, typed, slot):
     return hom_buckets(G, d).get((want_s, want_t), ())
 
 
-def _extensions_exist(G, spec, tables, slots, typed):
+def _slot_table(G, flags, tables, slots):
+    """The search's row per slot: (entries, key, values, assoc, exchange).
+    ``values`` is None for a horizontal key (see ``_h_values``); ``assoc``
+    holds a vertical key (a, b)'s preimage index and the cells that can
+    follow b or precede a, ``exchange`` the other table and the quadruples
+    that read the key, each None where its flag is off."""
+    tail = () if flags.global_ else (None,)
+    preimages = {j: [[] for _ in range(G.count(j + 1))] for kind, j in tables if kind == "v"}
+    # per table X of an exchange: a quadruple is written from X's side as
+    # (p, q, r, s), with X-keys (p, q), (r, s) and keys (p, r), (q, s) of the
+    # other table Y: (a, a2, b, b2) for the vertical table, (a, b, a2, b2)
+    # for the horizontal one.  It reads the X-keys it holds, and the X-key
+    # (Y(p, r), Y(q, s)); for the latter, the quadruples are pre-filtered by
+    # the boundaries those composites have, (ys[p], yt[r]) and (ys[q], yt[s]),
+    # which holds because the search only places typed values
+    by_table = {}
+    for j in [j for kind, j in tables if kind == "h" and flags.interchange]:
+        d = j + 2
+        quads = [(a, a2, b, b2) for (a, a2), partners in interchange_partners(G, j)
+                 for b, b2 in partners]
+        for x_name, y_name, side_quads in (
+                (("v", j + 1), ("h", j), quads),
+                (("h", j), ("v", j + 1), [(a, b, a2, b2) for a, a2, b, b2 in quads])):
+            ys = boundary_map(G, d, y_name[1], SOURCE)
+            yt = boundary_map(G, d, y_name[1], TARGET)
+            by_key, by_type = {}, {}
+            for t in side_quads:
+                p, q, r, s = t
+                by_key.setdefault((p, q), []).append(t)
+                if (r, s) != (p, q):
+                    by_key.setdefault((r, s), []).append(t)
+                by_type.setdefault((ys[p], yt[r], ys[q], yt[s]), []).append(t)
+            by_table[x_name] = (tables[y_name], by_key, by_type, ys, yt)
+    rows = []
+    for kind, j, key in slots:
+        a, b = key
+        values = assoc = exchange = None
+        if kind == "v":
+            d = j + 1
+            smap, tmap = G.src_map(d), G.tgt_map(d)
+            values = hom_buckets(G, d).get((smap[a], tmap[b]), ())
+            if flags.unital and j >= 0:
+                idn = G.idn_map(j)
+                if a == idn[smap[a]]:
+                    values = (b,) if b in values else ()
+                elif b == idn[tmap[b]]:
+                    values = (a,) if a in values else ()
+            values += tail
+            if flags.associative:
+                assoc = (preimages[j], neighbours(G, j, SOURCE)[b], neighbours(G, j, TARGET)[a])
+        if (kind, j) in by_table:
+            Y, by_key, by_type, ys, yt = by_table[kind, j]
+            exchange = (Y, by_key.get(key, ()), by_type.get((ys[a], yt[a], ys[b], yt[b]), ()))
+        rows.append((tables[kind, j], key, values, assoc, exchange))
+    return rows
+
+
+def _extensions_exist(G, spec, tables, slots, values):
     """Whether any single absent entry could be filled while keeping the
-    requested axioms; used for the maximal-only filter."""
-    for slot in slots:
+    requested axioms; used for the maximal-only filter.  ``values`` holds a
+    vertical slot's cells (None skipped), None for a horizontal one."""
+    for slot, cells in zip(slots, values):
         kind, j, key = slot
         ent = tables[kind, j]
         if key in ent:
             continue
-        for v in _candidates(G, tables, typed, slot):
+        for v in _h_values(G, tables, slot) if cells is None else cells:
+            if v is None:
+                continue
             ent[key] = v
             ok = _passes_flags(G, spec.flags, tables)
             del ent[key]
@@ -251,7 +315,7 @@ def _extensions_exist(G, spec, tables, slots, typed):
     return False
 
 
-def _recorder(G, spec, result, slots, typed):
+def _recorder(G, spec, result, slots, values):
     """The record step both routes share.  The returned function takes one
     complete assignment; when it passes the flags (and, in maximal-only
     mode, admits no single-entry extension) it is tallied raw and by
@@ -263,7 +327,7 @@ def _recorder(G, spec, result, slots, typed):
     def record(tables):
         result.records += 1
         if not _passes_flags(G, spec.flags, tables) or (
-                maximal and _extensions_exist(G, spec, tables, slots, typed)):
+                maximal and _extensions_exist(G, spec, tables, slots, values)):
             result.rejected_at_record += 1
             return
         S = _structure(G, spec, tables)
@@ -290,74 +354,11 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
     limits, flags = spec.limits, spec.flags
     start = time.monotonic()
     names, slots = _keys(G, levels, h_levels)
-
-    # typed candidates for vertical keys are fixed up front
-    typed = {}
-    for slot in slots:
-        kind, j, (a, b) = slot
-        if kind == "v":
-            d = j + 1
-            typed[slot] = hom_buckets(G, d).get((G.src_map(d)[a], G.tgt_map(d)[b]), ())
-
-    result = EnumResult(0, 0, [], True)
-    record = _recorder(G, spec, result, slots, typed)
-
     tables = {name: {} for name in names}
-
-    # incremental interchange support: for each slot of a table X, the
-    # quadruples that read its key.  A quadruple is written from X's side as
-    # (p, q, r, s), with X-keys (p, q), (r, s) and keys (p, r), (q, s) of the
-    # other table Y: (a, a2, b, b2) for the vertical table, (a, b, a2, b2)
-    # for the horizontal one.  It reads the X-keys it holds, and the X-key
-    # (Y(p, r), Y(q, s)); for the latter, the quadruples are pre-filtered by
-    # the boundaries those composites have, (ys[p], yt[r]) and (ys[q], yt[s]),
-    # which holds because the search only places typed values
-    watched = {}
-    if flags.interchange:
-        for j in h_levels:
-            d = j + 2
-            quads = [(a, a2, b, b2) for (a, a2), partners in interchange_partners(G, j)
-                     for b, b2 in partners]
-            for x_name, y_name, side_quads in (
-                    (("v", j + 1), ("h", j), quads),
-                    (("h", j), ("v", j + 1), [(a, b, a2, b2) for a, a2, b, b2 in quads])):
-                ys = boundary_map(G, d, y_name[1], SOURCE)
-                yt = boundary_map(G, d, y_name[1], TARGET)
-                by_key, by_type = {}, {}
-                for t in side_quads:
-                    p, q, r, s = t
-                    by_key.setdefault((p, q), []).append(t)
-                    if (r, s) != (p, q):
-                        by_key.setdefault((r, s), []).append(t)
-                    by_type.setdefault((ys[p], yt[r], ys[q], yt[s]), []).append(t)
-                for slot in slots:
-                    kind, level, (x, y) = slot
-                    if (kind, level) == x_name:
-                        watched[slot] = (tables[y_name], by_key.get((x, y), ()),
-                                         by_type.get((ys[x], yt[x], ys[y], yt[y]), ()))
-
-    # incremental associativity support: for each vertical slot (a, b), its
-    # table's preimage index (value -> keys now holding it, in the order
-    # they were set) and the cells that can follow b or precede a
-    assoc_watch = {}
-    if flags.associative:
-        for j in levels:
-            d = j + 1
-            preimage = [[] for _ in range(G.count(d))]
-            if j == -1:
-                cells = range(G.count(d))
-                after = before = [cells] * G.count(d)
-            else:
-                follow = boundary_fibers(G, d, j, SOURCE)
-                precede = boundary_fibers(G, d, j, TARGET)
-                after = [follow.get(t, ()) for t in G.tgt_map(d)]
-                before = [precede.get(s, ()) for s in G.src_map(d)]
-            for a, b in composable_pairs(G, j):
-                assoc_watch["v", j, (a, b)] = (preimage, after[b], before[a])
-
-    # each slot with its table and its watches, resolved once
-    steps = [(tables[slot[:2]], slot[2], assoc_watch.get(slot), watched.get(slot))
-             for slot in slots]
+    rows = _slot_table(G, flags, tables, slots)
+    result = EnumResult(0, 0, [], True)
+    record = _recorder(G, spec, result, slots, [row[2] for row in rows])
+    tail = () if flags.global_ else (None,)
 
     def assoc_ok(ent, key, v, watch):
         """Associativity on the triples that read the new entry (a, b) -> v,
@@ -412,33 +413,27 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
                 return False
         return True
 
-    def candidates(pos):
-        slot = slots[pos]
-        kind, j, (a, b) = slot
-        base = _candidates(G, tables, typed, slot)
-        if kind == "v" and flags.unital and j >= 0:
-            idn = G.idn_map(j)
-            if a == idn[G.src_map(j + 1)[a]]:
-                base = (b,) if b in base else ()
-            elif b == idn[G.tgt_map(j + 1)[b]]:
-                base = (a,) if a in base else ()
-        return iter(base if flags.global_ else base + (None,))
-
-    # Backtracking with an explicit stack: stack[pos] iterates the candidates
-    # of slots[pos], whose entry holds the value last taken from it
-    nodes = 0
-    stack = [candidates(0)] if slots else []
-    if not slots:
-        record(tables)
-    while stack:
-        pos = len(stack) - 1
-        ent, key, assoc, watch = steps[pos]
+    # Backtracking with an explicit stack: stack[pos] iterates the values of
+    # slot pos, made when the search reaches it, and the slot's entry holds
+    # the value last taken; pos == depth is a complete assignment
+    depth = len(rows)
+    nodes, pos, stack = 0, 0, []
+    while pos >= 0:
+        if pos == depth:
+            record(tables)
+            pos -= 1
+            continue
+        ent, key, values, assoc, exchange = rows[pos]
+        if pos == len(stack):
+            stack.append(iter(values if values is not None
+                              else _h_values(G, tables, slots[pos]) + tail))
         old = ent.pop(key, None)
         if old is not None and assoc is not None:
             assoc[0][old].pop()
         value = next(stack[pos], _END)
         if value is _END:
             stack.pop()
+            pos -= 1
             continue
         nodes += 1
         if nodes > limits.max_nodes or (
@@ -452,12 +447,9 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
                 assoc[0][value].append(key)
                 if not assoc_ok(ent, key, value, assoc):
                     continue
-            if watch is not None and not interchange_ok(ent, key, *watch):
+            if exchange is not None and not interchange_ok(ent, key, *exchange):
                 continue
-        if pos + 1 < len(slots):
-            stack.append(candidates(pos + 1))
-        else:
-            record(tables)
+        pos += 1
     result.nodes = nodes
     result.iso_count = len(result.canonical_counts)
     result.elapsed = time.monotonic() - start
@@ -468,42 +460,34 @@ def brute_force_oracle(G: NGraph, spec: EnumSpec = EnumSpec(), space_bound: int 
     """Unpruned reference count over the raw assignment space.
 
     Every key ranges over every cell of the right dimension (plus "absent"
-    in partial mode); each full assignment is filtered through the axiom
-    checkers.  The assignment space must fit under ``space_bound``.
+    in partial mode), a vertical key only those its ends type in the raw
+    maps; each full assignment is filtered through the axiom checkers.  The
+    assignment space, every cell counted, must fit under ``space_bound``.
     """
     levels, h_levels = _resolve_levels(G, spec)
     start = time.monotonic()
     names, slots = _keys(G, levels, h_levels)
 
-    space = 1
-    domains = []
-    for kind, j, _key in slots:
-        cells = tuple(range(G.count(j + 1 if kind == "v" else j + 2)))
-        domains.append(cells if spec.flags.global_ else cells + (None,))
-        space *= len(domains[-1])
+    # the typed cells of each vertical key are also its extension values in
+    # the maximal filter; a horizontal key has None there, as in the search
+    tail = () if spec.flags.global_ else (None,)
+    space, domains, values = 1, [], []
+    for kind, j, (a, b) in slots:
+        d = j + 1 if kind == "v" else j + 2
+        space *= G.count(d) + len(tail)
         if space > space_bound:
             raise SpaceTooLarge(f"assignment space exceeds {space_bound}")
-
-    # typed cells of every vertical key, scanned from the raw maps: a cheap
-    # pre-reject here, and the extension candidates of the maximal filter;
-    # survivors still go through the real checkers.  Vertical slots come
-    # first, so zipping an assignment with ``typed`` pairs exactly those.
-    typed = {}
-    for slot in slots:
-        kind, j, (a, b) = slot
+        cells = tuple(range(G.count(d)))
         if kind == "v":
-            d = j + 1
             smap, tmap = G.src_map(d), G.tgt_map(d)
-            typed[slot] = tuple(
-                v for v in range(G.count(d)) if smap[v] == smap[a] and tmap[v] == tmap[b])
+            cells = tuple(v for v in cells if smap[v] == smap[a] and tmap[v] == tmap[b])
+        values.append(cells if kind == "v" else None)
+        domains.append(cells + tail)
 
     result = EnumResult(0, 0, [], True)
-    record = _recorder(G, spec, result, slots, typed)
+    record = _recorder(G, spec, result, slots, values)
 
     for combo in itertools.product(*domains):
-        if any(value is not None and value not in members
-               for value, members in zip(combo, typed.values())):
-            continue
         tables = {name: {} for name in names}
         for (kind, j, key), value in zip(slots, combo):
             if value is not None:

@@ -166,26 +166,29 @@ def composable(G: NGraph, j: int, a: int, b: int) -> bool:
 
 
 @per_carrier
-def _successors(G: NGraph, j: int):
-    """For each (j+1)-cell, the cells that can follow it at level j."""
+def neighbours(G: NGraph, j: int, side: str):
+    """For each (j+1)-cell a, ascending, the cells whose ``side`` end meets
+    a at level j: with SOURCE the cells that can follow a, with TARGET those
+    that can precede it."""
     d = j + 1
     cells = range(G.count(d))
     if j == -1:
         return (cells,) * len(cells)
-    after = boundary_fibers(G, d, j, SOURCE)
-    return tuple(after.get(t, ()) for t in G.tgt_map(d))
+    fibers = boundary_fibers(G, d, j, side)
+    ends = G.tgt_map(d) if side == SOURCE else G.src_map(d)
+    return tuple(fibers.get(e, ()) for e in ends)
 
 
 @per_carrier
 def composable_pairs(G: NGraph, j: int):
     """All admissible level-j keys, lexicographically, as a tuple computed
     once per carrier."""
-    after = _successors(G, j)
+    after = neighbours(G, j, SOURCE)
     return tuple((a, b) for a, nxt in enumerate(after) for b in nxt)
 
 
 def _walk_triples(G: NGraph, j: int):
-    after = _successors(G, j)
+    after = neighbours(G, j, SOURCE)
     for a, nxt in enumerate(after):
         for b in nxt:
             for c in after[b]:
@@ -375,7 +378,7 @@ def assoc_scan(G: NGraph, j: int, entries, lopsided=None):
     (a, b, c), with exactly one bracketing defined; without one it skips
     every triple whose first pair has no entry.
     """
-    after = _successors(G, j)
+    after = neighbours(G, j, SOURCE)
     get = entries.get
     for a, nxt in enumerate(after):
         for b in nxt:
@@ -566,21 +569,27 @@ def check_groupoid(S: CategoryStructure, j: int) -> AxiomReport:
     The unit law is a precondition; a failing unit check makes inversion
     meaningless, which is raised rather than reported.
     """
-    if j == -1:
-        return _single("groupoid", -1, NOT_APPLICABLE,
-                       notes=["no identity section below dimension 0"])
-    if j not in S.vtables:
-        raise NoTableAtLevel(f"no vertical table at level {j}")
-    G = S.graph
-    entries = S.vtables[j].entries
-    if next(units_scan(G, j, entries, S.flags.global_), None) is not None:
+    unit = check_units(S, j).checks[0]
+    if unit.verdict == FAIL:
         raise UnitsRequired(f"unit law fails at level {j}; inversion is undecidable")
+    return _groupoid_report(S, j, unit)
+
+
+def _groupoid_report(S: CategoryStructure, j: int, unit: AxiomCheck) -> AxiomReport:
+    """The groupoid check at level j given the unit check there, which it
+    follows when that fails or does not apply."""
+    if unit.verdict == FAIL:
+        return _single("groupoid", j, FAIL, list(unit.counterexamples),
+                       notes=["unit law violated; inversion is undecidable"])
+    if unit.verdict == NOT_APPLICABLE:
+        return _single("groupoid", j, NOT_APPLICABLE, notes=list(unit.notes))
+    G = S.graph
     d = j + 1
     idn = G.idn_map(j)
     smap, tmap = G.src_map(d), G.tgt_map(d)
     bad = [Counterexample("no-inverse", (CellId(d, a),),
                           expected=(CellId(d, idn[smap[a]]), CellId(d, idn[tmap[a]])))
-           for a in groupoid_scan(G, j, entries)]
+           for a in groupoid_scan(G, j, S.vtables[j].entries)]
     return _single("groupoid", j, FAIL if bad else PASS, bad)
 
 
@@ -622,29 +631,21 @@ def check_category(S: CategoryStructure) -> AxiomReport:
     Typing always runs.  Per-level axioms run for every level that has a
     table; interchange runs for every level that has both tables it needs.
     A groupoid request with a broken unit law is reported as a failure with
-    a note instead of raising, so the aggregate stays total.
+    a note instead of raising, so the aggregate stays total.  The unit law
+    is scanned once per level, for ``unital`` and as that precondition.
     """
     report = check_typing(S)
     for j in sorted(S.vtables):
         if S.flags.global_:
             report = report.merged(check_global(S, j))
+        if S.flags.unital or S.flags.groupoid:
+            units = check_units(S, j)
         if S.flags.unital:
-            report = report.merged(check_units(S, j))
+            report = report.merged(units)
         if S.flags.associative:
             report = report.merged(check_associativity(S, j))
         if S.flags.groupoid:
-            units = check_units(S, j)
-            if units.checks[0].verdict == FAIL:
-                report = report.merged(_single(
-                    "groupoid", j, FAIL,
-                    counterexamples=list(units.checks[0].counterexamples),
-                    notes=["unit law violated; inversion is undecidable"]))
-            elif units.checks[0].verdict == NOT_APPLICABLE:
-                report = report.merged(_single(
-                    "groupoid", j, NOT_APPLICABLE,
-                    notes=["no identity section below dimension 0"]))
-            else:
-                report = report.merged(check_groupoid(S, j))
+            report = report.merged(_groupoid_report(S, j, units.checks[0]))
     if S.flags.interchange:
         ran_any = False
         for j in sorted(S.htables):

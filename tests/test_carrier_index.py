@@ -1,6 +1,8 @@
 """The integer indices derived once per carrier agree with step-by-step
 walks over ``CellId`` objects, and leave the carrier's identity alone."""
 
+import random
+
 import pytest
 
 from ncats import (
@@ -20,9 +22,9 @@ from ncats import (
 )
 from ncats.cobordism import build_cob_truncation, gen_sets_graph
 from ncats.graphs import SOURCE, TARGET, BadLevel, boundary_map, hom_buckets
-from ncats.structures import NotComposable, composable_triples
+from ncats.structures import NotComposable, composable, composable_triples, neighbours
 
-from util import z2_structure
+from util import loops_graph, random_graph, z2_structure
 
 
 def carriers():
@@ -122,6 +124,25 @@ def test_pair_lists_and_buckets_match_naive_scans(name):
                              if G.src_map(d + 1)[i] == x.index and G.tgt_map(d + 1)[i] == y.index)
                 assert hom_set(G, x, y).members == want
                 assert hom_buckets(G, d + 1).get((x.index, y.index), ()) == tuple(z.index for z in want)
+
+
+def test_neighbours_list_the_composable_pairs_from_either_end():
+    """Each cell's SOURCE neighbours are the cells after it and its TARGET
+    neighbours the cells before it, ascending: read either way they give
+    exactly the composable pairs, level -1 included."""
+    rng = random.Random(8)
+    graphs = [random_graph(rng, n=n) for n in (1, 2) for _ in range(8)] + [loops_graph(3)]
+    for G in graphs:
+        for j in range(-1, G.n):
+            cells = range(G.count(j + 1))
+            pairs = composable_pairs(G, j)
+            assert pairs == tuple((a, b) for a in cells for b in cells if composable(G, j, a, b))
+            after, before = neighbours(G, j, SOURCE), neighbours(G, j, TARGET)
+            assert len(after) == len(before) == len(cells)
+            for lists in (after, before):
+                assert all(list(cs) == sorted(cs) for cs in lists)
+            assert tuple((a, b) for a, nxt in enumerate(after) for b in nxt) == pairs
+            assert sorted((p, a) for a, prev in enumerate(before) for p in prev) == list(pairs)
 
 
 def test_warmed_graph_keeps_its_identity():

@@ -130,7 +130,6 @@ def test_enumerate_and_budget(z2_file, capsys, monkeypatch):
     (["--time-budget", "nan"], {}),
     ([], {"NCATS_TIME_BUDGET": "-0.5"}),
     ([], {"NCATS_TIME_BUDGET": "nan"}),
-    (["--representatives", "-1"], {}),
 ])
 def test_nonsense_budgets_are_usage_errors(z2_file, capsys, monkeypatch, argv, env):
     for name, value in env.items():
@@ -144,10 +143,6 @@ def test_nonsense_budgets_are_usage_errors(z2_file, capsys, monkeypatch, argv, e
 def test_zero_budgets_stay_budgets(z2_file, capsys):
     assert main(["enumerate", z2_file, "--flags", "global", "--max-nodes", "0"]) == 3
     assert "verdict: limit" in capsys.readouterr().out
-    assert main(["enumerate", z2_file, "--flags", "global", "--representatives", "0",
-                 "--json"]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["counts"]["raw"] == 16
 
 
 def test_enumerate_json(z2_file, capsys):

@@ -88,12 +88,18 @@ def test_oracle_agreement_partial_mode():
     slow = brute_force_oracle(G, spec())
     assert fast.raw_count == slow.raw_count == 81
     assert fast.canonical_counts == slow.canonical_counts
-    for G in (loops_graph(2), parallel_pair_graph()):
-        for flags in (AxiomFlags(), AxiomFlags(associative=True)):
-            fast = enumerate_structures(G, spec(flags, maximal_only=True))
-            slow = brute_force_oracle(G, spec(flags, maximal_only=True))
-            assert fast.raw_count == slow.raw_count
-            assert fast.canonical_counts == slow.canonical_counts
+    # the search's maximal filter tries the unit-narrowed values; on three
+    # loops each oracle run takes seconds, so two identity positions serve
+    unital, monoid = AxiomFlags(unital=True), AxiomFlags(unital=True, associative=True)
+    cases = [(G, flags) for G in (loops_graph(2), parallel_pair_graph())
+             for flags in (AxiomFlags(), AxiomFlags(associative=True), unital, monoid)]
+    cases += [(_loops_with_identity_at(2, 1), unital), (_loops_with_identity_at(2, 1), monoid),
+              (_loops_with_identity_at(3, 1), unital), (_loops_with_identity_at(3, 2), monoid)]
+    for G, flags in cases:
+        fast = enumerate_structures(G, spec(flags, maximal_only=True))
+        slow = brute_force_oracle(G, spec(flags, maximal_only=True))
+        assert fast.raw_count == slow.raw_count
+        assert fast.canonical_counts == slow.canonical_counts
 
 
 def test_maximal_only_keeps_inextensible_tables():

@@ -26,6 +26,7 @@ from ncats import (
     compose,
     h_composable_pairs,
 )
+from ncats import structures
 from ncats.structures import (
     FAIL,
     NOT_APPLICABLE,
@@ -214,6 +215,41 @@ def test_check_category_aggregates_per_flag():
     rep = check_category(broken)
     chk = rep.find("groupoid", 0)
     assert chk.verdict == FAIL and chk.counterexamples and chk.notes
+
+
+def test_check_category_scans_the_unit_law_once_per_level(monkeypatch):
+    """One unit scan per level serves both ``unital`` and the groupoid
+    precondition; the groupoid check it reports is the public checker's."""
+    levels = []
+    real = structures.units_scan
+
+    def counted(G, j, *rest):
+        levels.append(j)
+        return real(G, j, *rest)
+
+    _, cat = build_cat_of_cats([z2_structure()[1]], depth=2)
+    G = loops_graph(2)
+    broken = CategoryStructure(G, [CompTable(0, {(0, 0): 1, (0, 1): 0, (1, 0): 1, (1, 1): 0})])
+    product = CategoryStructure(G, [CompTable(-1, {(0, 0): 0}), z2_structure()[1].vtables[0]])
+    for S in (cat, broken, product):
+        for flags in (AxiomFlags(unital=True, groupoid=True), AxiomFlags(groupoid=True),
+                      AxiomFlags(global_=True, unital=True, associative=True, groupoid=True)):
+            S.flags = flags
+            monkeypatch.setattr(structures, "units_scan", counted)
+            levels.clear()
+            rep = check_category(S)
+            assert levels == [j for j in sorted(S.vtables) if j >= 0]
+            monkeypatch.undo()
+            for j in sorted(S.vtables):
+                units = check_units(S, j)
+                groupoid = rep.find("groupoid", j)
+                if flags.unital:
+                    assert rep.find("units", j) == units.checks[0]
+                if units.checks[0].verdict == PASS:
+                    assert groupoid == check_groupoid(S, j).checks[0]
+                else:
+                    assert groupoid.counterexamples == units.checks[0].counterexamples
+                    assert groupoid.verdict == units.checks[0].verdict
 
 
 def test_every_failing_check_carries_a_counterexample():
