@@ -234,6 +234,42 @@ def test_structural_rejections():
             parse(json.dumps(doc))
 
 
+def test_named_section_errors_are_pinned():
+    """The messages the CLI prints (exit 2) for broken named sections."""
+    morphism = {"name": "I", "comps": [{"x": "x"}, {"i": "i"}]}
+    level0 = {"name": "T", "f": "I", "g": "I", "levels": [0], "comps": {"0": {"x": "i"}}}
+    flat = {"name": "U", "f": "I", "g": "I", "levels": [], "comps": {}}
+    cases = [
+        (bad_copy(morphisms=[morphism, morphism]),
+         ParseError, "morphisms need unique string names"),
+        (bad_copy(morphisms=[dict(morphism, comps=[{"x": "x"}])]),
+         ParseError, "morphism 'I' needs component maps for dimensions 0..1"),
+        (bad_copy(morphisms=[morphism], transformations=[level0, level0]),
+         ParseError, "transformations need unique string names"),
+        (bad_copy(morphisms=[morphism], transformations=[dict(level0, g="J")]),
+         DanglingReference, "reference to missing id 'J' in transformation 'T' g"),
+        (bad_copy(morphisms=[morphism], transformations=[dict(level0, comps={})]),
+         ParseError, "transformation 'T' needs one component map per level"),
+        (bad_copy(morphisms=[morphism], transformations=[flat],
+                  modifications=[{"name": "M", "s": "U", "t": "V", "comps": {}}]),
+         DanglingReference, "reference to missing id 'V' in modification 'M' t"),
+        (bad_copy(morphisms=[morphism], transformations=[level0, flat],
+                  modifications=[{"name": "M", "s": "T", "t": "U", "comps": {}}]),
+         ParseError, "modification 'M' endpoints have levels [0] and []"),
+        (bad_copy(morphisms=[morphism], transformations=[level0],
+                  modifications=[{"name": "M", "s": "T", "t": "T", "comps": {"0": {"x": "i"}}}]),
+         ParseError, "modification 'M' needs cells two dimensions up"),
+        (bad_copy(morphisms=[morphism], transformations=[flat],
+                  modifications=[{"name": "M", "s": "U", "t": "U", "comps": {"0": {}}}]),
+         ParseError, "modification 'M' needs one component map per level"),
+    ]
+    for doc, error, message in cases:
+        with pytest.raises(error) as err:
+            parse(json.dumps(doc))
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+
 def test_load_document_from_path_and_stream(tmp_path):
     target = tmp_path / "g.json"
     data = serialize(parse(json.dumps(MINIMAL)))

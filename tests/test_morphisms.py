@@ -6,6 +6,7 @@ import pytest
 from ncats import (
     AxiomFlags,
     CategoryStructure,
+    CellId,
     CompTable,
     GraphAutomorphism,
     GraphError,
@@ -70,7 +71,6 @@ def test_identity_and_composition():
     for m in fs:
         assert compose_morphisms(i, m).comps == m.comps
         assert compose_morphisms(m, i).comps == m.comps
-    from ncats import CellId
     assert i.apply(CellId(1, 1)) == CellId(1, 1)
     assert i.apply(CellId(-1, 0)) == CellId(-1, 0)
 
@@ -302,3 +302,82 @@ def test_modification_without_horizontal_table():
     rep = check_modification(md, S, bare)
     assert rep.find("modification-cells", 0).verdict == NOT_APPLICABLE
     assert rep.find("modification-paths", 0).verdict == "pass"
+
+
+def c(dim, index):
+    return CellId(dim, index)
+
+
+def pinned(report):
+    """Every check of ``report`` with its verdict, notes and counterexamples
+    (kind, cells, expected, actual), in report order."""
+    return [(ch.axiom, ch.level, ch.verdict, ch.notes,
+             [(ce.kind, ce.cells, ce.expected, ce.actual) for ce in ch.counterexamples])
+            for ch in report.checks]
+
+
+def z2_cat_with_collapse():
+    G, S = cat_of_z2s(1)
+    collapse = next(m for m in enumerate_functors(S, S) if m.comps[2] == (2, 2, 2, 2))
+    return G, S, identity_morphism(G), collapse
+
+
+def test_transformation_reports_are_pinned():
+    G, S, ident, collapse = z2_cat_with_collapse()
+    t = Transformation(ident, collapse, {0: (1,), 1: (0, 3)}, (0, 1))
+    level1 = ("naturality", 1, FAIL, [], [
+        ("ComponentUntyped", (c(1, 0),), (c(1, 0), c(1, 1)), c(2, 0)),
+        ("NaturalitySquareUndefined", (c(2, 0), c(1, 0), c(1, 0)), None, None),
+        ("NaturalitySquareUndefined", (c(2, 1), c(1, 0), c(1, 0)), None, None),
+        ("NaturalityFailed", (c(2, 3), c(1, 1), c(1, 1)), c(2, 3), c(2, 2)),
+    ])
+    assert pinned(check_transformation(t, S, S)) == [
+        ("naturality", 0, FAIL, [], [
+            ("NaturalityFailed", (c(1, 0), c(0, 0), c(0, 0)), c(1, 1), c(1, 0)),
+        ]),
+        level1,
+    ]
+    # no level-0 vertical table downstairs: one-cell undefined squares
+    no_level0 = CategoryStructure(G, [S.vtables[1]], list(S.htables.values()), S.flags)
+    assert pinned(check_transformation(t, S, no_level0)) == [
+        ("naturality", 0, FAIL, [], [
+            ("NaturalitySquareUndefined", (c(1, 0),), "codomain table at level 0", None),
+            ("NaturalitySquareUndefined", (c(1, 1),), "codomain table at level 0", None),
+        ]),
+        level1,
+    ]
+    low = Transformation(ident, collapse, {0: (0,)})
+    assert pinned(check_transformation(low, S, S)) == [
+        ("naturality", 0, "pass",
+         ["components configured at level 0 only; higher cells are not constrained"], []),
+    ]
+
+
+def test_modification_reports_are_pinned():
+    G, S, ident, collapse = z2_cat_with_collapse()
+    unnatural = Transformation(ident, collapse, {0: (1,)})
+    natural = Transformation(ident, collapse, {0: (0,)})
+    # both endpoints fail their square at arrow c1_0: one path counterexample
+    # per 2-cell over c1_0, per boundary arrow, per endpoint transformation
+    md = Modification(unnatural, unnatural, {0: (3,)})
+    path = ("path", (c(1, 0), c(0, 0), c(0, 0)), c(1, 1), c(1, 0))
+    assert pinned(check_modification(md, S, S)) == [
+        ("modification-paths", 0, FAIL, [], [path] * 8),
+        ("modification-cells", 0, FAIL, [], [
+            ("cell-square", (c(2, 0), c(0, 0), c(0, 0)), c(2, 3), c(2, 1)),
+            ("cell-square", (c(2, 1), c(0, 0), c(0, 0)), c(2, 3), c(2, 0)),
+            ("cell-square", (c(2, 3), c(0, 0), c(0, 0)), c(2, 3), c(2, 2)),
+        ]),
+    ]
+    # no vertical table downstairs: three-cell undefined paths, and no
+    # horizontal table either
+    untyped = Modification(unnatural, natural, {0: (2,)})
+    undefined = [("PathUndefined", (c(1, a), c(0, 0), c(0, 0)), "codomain table at level 0", None)
+                 for a in (0, 1) for _ in range(8)]
+    assert pinned(check_modification(untyped, S, CategoryStructure(G, []))) == [
+        ("modification-paths", 0, FAIL, [], [
+            ("ComponentUntyped", (c(0, 0),), (c(1, 1), c(1, 0)), c(2, 2)),
+        ] + undefined),
+        ("modification-cells", 0, NOT_APPLICABLE,
+         ["no horizontal table at level 0 in the codomain"], []),
+    ]
