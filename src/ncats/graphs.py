@@ -182,8 +182,8 @@ def _collect_issues(n, minus_one, zero_type, src, tgt, idn):
 
 
 class NGraph:
-    """Immutable carrier. Construct through ``validate_graph`` for untrusted
-    input; the constructor itself re-checks every invariant and raises.
+    """Immutable carrier.  The constructor checks every invariant and raises
+    GraphValidationError; ``validate_graph`` turns that into a report.
 
     Integer indices derived from the boundary data (see ``per_carrier``) are
     memoized in a private slot on first use; the memo takes no part in
@@ -192,12 +192,12 @@ class NGraph:
     __slots__ = ("n", "tail", "_src", "_tgt", "_idn", "labels", "_data", "_memo")
 
     def __init__(self, n, tail, src, tgt, idn, labels=None):
-        src = tuple(tuple(m) for m in src)
-        tgt = tuple(tuple(m) for m in tgt)
-        idn = tuple(tuple(m) for m in idn)
         issues = _collect_issues(n, tail.minus_one_count, tail.zero_type, src, tgt, idn)
         if issues:
             raise GraphValidationError(issues)
+        src = tuple(tuple(m) for m in src)
+        tgt = tuple(tuple(m) for m in tgt)
+        idn = tuple(tuple(m) for m in idn)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "_src", src)
@@ -289,11 +289,10 @@ def validate_graph(raw) -> NGraph | ValidationReport:
             zero_type = (src[0][0], tgt[0][0])
         else:
             zero_type = (0, 0)
-    zero_type = tuple(zero_type)
-    issues = _collect_issues(n, minus_one, zero_type, src, tgt, idn)
-    if issues:
-        return ValidationReport(issues)
-    return NGraph(n, StructureTail(minus_one, zero_type), src, tgt, idn, raw.get("labels"))
+    try:
+        return NGraph(n, StructureTail(minus_one, tuple(zero_type)), src, tgt, idn, raw.get("labels"))
+    except GraphValidationError as e:
+        return ValidationReport(e.issues)
 
 
 def per_carrier(fn):

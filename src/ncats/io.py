@@ -107,7 +107,7 @@ class GraphDocument:
             raise DanglingReference(cid, where) from None
 
     def to_raw(self) -> dict:
-        src, tgt, idn = [], [], []
+        src, tgt = [], []
         for d, row in enumerate(self.data["dims"]):
             if d == 0:
                 src.append([c["src"] for c in row])
@@ -115,8 +115,7 @@ class GraphDocument:
             else:
                 src.append([self._index[d - 1][c["src"]] for c in row])
                 tgt.append([self._index[d - 1][c["tgt"]] for c in row])
-        for d, sec in enumerate(self.data["identities"]):
-            idn.append([self._index[d + 1][sec[cid]] for cid in self._ids[d]])
+        idn = [list(self._decode(sec, d, 1)) for d, sec in enumerate(self.data["identities"])]
         raw = dict(n=self.n, minus_one=self.data["tail"]["minus_one"],
                    src=src, tgt=tgt, idn=idn)
         if any("label" in c for row in self.data["dims"] for c in row):
@@ -175,36 +174,31 @@ class GraphDocument:
                 return item
         raise DanglingReference(name, kind)
 
+    def _decode(self, sec: dict, d: int, k: int) -> tuple[int, ...]:
+        """A component map from d-cell ids to (d+k)-cell ids, as indices."""
+        return tuple(self._index[d + k][sec[cid]] for cid in self._ids[d])
+
     def morphism(self, name: str) -> GraphMorphism:
         item = self.section("morphisms", name)
         G = self.graph()
         if not isinstance(G, NGraph):
             raise ParseError(f"carrier is invalid: {G}")
-        comps = tuple(
-            tuple(self._index[d][sec[cid]] for cid in self._ids[d])
-            for d, sec in enumerate(item["comps"]))
-        return GraphMorphism(G, G, comps)
+        return GraphMorphism(G, G, tuple(
+            self._decode(sec, d, 0) for d, sec in enumerate(item["comps"])))
+
+    def _per_level(self, item: dict, levels, k: int) -> dict[int, tuple[int, ...]]:
+        return {i: self._decode(item["comps"][str(i)], i, k) for i in levels}
 
     def transformation(self, name: str) -> Transformation:
         item = self.section("transformations", name)
-        f = self.morphism(item["f"])
-        g = self.morphism(item["g"])
         levels = tuple(item["levels"])
-        comps = {}
-        for i in levels:
-            sec = item["comps"][str(i)]
-            comps[i] = tuple(self._index[i + 1][sec[cid]] for cid in self._ids[i])
-        return Transformation(f, g, comps, levels)
+        return Transformation(self.morphism(item["f"]), self.morphism(item["g"]),
+                              self._per_level(item, levels, 1), levels)
 
     def modification(self, name: str) -> Modification:
         item = self.section("modifications", name)
         s = self.transformation(item["s"])
-        t = self.transformation(item["t"])
-        comps = {}
-        for i in s.levels:
-            sec = item["comps"][str(i)]
-            comps[i] = tuple(self._index[i + 2][sec[cid]] for cid in self._ids[i])
-        return Modification(s, t, comps)
+        return Modification(s, self.transformation(item["t"]), self._per_level(item, s.levels, 2))
 
 
 def _check_cell(cell, d, minus_one, prev_ids, seen):
@@ -250,6 +244,27 @@ def _records(obj, key):
     items = obj.get(key, [])
     _expect(isinstance(items, list), f"{key} must be a list")
     return items
+
+
+def _named_section(obj, what, ends, known, read, *extra):
+    """The records of the section ``what + "s"`` by name, each normalized by
+    ``read(name, record)``.
+
+    Every record may hold only a name, component maps, the endpoint fields
+    ``ends`` and the ``extra`` fields; names are unique strings, and each
+    endpoint names a record of ``known``.
+    """
+    out = {}
+    for item in _records(obj, what + "s"):
+        _expect_keys(item, {"name", "comps", *ends, *extra}, f"{what} record")
+        name = item.get("name")
+        _expect(isinstance(name, str) and name and name not in out,
+                f"{what}s need unique string names")
+        for end in ends:
+            if not isinstance(item.get(end), str) or item[end] not in known:
+                raise DanglingReference(item.get(end), f"{what} {name!r} {end}")
+        out[name] = dict(read(name, item), name=name, **{end: item[end] for end in ends})
+    return out
 
 
 def _check_entries(t, ids_by_dim, n):
@@ -320,11 +335,10 @@ def parse(text: str | bytes) -> GraphDocument:
     identities = obj.get("identities")
     _expect(isinstance(identities, list) and len(identities) == n,
             f"identities must list dimensions 0..{n - 1}")
-    norm_idn = []
-    for d, sec in enumerate(identities):
-        keys = [c["id"] for c in norm_dims[d]]
-        norm_idn.append(_check_component_map(
-            sec, keys, ids_by_dim[d + 1], f"identity map at dimension {d}"))
+    keys = [[c["id"] for c in row] for row in norm_dims]
+    norm_idn = [_check_component_map(sec, keys[d], ids_by_dim[d + 1],
+                                     f"identity map at dimension {d}")
+                for d, sec in enumerate(identities)]
 
     data = {"format_version": FORMAT_VERSION, "n": n,
             "tail": {"minus_one": minus_one},
@@ -342,84 +356,48 @@ def parse(text: str | bytes) -> GraphDocument:
                 f"flags must be drawn from {FLAG_NAMES}")
         data["flags"] = [f for f in FLAG_NAMES if f in flags]
 
-    if _records(obj, "morphisms"):
-        names = set()
-        out = []
-        for item in obj["morphisms"]:
-            _expect_keys(item, {"name", "comps"}, "morphism record")
-            name = item.get("name")
-            _expect(isinstance(name, str) and name and name not in names,
-                    "morphisms need unique string names")
-            names.add(name)
-            comps = item.get("comps")
-            _expect(isinstance(comps, list) and len(comps) == n + 1,
-                    f"morphism {name!r} needs component maps for dimensions 0..{n}")
-            norm = [_check_component_map(sec, [c["id"] for c in norm_dims[d]],
-                                         ids_by_dim[d], f"morphism {name!r} dimension {d}")
-                    for d, sec in enumerate(comps)]
-            out.append({"name": name, "comps": norm})
-        data["morphisms"] = sorted(out, key=lambda m: m["name"])
-        morphism_names = names
-    else:
-        morphism_names = set()
+    def level_maps(what, name, comps, levels, k):
+        """The per-level component maps of a transformation (k = 1) or a
+        modification (k = 2), from i-cells to (i+k)-cells."""
+        _expect(isinstance(comps, dict) and set(comps) == {str(i) for i in levels},
+                f"{what} {name!r} needs one component map per level")
+        return {str(i): _check_component_map(comps[str(i)], keys[i], ids_by_dim[i + k],
+                                             f"{what} {name!r} level {i}") for i in levels}
 
-    if _records(obj, "transformations"):
-        names = set()
-        out = []
-        for item in obj["transformations"]:
-            _expect_keys(item, {"name", "f", "g", "levels", "comps"},
-                         "transformation record")
-            name = item.get("name")
-            _expect(isinstance(name, str) and name and name not in names,
-                    "transformations need unique string names")
-            names.add(name)
-            for end in ("f", "g"):
-                if not isinstance(item.get(end), str) or item[end] not in morphism_names:
-                    raise DanglingReference(item.get(end), f"transformation {name!r} {end}")
-            levels = item.get("levels", [0])
-            _expect(isinstance(levels, list)
-                    and all(isinstance(i, int) and 0 <= i <= n - 1 for i in levels)
-                    and levels == sorted(set(levels)),
-                    f"transformation {name!r} levels must be sorted dimensions below {n}")
-            comps = item.get("comps")
-            _expect(isinstance(comps, dict) and set(comps) == {str(i) for i in levels},
-                    f"transformation {name!r} needs one component map per level")
-            norm = {str(i): _check_component_map(
-                comps[str(i)], [c["id"] for c in norm_dims[i]], ids_by_dim[i + 1],
-                f"transformation {name!r} level {i}") for i in levels}
-            out.append({"name": name, "f": item["f"], "g": item["g"],
-                        "levels": list(levels), "comps": norm})
-        data["transformations"] = sorted(out, key=lambda t: t["name"])
-        transformation_names = names
-    else:
-        transformation_names = set()
+    def read_morphism(name, item):
+        comps = item.get("comps")
+        _expect(isinstance(comps, list) and len(comps) == n + 1,
+                f"morphism {name!r} needs component maps for dimensions 0..{n}")
+        return {"comps": [_check_component_map(sec, keys[d], ids_by_dim[d],
+                                               f"morphism {name!r} dimension {d}")
+                          for d, sec in enumerate(comps)]}
 
-    if _records(obj, "modifications"):
-        names = set()
-        out = []
-        by_name = {t["name"]: t for t in data.get("transformations", ())}
-        for item in obj["modifications"]:
-            _expect_keys(item, {"name", "s", "t", "comps"}, "modification record")
-            name = item.get("name")
-            _expect(isinstance(name, str) and name and name not in names,
-                    "modifications need unique string names")
-            names.add(name)
-            for end in ("s", "t"):
-                if not isinstance(item.get(end), str) or item[end] not in transformation_names:
-                    raise DanglingReference(item.get(end), f"modification {name!r} {end}")
-            levels, t_levels = by_name[item["s"]]["levels"], by_name[item["t"]]["levels"]
-            _expect(levels == t_levels,
-                    f"modification {name!r} endpoints have levels {levels} and {t_levels}")
-            _expect(all(i + 2 <= n for i in levels),
-                    f"modification {name!r} needs cells two dimensions up")
-            comps = item.get("comps")
-            _expect(isinstance(comps, dict) and set(comps) == {str(i) for i in levels},
-                    f"modification {name!r} needs one component map per level")
-            norm = {str(i): _check_component_map(
-                comps[str(i)], [c["id"] for c in norm_dims[i]], ids_by_dim[i + 2],
-                f"modification {name!r} level {i}") for i in levels}
-            out.append({"name": name, "s": item["s"], "t": item["t"], "comps": norm})
-        data["modifications"] = sorted(out, key=lambda m: m["name"])
+    def read_transformation(name, item):
+        levels = item.get("levels", [0])
+        _expect(isinstance(levels, list)
+                and all(isinstance(i, int) and 0 <= i <= n - 1 for i in levels)
+                and levels == sorted(set(levels)),
+                f"transformation {name!r} levels must be sorted dimensions below {n}")
+        return {"levels": list(levels),
+                "comps": level_maps("transformation", name, item.get("comps"), levels, 1)}
+
+    def read_modification(name, item):
+        levels, t_levels = transformations[item["s"]]["levels"], transformations[item["t"]]["levels"]
+        _expect(levels == t_levels,
+                f"modification {name!r} endpoints have levels {levels} and {t_levels}")
+        _expect(all(i + 2 <= n for i in levels),
+                f"modification {name!r} needs cells two dimensions up")
+        return {"comps": level_maps("modification", name, item.get("comps"), levels, 2)}
+
+    morphisms = _named_section(obj, "morphism", (), {}, read_morphism)
+    transformations = _named_section(obj, "transformation", ("f", "g"), morphisms,
+                                     read_transformation, "levels")
+    modifications = _named_section(obj, "modification", ("s", "t"), transformations,
+                                   read_modification)
+    for key, section in (("morphisms", morphisms), ("transformations", transformations),
+                         ("modifications", modifications)):
+        if section:
+            data[key] = [section[name] for name in sorted(section)]
 
     return GraphDocument(data)
 

@@ -11,8 +11,11 @@ square through the codomain's table; a modification hangs one dimension
 higher still and is checked against four boundary paths plus, when the
 codomain carries horizontal composition, the square of the inner cells.
 
-All equations are read diagrammatically: writing (g a) after (t x) means
-the key (t x, g a) in the codomain table.
+Every one of these squares goes through one scan, ``_squares``.  Each row
+names a d-cell c over the i-cells x and y, a component map t, and the
+images f c and g c; the square closes when the keys (t x, g c) and
+(f c, t y) of the codomain table name the same d-cell.  Keys are read
+diagrammatically: (a, b) means a first, then b.
 """
 
 from __future__ import annotations
@@ -201,13 +204,44 @@ class Transformation:
         return hash((self.f, self.g, tuple(sorted((i, m) for i, m in self.comps.items())), self.levels))
 
 
+def _untyped(F: NGraph, i: int, d: int, comp, lo, hi) -> list[Counterexample]:
+    """A ComponentUntyped counterexample for every i-cell x whose component,
+    the d-cell ``comp[x]``, does not run from ``lo[x]`` to ``hi[x]``."""
+    src, tgt = F.src_map(d), F.tgt_map(d)
+    return [Counterexample("ComponentUntyped", (CellId(i, x),),
+                           expected=(CellId(d - 1, lo[x]), CellId(d - 1, hi[x])),
+                           actual=CellId(d, v))
+            for x, v in enumerate(comp) if src[v] != lo[x] or tgt[v] != hi[x]]
+
+
+def _squares(rows, table, i: int, d: int, undefined: str, failed: str) -> list[Counterexample]:
+    """The square of every row ``(c, x, y, comp, fc, gc)`` in ``table`` (see
+    the module docstring).  A missing table or key makes an ``undefined``
+    counterexample, two different composites a ``failed`` one."""
+    bad = []
+    for c, x, y, comp, fc, gc in rows:
+        cells = (CellId(d, c), CellId(i, x), CellId(i, y))
+        if table is None:
+            bad.append(Counterexample(undefined, cells, expected=f"codomain table at level {i}"))
+            continue
+        left = table.entries.get((comp[x], gc))
+        right = table.entries.get((fc, comp[y]))
+        if left is None or right is None:
+            bad.append(Counterexample(undefined, cells))
+        elif left != right:
+            bad.append(Counterexample(
+                failed, cells, expected=CellId(d, left), actual=CellId(d, right)))
+    return bad
+
+
 def check_transformation(t: Transformation, cE: CategoryStructure, cF: CategoryStructure) -> AxiomReport:
     """Component typing and the naturality square at every configured level.
 
     An undefined square (partial codomain table) counts against the
     candidate, as does a component outside its hom-set.
     """
-    E, F = t.f.domain, t.f.codomain
+    f, g = t.f, t.g
+    E, F = f.domain, f.codomain
     if cE.graph != E or cF.graph != F:
         raise GraphError("structures do not live on the transformation's carriers")
     checks = []
@@ -217,33 +251,16 @@ def check_transformation(t: Transformation, cE: CategoryStructure, cF: CategoryS
     for i in t.levels:
         comp = t.comps[i]
         d = i + 1
-        bad = []
-        for x in range(E.count(i)):
-            tx = comp[x]
-            if F.src_map(d)[tx] != t.f.comps[i][x] or F.tgt_map(d)[tx] != t.g.comps[i][x]:
-                bad.append(Counterexample(
-                    "ComponentUntyped", (CellId(i, x),),
-                    expected=(CellId(i, t.f.comps[i][x]), CellId(i, t.g.comps[i][x])),
-                    actual=CellId(d, tx)))
+        bad = _untyped(F, i, d, comp, f.comps[i], g.comps[i])
         table = cF.vtables.get(i)
-        for a in range(E.count(d)):
-            x, y = E.src_map(d)[a], E.tgt_map(d)[a]
-            ga = t.g.comps[d][a]
-            fa = t.f.comps[d][a]
-            if table is None:
-                bad.append(Counterexample(
-                    "NaturalitySquareUndefined", (CellId(d, a),),
-                    expected=f"codomain table at level {i}"))
-                continue
-            left = table.entries.get((comp[x], ga))
-            right = table.entries.get((fa, comp[y]))
-            cells = (CellId(d, a), CellId(i, x), CellId(i, y))
-            if left is None or right is None:
-                bad.append(Counterexample("NaturalitySquareUndefined", cells))
-            elif left != right:
-                bad.append(Counterexample(
-                    "NaturalityFailed", cells,
-                    expected=CellId(d, left), actual=CellId(d, right)))
+        if table is None:
+            bad += [Counterexample("NaturalitySquareUndefined", (CellId(d, a),),
+                                   expected=f"codomain table at level {i}")
+                    for a in range(E.count(d))]
+        else:
+            rows = [(a, x, y, comp, f.comps[d][a], g.comps[d][a])
+                    for a, (x, y) in enumerate(zip(E.src_map(d), E.tgt_map(d)))]
+            bad += _squares(rows, table, i, d, "NaturalitySquareUndefined", "NaturalityFailed")
         checks.append(AxiomCheck("naturality", i, FAIL if bad else PASS, bad, notes=list(notes)))
     return AxiomReport(checks)
 
@@ -282,44 +299,20 @@ def check_modification(md: Modification, cE: CategoryStructure, cF: CategoryStru
     of the inner cells themselves; without horizontal composition that last
     equation is reported not-applicable."""
     s, t = md.s, md.t
-    E, F = s.f.domain, s.f.codomain
+    f, g = s.f, s.g
+    E, F = f.domain, f.codomain
     if cE.graph != E or cF.graph != F:
         raise GraphError("structures do not live on the modification's carriers")
-    f, g = s.f, s.g
     checks = []
     for i in s.levels:
         comp = md.comps[i]
         d1, d2 = i + 1, i + 2
-        bad = []
-        for x in range(E.count(i)):
-            mx = comp[x]
-            if F.src_map(d2)[mx] != s.comps[i][x] or F.tgt_map(d2)[mx] != t.comps[i][x]:
-                bad.append(Counterexample(
-                    "ComponentUntyped", (CellId(i, x),),
-                    expected=(CellId(d1, s.comps[i][x]), CellId(d1, t.comps[i][x])),
-                    actual=CellId(d2, mx)))
-        table = cF.vtables.get(i)
-        for alpha in range(E.count(d2)):
-            a = E.src_map(d2)[alpha]
-            b = E.tgt_map(d2)[alpha]
-            x, y = E.src_map(d1)[a], E.tgt_map(d1)[a]
-            for arrow in (a, b):
-                garrow = g.comps[d1][arrow]
-                farrow = f.comps[d1][arrow]
-                for side_comp in (s.comps[i], t.comps[i]):
-                    if table is None:
-                        bad.append(Counterexample(
-                            "PathUndefined", (CellId(d1, arrow), CellId(i, x), CellId(i, y)),
-                            expected=f"codomain table at level {i}"))
-                        continue
-                    left = table.entries.get((side_comp[x], garrow))
-                    right = table.entries.get((farrow, side_comp[y]))
-                    cells = (CellId(d1, arrow), CellId(i, x), CellId(i, y))
-                    if left is None or right is None:
-                        bad.append(Counterexample("PathUndefined", cells))
-                    elif left != right:
-                        bad.append(Counterexample(
-                            "path", cells, expected=CellId(d1, left), actual=CellId(d1, right)))
+        bad = _untyped(F, i, d2, comp, s.comps[i], t.comps[i])
+        x_of, y_of = E.src_map(d1), E.tgt_map(d1)
+        paths = [(arrow, x_of[arrow], y_of[arrow], side, f.comps[d1][arrow], g.comps[d1][arrow])
+                 for ends in zip(E.src_map(d2), E.tgt_map(d2)) for arrow in ends
+                 for side in (s.comps[i], t.comps[i])]
+        bad += _squares(paths, cF.vtables.get(i), i, d1, "PathUndefined", "path")
         checks.append(AxiomCheck("modification-paths", i, FAIL if bad else PASS, bad))
 
         htable = cF.htables.get(i)
@@ -328,22 +321,9 @@ def check_modification(md: Modification, cE: CategoryStructure, cF: CategoryStru
                 "modification-cells", i, NOT_APPLICABLE,
                 notes=[f"no horizontal table at level {i} in the codomain"]))
             continue
-        hbad = []
-        for alpha in range(E.count(d2)):
-            a = E.src_map(d2)[alpha]
-            x = E.src_map(d1)[a]
-            y = E.tgt_map(d1)[a]
-            galpha = g.comps[d2][alpha]
-            falpha = f.comps[d2][alpha]
-            left = htable.entries.get((comp[x], galpha))
-            right = htable.entries.get((falpha, comp[y]))
-            cells = (CellId(d2, alpha), CellId(i, x), CellId(i, y))
-            if left is None or right is None:
-                hbad.append(Counterexample("PathUndefined", cells))
-            elif left != right:
-                hbad.append(Counterexample(
-                    "cell-square", cells,
-                    expected=CellId(d2, left), actual=CellId(d2, right)))
+        cells = [(alpha, x_of[a], y_of[a], comp, f.comps[d2][alpha], g.comps[d2][alpha])
+                 for alpha, a in enumerate(E.src_map(d2))]
+        hbad = _squares(cells, htable, i, d2, "PathUndefined", "cell-square")
         checks.append(AxiomCheck("modification-cells", i, FAIL if hbad else PASS, hbad))
     return AxiomReport(checks)
 

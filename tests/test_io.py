@@ -150,6 +150,26 @@ def test_modification_section_round_trip():
     schema_validate(doc.data, graph_schema())
 
 
+def test_schema_accepts_what_parse_defaults():
+    """A transformation without levels, a table without entries and
+    repeated flags all load; the schema accepts the raw documents too."""
+    morphism = {"name": "I", "comps": [{"x": "x"}, {"i": "i"}]}
+    cases = [
+        (bad_copy(morphisms=[morphism],
+                  transformations=[{"name": "T", "f": "I", "g": "I", "comps": {"0": {"x": "i"}}}]),
+         lambda doc: doc.data["transformations"][0]["levels"] == [0]),
+        (bad_copy(tables=[{"kind": "vertical", "level": 0}]),
+         lambda doc: doc.data["tables"][0]["entries"] == []),
+        (bad_copy(flags=["unital", "global", "unital"]),
+         lambda doc: doc.data["flags"] == ["global", "unital"]),
+    ]
+    for raw, normalized in cases:
+        schema_validate(raw, graph_schema())
+        doc = parse(json.dumps(raw))
+        assert normalized(doc)
+        schema_validate(doc.data, graph_schema())
+
+
 def test_syntax_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse('{"format_version": ')
