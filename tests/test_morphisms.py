@@ -292,6 +292,55 @@ def test_modification_endpoints_need_equal_levels():
         Modification(low, high, {0: comps[0]})
 
 
+def _raised(make):
+    """The exact type and message of the error ``make()`` raises."""
+    with pytest.raises(GraphError) as info:
+        make()
+    return info.type, str(info.value)
+
+
+def test_component_errors_are_pinned():
+    """Each class names its construction errors in its own words, and checks
+    its levels one at a time: room, then totality, then range."""
+    from ncats.graphs import BadLevel
+
+    Z = z2_structure()[1]
+    fs = enumerate_functors(Z, Z)
+    G = cat_of_z2s(1)[0]
+    I = identity_morphism(G)
+    idf = G.idn_map(0)[0]
+    tr = Transformation(I, I, {0: (idf,)}, (0,))
+    up = {0: (idf,), 1: tuple(G.idn_map(1))}
+    tr01 = Transformation(I, I, up, (0, 1))
+    other = Transformation(I, I, up, (0, 1))
+    cell = G.idn_map(1)[idf]
+    low = Transformation(fs[0], fs[0], {0: (fs[0].comps[1][0],)})
+    cases = [
+        (lambda: Transformation(fs[0], identity_morphism(arrow_graph()), {0: (0,)}),
+         GraphError, "transformation endpoints are not parallel"),
+        (lambda: Transformation(I, I, up, (0, 2)), BadLevel, "no room for components at level 2"),
+        (lambda: Transformation(I, I, {0: ()}, (0, 2)), GraphError, "level 0 components are not total"),
+        (lambda: Transformation(I, I, {0: (idf,)}, (0, 1)), GraphError,
+         "level 1 components are not total"),
+        (lambda: Transformation(I, I, {0: (99,)}, (0, 2)), GraphError,
+         "level 0 component value 99 out of range"),
+        (lambda: Modification(tr, tr01, {0: (cell,)}), GraphError,
+         "modification endpoints have levels (0,) and (0, 1)"),
+        (lambda: Modification(tr01, other, {0: (cell,), 1: (0,) * G.count(1)}), BadLevel,
+         "codomain has no dimension 3 cells"),
+        (lambda: Modification(tr01, other, {0: ()}), GraphError, "level 0 components are not total"),
+        (lambda: Modification(low, low, {0: (0,)}), BadLevel, "codomain has no dimension 2 cells"),
+        (lambda: Modification(tr, tr, {}), GraphError, "level 0 components are not total"),
+        (lambda: Modification(tr, tr, {0: (99,)}), GraphError,
+         "level 0 component value 99 out of range"),
+    ]
+    J = identity_morphism(cat_of_z2s(2)[0])
+    cases.append((lambda: Modification(tr, Transformation(J, J, {0: (0, 0)}), {0: (cell,)}),
+                  GraphError, "modification endpoints are not parallel transformations"))
+    for make, kind, message in cases:
+        assert _raised(make) == (kind, message)
+
+
 def test_modification_without_horizontal_table():
     G, S = cat_of_z2s(1)
     bare = CategoryStructure(G, list(S.vtables.values()), [], S.flags)
