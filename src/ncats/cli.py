@@ -7,7 +7,8 @@ checkers over a file, ``enumerate`` counts admissible structures,
 a file, and ``gen`` writes example documents.
 
 Exit codes: 0 all requested checks passed (or the enumeration finished),
-1 a check failed, 2 usage or parse error, 3 a budget was exceeded.
+1 a check failed (an invalid carrier fails its ``carrier`` check in every
+subcommand), 2 usage or parse error, 3 a budget was exceeded.
 ``--json`` prints the machine-readable report instead of prose; human
 output shows at most 10 counterexamples per check unless ``--all`` is
 given.  NCATS_MAX_NODES and NCATS_TIME_BUDGET set default search budgets.
@@ -56,6 +57,10 @@ HUMAN_CE_CAP = 10
 
 class _Usage(Exception):
     pass
+
+
+class _BadCarrier(Exception):
+    """An invalid carrier; its argument is the failing carrier report."""
 
 
 def _parse_flags(text):
@@ -114,11 +119,13 @@ def _load(path):
         raise _Usage(f"cannot read {path}: {e.strerror or e}") from None
 
 
-def _graph_or_report(doc):
-    """The carrier, or a failing report dict when validation rejects it."""
+def _document(args):
+    """The file's document and its carrier.  An invalid carrier ends the
+    command with its failing report (exit 1)."""
+    doc = _load(args.file)
     G = doc.graph()
     if isinstance(G, NGraph):
-        return G, None
+        return doc, G
     issues = [{"kind": i.condition,
                "cells": [] if i.cell is None else [str(i.cell)],
                "actual": i.detail}
@@ -127,11 +134,11 @@ def _graph_or_report(doc):
            "checks": [{"axiom": "carrier", "verdict": "fail",
                        "counterexamples": issues, "asymmetric": []}],
            "verdict": "fail"}
-    return None, rep
+    raise _BadCarrier(rep)
 
 
 def _emit(rep, args):
-    if args.json:
+    if getattr(args, "json", False):
         print(json.dumps(rep, sort_keys=True, indent=2))
     else:
         _print_human(rep, None if getattr(args, "all", False) else HUMAN_CE_CAP)
@@ -183,10 +190,7 @@ def _write_doc(doc, out):
 
 
 def cmd_check(args):
-    doc = _load(args.file)
-    G, bad = _graph_or_report(doc)
-    if bad is not None:
-        return _emit(bad, args)
+    doc, G = _document(args)
     try:
         S = doc.structure(_parse_flags(args.flags))
     except StructureError as e:
@@ -200,10 +204,7 @@ def cmd_check(args):
 
 
 def cmd_enumerate(args):
-    doc = _load(args.file)
-    G, bad = _graph_or_report(doc)
-    if bad is not None:
-        return _emit(bad, args)
+    doc, G = _document(args)
     flags = _parse_flags(args.flags)
     if flags is None:
         flags = doc.flags()
@@ -219,10 +220,7 @@ def cmd_enumerate(args):
 
 
 def cmd_skeletal(args):
-    doc = _load(args.file)
-    G, bad = _graph_or_report(doc)
-    if bad is not None:
-        return _emit(bad, args)
+    _, G = _document(args)
     try:
         cert = verify_skeletal_uniqueness(G, _limits(args))
     except NotSkeletal as e:
@@ -240,11 +238,7 @@ def cmd_skeletal(args):
 
 
 def cmd_opposite(args):
-    doc = _load(args.file)
-    G, bad = _graph_or_report(doc)
-    if bad is not None:
-        sys.stderr.write("carrier is invalid; nothing to reverse\n")
-        return 1
+    _, G = _document(args)
     try:
         flipped = opposite(G, args.level)
     except GraphError as e:
@@ -255,7 +249,7 @@ def cmd_opposite(args):
 
 
 def cmd_morphism(args):
-    doc = _load(args.file)
+    doc, _ = _document(args)
     m = doc.morphism(args.name)
     variance = _parse_levels(args.contravariant)
     if variance:
@@ -266,34 +260,36 @@ def cmd_morphism(args):
 
 
 def cmd_functor(args):
-    doc = _load(args.file)
+    doc, _ = _document(args)
     m = doc.morphism(args.name)
     S = doc.structure(_parse_flags(args.flags))
     report = check_functor(m, S, S)
     return _emit(fmt.report_document(report, name_of=doc.cell_name), args)
 
 
+def _expect_ends(doc, kind, name, **ends):
+    """Usage error unless the item ``name`` of the section ``kind`` has the
+    endpoints asked for: ``ends`` maps its two endpoint fields, source
+    first, to a name, or to None for any."""
+    item = doc.section(kind, name)
+    for (field, want), where in zip(ends.items(), ("starts at", "ends at")):
+        if want is not None and item[field] != want:
+            raise _Usage(f"{kind[:-1]} {name!r} {where} {item[field]!r}, not {want!r}")
+
+
 def cmd_nat(args):
-    doc = _load(args.file)
+    doc, _ = _document(args)
     t = doc.transformation(args.t)
-    item = doc.section("transformations", args.t)
-    if args.f is not None and item["f"] != args.f:
-        raise _Usage(f"transformation {args.t!r} starts at {item['f']!r}, not {args.f!r}")
-    if args.g is not None and item["g"] != args.g:
-        raise _Usage(f"transformation {args.t!r} ends at {item['g']!r}, not {args.g!r}")
+    _expect_ends(doc, "transformations", args.t, f=args.f, g=args.g)
     S = doc.structure(_parse_flags(args.flags))
     report = check_transformation(t, S, S)
     return _emit(fmt.report_document(report, name_of=doc.cell_name), args)
 
 
 def cmd_modification(args):
-    doc = _load(args.file)
+    doc, _ = _document(args)
     md = doc.modification(args.m)
-    item = doc.section("modifications", args.m)
-    if args.s is not None and item["s"] != args.s:
-        raise _Usage(f"modification {args.m!r} starts at {item['s']!r}, not {args.s!r}")
-    if args.t is not None and item["t"] != args.t:
-        raise _Usage(f"modification {args.m!r} ends at {item['t']!r}, not {args.t!r}")
+    _expect_ends(doc, "modifications", args.m, s=args.s, t=args.t)
     S = doc.structure(_parse_flags(args.flags))
     report = check_modification(md, S, S)
     return _emit(fmt.report_document(report, name_of=doc.cell_name), args)
@@ -419,10 +415,9 @@ def main(argv=None) -> int:
         return 0 if not e.code else 2
     try:
         return args.func(args)
-    except _Usage as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except fmt.ParseError as e:
+    except _BadCarrier as e:
+        return _emit(e.args[0], args)
+    except (_Usage, fmt.ParseError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     except SpaceTooLarge as e:

@@ -26,10 +26,11 @@ holding it, which the search appends to when it sets an entry and pops
 from when it clears one; its stack sets and clears entries last-in,
 first-out, so the key it clears is always the last one listed.
 
-Structures are counted both raw and up to isomorphism.  Two structures on
-the same carrier are isomorphic when some graph automorphism carries one
-table family onto the other, so the canonical form of a structure is the
-least integer image of its tables over the automorphism orbit, serialized.
+Structures are counted both raw and up to isomorphism.  Two table families
+on one carrier are isomorphic when some graph automorphism carries one onto
+the other, so the canonical form of a family is the least integer image of
+its entry dicts over the automorphism orbit, serialized.  The record step
+reads it from the search's own dicts and builds only the structures it keeps.
 """
 
 from __future__ import annotations
@@ -180,29 +181,29 @@ def _passes_flags(G: NGraph, flags: AxiomFlags, tables) -> bool:
     return all(next(scan, None) is None for scan in _scans(G, flags, tables))
 
 
-def canonical_form(S: CategoryStructure, auts=None) -> bytes:
-    """Least image of the table family over the automorphism orbit.
+def canonical_form(G: NGraph, tables, auts=None) -> bytes:
+    """Least image of a table family over the automorphism orbit.
 
-    Each automorphism's image is one list of integers per table: the
-    relabeled entries (a, b) -> v coded as (a*N + b)*N + v, N the number of
-    cells the table composes, and sorted.  Only the least image is
-    serialized.  Structures on the same carrier have equal canonical forms
-    exactly when some automorphism relabels one into the other.
+    ``tables`` maps (kind, level) to entry dicts, as the search keeps them.
+    Each automorphism's image is one sorted list of integers per table,
+    vertical levels ascending, then horizontal: the relabeled entries
+    (a, b) -> v coded as (a*N + b)*N + v, N the number of cells the table
+    composes.  Only the least image is serialized; families on one carrier
+    share it exactly when some automorphism relabels one into the other.
     """
-    G = S.graph
     if auts is None:
         auts = automorphisms(G)
-    tables = [("v", j, j + 1, S.vtables[j].entries) for j in sorted(S.vtables)]
-    tables += [("h", j, j + 2, S.htables[j].entries) for j in sorted(S.htables)]
+    names = sorted(tables, key=lambda name: (name[0] == "h", name[1]))
+    rows = [(tables[kind, j], j + 1 if kind == "v" else j + 2) for kind, j in names]
     best = None
     for phi in auts:
         image = []
-        for _kind, _j, d, entries in tables:
+        for entries, d in rows:
             m, n = phi.maps[d], G.count(d)
             image.append(sorted([(m[a] * n + m[b]) * n + m[v] for (a, b), v in entries.items()]))
         if best is None or image < best:
             best = image
-    return repr([(j, kind, codes) for (kind, j, _d, _e), codes in zip(tables, best)]).encode()
+    return repr([(j, kind, codes) for (kind, j), codes in zip(names, best)]).encode()
 
 
 def _structure(G, spec, tables):
@@ -319,7 +320,7 @@ def _recorder(G, spec, result, slots, values):
     """The record step both routes share.  The returned function takes one
     complete assignment; when it passes the flags (and, in maximal-only
     mode, admits no single-entry extension) it is tallied raw and by
-    canonical form, keeping the first representative of each class."""
+    canonical form; only the representatives kept are built."""
     auts = automorphisms(G)
     maximal = spec.maximal_only and not spec.flags.global_
     cap = spec.limits.max_representatives
@@ -330,11 +331,10 @@ def _recorder(G, spec, result, slots, values):
                 maximal and _extensions_exist(G, spec, tables, slots, values)):
             result.rejected_at_record += 1
             return
-        S = _structure(G, spec, tables)
         result.raw_count += 1
-        form = canonical_form(S, auts)
+        form = canonical_form(G, tables, auts)
         if form not in result.canonical_counts and len(result.representatives) < cap:
-            result.representatives.append(S)
+            result.representatives.append(_structure(G, spec, tables))
         result.canonical_counts[form] += 1
 
     return record

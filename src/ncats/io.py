@@ -74,13 +74,14 @@ class GraphDocument:
     """A normalized, reference-checked document.
 
     Wraps the canonical dict; accessors build the in-memory objects on
-    demand.  Equality is equality of content.
+    demand, the carrier only once.  Equality is equality of content.
     """
 
     def __init__(self, data: dict):
         self.data = data
         self._ids = tuple(tuple(c["id"] for c in row) for row in data["dims"])
         self._index = [{cid: i for i, cid in enumerate(row)} for row in self._ids]
+        self._graph = None
 
     def __eq__(self, other):
         return isinstance(other, GraphDocument) and self.data == other.data
@@ -123,7 +124,15 @@ class GraphDocument:
         return raw
 
     def graph(self) -> NGraph | ValidationReport:
-        return validate_graph(self.to_raw())
+        if self._graph is None:
+            self._graph = validate_graph(self.to_raw())
+        return self._graph
+
+    def _carrier(self) -> NGraph:
+        G = self.graph()
+        if not isinstance(G, NGraph):
+            raise ParseError(f"carrier is invalid: {G}")
+        return G
 
     def flags(self) -> AxiomFlags:
         return AxiomFlags.from_names(self.data.get("flags", ()))
@@ -134,9 +143,7 @@ class GraphDocument:
                 yield t
 
     def structure(self, flags: AxiomFlags | None = None) -> CategoryStructure:
-        G = self.graph()
-        if not isinstance(G, NGraph):
-            raise ParseError(f"carrier is invalid: {G}")
+        G = self._carrier()
         made = {CompTable: [], HCompTable: []}
         for t in self._tables({VERTICAL, MINUS_ONE, HORIZONTAL}):
             j = t["level"]
@@ -180,9 +187,7 @@ class GraphDocument:
 
     def morphism(self, name: str) -> GraphMorphism:
         item = self.section("morphisms", name)
-        G = self.graph()
-        if not isinstance(G, NGraph):
-            raise ParseError(f"carrier is invalid: {G}")
+        G = self._carrier()
         return GraphMorphism(G, G, tuple(
             self._decode(sec, d, 0) for d, sec in enumerate(item["comps"])))
 

@@ -172,6 +172,25 @@ def check_functor(m: GraphMorphism, cE: CategoryStructure, cF: CategoryStructure
     return report
 
 
+def _components(f: GraphMorphism, comps, levels, k: int, no_room: str) -> dict[int, tuple[int, ...]]:
+    """The component maps as tuples, checked one level i at a time: f's
+    codomain F has (i+k)-cells (else BadLevel, ``no_room`` formatted with i
+    and d = i+k) and the map sends every i-cell of f's domain E to one.  A
+    modification's levels passed its transformations' check already."""
+    E, F = f.domain, f.codomain
+    comps = {i: tuple(m) for i, m in comps.items()}
+    for i in levels:
+        if not 0 <= i <= E.n - 1 or i + k > F.n:
+            raise BadLevel(no_room.format(i=i, d=i + k))
+        m = comps.get(i)
+        if m is None or len(m) != E.count(i):
+            raise GraphError(f"level {i} components are not total")
+        for v in m:
+            if not 0 <= v < F.count(i + k):
+                raise GraphError(f"level {i} component value {v} out of range")
+    return comps
+
+
 @dataclass(frozen=True)
 class Transformation:
     """Componentwise cell assignment one dimension up, between two parallel
@@ -187,18 +206,8 @@ class Transformation:
         if self.f.domain != self.g.domain or self.f.codomain != self.g.codomain:
             raise GraphError("transformation endpoints are not parallel")
         object.__setattr__(self, "levels", tuple(self.levels))
-        comps = {i: tuple(m) for i, m in self.comps.items()}
-        object.__setattr__(self, "comps", comps)
-        E, F = self.f.domain, self.f.codomain
-        for i in self.levels:
-            if not 0 <= i <= E.n - 1 or i + 1 > F.n:
-                raise BadLevel(f"no room for components at level {i}")
-            m = comps.get(i)
-            if m is None or len(m) != E.count(i):
-                raise GraphError(f"level {i} components are not total")
-            for v in m:
-                if not 0 <= v < F.count(i + 1):
-                    raise GraphError(f"level {i} component value {v} out of range")
+        object.__setattr__(self, "comps", _components(
+            self.f, self.comps, self.levels, 1, "no room for components at level {i}"))
 
     def __hash__(self):
         return hash((self.f, self.g, tuple(sorted((i, m) for i, m in self.comps.items())), self.levels))
@@ -279,18 +288,8 @@ class Modification:
             raise GraphError("modification endpoints are not parallel transformations")
         if self.s.levels != self.t.levels:
             raise GraphError(f"modification endpoints have levels {self.s.levels} and {self.t.levels}")
-        comps = {i: tuple(m) for i, m in self.comps.items()}
-        object.__setattr__(self, "comps", comps)
-        E, F = self.s.f.domain, self.s.f.codomain
-        for i in self.s.levels:
-            if i + 2 > F.n:
-                raise BadLevel(f"codomain has no dimension {i + 2} cells")
-            m = comps.get(i)
-            if m is None or len(m) != E.count(i):
-                raise GraphError(f"level {i} components are not total")
-            for v in m:
-                if not 0 <= v < F.count(i + 2):
-                    raise GraphError(f"level {i} component value {v} out of range")
+        object.__setattr__(self, "comps", _components(
+            self.s.f, self.comps, self.s.levels, 2, "codomain has no dimension {d} cells"))
 
 
 def check_modification(md: Modification, cE: CategoryStructure, cF: CategoryStructure) -> AxiomReport:

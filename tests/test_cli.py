@@ -26,7 +26,7 @@ from ncats.morphisms import Transformation
 
 from util import long_order_graph, loops_graph, z2_structure
 
-from test_io import report_schema
+from test_io import modification_document, report_schema
 
 
 @pytest.fixture
@@ -227,25 +227,37 @@ def test_nat_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "NaturalityFailed" in out
     assert main(["nat", path, "--t", "good", "--g", "K"]) == 2
+    assert capsys.readouterr().err == "error: transformation 'good' ends at 'F', not 'K'\n"
 
 
 def test_modification_subcommand(tmp_path, capsys):
-    from ncats import build_cat_of_cats, identity_morphism
-    from ncats.morphisms import Modification
+    path = write(tmp_path, "mod.json", modification_document())
+    assert main(["modification", path, "--m", "M", "--s", "S", "--t", "S"]) == 0
+    capsys.readouterr()
+    assert main(["modification", path, "--m", "M", "--t", "ghost"]) == 2
+    assert capsys.readouterr().err == "error: modification 'M' ends at 'S', not 'ghost'\n"
 
-    G, S = build_cat_of_cats([z2_structure()[1]], depth=2)
-    I = identity_morphism(G)
-    idf = G.idn_map(0)[0]
-    tr = Transformation(I, I, {0: (idf,)}, (0,))
-    md = Modification(tr, tr, {0: (G.idn_map(1)[idf],)})
-    doc = build_document(G, S.vtables.values(), S.htables.values(), flags=S.flags,
-                         morphisms={"I": I}, transformations={"S": ("I", "I", tr)},
-                         modifications={"M": ("S", "S", md)})
-    path = tmp_path / "mod.json"
-    path.write_bytes(serialize(doc))
-    assert main(["modification", str(path), "--m", "M", "--s", "S", "--t", "S"]) == 0
-    assert main(["modification", str(path), "--m", "M", "--t", "ghost"]) == 2
-    _ = capsys.readouterr()
+
+def test_every_subcommand_reports_an_invalid_carrier(tmp_path, capsys):
+    """Each subcommand that reads a file turns an invalid carrier into the
+    failing ``carrier`` check, exit 1, whatever it would go on to read."""
+    doc = json.loads(serialize(modification_document()))
+    # the identity of the 1-cell c1_0 becomes c2_2, a 2-cell from c1_1 to c1_1
+    doc["identities"][1]["c1_0"] = "c2_2"
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["check"], ["enumerate"], ["skeletal"], ["opposite", "--level", "1"],
+                 ["morphism", "--name", "I"], ["functor", "--name", "I"],
+                 ["nat", "--t", "S"], ["modification", "--m", "M"]):
+        assert main([argv[0], str(path), *argv[1:]]) == 1, argv
+        out, err = capsys.readouterr()
+        assert "carrier: fail" in out and "verdict: fail" in out, argv
+        assert err == "", argv
+        if argv[0] != "opposite":
+            assert main([argv[0], str(path), "--json", *argv[1:]]) == 1, argv
+            rep = json.loads(capsys.readouterr().out)
+            schema_validate(rep, report_schema())
+            assert [c["axiom"] for c in rep["checks"]] == ["carrier"], argv
 
 
 def test_modification_with_unequal_levels_exits_two(tmp_path, capsys):

@@ -119,14 +119,54 @@ def test_representative_structures_satisfy_the_request():
         assert rep.passed
 
 
+def _tables_of(S):
+    """A structure's tables in the record step's form, keyed (kind, level)."""
+    return {**{("v", j): t.entries for j, t in S.vtables.items()},
+            **{("h", j): t.entries for j, t in S.htables.items()}}
+
+
 def test_canonical_form_is_orbit_invariant():
-    G = loops_graph(3)
-    auts = automorphisms(G)
-    res = enumerate_structures(G, spec(MONOID))
-    forms = {canonical_form(S, auts) for S in res.representatives}
-    assert len(forms) == res.iso_count
-    assert sum(res.canonical_counts.values()) == res.raw_count
-    assert len(res.canonical_counts) == res.iso_count
+    """The public ``canonical_form`` gives each representative the key the
+    record step tallied it under, and every automorphic relabeling of it the
+    same one, whatever order the tables are given in."""
+    cat_of_z2 = build_cat_of_cats([z2_structure()[1]], depth=2)[0]
+    for G, sp in ((loops_graph(3), spec(MONOID)),
+                  (cat_of_z2, spec(TWO_CATEGORY, include_horizontal=True,
+                                   limits=EnumLimits(max_nodes=2000, max_representatives=1000)))):
+        auts = automorphisms(G)
+        res = enumerate_structures(G, sp)
+        forms = [canonical_form(G, _tables_of(S), auts) for S in res.representatives]
+        assert set(forms) == set(res.canonical_counts)
+        assert len(forms) == res.iso_count
+        assert sum(res.canonical_counts.values()) == res.raw_count
+        for S, form in zip(res.representatives, forms):
+            assert canonical_form(G, dict(reversed(_tables_of(S).items()))) == form
+            for phi in auts:
+                image = {(kind, j): {(phi.maps[d][a], phi.maps[d][b]): phi.maps[d][v]
+                                     for (a, b), v in entries.items()}
+                         for (kind, j), entries in _tables_of(S).items()
+                         for d in [j + 1 if kind == "v" else j + 2]}
+                assert canonical_form(G, image, auts) == form
+
+
+def test_record_builds_structures_only_for_kept_representatives(monkeypatch):
+    """The record step tallies every record from its entry dicts; a
+    ``CategoryStructure`` is built only for a representative it keeps."""
+    built = []
+    real = enumeration.CategoryStructure
+
+    def counted(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(enumeration, "CategoryStructure", counted)
+    sp = spec(MONOID, limits=EnumLimits(max_representatives=4))
+    for run in (enumerate_structures, brute_force_oracle):
+        built.clear()
+        res = run(loops_graph(3), sp)
+        assert (res.raw_count, res.iso_count, len(res.representatives)) == (11, 7, 4)
+        assert len(built) == 4
+        assert all(S is R for S, R in zip(built, res.representatives))
 
 
 def test_node_budget_interrupts():

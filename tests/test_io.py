@@ -135,19 +135,48 @@ def test_morphism_sections_round_trip():
     schema_validate(doc.data, graph_schema())
 
 
-def test_modification_section_round_trip():
+def modification_document():
+    """The cat-of-one-Z2 2-graph with its tables, the identity morphism I, the
+    identity transformation S on it and the identity modification M on S."""
     G, S = build_cat_of_cats([z2_structure()[1]], depth=2)
     I = identity_morphism(G)
     idf = G.idn_map(0)[0]
     tr = Transformation(I, I, {0: (idf,)}, (0,))
     md = Modification(tr, tr, {0: (G.idn_map(1)[idf],)})
-    doc = build_document(G, S.vtables.values(), S.htables.values(), flags=S.flags,
-                         morphisms={"I": I},
-                         transformations={"S": ("I", "I", tr)},
-                         modifications={"M": ("S", "S", md)})
+    return build_document(G, S.vtables.values(), S.htables.values(), flags=S.flags,
+                          morphisms={"I": I},
+                          transformations={"S": ("I", "I", tr)},
+                          modifications={"M": ("S", "S", md)})
+
+
+def test_modification_section_round_trip():
+    doc = modification_document()
+    md = doc.modification("M")
     doc = parse(serialize(doc))
     assert doc.modification("M").comps == md.comps
     schema_validate(doc.data, graph_schema())
+
+
+def test_document_builds_its_carrier_once(monkeypatch):
+    """Parsing builds no carrier; the first accessor that needs one builds
+    and validates it, and every later accessor reuses it."""
+    from ncats import graphs
+
+    calls = []
+    real = graphs._collect_issues
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    data = serialize(modification_document())
+    monkeypatch.setattr(graphs, "_collect_issues", counted)
+    doc = parse(data)
+    assert calls == []
+    md = doc.modification("M")
+    S = doc.structure()
+    assert len(calls) == 1
+    assert md.s.f.domain is S.graph is doc.graph()
 
 
 def test_schema_accepts_what_parse_defaults():
