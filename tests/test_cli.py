@@ -231,7 +231,7 @@ def test_nat_subcommand(tmp_path, capsys):
 
 
 def test_modification_subcommand(tmp_path, capsys):
-    path = write(tmp_path, "mod.json", modification_document())
+    path = write(tmp_path, "mod.json", modification_document()[0])
     assert main(["modification", path, "--m", "M", "--s", "S", "--t", "S"]) == 0
     capsys.readouterr()
     assert main(["modification", path, "--m", "M", "--t", "ghost"]) == 2
@@ -241,7 +241,7 @@ def test_modification_subcommand(tmp_path, capsys):
 def test_every_subcommand_reports_an_invalid_carrier(tmp_path, capsys):
     """Each subcommand that reads a file turns an invalid carrier into the
     failing ``carrier`` check, exit 1, whatever it would go on to read."""
-    doc = json.loads(serialize(modification_document()))
+    doc = json.loads(serialize(modification_document()[0]))
     # the identity of the 1-cell c1_0 becomes c2_2, a 2-cell from c1_1 to c1_1
     doc["identities"][1]["c1_0"] = "c2_2"
     path = tmp_path / "invalid.json"

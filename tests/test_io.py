@@ -137,21 +137,22 @@ def test_morphism_sections_round_trip():
 
 def modification_document():
     """The cat-of-one-Z2 2-graph with its tables, the identity morphism I, the
-    identity transformation S on it and the identity modification M on S."""
+    identity transformation S on it and the identity modification M on S;
+    returns the document and M as built."""
     G, S = build_cat_of_cats([z2_structure()[1]], depth=2)
     I = identity_morphism(G)
     idf = G.idn_map(0)[0]
     tr = Transformation(I, I, {0: (idf,)}, (0,))
     md = Modification(tr, tr, {0: (G.idn_map(1)[idf],)})
-    return build_document(G, S.vtables.values(), S.htables.values(), flags=S.flags,
-                          morphisms={"I": I},
-                          transformations={"S": ("I", "I", tr)},
-                          modifications={"M": ("S", "S", md)})
+    doc = build_document(G, S.vtables.values(), S.htables.values(), flags=S.flags,
+                         morphisms={"I": I},
+                         transformations={"S": ("I", "I", tr)},
+                         modifications={"M": ("S", "S", md)})
+    return doc, md
 
 
 def test_modification_section_round_trip():
-    doc = modification_document()
-    md = doc.modification("M")
+    doc, md = modification_document()
     doc = parse(serialize(doc))
     assert doc.modification("M").comps == md.comps
     schema_validate(doc.data, graph_schema())
@@ -169,7 +170,7 @@ def test_document_builds_its_carrier_once(monkeypatch):
         calls.append(args)
         return real(*args)
 
-    data = serialize(modification_document())
+    data = serialize(modification_document()[0])
     monkeypatch.setattr(graphs, "_collect_issues", counted)
     doc = parse(data)
     assert calls == []
