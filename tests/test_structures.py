@@ -27,6 +27,7 @@ from ncats import (
     h_composable_pairs,
 )
 from ncats import structures
+from ncats.graphs import SOURCE, TARGET
 from ncats.structures import (
     FAIL,
     NOT_APPLICABLE,
@@ -72,6 +73,50 @@ def test_construction_rejects_bad_tables():
     two_tail = NGraph(1, StructureTail(2, (0, 1)), [[0], [0]], [[1], [0]], [[0]])
     with pytest.raises(NoTableAtLevel):
         CategoryStructure(two_tail, [CompTable(-1, {})])
+
+
+def test_construction_errors_are_pinned():
+    """The exception type and exact message of every construction error,
+    for vertical and horizontal tables: ``ncats check`` prints them."""
+    G = loops_graph(2)
+    two_tail = NGraph(1, StructureTail(2, (0, 1)), [[0], [0]], [[1], [0]], [[0]])
+    Z = z2_structure()[1]
+    C, T = build_cat_of_cats([Z, Z], depth=2)
+    vt = list(T.vtables.values())
+    outer_t = structures.boundary_map(C, 2, 0, TARGET)
+    outer_s = structures.boundary_map(C, 2, 0, SOURCE)
+    a, b = next((a, b) for a in range(C.count(2)) for b in range(C.count(2))
+                if outer_t[a] != outer_s[b])
+    top = C.count(2)
+    cases = [
+        ((G, [CompTable(1, {})]), NoTableAtLevel, "vertical level 1 outside -1..0"),
+        ((G, [CompTable(-2, {})]), NoTableAtLevel, "vertical level -2 outside -1..0"),
+        ((two_tail, [CompTable(-1, {})]), NoTableAtLevel,
+         "level -1 table needs a single (-1)-cell"),
+        ((G, [CompTable(0, {}), CompTable(0, {})]), StructureError,
+         "duplicate vertical table at level 0"),
+        ((G, [CompTable(0, {(0, 9): 0})]), StructureError,
+         "level 0 entry (0, 9) -> 0 out of range"),
+        ((G, [CompTable(0, {(0, 1): 2})]), StructureError,
+         "level 0 entry (0, 1) -> 2 out of range"),
+        ((chain_graph(), [CompTable(0, {(4, 3): 3})]), NotComposable,
+         "level 0 key (4, 3) is not composable"),
+        ((C, vt, [HCompTable(1, {})]), NoTableAtLevel, "horizontal level 1 outside 0..0"),
+        ((C, vt, [HCompTable(-1, {})]), NoTableAtLevel, "horizontal level -1 outside 0..0"),
+        ((two_tail, [], [HCompTable(-1, {})]), NoTableAtLevel,
+         "horizontal level -1 outside 0..-1"),
+        ((C, vt, [HCompTable(0, {}), HCompTable(0, {})]), StructureError,
+         "duplicate horizontal table at level 0"),
+        ((C, vt, [HCompTable(0, {(0, top): 0})]), StructureError,
+         f"horizontal level 0 entry (0, {top}) -> 0 out of range"),
+        ((C, vt, [HCompTable(0, {(a, b): a})]), NotComposable,
+         f"horizontal level 0 key ({a}, {b}) shares no boundary"),
+    ]
+    for args, error, message in cases:
+        with pytest.raises(StructureError) as err:
+            CategoryStructure(*args)
+        assert type(err.value) is error
+        assert str(err.value) == message
 
 
 def test_composable_pairs_and_compose():
