@@ -1,21 +1,25 @@
 """Exact enumeration of the category structures a finite carrier admits.
 
-Two routes compute the same answer.  ``enumerate_structures`` backtracks
-over table entries in a fixed order (levels ascending, keys lexicographic),
-pruning branches as soon as typing, unit, associativity or interchange
-constraints are decided and can never recover.  ``brute_force_oracle``
-iterates the raw assignment space, pruning nothing but untyped vertical
-values; it exists so the search can be checked against an implementation
-too simple to share its bugs.  Both hand each complete assignment to one
-record step, which runs the checkers' own integer scans on it, whatever
-the search pruned.
+Two routes compute the same answer.  Both keep a family of tables as
+entry dicts named (d, j), as ``structures`` names them: the vertical
+tables (j+1, j), levels ascending, then the horizontal ones (j+2, j).
+``enumerate_structures`` backtracks over table entries in that order, keys
+lexicographic, pruning branches as soon as typing, unit, associativity or
+interchange constraints are decided and can never recover.
+``brute_force_oracle`` iterates the raw assignment space, pruning nothing
+but values whose type the carrier alone rules out; it exists so the search
+can be checked against an implementation too simple to share its bugs.
+Both hand each complete assignment to one record step, which runs the
+checkers' own integer scans on it, whatever the search pruned.
 
 The search reads one slot table, built once next to the slot list: each
 slot's entry dict and key, its values and the watches of the constraints
-that read it.  A vertical key's values are the cells typed by its ends,
-narrowed by the unit law under ``unital``, "absent" last in partial mode;
-a horizontal key's depend on vertical entries, so they are read when the
-search reaches it.  The maximal-only filter tries the same values.
+that read it.  A key's values are the cells of its composite's type
+(``_typed_values``), "absent" last in partial mode.  In a table (j+1, j)
+they are built once, narrowed by the unit law under ``unital``; in a table
+(j+2, j) the type reads the table (j+1, j), so they are read when the
+search reaches the key.  The maximal-only filter tries the typed values of
+every absent key.
 
 The search checks associativity only on the triples that read the entry
 (a, b) -> v it has just set, in four roles: (a, b, c) for each c that can
@@ -64,15 +68,16 @@ from .structures import (
     check_interchange,  # noqa: F401
     check_typing,  # noqa: F401
     check_units,  # noqa: F401
-    composable_pairs,
-    composable_triples,  # noqa: F401 - unused here; perfbench's tracer rebinds it
+    composable_pairs,  # noqa: F401 - unused here; perfbench's tracer rebinds it
+    composable_triples,  # noqa: F401
+    composite_type,
     global_scan,
     groupoid_scan,
-    h_composable_pairs,
-    htyping_scan,
+    h_composable_pairs,  # noqa: F401
     interchange_partners,
     interchange_scan,
     neighbours,
+    table_keys,
     typing_scan,
     units_scan,
 )
@@ -151,13 +156,13 @@ def _resolve_levels(G: NGraph, spec: EnumSpec):
 
 def _scans(G: NGraph, flags: AxiomFlags, tables):
     """The checkers' integer scans that the flags request, one per axiom and
-    table, made lazily, on entry dicts keyed by (kind, level) as in the
-    search."""
-    for (kind, j), entries in tables.items():
-        if kind == "v":
-            yield typing_scan(G, j, entries)
-            if flags.global_:
-                yield global_scan(composable_pairs(G, j), entries)
+    table, made lazily, on entry dicts named (d, j) as in the search."""
+    for (d, j), entries in tables.items():
+        yield typing_scan(G, d, j, tables)
+        if flags.global_:
+            yield global_scan(table_keys(G, d, j), entries)
+        if d == j + 1:
+            # the laws of a category at level j
             if (flags.unital or flags.groupoid) and j >= 0:
                 # one unit scan serves both flags; it is the groupoid
                 # precondition, so inverses are scanned only once it passes
@@ -166,12 +171,8 @@ def _scans(G: NGraph, flags: AxiomFlags, tables):
                     yield groupoid_scan(G, j, entries)
             if flags.associative:
                 yield assoc_scan(G, j, entries)
-        else:
-            yield htyping_scan(G, j, entries, tables.get(("v", j), {}))
-            if flags.global_ and ("v", j) in tables:
-                yield global_scan(h_composable_pairs(G, j), entries)
-            if flags.interchange and ("v", j + 1) in tables:
-                yield interchange_scan(G, j, tables["v", j + 1], entries)
+        if flags.interchange and (d, j + 1) in tables:
+            yield interchange_scan(G, j, tables[d, j + 1], entries)
 
 
 def _passes_flags(G: NGraph, flags: AxiomFlags, tables) -> bool:
@@ -184,69 +185,59 @@ def _passes_flags(G: NGraph, flags: AxiomFlags, tables) -> bool:
 def canonical_form(G: NGraph, tables, auts=None) -> bytes:
     """Least image of a table family over the automorphism orbit.
 
-    ``tables`` maps (kind, level) to entry dicts, as the search keeps them.
+    ``tables`` maps names (d, j) to entry dicts, as the search keeps them.
     Each automorphism's image is one sorted list of integers per table,
-    vertical levels ascending, then horizontal: the relabeled entries
-    (a, b) -> v coded as (a*N + b)*N + v, N the number of cells the table
-    composes.  Only the least image is serialized; families on one carrier
-    share it exactly when some automorphism relabels one into the other.
+    tables ascending by (d, j): the relabeled entries (a, b) -> v coded as
+    (a*N + b)*N + v, N the number of d-cells.  Only the least image is
+    serialized; families on one carrier share it exactly when some
+    automorphism relabels one into the other.
     """
     if auts is None:
         auts = automorphisms(G)
-    names = sorted(tables, key=lambda name: (name[0] == "h", name[1]))
-    rows = [(tables[kind, j], j + 1 if kind == "v" else j + 2) for kind, j in names]
+    names = sorted(tables)
+    rows = [(tables[d, j], d, G.count(d)) for d, j in names]
     best = None
     for phi in auts:
         image = []
-        for entries, d in rows:
-            m, n = phi.maps[d], G.count(d)
+        for entries, d, n in rows:
+            m = phi.maps[d]
             image.append(sorted([(m[a] * n + m[b]) * n + m[v] for (a, b), v in entries.items()]))
         if best is None or image < best:
             best = image
-    return repr([(j, kind, codes) for (kind, j), codes in zip(names, best)]).encode()
+    return repr([(d, j, codes) for (d, j), codes in zip(names, best)]).encode()
 
 
 def _structure(G, spec, tables):
-    made = {"v": [], "h": []}
-    for (kind, j), entries in tables.items():
-        made[kind].append((CompTable if kind == "v" else HCompTable)(j, dict(entries)))
-    return CategoryStructure(G, made["v"], made["h"], spec.flags)
+    made = {1: [], 2: []}
+    for (d, j), entries in tables.items():
+        made[d - j].append((j, dict(entries)))
+    return CategoryStructure(G, [CompTable(*t) for t in made[1]],
+                             [HCompTable(*t) for t in made[2]], spec.flags)
 
 
 def _keys(G, levels, h_levels):
-    """The table names and the slot list.  A table is named (kind, level):
-    kind "v" composes (level+1)-cells vertically, "h" (level+2)-cells
-    horizontally; vertical levels ascend first, then horizontal ones.  The
-    slots are every (kind, level, key) in search order, each table's keys
-    in lexicographic order."""
-    names = [("v", j) for j in levels] + [("h", j) for j in h_levels]
-    slots = [(kind, j, key) for kind, j in names for key in sorted(
-        (composable_pairs if kind == "v" else h_composable_pairs)(G, j))]
+    """The table names (d, j), in search order, and the slot list: every
+    (d, j, key) in search order, each table's keys lexicographically."""
+    names = [(j + 1, j) for j in levels] + [(j + 2, j) for j in h_levels]
+    slots = [(d, j, key) for d, j in names for key in table_keys(G, d, j)]
     return names, slots
 
 
-def _h_values(G, tables, slot):
-    """The cells a horizontal slot may take: those typed by the vertical
-    composites of its boundaries, none while either composite is absent."""
-    _kind, j, (a, b) = slot
-    d = j + 2
-    vt = tables["v", j]
-    smap, tmap = G.src_map(d), G.tgt_map(d)
-    want_s = vt.get((smap[a], smap[b]))
-    want_t = vt.get((tmap[a], tmap[b]))
-    if want_s is None or want_t is None:
-        return ()
-    return hom_buckets(G, d).get((want_s, want_t), ())
+def _typed_values(G, tables, d, j, key):
+    """The d-cells key (a, b) of table (d, j) may take, ascending: those of
+    its composite's type as ``tables`` stand, none while it is undecided."""
+    return hom_buckets(G, d).get(composite_type(G, d, j, tables)[key], ())
 
 
 def _slot_table(G, flags, tables, slots):
     """The search's row per slot: (entries, key, values, assoc, exchange).
-    ``values`` is None for a horizontal key (see ``_h_values``); ``assoc``
-    holds a vertical key (a, b)'s preimage index and the cells that can
-    follow b or precede a, ``exchange`` the other table and the quadruples
-    that read the key, each None where its flag is off."""
+    ``values`` is None for a key whose type reads the table below (see
+    ``_typed_values``); ``assoc`` holds, for a key (a, b) of a table
+    (j+1, j), its preimage index and the cells that can follow b or precede
+    a, ``exchange`` the other table and the quadruples that read the key,
+    each None where its flag is off."""
     tail = () if flags.global_ else (None,)
-    preimages = {j: [[] for _ in range(G.count(j + 1))] for kind, j in tables if kind == "v"}
+    preimages = {(d, j): [[] for _ in range(G.count(d))] for d, j in tables if d == j + 1}
     # per table X of an exchange: a quadruple is written from X's side as
     # (p, q, r, s), with X-keys (p, q), (r, s) and keys (p, r), (q, s) of the
     # other table Y: (a, a2, b, b2) for the vertical table, (a, b, a2, b2)
@@ -255,13 +246,12 @@ def _slot_table(G, flags, tables, slots):
     # the boundaries those composites have, (ys[p], yt[r]) and (ys[q], yt[s]),
     # which holds because the search only places typed values
     by_table = {}
-    for j in [j for kind, j in tables if kind == "h" and flags.interchange]:
-        d = j + 2
+    for d, j in [(d, j) for d, j in tables if flags.interchange and (d, j + 1) in tables]:
         quads = [(a, a2, b, b2) for (a, a2), partners in interchange_partners(G, j)
                  for b, b2 in partners]
         for x_name, y_name, side_quads in (
-                (("v", j + 1), ("h", j), quads),
-                (("h", j), ("v", j + 1), [(a, b, a2, b2) for a, a2, b, b2 in quads])):
+                ((d, j + 1), (d, j), quads),
+                ((d, j), (d, j + 1), [(a, b, a2, b2) for a, a2, b, b2 in quads])):
             ys = boundary_map(G, d, y_name[1], SOURCE)
             yt = boundary_map(G, d, y_name[1], TARGET)
             by_key, by_type = {}, {}
@@ -273,50 +263,44 @@ def _slot_table(G, flags, tables, slots):
                 by_type.setdefault((ys[p], yt[r], ys[q], yt[s]), []).append(t)
             by_table[x_name] = (tables[y_name], by_key, by_type, ys, yt)
     rows = []
-    for kind, j, key in slots:
+    for d, j, key in slots:
         a, b = key
         values = assoc = exchange = None
-        if kind == "v":
-            d = j + 1
-            smap, tmap = G.src_map(d), G.tgt_map(d)
-            values = hom_buckets(G, d).get((smap[a], tmap[b]), ())
-            if flags.unital and j >= 0:
-                idn = G.idn_map(j)
+        if (d - 1, j) not in tables:
+            values = _typed_values(G, tables, d, j, key)
+            if flags.unital and d == j + 1 and j >= 0:
+                smap, tmap, idn = G.src_map(d), G.tgt_map(d), G.idn_map(j)
                 if a == idn[smap[a]]:
                     values = (b,) if b in values else ()
                 elif b == idn[tmap[b]]:
                     values = (a,) if a in values else ()
             values += tail
-            if flags.associative:
-                assoc = (preimages[j], neighbours(G, j, SOURCE)[b], neighbours(G, j, TARGET)[a])
-        if (kind, j) in by_table:
-            Y, by_key, by_type, ys, yt = by_table[kind, j]
+        if flags.associative and (d, j) in preimages:
+            assoc = (preimages[d, j], neighbours(G, j, SOURCE)[b], neighbours(G, j, TARGET)[a])
+        if (d, j) in by_table:
+            Y, by_key, by_type, ys, yt = by_table[d, j]
             exchange = (Y, by_key.get(key, ()), by_type.get((ys[a], yt[a], ys[b], yt[b]), ()))
-        rows.append((tables[kind, j], key, values, assoc, exchange))
+        rows.append((tables[d, j], key, values, assoc, exchange))
     return rows
 
 
-def _extensions_exist(G, spec, tables, slots, values):
-    """Whether any single absent entry could be filled while keeping the
-    requested axioms; used for the maximal-only filter.  ``values`` holds a
-    vertical slot's cells (None skipped), None for a horizontal one."""
-    for slot, cells in zip(slots, values):
-        kind, j, key = slot
-        ent = tables[kind, j]
-        if key in ent:
-            continue
-        for v in _h_values(G, tables, slot) if cells is None else cells:
-            if v is None:
+def _extensions_exist(G, spec, tables):
+    """Whether any single absent entry could be filled with a typed value
+    while keeping the requested axioms; used for the maximal-only filter."""
+    for (d, j), ent in tables.items():
+        for key in table_keys(G, d, j):
+            if key in ent:
                 continue
-            ent[key] = v
-            ok = _passes_flags(G, spec.flags, tables)
-            del ent[key]
-            if ok:
-                return True
+            for v in _typed_values(G, tables, d, j, key):
+                ent[key] = v
+                ok = _passes_flags(G, spec.flags, tables)
+                del ent[key]
+                if ok:
+                    return True
     return False
 
 
-def _recorder(G, spec, result, slots, values):
+def _recorder(G, spec, result):
     """The record step both routes share.  The returned function takes one
     complete assignment; when it passes the flags (and, in maximal-only
     mode, admits no single-entry extension) it is tallied raw and by
@@ -328,7 +312,7 @@ def _recorder(G, spec, result, slots, values):
     def record(tables):
         result.records += 1
         if not _passes_flags(G, spec.flags, tables) or (
-                maximal and _extensions_exist(G, spec, tables, slots, values)):
+                maximal and _extensions_exist(G, spec, tables)):
             result.rejected_at_record += 1
             return
         result.raw_count += 1
@@ -357,7 +341,7 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
     tables = {name: {} for name in names}
     rows = _slot_table(G, flags, tables, slots)
     result = EnumResult(0, 0, [], True)
-    record = _recorder(G, spec, result, slots, [row[2] for row in rows])
+    record = _recorder(G, spec, result)
     tail = () if flags.global_ else (None,)
 
     def assoc_ok(ent, key, v, watch):
@@ -426,7 +410,7 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
         ent, key, values, assoc, exchange = rows[pos]
         if pos == len(stack):
             stack.append(iter(values if values is not None
-                              else _h_values(G, tables, slots[pos]) + tail))
+                              else _typed_values(G, tables, *slots[pos]) + tail))
         old = ent.pop(key, None)
         if old is not None and assoc is not None:
             assoc[0][old].pop()
@@ -460,38 +444,36 @@ def brute_force_oracle(G: NGraph, spec: EnumSpec = EnumSpec(), space_bound: int 
     """Unpruned reference count over the raw assignment space.
 
     Every key ranges over every cell of the right dimension (plus "absent"
-    in partial mode), a vertical key only those its ends type in the raw
-    maps; each full assignment is filtered through the axiom checkers.  The
+    in partial mode); a key whose composite's type reads no other table,
+    as in a table (j+1, j), only over the cells of that type in the raw
+    maps.  Each full assignment is filtered through the axiom checkers.  The
     assignment space, every cell counted, must fit under ``space_bound``.
     """
     levels, h_levels = _resolve_levels(G, spec)
     start = time.monotonic()
     names, slots = _keys(G, levels, h_levels)
 
-    # the typed cells of each vertical key are also its extension values in
-    # the maximal filter; a horizontal key has None there, as in the search
     tail = () if spec.flags.global_ else (None,)
-    space, domains, values = 1, [], []
-    for kind, j, (a, b) in slots:
-        d = j + 1 if kind == "v" else j + 2
+    space, domains = 1, []
+    for d, j, key in slots:
         space *= G.count(d) + len(tail)
         if space > space_bound:
             raise SpaceTooLarge(f"assignment space exceeds {space_bound}")
         cells = tuple(range(G.count(d)))
-        if kind == "v":
+        if (d - 1, j) not in names:
+            want = composite_type(G, d, j, {})[key]
             smap, tmap = G.src_map(d), G.tgt_map(d)
-            cells = tuple(v for v in cells if smap[v] == smap[a] and tmap[v] == tmap[b])
-        values.append(cells if kind == "v" else None)
+            cells = tuple(v for v in cells if (smap[v], tmap[v]) == want)
         domains.append(cells + tail)
 
     result = EnumResult(0, 0, [], True)
-    record = _recorder(G, spec, result, slots, values)
+    record = _recorder(G, spec, result)
 
     for combo in itertools.product(*domains):
         tables = {name: {} for name in names}
-        for (kind, j, key), value in zip(slots, combo):
+        for (d, j, key), value in zip(slots, combo):
             if value is not None:
-                tables[kind, j][key] = value
+                tables[d, j][key] = value
         record(tables)
 
     result.iso_count = len(result.canonical_counts)

@@ -53,9 +53,7 @@ class SpaceTooLarge(GraphError):
 class GraphValidationError(GraphError):
     def __init__(self, issues):
         self.issues = list(issues)
-        lines = "; ".join(str(i) for i in self.issues[:5])
-        more = "" if len(self.issues) <= 5 else f" (+{len(self.issues) - 5} more)"
-        super().__init__(f"invalid graph: {lines}{more}")
+        super().__init__(f"invalid graph: {ValidationReport(self.issues)}")
 
 
 @dataclass(frozen=True, order=True)
@@ -97,6 +95,12 @@ class ValidationReport:
 
     def __bool__(self):
         return self.ok
+
+    def __str__(self):
+        """The first five issues, joined with "; ", and how many more."""
+        lines = "; ".join(str(i) for i in self.issues[:5])
+        more = "" if len(self.issues) <= 5 else f" (+{len(self.issues) - 5} more)"
+        return lines + more
 
 
 @dataclass(frozen=True)

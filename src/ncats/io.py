@@ -38,6 +38,9 @@ HORIZONTAL = "horizontal"
 MINUS_ONE = "minus-one"
 CO = "co"
 _KIND_ORDER = {MINUS_ONE: 0, VERTICAL: 1, HORIZONTAL: 2, CO: 3}
+# a table of each kind at level j holds (j + offset)-cells: the vertical
+# ones are the tables (j+1, j) of ``structures``, the horizontal ones (j+2, j)
+_OFFSET = {MINUS_ONE: 1, VERTICAL: 1, HORIZONTAL: 2, CO: 1}
 
 _TOP_KEYS = {"format_version", "n", "tail", "dims", "identities", "tables",
              "flags", "morphisms", "transformations", "modifications"}
@@ -148,7 +151,7 @@ class GraphDocument:
         for t in self._tables({VERTICAL, MINUS_ONE, HORIZONTAL}):
             j = t["level"]
             table = HCompTable if t["kind"] == HORIZONTAL else CompTable
-            d = j + 2 if table is HCompTable else j + 1
+            d = j + _OFFSET[t["kind"]]
             entries = {}
             for a, b, v in t["entries"]:
                 key = (self.index_of(d, a, "table"), self.index_of(d, b, "table"))
@@ -284,7 +287,7 @@ def _check_entries(t, ids_by_dim, n):
               HORIZONTAL: (0, n - 2), CO: (0, n - 1)}[kind]
     _expect(lo <= level <= hi, f"{kind} table level {level} outside {lo}..{hi}")
     width = 4 if kind == CO else 3
-    value_dim = level + 2 if kind == HORIZONTAL else level + 1
+    value_dim = level + _OFFSET[kind]
     raw = t.get("entries", [])
     _expect(isinstance(raw, list), f"{kind} table entries must be a list")
     entries = []
@@ -456,14 +459,11 @@ def build_document(G: NGraph, vtables=(), htables=(), cotables=(),
             "dims": dims, "identities": identities}
 
     tables = []
-    for t in vtables:
-        d = t.level + 1
-        kind = MINUS_ONE if t.level == -1 else VERTICAL
+    named = [(MINUS_ONE if t.level == -1 else VERTICAL, t) for t in vtables]
+    named += [(HORIZONTAL, t) for t in htables]
+    for kind, t in named:
+        d = t.level + _OFFSET[kind]
         tables.append({"kind": kind, "level": t.level, "entries": sorted(
-            [ids[d][a], ids[d][b], ids[d][v]] for (a, b), v in t.entries.items())})
-    for t in htables:
-        d = t.level + 2
-        tables.append({"kind": HORIZONTAL, "level": t.level, "entries": sorted(
             [ids[d][a], ids[d][b], ids[d][v]] for (a, b), v in t.entries.items())})
     for t in cotables:
         d = t.level + 1

@@ -1,11 +1,15 @@
 """Composition tables over an n-graph and the axiom checkers that decide
 whether a candidate assignment is a category structure.
 
-A vertical table at level j composes (j+1)-cells end to end; level -1 is
-the product of 0-cells and is only allowed on a monoidal carrier.  A
-horizontal table at level j composes (j+2)-cells side by side along their
-dimension-j boundaries.  All table entries are written in diagrammatic
-order: the key (a, b) means "a first, then b".
+A table (d, j) composes d-cells along their dimension-j boundaries, and
+one rule covers every table.  Its keys are the pairs (a, b) whose
+j-boundaries meet (``table_keys``).  A composite runs from src a to tgt b
+when d = j+1; otherwise its source and target are the (d-1, j) composites
+of the two sources and of the two targets (``composite_type``).  The
+vertical table at level j is (j+1, j), kept in ``vtables``; the horizontal
+one is (j+2, j), kept in ``htables``.  Level -1 is only allowed on a
+monoidal carrier.  Entries are written in diagrammatic order: the key
+(a, b) means "a first, then b".
 
 Checkers never raise on a bad table; they return a report whose checks
 carry one verdict each (pass, fail, or not-applicable) plus explicit
@@ -15,6 +19,7 @@ counterexamples, so a caller can tell exactly which axiom broke and where.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .graphs import (
     SOURCE,
@@ -157,11 +162,54 @@ def _single(axiom, level, verdict, counterexamples=None, asymmetric=None, notes=
     )])
 
 
+@per_carrier
+def table_keys(G: NGraph, d: int, j: int):
+    """The keys of table (d, j), lexicographically, as a tuple computed once
+    per carrier: the pairs (a, b) of d-cells with tgt_j a == src_j b."""
+    after = boundary_fibers(G, d, j, SOURCE)
+    return tuple((a, b) for a, t in enumerate(boundary_map(G, d, j, TARGET))
+                 for b in after.get(t, ()))
+
+
+@per_carrier
+def _end_types(G: NGraph, d: int, j: int):
+    """(src a, tgt b) for every key (a, b) of a table (d, j) with d = j+1."""
+    smap, tmap = G.src_map(d), G.tgt_map(d)
+    return MappingProxyType({(a, b): (smap[a], tmap[b]) for a, b in table_keys(G, d, j)})
+
+
+class _Composites:
+    """The types of the keys of a table (d, j) with d > j+1, read through
+    the entries ``below`` of table (d-1, j) as they stand."""
+
+    def __init__(self, G: NGraph, d: int, below):
+        self.smap, self.tmap, self.get = G.src_map(d), G.tgt_map(d), below.get
+
+    def __getitem__(self, key):
+        a, b = key
+        smap, tmap, get = self.smap, self.tmap, self.get
+        s, t = get((smap[a], smap[b])), get((tmap[a], tmap[b]))
+        return None if s is None or t is None else (s, t)
+
+
+def composite_type(G: NGraph, d: int, j: int, tables):
+    """The typing rule of table (d, j) in the family ``tables`` (entry
+    dicts named (d, j)), read by key: ``types[a, b]`` is the (source,
+    target) pair of (d-1)-cells the composite of (a, b) must have.
+
+    At d = j+1 the composite runs from src a to tgt b.  Above that its
+    source is the (d-1, j) composite of the two sources and its target that
+    of the two targets, read in table (d-1, j) as it stands at each lookup;
+    the type is None while either is absent.  This is the one place that
+    tells the two cases apart.
+    """
+    if d == j + 1:
+        return _end_types(G, d, j)
+    return _Composites(G, d, tables.get((d - 1, j), {}))
+
+
 def composable(G: NGraph, j: int, a: int, b: int) -> bool:
-    """Whether the level-j key (a, b) is admissible: ends must meet, except
-    at level -1 where every ordered pair of 0-cells is a key."""
-    if j == -1:
-        return True
+    """Whether (a, b) is a key of the vertical table at level j."""
     return G.tgt_map(j + 1)[a] == G.src_map(j + 1)[b]
 
 
@@ -171,44 +219,26 @@ def neighbours(G: NGraph, j: int, side: str):
     a at level j: with SOURCE the cells that can follow a, with TARGET those
     that can precede it."""
     d = j + 1
-    cells = range(G.count(d))
-    if j == -1:
-        return (cells,) * len(cells)
     fibers = boundary_fibers(G, d, j, side)
     ends = G.tgt_map(d) if side == SOURCE else G.src_map(d)
     return tuple(fibers.get(e, ()) for e in ends)
 
 
-@per_carrier
 def composable_pairs(G: NGraph, j: int):
-    """All admissible level-j keys, lexicographically, as a tuple computed
-    once per carrier."""
-    after = neighbours(G, j, SOURCE)
-    return tuple((a, b) for a, nxt in enumerate(after) for b in nxt)
-
-
-def _walk_triples(G: NGraph, j: int):
-    after = neighbours(G, j, SOURCE)
-    for a, nxt in enumerate(after):
-        for b in nxt:
-            for c in after[b]:
-                yield a, b, c
+    """The keys of the vertical table at level j, the table (j+1, j)."""
+    return table_keys(G, j + 1, j)
 
 
 def composable_triples(G: NGraph, j: int):
     """All composable level-j triples, lexicographically.  Rebuilt on every
     call: the list grows with the cube of the cell count."""
-    return list(_walk_triples(G, j))
+    after = neighbours(G, j, SOURCE)
+    return [(a, b, c) for a, nxt in enumerate(after) for b in nxt for c in after[b]]
 
 
-@per_carrier
 def h_composable_pairs(G: NGraph, j: int):
-    """All level-j horizontal keys, lexicographically, as a tuple computed
-    once per carrier: (j+2)-cells whose dimension-j boundaries meet."""
-    d = j + 2
-    after = boundary_fibers(G, d, j, SOURCE)
-    return tuple((a, b) for a, t in enumerate(boundary_map(G, d, j, TARGET))
-                 for b in after.get(t, ()))
+    """The keys of the horizontal table at level j, the table (j+2, j)."""
+    return table_keys(G, j + 2, j)
 
 
 @per_carrier
@@ -245,55 +275,47 @@ class CategoryStructure:
         self.flags = flags
         self.vtables: dict[int, CompTable] = {}
         self.htables: dict[int, HCompTable] = {}
-        for t in vtables.values() if isinstance(vtables, dict) else vtables:
-            if not -1 <= t.level <= graph.n - 1:
-                raise NoTableAtLevel(f"vertical level {t.level} outside -1..{graph.n - 1}")
-            if t.level == -1 and not is_monoidal_carrier(graph):
-                raise NoTableAtLevel("level -1 table needs a single (-1)-cell")
-            if t.level in self.vtables:
-                raise StructureError(f"duplicate vertical table at level {t.level}")
-            d = t.level + 1
-            cnt = graph.count(d)
-            # at level -1 the carrier is monoidal: every 0-cell runs from
-            # and to the one (-1)-cell, so every key meets
-            tmap, smap = graph.tgt_map(d), graph.src_map(d)
-            for (a, b), v in t.entries.items():
-                if not (0 <= a < cnt and 0 <= b < cnt and 0 <= v < cnt):
-                    raise StructureError(f"level {t.level} entry ({a}, {b}) -> {v} out of range")
-                if tmap[a] != smap[b]:
-                    raise NotComposable(f"level {t.level} key ({a}, {b}) is not composable")
-            self.vtables[t.level] = t
-        for t in htables.values() if isinstance(htables, dict) else htables:
-            if not 0 <= t.level <= graph.n - 2:
-                raise NoTableAtLevel(f"horizontal level {t.level} outside 0..{graph.n - 2}")
-            if t.level in self.htables:
-                raise StructureError(f"duplicate horizontal table at level {t.level}")
-            d = t.level + 2
-            cnt = graph.count(d)
-            outer_t = boundary_map(graph, d, t.level, TARGET)
-            outer_s = boundary_map(graph, d, t.level, SOURCE)
-            for (a, b), v in t.entries.items():
-                if not (0 <= a < cnt and 0 <= b < cnt and 0 <= v < cnt):
-                    raise StructureError(f"horizontal level {t.level} entry ({a}, {b}) -> {v} out of range")
-                if outer_t[a] != outer_s[b]:
-                    raise NotComposable(f"horizontal level {t.level} key ({a}, {b}) shares no boundary")
-            self.htables[t.level] = t
+        # a table at level j composes (j + offset)-cells; the lowest level
+        # is offset - 2, and level -1 needs a monoidal carrier
+        for offset, given, kept, kind, prefix, unmet in (
+                (1, vtables, self.vtables, "vertical", "", "is not composable"),
+                (2, htables, self.htables, "horizontal", "horizontal ", "shares no boundary")):
+            for t in given.values() if isinstance(given, dict) else given:
+                j, d = t.level, t.level + offset
+                if not offset - 2 <= j <= graph.n - offset:
+                    raise NoTableAtLevel(f"{kind} level {j} outside {offset - 2}..{graph.n - offset}")
+                if j == -1 and not is_monoidal_carrier(graph):
+                    raise NoTableAtLevel("level -1 table needs a single (-1)-cell")
+                if j in kept:
+                    raise StructureError(f"duplicate {kind} table at level {j}")
+                cnt = graph.count(d)
+                tmap, smap = boundary_map(graph, d, j, TARGET), boundary_map(graph, d, j, SOURCE)
+                for (a, b), v in t.entries.items():
+                    if not (0 <= a < cnt and 0 <= b < cnt and 0 <= v < cnt):
+                        raise StructureError(f"{prefix}level {j} entry ({a}, {b}) -> {v} out of range")
+                    if tmap[a] != smap[b]:
+                        raise NotComposable(f"{prefix}level {j} key ({a}, {b}) {unmet}")
+                kept[j] = t
 
     def __eq__(self, other):
         return (
             isinstance(other, CategoryStructure)
             and self.graph == other.graph
             and self.flags == other.flags
-            and {j: t.entries for j, t in self.vtables.items()}
-            == {j: t.entries for j, t in other.vtables.items()}
-            and {j: t.entries for j, t in self.htables.items()}
-            == {j: t.entries for j, t in other.htables.items()}
+            and named_tables(self) == named_tables(other)
         )
 
     def __repr__(self):
         vs = {j: len(t.entries) for j, t in sorted(self.vtables.items())}
         hs = {j: len(t.entries) for j, t in sorted(self.htables.items())}
         return f"CategoryStructure(vertical {vs}, horizontal {hs}, flags {self.flags.names()})"
+
+
+def named_tables(S: CategoryStructure) -> dict:
+    """The entry dicts of ``S`` named (d, j): the vertical tables (j+1, j),
+    levels ascending, then the horizontal tables (j+2, j)."""
+    return {**{(j + 1, j): t.entries for j, t in sorted(S.vtables.items())},
+            **{(j + 2, j): t.entries for j, t in sorted(S.htables.items())}}
 
 
 def compose(S: CategoryStructure, a: CellId, b: CellId, j: int) -> CellId:
@@ -319,30 +341,17 @@ def compose(S: CategoryStructure, a: CellId, b: CellId, j: int) -> CellId:
 # asks whether a scan yields anything, so it stops at the first violation.
 
 
-def typing_scan(G: NGraph, j: int, entries):
-    """Vertical level-j entries that leave the hom-set spanned by their
-    key, as (a, b, v), in stored order."""
-    d = j + 1
+def typing_scan(G: NGraph, d: int, j: int, tables):
+    """Entries of table (d, j) in the family ``tables`` whose value does not
+    have the type of their composite (see ``composite_type``), as
+    (a, b, v, want) in stored order; ``want`` is that type, None when it is
+    undecided."""
     smap, tmap = G.src_map(d), G.tgt_map(d)
-    for (a, b), v in entries.items():
-        if smap[v] != smap[a] or tmap[v] != tmap[b]:
-            yield a, b, v
-
-
-def htyping_scan(G: NGraph, j: int, entries, ventries):
-    """Horizontal level-j entries not typed by the vertical composites of
-    their boundaries in ``ventries`` (the vertical entries at level j), as
-    (a, b, v, want_s, want_t) in stored order; the wanted boundaries are
-    None when either composite is missing."""
-    d = j + 2
-    smap, tmap = G.src_map(d), G.tgt_map(d)
-    for (a, b), v in entries.items():
-        want_s = ventries.get((smap[a], smap[b]))
-        want_t = ventries.get((tmap[a], tmap[b]))
-        if want_s is None or want_t is None:
-            yield a, b, v, None, None
-        elif smap[v] != want_s or tmap[v] != want_t:
-            yield a, b, v, want_s, want_t
+    types = composite_type(G, d, j, tables)
+    for key, v in tables[d, j].items():
+        want = types[key]
+        if want is None or want[0] != smap[v] or want[1] != tmap[v]:
+            yield key[0], key[1], v, want
 
 
 def global_scan(keys, entries):
@@ -443,39 +452,30 @@ def groupoid_scan(G: NGraph, j: int, entries):
 # -- the checkers: the scans' violations as counterexamples -----------------
 
 def check_typing(S: CategoryStructure) -> AxiomReport:
-    """Every entry must land in the hom-set spanned by its key.
+    """Every entry must land in the hom-set its composite's type spans.
 
     Horizontal values are typed through the vertical table at the same
     level; a missing vertical composite makes the entry untypeable.
     """
     checks = []
     G = S.graph
+    tables = named_tables(S)
     # the scans yield entries as stored; the counterexamples are put in key
     # order
-    for j in sorted(S.vtables):
-        d = j + 1
-        smap, tmap = G.src_map(d), G.tgt_map(d)
-        bad = [Counterexample("typing", (CellId(d, a), CellId(d, b)),
-                              expected=(CellId(d - 1, smap[a]), CellId(d - 1, tmap[b])),
-                              actual=CellId(d, v))
-               for a, b, v in sorted(typing_scan(G, j, S.vtables[j].entries))]
-        checks.append(AxiomCheck("typing", j, FAIL if bad else PASS, bad))
-    for j in sorted(S.htables):
-        d = j + 2
-        vt = S.vtables.get(j)
+    for d, j in tables:
         bad = []
-        for a, b, v, want_s, want_t in sorted(
-                htyping_scan(G, j, S.htables[j].entries, vt.entries if vt else {})):
+        for a, b, v, want in sorted(typing_scan(G, d, j, tables)):
             cells = (CellId(d, a), CellId(d, b))
-            if want_s is None:
+            if want is None:
                 bad.append(Counterexample("untypeable", cells,
                                           expected="vertical composite of the boundaries",
                                           actual=CellId(d, v)))
             else:
                 bad.append(Counterexample("typing", cells,
-                                          expected=(CellId(d - 1, want_s), CellId(d - 1, want_t)),
+                                          expected=(CellId(d - 1, want[0]), CellId(d - 1, want[1])),
                                           actual=CellId(d, v)))
-        checks.append(AxiomCheck("typing-horizontal", j, FAIL if bad else PASS, bad))
+        axiom = "typing" if d == j + 1 else "typing-horizontal"
+        checks.append(AxiomCheck(axiom, j, FAIL if bad else PASS, bad))
     return AxiomReport(checks)
 
 
@@ -483,15 +483,13 @@ def check_global(S: CategoryStructure, j: int) -> AxiomReport:
     """Totality at level j: every composable key has an entry."""
     if j not in S.vtables:
         raise NoTableAtLevel(f"no vertical table at level {j}")
-    G = S.graph
-    d = j + 1
-    bad = [Counterexample("missing", (CellId(d, a), CellId(d, b)))
-           for a, b in global_scan(composable_pairs(G, j), S.vtables[j].entries)]
-    checks = [AxiomCheck("global", j, FAIL if bad else PASS, bad)]
-    if j in S.htables:
-        hbad = [Counterexample("missing", (CellId(j + 2, a), CellId(j + 2, b)))
-                for a, b in global_scan(h_composable_pairs(G, j), S.htables[j].entries)]
-        checks.append(AxiomCheck("global-horizontal", j, FAIL if hbad else PASS, hbad))
+    checks = []
+    for d, t in ((j + 1, S.vtables[j]), (j + 2, S.htables.get(j))):
+        if t is not None:
+            bad = [Counterexample("missing", (CellId(d, a), CellId(d, b)))
+                   for a, b in global_scan(table_keys(S.graph, d, j), t.entries)]
+            axiom = "global" if d == j + 1 else "global-horizontal"
+            checks.append(AxiomCheck(axiom, j, FAIL if bad else PASS, bad))
     return AxiomReport(checks)
 
 

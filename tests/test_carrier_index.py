@@ -6,9 +6,11 @@ import random
 import pytest
 
 from ncats import (
+    AxiomFlags,
     CategoryStructure,
     CellId,
     CompTable,
+    EnumSpec,
     HCompTable,
     NGraph,
     build_cat_of_cats,
@@ -22,9 +24,16 @@ from ncats import (
 )
 from ncats.cobordism import build_cob_truncation, gen_sets_graph
 from ncats.graphs import SOURCE, TARGET, BadLevel, boundary_map, hom_buckets
-from ncats.structures import NotComposable, composable, composable_triples, neighbours
+from ncats import enumeration
+from ncats.structures import (
+    NotComposable,
+    composable,
+    composable_triples,
+    neighbours,
+    table_keys,
+)
 
-from util import loops_graph, random_graph, z2_structure
+from util import loops_graph, parallel_pair_graph, random_graph, z2_structure
 
 
 def carriers():
@@ -225,3 +234,69 @@ def test_interchange_rewrites_match_naive_reference():
         assert [(c.kind, c.cells) for c in check.asymmetric] == lopsided
         found += len(bad) + len(lopsided)
     assert found > 0
+
+
+def one_rule_carriers():
+    rng = random.Random(11)
+    return [loops_graph(3), parallel_pair_graph(),
+            build_cat_of_cats([z2_structure()[1]], depth=3)[0]] + [
+        random_graph(rng, n=2, max_cells=3) for _ in range(40)]
+
+
+def naive_keys(G, d, j):
+    """The pairs of d-cells whose j-boundaries meet, walking cell by cell."""
+    cells = [CellId(d, i) for i in range(G.count(d))]
+    return [(a.index, b.index) for a in cells for b in cells
+            if walk(G, a, j, TARGET) == walk(G, b, j, SOURCE)]
+
+
+def naive_hom(G, want):
+    """The indices of the cells typed (x, y), for ``want`` = (x, y)."""
+    d = want[0].dim + 1
+    cells = [CellId(d, i) for i in range(G.count(d))]
+    return tuple(z.index for z in cells if (G.src(z), G.tgt(z)) == want)
+
+
+def test_every_table_has_the_keys_whose_boundaries_meet():
+    """One rule gives the keys of every table (j+1, j) and (j+2, j), and the
+    vertical and horizontal key lists are those tables' keys."""
+    for G in one_rule_carriers():
+        for j in range(-1, G.n):
+            for d in range(j + 1, min(j + 2, G.n) + 1):
+                assert list(table_keys(G, d, j)) == naive_keys(G, d, j), (d, j)
+            assert list(composable_pairs(G, j)) == naive_keys(G, j + 1, j)
+        for j in range(G.n - 1):
+            assert list(h_composable_pairs(G, j)) == naive_keys(G, j + 2, j)
+
+
+def test_search_values_are_the_hom_set_of_the_composite_type():
+    """At every slot the search tries the cells of its composite's type,
+    then "absent": (src a, tgt b) in a table (j+1, j), and in a table
+    (j+2, j) the vertical composites of the two sources and of the two
+    targets, read from randomly filled vertical tables."""
+    rng = random.Random(12)
+    decided = 0
+    for G in one_rule_carriers():
+        sp = EnumSpec(include_horizontal=True)
+        names, slots = enumeration._keys(G, *enumeration._resolve_levels(G, sp))
+        tables = {name: {} for name in names}
+        for d, j, (a, b) in slots:
+            typed = naive_hom(G, (G.src(CellId(d, a)), G.tgt(CellId(d, b)))) if d == j + 1 else ()
+            if typed and rng.random() < 0.7:
+                tables[d, j][(a, b)] = rng.choice(typed)
+        rows = enumeration._slot_table(G, AxiomFlags(), tables, slots)
+        for (d, j, key), row in zip(slots, rows):
+            A, B = CellId(d, key[0]), CellId(d, key[1])
+            if d == j + 1:
+                want = (G.src(A), G.tgt(B))
+            else:
+                below = tables[d - 1, j]
+                s = below.get((G.src(A).index, G.src(B).index))
+                t = below.get((G.tgt(A).index, G.tgt(B).index))
+                want = None if s is None or t is None else (CellId(d - 1, s), CellId(d - 1, t))
+                decided += want is not None
+            values = row[2]
+            if values is None:
+                values = enumeration._typed_values(G, tables, d, j, key) + (None,)
+            assert values == (() if want is None else naive_hom(G, want)) + (None,), (d, j, key)
+    assert decided > 0

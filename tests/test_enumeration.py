@@ -88,8 +88,9 @@ def test_oracle_agreement_partial_mode():
     slow = brute_force_oracle(G, spec())
     assert fast.raw_count == slow.raw_count == 81
     assert fast.canonical_counts == slow.canonical_counts
-    # the search's maximal filter tries the unit-narrowed values; on three
-    # loops each oracle run takes seconds, so two identity positions serve
+    # the search tries unit-narrowed values, its maximal filter every typed
+    # value; on three loops each oracle run takes seconds, so two identity
+    # positions serve
     unital, monoid = AxiomFlags(unital=True), AxiomFlags(unital=True, associative=True)
     cases = [(G, flags) for G in (loops_graph(2), parallel_pair_graph())
              for flags in (AxiomFlags(), AxiomFlags(associative=True), unital, monoid)]
@@ -120,9 +121,9 @@ def test_representative_structures_satisfy_the_request():
 
 
 def _tables_of(S):
-    """A structure's tables in the record step's form, keyed (kind, level)."""
-    return {**{("v", j): t.entries for j, t in S.vtables.items()},
-            **{("h", j): t.entries for j, t in S.htables.items()}}
+    """A structure's tables in the record step's form, named (d, j)."""
+    return {**{(j + 1, j): t.entries for j, t in S.vtables.items()},
+            **{(j + 2, j): t.entries for j, t in S.htables.items()}}
 
 
 def test_canonical_form_is_orbit_invariant():
@@ -142,10 +143,9 @@ def test_canonical_form_is_orbit_invariant():
         for S, form in zip(res.representatives, forms):
             assert canonical_form(G, dict(reversed(_tables_of(S).items()))) == form
             for phi in auts:
-                image = {(kind, j): {(phi.maps[d][a], phi.maps[d][b]): phi.maps[d][v]
-                                     for (a, b), v in entries.items()}
-                         for (kind, j), entries in _tables_of(S).items()
-                         for d in [j + 1 if kind == "v" else j + 2]}
+                image = {(d, j): {(phi.maps[d][a], phi.maps[d][b]): phi.maps[d][v]
+                                  for (a, b), v in entries.items()}
+                         for (d, j), entries in _tables_of(S).items()}
                 assert canonical_form(G, image, auts) == form
 
 
@@ -331,23 +331,21 @@ def _assignments(G, sp, rng, count):
     the later axioms get a say."""
     names, slots = enumeration._keys(G, *enumeration._resolve_levels(G, sp))
     if count is None:
-        cells = [tuple(range(G.count(j + 1 if kind == "v" else j + 2))) + (None,)
-                 for kind, j, _key in slots]
+        cells = [tuple(range(G.count(d))) + (None,) for d, _j, _key in slots]
         combos = itertools.product(*cells)
     else:
         combos = (None for _ in range(count))
     for combo in combos:
         tables = {name: {} for name in names}
-        for pos, (kind, j, (a, b)) in enumerate(slots):
+        for pos, (d, j, (a, b)) in enumerate(slots):
             if combo is not None:
                 value = combo[pos]
             else:
-                d = j + 1 if kind == "v" else j + 2
                 smap, tmap = G.src_map(d), G.tgt_map(d)
-                if kind == "v":
+                if d == j + 1:
                     typ = (smap[a], tmap[b])
                 else:
-                    vt = tables["v", j]
+                    vt = tables[j + 1, j]
                     typ = (vt.get((smap[a], smap[b])), vt.get((tmap[a], tmap[b])))
                 typed = hom_buckets(G, d).get(typ, ())
                 r = rng.random()
@@ -358,7 +356,7 @@ def _assignments(G, sp, rng, count):
                 else:
                     value = rng.choice(typed)
             if value is not None:
-                tables[kind, j][(a, b)] = value
+                tables[d, j][(a, b)] = value
         yield tables
 
 

@@ -320,6 +320,28 @@ def test_named_section_errors_are_pinned():
         assert str(err.value) == message
 
 
+def test_invalid_carrier_message_lists_the_issues():
+    """A structure on an invalid carrier names each issue, as
+    ``GraphValidationError`` does, not the report object."""
+    raw = {
+        "format_version": "1",
+        "n": 1,
+        "tail": {"minus_one": 1},
+        "dims": [
+            [{"id": "x", "src": 0, "tgt": 0}, {"id": "y", "src": 0, "tgt": 0}],
+            [{"id": "f", "src": "x", "tgt": "y"}, {"id": "g", "src": "y", "tgt": "y"}],
+        ],
+        "identities": [{"x": "f", "y": "g"}],
+    }
+    doc = parse(json.dumps(raw))
+    with pytest.raises(ParseError) as err:
+        doc.structure()
+    message = str(err.value)
+    assert message.startswith("carrier is invalid: SectionViolation at 0#0: ")
+    assert "ValidationReport(" not in message
+    assert message == "carrier is invalid: " + "; ".join(str(i) for i in doc.graph().issues[:5])
+
+
 def test_load_document_from_path_and_stream(tmp_path):
     target = tmp_path / "g.json"
     data = serialize(parse(json.dumps(MINIMAL)))
