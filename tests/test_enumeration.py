@@ -28,6 +28,7 @@ from util import (
     loops_graph,
     parallel_pair_graph,
     random_graph,
+    relabeled,
     z2_structure,
 )
 
@@ -218,12 +219,18 @@ def test_horizontal_search_on_skeletal_two_graph():
 
 # search nodes per random 2-graph seed and flag set, frozen from the search
 # that rescanned every quadruple at every node; partial and maximal-only
-# mode visit the same nodes.  Seed 67 is the carrier where interchange
-# prunes: 5278 partial tables with {interchange}, 6642 without.
+# mode visit the same nodes.  Seed 67 is a carrier where interchange
+# prunes: 5278 partial tables with {interchange}, 6642 without.  So are the
+# two-2-cell-level carriers of seeds 7 and 47 ({global} alone: 580 and 529
+# nodes, 256 tables; {global, unital, associative}: 76 and 70 nodes, 32
+# tables), pinned in total mode only: partial mode has 663,552 raw
+# assignments there.
 INTERCHANGE_NODES = {
     2: {"i": 12, "gi": 3, "ai": 12, "guai": 3},
     23: {"i": 90, "gi": 6, "ai": 90, "guai": 6},
     67: {"i": 9518, "gi": 369, "ai": 7840, "guai": 44},
+    7: {"gi": 428, "guai": 51},
+    47: {"gi": 387, "guai": 48},
 }
 INTERCHANGE_FLAGS = {
     "i": AxiomFlags(interchange=True),
@@ -240,15 +247,17 @@ def test_interchange_search_matches_oracle():
     nodes."""
     for seed, nodes in INTERCHANGE_NODES.items():
         G = random_graph(random.Random(seed), n=2, max_cells=3)
-        for name, flags in INTERCHANGE_FLAGS.items():
+        for name, pinned in nodes.items():
             for maximal in (False, True):
-                sp = spec(flags, include_horizontal=True, maximal_only=maximal)
+                sp = spec(INTERCHANGE_FLAGS[name], include_horizontal=True, maximal_only=maximal)
                 fast = enumerate_structures(G, sp)
-                slow = brute_force_oracle(G, sp, space_bound=2 * 10 ** 4)
+                # the bound counts every cell of each key's dimension; the
+                # oracle runs only the typed ones (3888 at seeds 7 and 47)
+                slow = brute_force_oracle(G, sp, space_bound=3 * 10 ** 5)
                 assert fast.exhausted
                 assert fast.raw_count == slow.raw_count
                 assert fast.canonical_counts == slow.canonical_counts
-                assert fast.nodes == nodes[name], (seed, name, maximal)
+                assert fast.nodes == pinned, (seed, name, maximal)
 
 
 def _loops_with_identity_at(k, r):
@@ -295,6 +304,25 @@ def test_two_categories_on_the_cat_of_cats_carrier():
     res = enumerate_structures(G, spec(TWO_CATEGORY, include_horizontal=True))
     assert (res.exhausted, res.raw_count, res.iso_count, res.nodes) == (True, 2098, 2098, 13282)
     assert (res.records, res.rejected_at_record) == (2098, 0)
+
+
+# relabelings of the cat-of-one-Z2 carrier (one 0-cell, two 1-cells, four
+# 2-cells), one permutation per dimension, with their (nodes, records, raw,
+# iso) under TWO_CATEGORY: relabeling reorders the slots, so each visits its
+# own nodes, but the answer is the same
+RELABELED_NODES = [
+    ([[0], [1, 0], [2, 3, 1, 0]], (13557, 2098, 2098, 2098)),
+    ([[0], [1, 0], [2, 1, 3, 0]], (23945, 2098, 2098, 2098)),
+    ([[0], [0, 1], [1, 0, 3, 2]], (16126, 2098, 2098, 2098)),
+]
+
+
+def test_two_categories_on_relabeled_carriers():
+    G = build_cat_of_cats([z2_structure()[1]], depth=2)[0]
+    for perms, pinned in RELABELED_NODES:
+        res = enumerate_structures(relabeled(G, perms), spec(TWO_CATEGORY, include_horizontal=True))
+        assert res.exhausted
+        assert (res.nodes, res.records, res.raw_count, res.iso_count) == pinned, perms
 
 
 def test_record_counters():

@@ -109,3 +109,24 @@ def random_graph(rng: random.Random, n=1, max_cells=4):
         src.append(s)
         tgt.append(t)
     return NGraph(n, TAIL1, src, tgt, idn)
+
+
+def relabeled(G, perms):
+    """The isomorphic copy of ``G`` in which cell i of dimension d becomes
+    cell ``perms[d][i]``; boundaries and identities move along."""
+    src, tgt = [], []
+    for d in range(G.n + 1):
+        below = perms[d - 1] if d else range(G.tail.minus_one_count)
+        s, t = [0] * G.count(d), [0] * G.count(d)
+        for i, new in enumerate(perms[d]):
+            s[new] = below[G.src_map(d)[i]]
+            t[new] = below[G.tgt_map(d)[i]]
+        src.append(s)
+        tgt.append(t)
+    idn = []
+    for d in range(G.n):
+        row = [0] * G.count(d)
+        for x, up in enumerate(G.idn_map(d)):
+            row[perms[d][x]] = perms[d + 1][up]
+        idn.append(row)
+    return NGraph(G.n, G.tail, src, tgt, idn)
