@@ -17,9 +17,9 @@ slot's entry dict and key, its values and the watches of the constraints
 that read it.  A key's values are the cells of its composite's type
 (``_typed_values``), "absent" last in partial mode.  In a table (j+1, j)
 they are built once, narrowed by the unit law under ``unital``; in a table
-(j+2, j) the type reads the table (j+1, j), so they are read when the
-search reaches the key.  The maximal-only filter tries the typed values of
-every absent key.
+(j+2, j) the type reads the table (j+1, j), so they are read, through
+the table's type lookup built once per search, when the search reaches the
+key.  The maximal-only filter tries the typed values of every absent key.
 
 The search checks associativity only on the triples that read the entry
 (a, b) -> v it has just set, in four roles: (a, b, c) for each c that can
@@ -29,6 +29,19 @@ b.  The last two come from a preimage index per table, value -> keys now
 holding it, which the search appends to when it sets an entry and pops
 from when it clears one; its stack sets and clears entries last-in,
 first-out, so the key it clears is always the last one listed.
+
+Interchange pairs a table (j+2, j) with the table (j+2, j+1).  A
+middle-four quadruple reads four entries at fixed keys, two in each table,
+and two outer composites whose keys depend on the values.  The search sets
+slots in order and clears every slot after the one it sets, so a quadruple
+can be decided only once its last fixed key is set: it is held there and
+read in full.  At a later slot whose key its inner composites in the other
+table may form, it is checked as composing: when they do, the new value is
+that outer composite, so only the two fixed keys of its own table and the
+other outer composite are left to read.  Everywhere else one of its reads
+is absent.  The watches follow from the slot list; since every vertical
+table is filled before every horizontal one, no vertical slot watches any
+quadruple.
 
 Structures are counted both raw and up to isomorphism.  Two table families
 on one carrier are isomorphic when some graph automorphism carries one onto
@@ -229,44 +242,71 @@ def _typed_values(G, tables, d, j, key):
     return hom_buckets(G, d).get(composite_type(G, d, j, tables)[key], ())
 
 
+def _exchange_watches(G, tables, slots):
+    """The interchange watches of each slot position, from the slot order.
+
+    Each exchange pairs a table (d, j) with the table (d, j+1).  Written from
+    one table X's side, with Y the other, a quadruple is (p, q, r, s): X-keys
+    (p, q), (r, s) and Y-keys (p, r), (q, s), its positional reads; its outer
+    reads are Y(X(p, q), X(r, s)) and X(Y(p, r), Y(q, s)).  It is held, all
+    six entries read, at the slot of its last positional read, and composing
+    at each later slot of X whose key its Y-keys' composites may form.  At
+    any other slot one of its reads is absent, as the search clears every
+    slot after the one it sets.  The composing candidates are pre-filtered
+    by the boundaries those composites have, (ys[p], yt[r]) and
+    (ys[q], yt[s]), which holds because the search only places typed values.
+    Each watch is (Y, held, composing), a quadruple stored as its keys
+    ((p, q), (r, s), (p, r), (q, s)).
+    """
+    at = {((d, j), key): pos for pos, (d, j, key) in enumerate(slots)}
+    sides, held = {}, {}
+    for d, j in [(d, j) for d, j in tables if (d, j + 1) in tables]:
+        V, H = (d, j + 1), (d, j)
+        for X, Y in ((V, H), (H, V)):
+            sides[X] = (Y, boundary_map(G, d, Y[1], SOURCE), boundary_map(G, d, Y[1], TARGET), {})
+        for (a, a2), partners in interchange_partners(G, j):
+            for b, b2 in partners:
+                last = max(at[V, (a, a2)], at[V, (b, b2)], at[H, (a, b)], at[H, (a2, b2)])
+                for X, (p, q, r, s) in ((V, (a, a2, b, b2)), (H, (a, b, a2, b2))):
+                    _Y, ys, yt, by_type = sides[X]
+                    quad = ((p, q), (r, s), (p, r), (q, s))
+                    if last in (at[X, (p, q)], at[X, (r, s)]):
+                        held.setdefault(last, []).append(quad)
+                    by_type.setdefault((ys[p], yt[r], ys[q], yt[s]), []).append((last, quad))
+    watches = {}
+    for pos, (d, j, (a, b)) in enumerate(slots):
+        if (d, j) in sides:
+            Y, ys, yt, by_type = sides[d, j]
+            # a quadruple whose last positional read is this slot is held here
+            composing = tuple(quad for last, quad in by_type.get((ys[a], yt[a], ys[b], yt[b]), ())
+                              if last < pos)
+            if pos in held or composing:
+                watches[pos] = (tables[Y], tuple(held.get(pos, ())), composing)
+    return watches
+
+
 def _slot_table(G, flags, tables, slots):
-    """The search's row per slot: (entries, key, values, assoc, exchange).
-    ``values`` is None for a key whose type reads the table below (see
-    ``_typed_values``); ``assoc`` holds, for a key (a, b) of a table
-    (j+1, j), its preimage index and the cells that can follow b or precede
-    a, ``exchange`` the other table and the quadruples that read the key,
-    each None where its flag is off."""
+    """The search's row per slot: (entries, key, values, typing, assoc,
+    exchange).  ``values`` are built once for a key whose type reads no
+    other table (see ``_typed_values``); a key whose type reads the table
+    below has None there and ``typing``, its table's hom buckets and
+    composite-type lookup, which the search reads when it reaches the key.
+    ``assoc`` holds, for a key (a, b) of a table (j+1, j), its preimage
+    index and the cells that can follow b or precede a, ``exchange`` the
+    key's interchange watch (see ``_exchange_watches``), each None where its
+    flag is off or, for ``exchange``, where the slot order leaves nothing to
+    decide."""
     tail = () if flags.global_ else (None,)
     preimages = {(d, j): [[] for _ in range(G.count(d))] for d, j in tables if d == j + 1}
-    # per table X of an exchange: a quadruple is written from X's side as
-    # (p, q, r, s), with X-keys (p, q), (r, s) and keys (p, r), (q, s) of the
-    # other table Y: (a, a2, b, b2) for the vertical table, (a, b, a2, b2)
-    # for the horizontal one.  It reads the X-keys it holds, and the X-key
-    # (Y(p, r), Y(q, s)); for the latter, the quadruples are pre-filtered by
-    # the boundaries those composites have, (ys[p], yt[r]) and (ys[q], yt[s]),
-    # which holds because the search only places typed values
-    by_table = {}
-    for d, j in [(d, j) for d, j in tables if flags.interchange and (d, j + 1) in tables]:
-        quads = [(a, a2, b, b2) for (a, a2), partners in interchange_partners(G, j)
-                 for b, b2 in partners]
-        for x_name, y_name, side_quads in (
-                ((d, j + 1), (d, j), quads),
-                ((d, j), (d, j + 1), [(a, b, a2, b2) for a, a2, b, b2 in quads])):
-            ys = boundary_map(G, d, y_name[1], SOURCE)
-            yt = boundary_map(G, d, y_name[1], TARGET)
-            by_key, by_type = {}, {}
-            for t in side_quads:
-                p, q, r, s = t
-                by_key.setdefault((p, q), []).append(t)
-                if (r, s) != (p, q):
-                    by_key.setdefault((r, s), []).append(t)
-                by_type.setdefault((ys[p], yt[r], ys[q], yt[s]), []).append(t)
-            by_table[x_name] = (tables[y_name], by_key, by_type, ys, yt)
+    lookups = {(d, j): (hom_buckets(G, d), composite_type(G, d, j, tables))
+               for d, j in tables if (d - 1, j) in tables}
+    watches = _exchange_watches(G, tables, slots) if flags.interchange else {}
     rows = []
-    for d, j, key in slots:
+    for pos, (d, j, key) in enumerate(slots):
         a, b = key
-        values = assoc = exchange = None
-        if (d - 1, j) not in tables:
+        values = assoc = None
+        typing = lookups.get((d, j))
+        if typing is None:
             values = _typed_values(G, tables, d, j, key)
             if flags.unital and d == j + 1 and j >= 0:
                 smap, tmap, idn = G.src_map(d), G.tgt_map(d), G.idn_map(j)
@@ -277,10 +317,7 @@ def _slot_table(G, flags, tables, slots):
             values += tail
         if flags.associative and (d, j) in preimages:
             assoc = (preimages[d, j], neighbours(G, j, SOURCE)[b], neighbours(G, j, TARGET)[a])
-        if (d, j) in by_table:
-            Y, by_key, by_type, ys, yt = by_table[d, j]
-            exchange = (Y, by_key.get(key, ()), by_type.get((ys[a], yt[a], ys[b], yt[b]), ()))
-        rows.append((tables[d, j], key, values, assoc, exchange))
+        rows.append((tables[d, j], key, values, typing, assoc, watches.get(pos)))
     return rows
 
 
@@ -377,24 +414,27 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
                 return False
         return True
 
-    def interchange_ok(X, key, Y, holding, composing):
-        """Middle-four exchange on the quadruples that read ``key`` of X;
-        every other quadruple reads only entries its parent node passed."""
-        if not Y:
-            return True
-        x, y = key
-        todo = list(holding)
-        for t in composing:
-            if Y.get((t[0], t[2])) == x and Y.get((t[1], t[3])) == y:
-                todo.append(t)
-        for p, q, r, s in todo:
-            xl, xr = X.get((p, q)), X.get((r, s))
-            yl, yr = Y.get((p, r)), Y.get((q, s))
+    def interchange_ok(X, key, v, Y, held, composing):
+        """Middle-four exchange on the quadruples the new entry key -> v of
+        X can decide (see ``_exchange_watches``): a held one reads all six
+        entries; a composing one matches when its Y-keys compose to ``key``,
+        and then its outer X composite is v itself."""
+        xget, yget = X.get, Y.get
+        for xk, xk2, yk, yk2 in held:
+            xl, xr, yl, yr = xget(xk), xget(xk2), yget(yk), yget(yk2)
             if xl is None or xr is None or yl is None or yr is None:
                 continue
-            one, other = Y.get((xl, xr)), X.get((yl, yr))
+            one, other = yget((xl, xr)), xget((yl, yr))
             if one is not None and other is not None and one != other:
                 return False
+        x, y = key
+        for xk, xk2, yk, yk2 in composing:
+            if yget(yk) == x and yget(yk2) == y:
+                xl, xr = xget(xk), xget(xk2)
+                if xl is not None and xr is not None:
+                    one = yget((xl, xr))
+                    if one is not None and one != v:
+                        return False
         return True
 
     # Backtracking with an explicit stack: stack[pos] iterates the values of
@@ -407,10 +447,12 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
             record(tables)
             pos -= 1
             continue
-        ent, key, values, assoc, exchange = rows[pos]
+        ent, key, values, typing, assoc, exchange = rows[pos]
         if pos == len(stack):
-            stack.append(iter(values if values is not None
-                              else _typed_values(G, tables, *slots[pos]) + tail))
+            if values is None:
+                buckets, types = typing
+                values = buckets.get(types[key], ()) + tail
+            stack.append(iter(values))
         old = ent.pop(key, None)
         if old is not None and assoc is not None:
             assoc[0][old].pop()
@@ -431,7 +473,7 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
                 assoc[0][value].append(key)
                 if not assoc_ok(ent, key, value, assoc):
                     continue
-            if exchange is not None and not interchange_ok(ent, key, *exchange):
+            if exchange is not None and not interchange_ok(ent, key, value, *exchange):
                 continue
         pos += 1
     result.nodes = nodes

@@ -412,18 +412,19 @@ def interchange_scan(G: NGraph, j: int, V, H, lopsided=None):
     composites and both outer ones are defined and disagree, as
     (a, a2, b, b2, lhs, rhs).  Given a list, the scan also appends to
     ``lopsided`` each quadruple with only one outer composite defined."""
+    vget, hget = V.get, H.get
     for (a, a2), partners in interchange_partners(G, j):
-        va = V.get((a, a2))
+        va = vget((a, a2))
         if va is None:
             continue
         for b, b2 in partners:
-            vb = V.get((b, b2))
-            hab = H.get((a, b))
-            hab2 = H.get((a2, b2))
+            vb = vget((b, b2))
+            hab = hget((a, b))
+            hab2 = hget((a2, b2))
             if vb is None or hab is None or hab2 is None:
                 continue
-            lhs = H.get((va, vb))
-            rhs = V.get((hab, hab2))
+            lhs = hget((va, vb))
+            rhs = vget((hab, hab2))
             if lhs is not None and rhs is not None:
                 if lhs != rhs:
                     yield a, a2, b, b2, lhs, rhs
@@ -480,16 +481,18 @@ def check_typing(S: CategoryStructure) -> AxiomReport:
 
 
 def check_global(S: CategoryStructure, j: int) -> AxiomReport:
-    """Totality at level j: every composable key has an entry."""
-    if j not in S.vtables:
-        raise NoTableAtLevel(f"no vertical table at level {j}")
+    """Totality at level j: every key of the vertical and of the horizontal
+    table there, whichever ``S`` has, has an entry."""
+    tables = [(d, t) for d, t in ((j + 1, S.vtables.get(j)), (j + 2, S.htables.get(j)))
+              if t is not None]
+    if not tables:
+        raise NoTableAtLevel(f"no table at level {j}")
     checks = []
-    for d, t in ((j + 1, S.vtables[j]), (j + 2, S.htables.get(j))):
-        if t is not None:
-            bad = [Counterexample("missing", (CellId(d, a), CellId(d, b)))
-                   for a, b in global_scan(table_keys(S.graph, d, j), t.entries)]
-            axiom = "global" if d == j + 1 else "global-horizontal"
-            checks.append(AxiomCheck(axiom, j, FAIL if bad else PASS, bad))
+    for d, t in tables:
+        bad = [Counterexample("missing", (CellId(d, a), CellId(d, b)))
+               for a, b in global_scan(table_keys(S.graph, d, j), t.entries)]
+        axiom = "global" if d == j + 1 else "global-horizontal"
+        checks.append(AxiomCheck(axiom, j, FAIL if bad else PASS, bad))
     return AxiomReport(checks)
 
 
@@ -626,16 +629,19 @@ def check_cocategory(G: NGraph, D: CocompTable) -> AxiomReport:
 def check_category(S: CategoryStructure) -> AxiomReport:
     """Run the full battery selected by the structure's flags.
 
-    Typing always runs.  Per-level axioms run for every level that has a
-    table; interchange runs for every level that has both tables it needs.
+    Typing always runs.  Totality runs for every level that has a table,
+    the other per-level axioms for every level that has a vertical table;
+    interchange runs for every level that has both tables it needs.
     A groupoid request with a broken unit law is reported as a failure with
     a note instead of raising, so the aggregate stays total.  The unit law
     is scanned once per level, for ``unital`` and as that precondition.
     """
     report = check_typing(S)
-    for j in sorted(S.vtables):
+    for j in sorted(S.vtables.keys() | S.htables.keys()):
         if S.flags.global_:
             report = report.merged(check_global(S, j))
+        if j not in S.vtables:
+            continue
         if S.flags.unital or S.flags.groupoid:
             units = check_units(S, j)
         if S.flags.unital:

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -21,6 +22,7 @@ from ncats import (
 from ncats import enumeration
 from ncats.enumeration import LevelUnavailable
 from ncats.graphs import NGraph, StructureTail, automorphisms, hom_buckets
+from ncats.structures import interchange_partners
 
 from util import (
     chain_graph,
@@ -258,6 +260,41 @@ def test_interchange_search_matches_oracle():
                 assert fast.raw_count == slow.raw_count
                 assert fast.canonical_counts == slow.canonical_counts
                 assert fast.nodes == pinned, (seed, name, maximal)
+
+
+def test_interchange_watches_follow_the_slot_order():
+    """Each quadruple is held at the slot of its last positional read,
+    found here by position in the slot list, and composes only at a later
+    slot; every vertical table is filled before every horizontal one, so no
+    vertical row watches anything."""
+    carriers = [random_graph(random.Random(seed), n=2, max_cells=3) for seed in INTERCHANGE_NODES]
+    carriers.append(build_cat_of_cats([z2_structure()[1]], depth=2)[0])
+    for G in carriers:
+        sp = spec(AxiomFlags(interchange=True), include_horizontal=True)
+        names, slots = enumeration._keys(G, *enumeration._resolve_levels(G, sp))
+        rows = enumeration._slot_table(G, sp.flags, {name: {} for name in names}, slots)
+        at = {(d, j, key): pos for pos, (d, j, key) in enumerate(slots)}
+
+        def last(j, a, a2, b, b2):
+            return max(at[j + 2, j + 1, (a, a2)], at[j + 2, j + 1, (b, b2)],
+                       at[j + 2, j, (a, b)], at[j + 2, j, (a2, b2)])
+
+        held, want = Counter(), Counter()
+        for j in range(G.n - 1):
+            for (a, a2), partners in interchange_partners(G, j):
+                for b, b2 in partners:
+                    want[j, (a, a2, b, b2), last(j, a, a2, b, b2)] += 1
+        for pos, ((d, j, _key), row) in enumerate(zip(slots, rows)):
+            exchange = row[5]
+            if exchange is None:
+                continue
+            assert d == j + 2
+            _Y, holding, composing = exchange
+            for (p, q), (r, s), _yk, _yk2 in holding:
+                held[j, (p, r, q, s), pos] += 1
+            for (p, q), (r, s), _yk, _yk2 in composing:
+                assert last(j, p, r, q, s) < pos
+        assert held == want and want
 
 
 def _loops_with_identity_at(k, r):

@@ -159,6 +159,25 @@ def test_global_reports_missing_pairs():
     assert (CellId(1, 0), CellId(1, 1)) in missing
 
 
+def test_global_checks_a_horizontal_table_without_its_vertical_level():
+    """Totality covers a horizontal table whether or not the vertical table
+    at its level is there."""
+    C, T = build_cat_of_cats([z2_structure()[1]], depth=2)
+    for vtables in ([T.vtables[1]], list(T.vtables.values())):
+        S = CategoryStructure(C, vtables, [HCompTable(0, {})], AxiomFlags(global_=True))
+        check = check_category(S).find("global-horizontal", 0)
+        assert check.verdict == FAIL
+        assert [c.cells for c in check.counterexamples] == [
+            (CellId(2, a), CellId(2, b)) for a, b in h_composable_pairs(C, 0)]
+        assert len(check.counterexamples) == 16
+        assert check_global(S, 0).checks[-1] == check
+    full = CategoryStructure(C, [T.vtables[1]], [T.htables[0]], AxiomFlags(global_=True))
+    assert check_category(full).find("global-horizontal", 0).verdict == PASS
+    assert [c.axiom for c in check_global(full, 0).checks] == ["global-horizontal"]
+    with pytest.raises(NoTableAtLevel):
+        check_global(CategoryStructure(C, [T.vtables[1]]), 0)
+
+
 def test_units_pass_and_fail():
     _, S = z2_structure()
     assert check_units(S, 0).passed
