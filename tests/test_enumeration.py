@@ -223,10 +223,10 @@ def test_horizontal_search_on_skeletal_two_graph():
 # that rescanned every quadruple at every node; partial and maximal-only
 # mode visit the same nodes.  Seed 67 is a carrier where interchange
 # prunes: 5278 partial tables with {interchange}, 6642 without.  So are the
-# two-2-cell-level carriers of seeds 7 and 47 ({global} alone: 580 and 529
-# nodes, 256 tables; {global, unital, associative}: 76 and 70 nodes, 32
-# tables), pinned in total mode only: partial mode has 663,552 raw
-# assignments there.
+# carriers of seeds 7 and 47, with two 0-cells, two 1-cells and three
+# 2-cells ({global} alone: 580 and 529 nodes, 256 tables; {global, unital,
+# associative}: 76 and 70 nodes, 32 tables), pinned in total mode only:
+# partial mode has 663,552 raw assignments there.
 INTERCHANGE_NODES = {
     2: {"i": 12, "gi": 3, "ai": 12, "guai": 3},
     23: {"i": 90, "gi": 6, "ai": 90, "guai": 6},
