@@ -46,7 +46,11 @@ from .morphisms import (
     check_transformation,
 )
 from .structures import (
+    FAIL,
+    AxiomCheck,
     AxiomFlags,
+    AxiomReport,
+    Counterexample,
     StructureError,
     check_category,
     check_cocategory,
@@ -126,15 +130,10 @@ def _document(args):
     G = doc.graph()
     if isinstance(G, NGraph):
         return doc, G
-    issues = [{"kind": i.condition,
-               "cells": [] if i.cell is None else [str(i.cell)],
-               "actual": i.detail}
+    issues = [Counterexample(i.condition, () if i.cell is None else (i.cell,), actual=i.detail)
               for i in G.issues]
-    rep = {"format_version": fmt.FORMAT_VERSION, "kind": "report",
-           "checks": [{"axiom": "carrier", "verdict": "fail",
-                       "counterexamples": issues, "asymmetric": []}],
-           "verdict": "fail"}
-    raise _BadCarrier(rep)
+    report = AxiomReport([AxiomCheck("carrier", None, FAIL, issues)])
+    raise _BadCarrier(fmt.report_document(report, name_of=str))
 
 
 def _emit(rep, args):

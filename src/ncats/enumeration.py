@@ -72,8 +72,6 @@ from .graphs import (
 from .structures import (
     AxiomFlags,
     CategoryStructure,
-    CompTable,
-    HCompTable,
     assoc_scan,
     check_associativity,  # noqa: F401 - the checkers stay module globals; perfbench's tracer rebinds them
     check_global,  # noqa: F401
@@ -90,6 +88,7 @@ from .structures import (
     interchange_partners,
     interchange_scan,
     neighbours,
+    split_tables,
     table_keys,
     typing_scan,
     units_scan,
@@ -220,14 +219,6 @@ def canonical_form(G: NGraph, tables, auts=None) -> bytes:
     return repr([(d, j, codes) for (d, j), codes in zip(names, best)]).encode()
 
 
-def _structure(G, spec, tables):
-    made = {1: [], 2: []}
-    for (d, j), entries in tables.items():
-        made[d - j].append((j, dict(entries)))
-    return CategoryStructure(G, [CompTable(*t) for t in made[1]],
-                             [HCompTable(*t) for t in made[2]], spec.flags)
-
-
 def _keys(G, levels, h_levels):
     """The table names (d, j), in search order, and the slot list: every
     (d, j, key) in search order, each table's keys lexicographically."""
@@ -337,12 +328,13 @@ def _extensions_exist(G, spec, tables):
     return False
 
 
-def _recorder(G, spec, result):
+def _recorder(G, spec, result, deadline=None):
     """The record step both routes share.  The returned function takes one
     complete assignment; when it passes the flags (and, in maximal-only
     mode, admits no single-entry extension) it is tallied raw and by
-    canonical form; only the representatives kept are built."""
-    auts = automorphisms(G)
+    canonical form; only the representatives kept are built.  Listing the
+    automorphisms past ``deadline`` raises SpaceTooLarge."""
+    auts = automorphisms(G, deadline)
     maximal = spec.maximal_only and not spec.flags.global_
     cap = spec.limits.max_representatives
 
@@ -355,7 +347,8 @@ def _recorder(G, spec, result):
         result.raw_count += 1
         form = canonical_form(G, tables, auts)
         if form not in result.canonical_counts and len(result.representatives) < cap:
-            result.representatives.append(_structure(G, spec, tables))
+            copies = {name: dict(entries) for name, entries in tables.items()}
+            result.representatives.append(CategoryStructure(G, *split_tables(copies), spec.flags))
         result.canonical_counts[form] += 1
 
     return record
@@ -368,17 +361,24 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
     in lexicographic order, then horizontal levels the same way, and
     candidate values ascend (with "absent" tried last in partial mode).
     Hitting the node or time limit returns the partial tally with
-    ``exhausted=False``.  The backtracking keeps its own stack, so the
+    ``exhausted=False``; the time limit also bounds the record step's
+    listing of the automorphisms, before the first node.  The backtracking keeps its own stack, so the
     number of keys does not bound the search depth.
     """
     levels, h_levels = _resolve_levels(G, spec)
     limits, flags = spec.limits, spec.flags
     start = time.monotonic()
+    deadline = None if limits.time_budget is None else start + limits.time_budget
     names, slots = _keys(G, levels, h_levels)
     tables = {name: {} for name in names}
     rows = _slot_table(G, flags, tables, slots)
     result = EnumResult(0, 0, [], True)
-    record = _recorder(G, spec, result)
+    nodes, pos, stack = 0, 0, []
+    try:
+        record = _recorder(G, spec, result, deadline)
+    except SpaceTooLarge:
+        # the time budget ran out while the record step listed Aut(G)
+        result.exhausted, pos = False, -1
     tail = () if flags.global_ else (None,)
 
     def assoc_ok(ent, key, v, watch):
@@ -441,7 +441,6 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
     # slot pos, made when the search reaches it, and the slot's entry holds
     # the value last taken; pos == depth is a complete assignment
     depth = len(rows)
-    nodes, pos, stack = 0, 0, []
     while pos >= 0:
         if pos == depth:
             record(tables)
@@ -463,8 +462,7 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
             continue
         nodes += 1
         if nodes > limits.max_nodes or (
-                limits.time_budget is not None and nodes % 1024 == 0
-                and time.monotonic() - start > limits.time_budget):
+                deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline):
             result.exhausted = False
             break
         if value is not None:

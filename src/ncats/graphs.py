@@ -17,6 +17,8 @@ product of their own (a monoidal carrier).
 from __future__ import annotations
 
 import functools
+import random
+import time
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -47,7 +49,8 @@ class DimensionTooHigh(GraphError):
 
 
 class SpaceTooLarge(GraphError):
-    """A finite search was asked to cover more candidates than its bound."""
+    """A finite search was asked to cover more candidates than its bound, or
+    ran past its deadline."""
 
 
 class GraphValidationError(GraphError):
@@ -504,7 +507,7 @@ def _fiber_signature(G, d):
     return list(zip(out, inn))
 
 
-def graph_maps(E: NGraph, F: NGraph, bijective: bool = False):
+def graph_maps(E: NGraph, F: NGraph, bijective: bool = False, deadline: float | None = None):
     """The component tuples of every graph morphism E -> F, in lexicographic
     order (dimensions ascending, cells ascending, images ascending).
 
@@ -513,6 +516,8 @@ def graph_maps(E: NGraph, F: NGraph, bijective: bool = False):
     d-cells of F typed by the images of its boundaries (all 0-cells at
     d = 0).  ``bijective`` keeps only isomorphisms, pruning with injectivity
     and the fiber sizes one dimension up, which isomorphisms preserve.
+    Past the ``time.monotonic()`` value ``deadline``, checked every 1024
+    steps, it raises SpaceTooLarge.
     """
     if E.n != F.n:
         raise DimensionMismatch(f"carriers have heights {E.n} and {F.n}")
@@ -547,8 +552,11 @@ def graph_maps(E: NGraph, F: NGraph, bijective: bool = False):
         return iter(cands)
 
     stack = [None] * len(slots)     # candidate iterators of slots[:k]
-    k = 0
+    k = steps = 0
     while True:
+        steps += 1
+        if deadline is not None and steps % 1024 == 0 and time.monotonic() > deadline:
+            raise SpaceTooLarge("time budget exceeded while listing graph maps")
         if k == len(slots):
             yield tuple(map(tuple, img))
         else:
@@ -566,9 +574,10 @@ def graph_maps(E: NGraph, F: NGraph, bijective: bool = False):
             return
 
 
-def automorphisms(G: NGraph) -> list[GraphAutomorphism]:
-    """Every self-isomorphism of the carrier, in lexicographic order."""
-    return [GraphAutomorphism(maps) for maps in graph_maps(G, G, bijective=True)]
+def automorphisms(G: NGraph, deadline: float | None = None) -> list[GraphAutomorphism]:
+    """Every self-isomorphism of the carrier, in lexicographic order; see
+    ``graph_maps`` for the ``deadline``."""
+    return [GraphAutomorphism(maps) for maps in graph_maps(G, G, True, deadline)]
 
 
 def skeletal_graph(objects: int, n: int, minus_one: int = 1, seed=None) -> NGraph:
@@ -587,20 +596,11 @@ def skeletal_graph(objects: int, n: int, minus_one: int = 1, seed=None) -> NGrap
     else:
         zero_type = (0, 1)
     k = objects
-    perms = []
-    if seed is None:
-        perms.append(list(range(k)))
-        perms.append(list(range(k * k)))
-    else:
-        import random
-
+    perms = [list(range(k)), list(range(k * k))]
+    if seed is not None:
         rng = random.Random(seed)
-        p0 = list(range(k))
-        rng.shuffle(p0)
-        perms.append(p0)
-        p1 = list(range(k * k))
-        rng.shuffle(p1)
-        perms.append(p1)
+        for p in perms:
+            rng.shuffle(p)
 
     # dimension 1: cell perms[1][x*k + y] runs from perms[0][x] to perms[0][y]
     src1 = [0] * (k * k)

@@ -26,9 +26,8 @@ from .structures import (
     AxiomReport,
     CategoryStructure,
     CocompTable,
-    CompTable,
     Counterexample,
-    HCompTable,
+    split_tables,
 )
 
 FORMAT_VERSION = "1"
@@ -147,18 +146,16 @@ class GraphDocument:
 
     def structure(self, flags: AxiomFlags | None = None) -> CategoryStructure:
         G = self._carrier()
-        made = {CompTable: [], HCompTable: []}
+        tables = {}
         for t in self._tables({VERTICAL, MINUS_ONE, HORIZONTAL}):
             j = t["level"]
-            table = HCompTable if t["kind"] == HORIZONTAL else CompTable
             d = j + _OFFSET[t["kind"]]
-            entries = {}
+            entries = tables[d, j] = {}
             for a, b, v in t["entries"]:
                 key = (self.index_of(d, a, "table"), self.index_of(d, b, "table"))
                 _expect(key not in entries, f"duplicate entry ({a}, {b}) at level {j}")
                 entries[key] = self.index_of(d, v, "table")
-            made[table].append(table(j, entries))
-        return CategoryStructure(G, made[CompTable], made[HCompTable],
+        return CategoryStructure(G, *split_tables(tables),
                                  self.flags() if flags is None else flags)
 
     def cotables(self) -> list[CocompTable]:
@@ -283,8 +280,8 @@ def _check_entries(t, ids_by_dim, n):
     _expect(isinstance(level, int), "table level must be an integer")
     if kind == MINUS_ONE:
         _expect(level == -1, "a minus-one table lives at level -1")
-    lo, hi = {VERTICAL: (0, n - 1), MINUS_ONE: (-1, -1),
-              HORIZONTAL: (0, n - 2), CO: (0, n - 1)}[kind]
+    # a table holds (level + offset)-cells, and the top dimension is n
+    lo, hi = -1 if kind == MINUS_ONE else 0, n - _OFFSET[kind]
     _expect(lo <= level <= hi, f"{kind} table level {level} outside {lo}..{hi}")
     width = 4 if kind == CO else 3
     value_dim = level + _OFFSET[kind]

@@ -4,18 +4,19 @@ A graph morphism sends cells to cells of the same dimension and commutes
 with boundaries and identities; the grade -1 component is the identity, so
 both carriers must have tails of the same size.  Contravariance at chosen
 levels is checked by reversing the codomain there first.  A functor is a
-graph morphism that also carries each defined composite to a defined
-composite.  A transformation assigns to every dimension-i cell of the
-domain a (i+1)-cell of the codomain and must close the usual naturality
-square through the codomain's table; a modification hangs one dimension
-higher still and is checked against four boundary paths plus, when the
-codomain carries horizontal composition, the square of the inner cells.
+graph morphism that also carries each defined composite, horizontal ones
+included, to a defined composite.  A transformation assigns to every
+dimension-i cell of the domain a (i+1)-cell of the codomain and must close
+the usual naturality square through the codomain's table; a modification
+hangs one dimension higher still and is checked against four boundary
+paths plus, when the codomain carries horizontal composition, the square
+of the inner cells.
 
 Every one of these squares goes through one scan, ``_squares``.  Each row
 names a d-cell c over the i-cells x and y, a component map t, and the
 images f c and g c; the square closes when the keys (t x, g c) and
-(f c, t y) of the codomain table name the same d-cell.  Keys are read
-diagrammatically: (a, b) means a first, then b.
+(f c, t y) of the codomain table (d, i) name the same d-cell.  Keys are
+read diagrammatically: (a, b) means a first, then b.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ from .structures import (
     CategoryStructure,
     CompTable,
     Counterexample,
-    HCompTable,
     _single,
     check_category,
+    named_tables,
+    split_tables,
 )
 
 
@@ -147,18 +149,18 @@ def check_functor(m: GraphMorphism, cE: CategoryStructure, cF: CategoryStructure
     if cE.graph != m.domain or cF.graph != m.codomain:
         raise GraphError("structures do not live on the morphism's carriers")
     report = check_graph_morphism(m)
-    for j in sorted(cE.vtables):
-        d = j + 1
+    codomain = named_tables(cF)
+    for (d, j), entries in named_tables(cE).items():
         fmap = m.comps[d]
-        target = cF.vtables.get(j)
+        target = codomain.get((d, j))
         bad = []
-        for (a, b), v in sorted(cE.vtables[j].entries.items()):
+        for (a, b), v in sorted(entries.items()):
             if target is None:
                 bad.append(Counterexample(
                     "codomain-table-missing", (CellId(d, a), CellId(d, b)),
                     expected=CellId(d, fmap[v])))
                 continue
-            got = target.entries.get((fmap[a], fmap[b]))
+            got = target.get((fmap[a], fmap[b]))
             if got is None:
                 bad.append(Counterexample(
                     "codomain-gap", (CellId(d, a), CellId(d, b)),
@@ -167,8 +169,8 @@ def check_functor(m: GraphMorphism, cE: CategoryStructure, cF: CategoryStructure
                 bad.append(Counterexample(
                     "composite-square", (CellId(d, a), CellId(d, b)),
                     expected=CellId(d, fmap[v]), actual=CellId(d, got)))
-        report = report.merged(AxiomReport(
-            [AxiomCheck("functor", j, FAIL if bad else PASS, bad)]))
+        axiom = "functor" if d == j + 1 else "functor-horizontal"
+        report = report.merged(AxiomReport([AxiomCheck(axiom, j, FAIL if bad else PASS, bad)]))
     return report
 
 
@@ -223,18 +225,19 @@ def _untyped(F: NGraph, i: int, d: int, comp, lo, hi) -> list[Counterexample]:
             for x, v in enumerate(comp) if src[v] != lo[x] or tgt[v] != hi[x]]
 
 
-def _squares(rows, table, i: int, d: int, undefined: str, failed: str) -> list[Counterexample]:
-    """The square of every row ``(c, x, y, comp, fc, gc)`` in ``table`` (see
-    the module docstring).  A missing table or key makes an ``undefined``
-    counterexample, two different composites a ``failed`` one."""
+def _squares(rows, tables, i: int, d: int, undefined: str, failed: str) -> list[Counterexample]:
+    """The square of every row ``(c, x, y, comp, fc, gc)`` in the table
+    (d, i) of ``tables`` (see the module docstring): ``undefined`` when the
+    table or a key is missing, ``failed`` when the two composites differ."""
+    table = tables.get((d, i))
     bad = []
     for c, x, y, comp, fc, gc in rows:
         cells = (CellId(d, c), CellId(i, x), CellId(i, y))
         if table is None:
             bad.append(Counterexample(undefined, cells, expected=f"codomain table at level {i}"))
             continue
-        left = table.entries.get((comp[x], gc))
-        right = table.entries.get((fc, comp[y]))
+        left = table.get((comp[x], gc))
+        right = table.get((fc, comp[y]))
         if left is None or right is None:
             bad.append(Counterexample(undefined, cells))
         elif left != right:
@@ -257,19 +260,19 @@ def check_transformation(t: Transformation, cE: CategoryStructure, cF: CategoryS
     notes = []
     if E.n > 1 and t.levels == (0,):
         notes.append("components configured at level 0 only; higher cells are not constrained")
+    tables = named_tables(cF)
     for i in t.levels:
         comp = t.comps[i]
         d = i + 1
         bad = _untyped(F, i, d, comp, f.comps[i], g.comps[i])
-        table = cF.vtables.get(i)
-        if table is None:
+        if (d, i) not in tables:
             bad += [Counterexample("NaturalitySquareUndefined", (CellId(d, a),),
                                    expected=f"codomain table at level {i}")
                     for a in range(E.count(d))]
         else:
             rows = [(a, x, y, comp, f.comps[d][a], g.comps[d][a])
                     for a, (x, y) in enumerate(zip(E.src_map(d), E.tgt_map(d)))]
-            bad += _squares(rows, table, i, d, "NaturalitySquareUndefined", "NaturalityFailed")
+            bad += _squares(rows, tables, i, d, "NaturalitySquareUndefined", "NaturalityFailed")
         checks.append(AxiomCheck("naturality", i, FAIL if bad else PASS, bad, notes=list(notes)))
     return AxiomReport(checks)
 
@@ -302,6 +305,7 @@ def check_modification(md: Modification, cE: CategoryStructure, cF: CategoryStru
     E, F = f.domain, f.codomain
     if cE.graph != E or cF.graph != F:
         raise GraphError("structures do not live on the modification's carriers")
+    tables = named_tables(cF)
     checks = []
     for i in s.levels:
         comp = md.comps[i]
@@ -311,18 +315,17 @@ def check_modification(md: Modification, cE: CategoryStructure, cF: CategoryStru
         paths = [(arrow, x_of[arrow], y_of[arrow], side, f.comps[d1][arrow], g.comps[d1][arrow])
                  for ends in zip(E.src_map(d2), E.tgt_map(d2)) for arrow in ends
                  for side in (s.comps[i], t.comps[i])]
-        bad += _squares(paths, cF.vtables.get(i), i, d1, "PathUndefined", "path")
+        bad += _squares(paths, tables, i, d1, "PathUndefined", "path")
         checks.append(AxiomCheck("modification-paths", i, FAIL if bad else PASS, bad))
 
-        htable = cF.htables.get(i)
-        if htable is None:
+        if (d2, i) not in tables:
             checks.append(AxiomCheck(
                 "modification-cells", i, NOT_APPLICABLE,
                 notes=[f"no horizontal table at level {i} in the codomain"]))
             continue
         cells = [(alpha, x_of[a], y_of[a], comp, f.comps[d2][alpha], g.comps[d2][alpha])
                  for alpha, a in enumerate(E.src_map(d2))]
-        hbad = _squares(cells, htable, i, d2, "PathUndefined", "cell-square")
+        hbad = _squares(cells, tables, i, d2, "PathUndefined", "cell-square")
         checks.append(AxiomCheck("modification-cells", i, FAIL if hbad else PASS, hbad))
     return AxiomReport(checks)
 
@@ -408,9 +411,8 @@ def build_cat_of_cats(cats: list[CategoryStructure], depth: int = 2):
     for c in cats:
         if c.graph.n != 1:
             raise GraphError("inputs must be height-one carriers")
-        probe = CategoryStructure(
-            c.graph, list(c.vtables.values()), list(c.htables.values()),
-            AxiomFlags(global_=True, unital=True, associative=True))
+        probe = CategoryStructure(c.graph, *split_tables(named_tables(c)),
+                                  AxiomFlags(global_=True, unital=True, associative=True))
         if not check_category(probe).passed:
             raise GraphError("inputs must satisfy the global, unital and associative checks")
 
@@ -495,6 +497,6 @@ def build_cat_of_cats(cats: list[CategoryStructure], depth: int = 2):
     if depth == 3:
         vtables.append(CompTable(2, {(i, i): i for i in range(len(transformations))}))
     structure = CategoryStructure(
-        graph, vtables, [HCompTable(0, hlevel0)],
+        graph, vtables, [CompTable(0, hlevel0)],
         AxiomFlags(global_=True, unital=True, associative=True, interchange=True))
     return graph, structure

@@ -7,9 +7,11 @@ j-boundaries meet (``table_keys``).  A composite runs from src a to tgt b
 when d = j+1; otherwise its source and target are the (d-1, j) composites
 of the two sources and of the two targets (``composite_type``).  The
 vertical table at level j is (j+1, j), kept in ``vtables``; the horizontal
-one is (j+2, j), kept in ``htables``.  Level -1 is only allowed on a
-monoidal carrier.  Entries are written in diagrammatic order: the key
-(a, b) means "a first, then b".
+one is (j+2, j), kept in ``htables``.  ``CompTable`` is the one table class
+(``HCompTable`` is an alias).  Other modules read and build tables as entry
+dicts named (d, j), through ``named_tables`` and its inverse
+``split_tables``.  Level -1 is only allowed on a monoidal carrier.  Entries
+are written in diagrammatic order: the key (a, b) means "a first, then b".
 
 Checkers never raise on a bad table; they return a report whose checks
 carry one verdict each (pass, fail, or not-applicable) plus explicit
@@ -97,18 +99,13 @@ class AxiomFlags:
 
 @dataclass
 class CompTable:
-    """Vertical composition at one level: (a, b) -> a-then-b."""
+    """Composition at one level, vertical or horizontal: (a, b) -> a-then-b."""
 
     level: int
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
 
 
-@dataclass
-class HCompTable:
-    """Horizontal composition of (level+2)-cells along level boundaries."""
-
-    level: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+HCompTable = CompTable
 
 
 @dataclass
@@ -274,7 +271,7 @@ class CategoryStructure:
         self.graph = graph
         self.flags = flags
         self.vtables: dict[int, CompTable] = {}
-        self.htables: dict[int, HCompTable] = {}
+        self.htables: dict[int, CompTable] = {}
         # a table at level j composes (j + offset)-cells; the lowest level
         # is offset - 2, and level -1 needs a monoidal carrier
         for offset, given, kept, kind, prefix, unmet in (
@@ -316,6 +313,15 @@ def named_tables(S: CategoryStructure) -> dict:
     levels ascending, then the horizontal tables (j+2, j)."""
     return {**{(j + 1, j): t.entries for j, t in sorted(S.vtables.items())},
             **{(j + 2, j): t.entries for j, t in sorted(S.htables.items())}}
+
+
+def split_tables(tables):
+    """The vertical and the horizontal tables of entry dicts named (d, j),
+    as ``CategoryStructure`` takes them, uncopied: ``named_tables`` undone."""
+    split = {1: [], 2: []}
+    for (d, j), entries in tables.items():
+        split[d - j].append(CompTable(j, entries))
+    return split[1], split[2]
 
 
 def compose(S: CategoryStructure, a: CellId, b: CellId, j: int) -> CellId:
@@ -483,14 +489,13 @@ def check_typing(S: CategoryStructure) -> AxiomReport:
 def check_global(S: CategoryStructure, j: int) -> AxiomReport:
     """Totality at level j: every key of the vertical and of the horizontal
     table there, whichever ``S`` has, has an entry."""
-    tables = [(d, t) for d, t in ((j + 1, S.vtables.get(j)), (j + 2, S.htables.get(j)))
-              if t is not None]
+    tables = [(d, entries) for (d, i), entries in named_tables(S).items() if i == j]
     if not tables:
         raise NoTableAtLevel(f"no table at level {j}")
     checks = []
-    for d, t in tables:
+    for d, entries in tables:
         bad = [Counterexample("missing", (CellId(d, a), CellId(d, b)))
-               for a, b in global_scan(table_keys(S.graph, d, j), t.entries)]
+               for a, b in global_scan(table_keys(S.graph, d, j), entries)]
         axiom = "global" if d == j + 1 else "global-horizontal"
         checks.append(AxiomCheck(axiom, j, FAIL if bad else PASS, bad))
     return AxiomReport(checks)
@@ -651,16 +656,14 @@ def check_category(S: CategoryStructure) -> AxiomReport:
         if S.flags.groupoid:
             report = report.merged(_groupoid_report(S, j, units.checks[0]))
     if S.flags.interchange:
-        ran_any = False
         for j in sorted(S.htables):
             if j + 1 in S.vtables:
                 report = report.merged(check_interchange(S, j))
-                ran_any = True
             else:
                 report = report.merged(_single(
                     "interchange", j, NOT_APPLICABLE,
                     notes=[f"no vertical table at level {j + 1}"]))
-        if not ran_any and not S.htables:
+        if not S.htables:
             report = report.merged(_single(
                 "interchange", None, NOT_APPLICABLE,
                 notes=["no horizontal tables present"]))

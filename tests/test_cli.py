@@ -11,12 +11,14 @@ from ncats import (
     AxiomFlags,
     CategoryStructure,
     CompTable,
+    GraphMorphism,
     build_cat_of_cats,
     build_document,
     document_from_graph,
     document_from_structure,
     enumerate_functors,
     enumerate_transformations,
+    graph_maps,
     identity_morphism,
     parse,
     serialize,
@@ -218,6 +220,25 @@ def test_morphism_and_functor_subcommands(tmp_path, capsys):
     assert main(["functor", path, "--name", "K"]) == 0
     assert main(["morphism", path, "--name", "ghost"]) == 2
     _ = capsys.readouterr()
+
+
+def test_functor_subcommand_checks_the_horizontal_table(tmp_path, capsys):
+    """A map of the cat-of-one-Z2 2-category that keeps both vertical tables
+    but breaks the horizontal one is not a functor: exit 1."""
+    G, S = build_cat_of_cats([z2_structure()[1]])
+    maps = [GraphMorphism(G, G, comps) for comps in graph_maps(G, G)]
+    kept = enumerate_functors(S, S)
+    broken = next(m for m in maps if m not in kept)
+    doc = build_document(G, S.vtables.values(), S.htables.values(), flags=S.flags,
+                         morphisms={"I": identity_morphism(G), "B": broken})
+    path = write(tmp_path, "functors.json", doc)
+    assert main(["functor", path, "--name", "I"]) == 0
+    capsys.readouterr()
+    assert main(["functor", path, "--name", "B", "--json"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    schema_validate(rep, report_schema())
+    failing = [(c["axiom"], c.get("level")) for c in rep["checks"] if c["verdict"] == "fail"]
+    assert failing == [("functor-horizontal", 0)]
 
 
 def test_nat_subcommand(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import time
 import weakref
 from collections import Counter
 
@@ -8,6 +9,7 @@ import pytest
 
 from ncats import (
     AxiomFlags,
+    CategoryStructure,
     EnumLimits,
     EnumSpec,
     NotSkeletal,
@@ -22,7 +24,7 @@ from ncats import (
 from ncats import enumeration
 from ncats.enumeration import LevelUnavailable
 from ncats.graphs import NGraph, StructureTail, automorphisms, hom_buckets
-from ncats.structures import interchange_partners
+from ncats.structures import interchange_partners, split_tables
 
 from util import (
     chain_graph,
@@ -177,6 +179,16 @@ def test_node_budget_interrupts():
     res = enumerate_structures(G, spec(GLOBAL, limits=EnumLimits(max_nodes=10)))
     assert not res.exhausted
     assert res.nodes <= 11
+
+
+def test_time_budget_bounds_the_automorphism_listing():
+    """Aut(loops_graph(10)) has 9! = 362,880 elements: the record step's
+    listing of them outlasts a 0.1 s budget, which ends the search before
+    its first node."""
+    t0 = time.monotonic()
+    res = enumerate_structures(loops_graph(10), spec(GLOBAL, limits=EnumLimits(time_budget=0.1)))
+    assert time.monotonic() - t0 < 1.5
+    assert (res.exhausted, res.nodes, res.raw_count, res.records) == (False, 0, 0, 0)
 
 
 def test_search_depth_is_not_bounded_by_the_call_stack():
@@ -447,7 +459,7 @@ def test_verdict_agrees_with_the_checkers():
         seen = set()
         for tables in _assignments(G, sp, rng, count):
             for flags in flag_sets:
-                S = enumeration._structure(G, EnumSpec(flags=flags), tables)
+                S = CategoryStructure(G, *split_tables(tables), flags)
                 verdict = enumeration._passes_flags(G, flags, tables)
                 assert verdict == check_category(S).passed, (S, tables)
                 seen.add(verdict)

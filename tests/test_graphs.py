@@ -1,4 +1,6 @@
+import hashlib
 import random
+import time
 
 import pytest
 
@@ -9,16 +11,20 @@ from ncats import (
     DimensionTooHigh,
     GraphAutomorphism,
     NGraph,
+    SpaceTooLarge,
     StructureTail,
     ValidationReport,
     automorphisms,
     cell_type,
+    document_from_graph,
+    graph_maps,
     hom_graph,
     hom_set,
     is_monoidal_carrier,
     is_skeletal,
     iterated_boundary,
     opposite,
+    serialize,
     skeletal_graph,
     validate_graph,
 )
@@ -191,6 +197,29 @@ def test_skeletal_graph_generator():
     b = skeletal_graph(3, 1, seed=4)
     assert a == b
     assert any(skeletal_graph(3, 1, seed=s) != a for s in range(5, 10))
+
+
+def test_skeletal_graph_carriers_are_pinned():
+    """The serialized carriers for no seed and seeds 0-19, 0-3 objects and
+    n = 1-3 hash as pinned before the seeded and unseeded paths were made
+    one: the same shuffles, in the same order."""
+    digest = hashlib.sha256()
+    for seed in [None, *range(20)]:
+        for objects in range(4):
+            for n in (1, 2, 3):
+                digest.update(serialize(document_from_graph(skeletal_graph(objects, n, seed=seed))))
+    assert digest.hexdigest() == "112173cc76fbe7eb3ec5d4647d8df3734fa318b506bdbffaa55422bf3aa9dca5"
+
+
+def test_graph_maps_stop_at_the_deadline():
+    """Aut(loops_graph(10)) has 9! elements; a passed deadline ends the
+    listing at the first check, 1024 steps in."""
+    G = loops_graph(10)
+    with pytest.raises(SpaceTooLarge):
+        list(graph_maps(G, G, bijective=True, deadline=time.monotonic()))
+    with pytest.raises(SpaceTooLarge):
+        automorphisms(G, time.monotonic())
+    assert len(automorphisms(loops_graph(5), time.monotonic() + 60)) == 24
 
 
 def hom_set_is_skeletal(G):

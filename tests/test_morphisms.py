@@ -142,6 +142,34 @@ def test_enumerated_functors_check_out():
         assert check_functor(m, T2, T2).passed
 
 
+def test_functors_preserve_the_horizontal_table():
+    """On the cat-of-one-Z2 2-category, 8 graph maps preserve both vertical
+    tables; 5 of them break the horizontal table, each only there."""
+    G, S = cat_of_z2s(1)
+    kept = enumerate_functors(S, S)
+    assert len(kept) == 3
+    broken = 0
+    for comps in graph_maps(G, G):
+        m = GraphMorphism(G, G, comps)
+        rep = check_functor(m, S, S)
+        assert [(c.axiom, c.level) for c in rep.checks] == [
+            ("graph-morphism", None), ("functor", 0), ("functor", 1), ("functor-horizontal", 0)]
+        failing = [(c.axiom, c.level) for c in rep.checks if c.verdict == FAIL]
+        assert failing in ([], [("functor-horizontal", 0)])
+        if failing:
+            broken += 1
+            kinds = {x.kind for x in rep.find("functor-horizontal", 0).counterexamples}
+            assert kinds == {"composite-square"}
+        else:
+            assert m in kept
+    assert broken == 5
+    # a codomain without the horizontal table cannot receive its composites
+    bare = CategoryStructure(G, list(S.vtables.values()), [], S.flags)
+    rep = check_functor(identity_morphism(G), S, bare).find("functor-horizontal", 0)
+    assert rep.verdict == FAIL
+    assert {x.kind for x in rep.counterexamples} == {"codomain-table-missing"}
+
+
 def product_graph_maps(E, F):
     """Every raw component assignment E -> F, in ``itertools.product``
     order, that the graph-morphism check accepts."""

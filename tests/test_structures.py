@@ -119,6 +119,23 @@ def test_construction_errors_are_pinned():
         assert str(err.value) == message
 
 
+def test_split_tables_inverts_named_tables():
+    """One table class; ``split_tables`` rebuilds a structure from its
+    entry dicts named (d, j)."""
+    assert HCompTable is CompTable
+    cases = [z2_structure()[1], build_cat_of_cats([z2_structure()[1]], depth=2)[1],
+             build_cat_of_cats([z2_structure()[1]], depth=3)[1],
+             CategoryStructure(loops_graph(2), [CompTable(-1, {(0, 0): 0}), CompTable(0, {})])]
+    for S in cases:
+        named = structures.named_tables(S)
+        vertical, horizontal = structures.split_tables(named)
+        assert [(t.level, t.entries) for t in vertical] == sorted(
+            (j, t.entries) for j, t in S.vtables.items())
+        assert [(t.level, t.entries) for t in horizontal] == sorted(
+            (j, t.entries) for j, t in S.htables.items())
+        assert CategoryStructure(S.graph, vertical, horizontal, S.flags) == S
+
+
 def test_composable_pairs_and_compose():
     G = chain_graph()
     assert composable(G, 0, 3, 4)
