@@ -362,8 +362,9 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
     candidate values ascend (with "absent" tried last in partial mode).
     Hitting the node or time limit returns the partial tally with
     ``exhausted=False``; the time limit also bounds the record step's
-    listing of the automorphisms, before the first node.  The backtracking keeps its own stack, so the
-    number of keys does not bound the search depth.
+    listing of the automorphisms, before the first node.  The backtracking
+    keeps its own stack, so the number of keys does not bound the search
+    depth.
     """
     levels, h_levels = _resolve_levels(G, spec)
     limits, flags = spec.limits, spec.flags

@@ -284,6 +284,23 @@ def test_structural_rejections():
             parse(json.dumps(doc))
 
 
+def test_table_levels_are_range_checked_per_kind():
+    """On a 2-graph a table of each kind parses at exactly these levels, and
+    every other level has a pinned message."""
+    base = json.loads(serialize(document_from_structure(build_cat_of_cats([z2_structure()[1]])[1])))
+    accepted, messages = {}, set()
+    for kind in ("minus-one", "vertical", "horizontal", "co"):
+        for level in range(-2, 4):
+            try:
+                parse(json.dumps(dict(base, tables=[{"kind": kind, "level": level, "entries": []}])))
+                accepted.setdefault(kind, []).append(level)
+            except ParseError as e:
+                messages.add(str(e).replace(f"level {level} ", "level L "))
+    assert accepted == {"minus-one": [-1], "vertical": [0, 1], "horizontal": [0], "co": [0, 1]}
+    assert messages == {"a minus-one table lives at level -1", "vertical table level L outside 0..1",
+                        "horizontal table level L outside 0..0", "co table level L outside 0..1"}
+
+
 def test_named_section_errors_are_pinned():
     """The messages the CLI prints (exit 2) for broken named sections."""
     morphism = {"name": "I", "comps": [{"x": "x"}, {"i": "i"}]}
