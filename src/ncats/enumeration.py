@@ -45,9 +45,14 @@ quadruple.
 
 Structures are counted both raw and up to isomorphism.  Two table families
 on one carrier are isomorphic when some graph automorphism carries one onto
-the other, so the canonical form of a family is the least integer image of
-its entry dicts over the automorphism orbit, serialized.  The record step
-reads it from the search's own dicts and builds only the structures it keeps.
+the other, so the canonical form of a family is its least image over the
+automorphism orbit, serialized.  Every automorphism φ preserves each table's
+key set, so the record step lists once per search, at its first passing
+record, each φ's keys in the lex order of their images, with φ's cell map
+as one code character per cell and one extra slot for "absent".  The image of a record under φ is then one
+gather per table, the mapped value at each listed key, with no sorting.  The
+record step reads it from the search's own dicts and builds only the
+structures it keeps.
 """
 
 from __future__ import annotations
@@ -194,29 +199,46 @@ def _passes_flags(G: NGraph, flags: AxiomFlags, tables) -> bool:
     return all(next(scan, None) is None for scan in _scans(G, flags, tables))
 
 
+class _Orbit(list):
+    """A table family's key orbit, built once per search: for each
+    automorphism φ, one (keys, codes, N) per table (d, j) in ``names``, the
+    keys in the lex order of their images under φ and the code character of
+    each d-cell's image, chr(48 + φ(v)) ("0" for cell 0, so a small
+    carrier's forms read as digits), with one extra slot, N = the number of
+    d-cells, for "absent"."""
+
+    def __init__(self, G: NGraph, names, auts):
+        super().__init__([[self._table(G, d, j, phi.maps[d]) for d, j in names] for phi in auts])
+        self.names = names
+
+    @staticmethod
+    def _table(G, d, j, m):
+        n = G.count(d)
+        keys = sorted(table_keys(G, d, j), key=lambda k: (m[k[0]], m[k[1]]))
+        return keys, tuple(chr(48 + v) for v in (*m, n)), n
+
+
 def canonical_form(G: NGraph, tables, auts=None) -> bytes:
     """Least image of a table family over the automorphism orbit.
 
-    ``tables`` maps names (d, j) to entry dicts, as the search keeps them.
-    Each automorphism's image is one sorted list of integers per table,
-    tables ascending by (d, j): the relabeled entries (a, b) -> v coded as
-    (a*N + b)*N + v, N the number of d-cells.  Only the least image is
-    serialized; families on one carrier share it exactly when some
-    automorphism relabels one into the other.
+    ``tables`` maps names (d, j) to entry dicts, as the search keeps them;
+    ``auts`` lists the automorphisms, or is the per-search ``_Orbit``.  An
+    automorphism φ preserves each table's key set, so φ's image of a family
+    is one gather: the code of the relabeled value, or of "absent", at each
+    key in the lex order of its image, tables ascending by (d, j).  Only the
+    least image is serialized, one character per key after the names;
+    families on one carrier share it exactly when some automorphism
+    relabels one into the other.
     """
-    if auts is None:
-        auts = automorphisms(G)
-    names = sorted(tables)
-    rows = [(tables[d, j], d, G.count(d)) for d, j in names]
+    if not isinstance(auts, _Orbit):
+        auts = _Orbit(G, sorted(tables), automorphisms(G) if auts is None else auts)
+    gets = [tables[name].get for name in auts.names]
     best = None
-    for phi in auts:
-        image = []
-        for entries, d, n in rows:
-            m = phi.maps[d]
-            image.append(sorted([(m[a] * n + m[b]) * n + m[v] for (a, b), v in entries.items()]))
+    for row in auts:
+        image = [m[get(k, n)] for get, (keys, m, n) in zip(gets, row) for k in keys]
         if best is None or image < best:
             best = image
-    return repr([(d, j, codes) for (d, j), codes in zip(names, best)]).encode()
+    return repr((auts.names, "".join(best))).encode()
 
 
 def _keys(G, levels, h_levels):
@@ -333,19 +355,25 @@ def _recorder(G, spec, result, deadline=None):
     complete assignment; when it passes the flags (and, in maximal-only
     mode, admits no single-entry extension) it is tallied raw and by
     canonical form; only the representatives kept are built.  Listing the
-    automorphisms past ``deadline`` raises SpaceTooLarge."""
-    auts = automorphisms(G, deadline)
+    automorphisms past ``deadline`` or in more steps than the node budget
+    raises SpaceTooLarge; their key orbit is built at the first record
+    that passes."""
+    auts = automorphisms(G, deadline, spec.limits.max_nodes)
     maximal = spec.maximal_only and not spec.flags.global_
     cap = spec.limits.max_representatives
+    orbit = None
 
     def record(tables):
+        nonlocal orbit
         result.records += 1
         if not _passes_flags(G, spec.flags, tables) or (
                 maximal and _extensions_exist(G, spec, tables)):
             result.rejected_at_record += 1
             return
         result.raw_count += 1
-        form = canonical_form(G, tables, auts)
+        if orbit is None:
+            orbit = _Orbit(G, sorted(tables), auts)
+        form = canonical_form(G, tables, orbit)
         if form not in result.canonical_counts and len(result.representatives) < cap:
             copies = {name: dict(entries) for name, entries in tables.items()}
             result.representatives.append(CategoryStructure(G, *split_tables(copies), spec.flags))
@@ -361,8 +389,8 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
     in lexicographic order, then horizontal levels the same way, and
     candidate values ascend (with "absent" tried last in partial mode).
     Hitting the node or time limit returns the partial tally with
-    ``exhausted=False``; the time limit also bounds the record step's
-    listing of the automorphisms, before the first node.  The backtracking
+    ``exhausted=False``; both limits also bound the record step's listing
+    of the automorphisms, before the first node.  The backtracking
     keeps its own stack, so the number of keys does not bound the search
     depth.
     """
@@ -378,7 +406,7 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
     try:
         record = _recorder(G, spec, result, deadline)
     except SpaceTooLarge:
-        # the time budget ran out while the record step listed Aut(G)
+        # a budget ran out while the record step listed Aut(G)
         result.exhausted, pos = False, -1
     tail = () if flags.global_ else (None,)
 
@@ -488,7 +516,9 @@ def brute_force_oracle(G: NGraph, spec: EnumSpec = EnumSpec(), space_bound: int 
     in partial mode); a key whose composite's type reads no other table,
     as in a table (j+1, j), only over the cells of that type in the raw
     maps.  Each full assignment is filtered through the axiom checkers.  The
-    assignment space, every cell counted, must fit under ``space_bound``.
+    assignment space, every cell counted, must fit under ``space_bound``,
+    and listing the automorphisms within the node budget, or SpaceTooLarge
+    is raised.
     """
     levels, h_levels = _resolve_levels(G, spec)
     start = time.monotonic()

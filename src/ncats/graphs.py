@@ -507,7 +507,8 @@ def _fiber_signature(G, d):
     return list(zip(out, inn))
 
 
-def graph_maps(E: NGraph, F: NGraph, bijective: bool = False, deadline: float | None = None):
+def graph_maps(E: NGraph, F: NGraph, bijective: bool = False, deadline: float | None = None,
+               max_steps: int | None = None):
     """The component tuples of every graph morphism E -> F, in lexicographic
     order (dimensions ascending, cells ascending, images ascending).
 
@@ -517,7 +518,8 @@ def graph_maps(E: NGraph, F: NGraph, bijective: bool = False, deadline: float | 
     d = 0).  ``bijective`` keeps only isomorphisms, pruning with injectivity
     and the fiber sizes one dimension up, which isomorphisms preserve.
     Past the ``time.monotonic()`` value ``deadline``, checked every 1024
-    steps, it raises SpaceTooLarge.
+    steps, or past ``max_steps`` steps (a step places one cell or yields
+    one map), it raises SpaceTooLarge.
     """
     if E.n != F.n:
         raise DimensionMismatch(f"carriers have heights {E.n} and {F.n}")
@@ -557,6 +559,8 @@ def graph_maps(E: NGraph, F: NGraph, bijective: bool = False, deadline: float | 
         steps += 1
         if deadline is not None and steps % 1024 == 0 and time.monotonic() > deadline:
             raise SpaceTooLarge("time budget exceeded while listing graph maps")
+        if max_steps is not None and steps > max_steps:
+            raise SpaceTooLarge(f"listing graph maps took more than {max_steps} steps")
         if k == len(slots):
             yield tuple(map(tuple, img))
         else:
@@ -574,10 +578,11 @@ def graph_maps(E: NGraph, F: NGraph, bijective: bool = False, deadline: float | 
             return
 
 
-def automorphisms(G: NGraph, deadline: float | None = None) -> list[GraphAutomorphism]:
+def automorphisms(G: NGraph, deadline: float | None = None,
+                  max_steps: int | None = None) -> list[GraphAutomorphism]:
     """Every self-isomorphism of the carrier, in lexicographic order; see
-    ``graph_maps`` for the ``deadline``."""
-    return [GraphAutomorphism(maps) for maps in graph_maps(G, G, True, deadline)]
+    ``graph_maps`` for ``deadline`` and ``max_steps``."""
+    return [GraphAutomorphism(maps) for maps in graph_maps(G, G, True, deadline, max_steps)]
 
 
 def skeletal_graph(objects: int, n: int, minus_one: int = 1, seed=None) -> NGraph:

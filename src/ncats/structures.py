@@ -391,7 +391,8 @@ def assoc_scan(G: NGraph, j: int, entries, lopsided=None):
 
     Given a list, the scan also appends to ``lopsided`` each triple, as
     (a, b, c), with exactly one bracketing defined; without one it skips
-    every triple whose first pair has no entry.
+    every triple whose left bracketing is undefined before reading the
+    right one.
     """
     after = neighbours(G, j, SOURCE)
     get = entries.get
@@ -401,8 +402,10 @@ def assoc_scan(G: NGraph, j: int, entries, lopsided=None):
             if ab is None and lopsided is None:
                 continue
             for c in after[b]:
-                bc = get((b, c))
                 left = get((ab, c)) if ab is not None else None
+                if left is None and lopsided is None:
+                    continue
+                bc = get((b, c))
                 right = get((a, bc)) if bc is not None else None
                 if left is not None and right is not None:
                     if left != right:

@@ -6,6 +6,7 @@ import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncats import (
     AxiomFlags,
@@ -24,7 +25,7 @@ from ncats import (
 from ncats import enumeration
 from ncats.enumeration import LevelUnavailable
 from ncats.graphs import NGraph, StructureTail, automorphisms, hom_buckets
-from ncats.structures import interchange_partners, split_tables
+from ncats.structures import interchange_partners, split_tables, table_keys
 
 from util import (
     chain_graph,
@@ -154,6 +155,90 @@ def test_canonical_form_is_orbit_invariant():
                 assert canonical_form(G, image, auts) == form
 
 
+# random carriers with a non-trivial automorphism group, one- and two-dimensional
+SYMMETRIC = [G for G in (random_graph(random.Random(seed), n, cells)
+                         for seed in range(40) for n in (1, 2) for cells in (3, 4))
+             if len(automorphisms(G)) > 1]
+
+
+def _moved(phi, tables):
+    """The image of a table family under the automorphism ``phi``."""
+    return {(d, j): {(phi.maps[d][a], phi.maps[d][b]): phi.maps[d][v] for (a, b), v in entries.items()}
+            for (d, j), entries in tables.items()}
+
+
+@st.composite
+def _partial_family(draw, G, names):
+    """Partial tables named ``names``: each key absent or any cell."""
+    return {(d, j): {key: v for key in table_keys(G, d, j)
+                     if (v := draw(st.sampled_from((None, *range(G.count(d)))))) is not None}
+            for d, j in names}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_canonical_forms_separate_exactly_the_orbits(data):
+    """On random partial families of vertical and horizontal tables:
+    ``canonical_form`` is constant on each automorphism orbit, and two
+    families share it exactly when an independent orbit key, the least
+    sorted image of their entry items, says they are isomorphic."""
+    G = data.draw(st.sampled_from(SYMMETRIC))
+    names = [(j + 1, j) for j in range(G.n)] + [(j + 2, j) for j in range(G.n - 1)]
+    names = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    tables = data.draw(_partial_family(G, names))
+    auts = automorphisms(G)
+
+    def orbit_key(family):
+        return min([sorted(image[name].items()) for name in sorted(image)]
+                   for image in (_moved(phi, family) for phi in auts))
+
+    form = canonical_form(G, tables, auts)
+    for phi in auts:
+        assert canonical_form(G, _moved(phi, tables), auts) == form
+    # an automorphic image of the family or of a random one, sometimes with
+    # one entry redrawn
+    base = tables if data.draw(st.booleans()) else data.draw(_partial_family(G, names))
+    other = _moved(data.draw(st.sampled_from(auts)), base)
+    if data.draw(st.booleans()):
+        d, j = name = data.draw(st.sampled_from(names))
+        key = data.draw(st.sampled_from(table_keys(G, d, j)))
+        value = data.draw(st.sampled_from((None, *range(G.count(d)))))
+        other[name].pop(key, None)
+        if value is not None:
+            other[name][key] = value
+    assert (canonical_form(G, other) == form) == (orbit_key(other) == orbit_key(tables))
+
+
+def test_record_step_builds_one_orbit_per_search(monkeypatch):
+    """The record step lists each automorphism's key order once per search,
+    at its first passing record, and calls ``canonical_form`` once per
+    passing record with that orbit; a search that records nothing builds
+    none."""
+    built, calls = [], []
+    real_form = enumeration.canonical_form
+
+    class Counted(enumeration._Orbit):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    def counted(G, tables, auts=None):
+        calls.append(auts)
+        return real_form(G, tables, auts)
+
+    monkeypatch.setattr(enumeration, "_Orbit", Counted)
+    monkeypatch.setattr(enumeration, "canonical_form", counted)
+    for run in (enumerate_structures, brute_force_oracle):
+        for G, flags, raw in ((loops_graph(3), MONOID, 11), (loops_graph(2), AxiomFlags(associative=True), 65),
+                              (chain_graph(), GLOBAL, 0)):
+            built.clear()
+            calls.clear()
+            res = run(G, spec(flags))
+            assert res.raw_count == len(calls) == raw
+            assert len(built) == int(raw > 0)
+            assert all(auts is built[0] for auts in calls)
+
+
 def test_record_builds_structures_only_for_kept_representatives(monkeypatch):
     """The record step tallies every record from its entry dicts; a
     ``CategoryStructure`` is built only for a representative it keeps."""
@@ -187,6 +272,15 @@ def test_time_budget_bounds_the_automorphism_listing():
     its first node."""
     t0 = time.monotonic()
     res = enumerate_structures(loops_graph(10), spec(GLOBAL, limits=EnumLimits(time_budget=0.1)))
+    assert time.monotonic() - t0 < 1.5
+    assert (res.exhausted, res.nodes, res.raw_count, res.records) == (False, 0, 0, 0)
+
+
+def test_node_budget_bounds_the_automorphism_listing():
+    """The node budget also caps the steps of the record step's listing of
+    Aut(loops_graph(10)), so ten nodes end the search before its first."""
+    t0 = time.monotonic()
+    res = enumerate_structures(loops_graph(10), spec(GLOBAL, limits=EnumLimits(time_budget=None, max_nodes=10)))
     assert time.monotonic() - t0 < 1.5
     assert (res.exhausted, res.nodes, res.raw_count, res.records) == (False, 0, 0, 0)
 

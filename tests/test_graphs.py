@@ -222,6 +222,15 @@ def test_graph_maps_stop_at_the_deadline():
     assert len(automorphisms(loops_graph(5), time.monotonic() + 60)) == 24
 
 
+def test_graph_maps_stop_past_the_step_cap():
+    """Listing Aut(loops_graph(5)) takes 67 steps, one per placed cell or
+    yielded map: a cap of 67 lets it finish, 66 ends it."""
+    G = loops_graph(5)
+    assert len(automorphisms(G, max_steps=67)) == 24
+    with pytest.raises(SpaceTooLarge):
+        list(graph_maps(G, G, bijective=True, max_steps=66))
+
+
 def hom_set_is_skeletal(G):
     """The definition read literally: at every level, every pair of cells
     of one type spans a hom-set with exactly one member."""
