@@ -49,10 +49,10 @@ the other, so the canonical form of a family is its least image over the
 automorphism orbit, serialized.  Every automorphism φ preserves each table's
 key set, so the record step lists once per search, at its first passing
 record, each φ's keys in the lex order of their images, with φ's cell map
-as one code character per cell and one extra slot for "absent".  The image of a record under φ is then one
-gather per table, the mapped value at each listed key, with no sorting.  The
-record step reads it from the search's own dicts and builds only the
-structures it keeps.
+as one code character per cell and one extra slot for "absent".  The image
+of a record under φ is then one gather per table, the mapped value at each
+listed key, with no sorting.  The record step reads it from the search's
+own dicts and builds only the structures it keeps.
 """
 
 from __future__ import annotations
@@ -201,11 +201,13 @@ def _passes_flags(G: NGraph, flags: AxiomFlags, tables) -> bool:
 
 class _Orbit(list):
     """A table family's key orbit, built once per search: for each
-    automorphism φ, one (keys, codes, N) per table (d, j) in ``names``, the
+    automorphism φ, one (keys, codes, N) per table (d, j) in ``names``: the
     keys in the lex order of their images under φ and the code character of
     each d-cell's image, chr(48 + φ(v)) ("0" for cell 0, so a small
     carrier's forms read as digits), with one extra slot, N = the number of
-    d-cells, for "absent"."""
+    d-cells, for "absent", both tuples.  It keeps |Aut|·(keys + cells)
+    references for the whole search; the benchmarks measure it only up to
+    |Aut| = 720."""
 
     def __init__(self, G: NGraph, names, auts):
         super().__init__([[self._table(G, d, j, phi.maps[d]) for d, j in names] for phi in auts])
@@ -214,7 +216,7 @@ class _Orbit(list):
     @staticmethod
     def _table(G, d, j, m):
         n = G.count(d)
-        keys = sorted(table_keys(G, d, j), key=lambda k: (m[k[0]], m[k[1]]))
+        keys = tuple(sorted(table_keys(G, d, j), key=lambda k: (m[k[0]], m[k[1]])))
         return keys, tuple(chr(48 + v) for v in (*m, n)), n
 
 

@@ -251,7 +251,7 @@ def test_criterion_8_format_round_trip(tmp_path):
         (["check", str(syntax)], 2),
         (["check", str(tmp_path / "absent.json")], 2),
         (["enumerate", str(sk), "--flags", "global"], 0),
-        (["enumerate", str(z2), "--flags", "global", "--max-nodes", "2"], 3),
+        (["enumerate", str(z2), "--flags", "global", "--max-nodes", "5"], 3),
         (["enumerate", str(z2), "--flags", "imaginary"], 2),
         (["skeletal", str(sk)], 0),
         (["skeletal", str(z2)], 1),

@@ -116,10 +116,15 @@ def test_enumerate_and_budget(z2_file, capsys, monkeypatch):
     assert main(["enumerate", z2_file, "--flags", "global"]) == 0
     out = capsys.readouterr().out
     assert "raw=16" in out and "iso=10" not in out
+    # two nodes stop the run in the 4-step listing of Aut(z2), five inside
+    # the search, after its sixth node
     assert main(["enumerate", z2_file, "--flags", "global", "--max-nodes", "2"]) == 3
-    capsys.readouterr()
-    monkeypatch.setenv("NCATS_MAX_NODES", "2")
+    assert "nodes: 0\n" in capsys.readouterr().out
+    assert main(["enumerate", z2_file, "--flags", "global", "--max-nodes", "5"]) == 3
+    assert "nodes: 6\n" in capsys.readouterr().out
+    monkeypatch.setenv("NCATS_MAX_NODES", "5")
     assert main(["enumerate", z2_file, "--flags", "global"]) == 3
+    assert "nodes: 6\n" in capsys.readouterr().out
     monkeypatch.setenv("NCATS_MAX_NODES", "oodles")
     assert main(["enumerate", z2_file, "--flags", "global"]) == 2
     capsys.readouterr()
@@ -144,7 +149,8 @@ def test_nonsense_budgets_are_usage_errors(z2_file, capsys, monkeypatch, argv, e
 
 def test_zero_budgets_stay_budgets(z2_file, capsys):
     assert main(["enumerate", z2_file, "--flags", "global", "--max-nodes", "0"]) == 3
-    assert "verdict: limit" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "verdict: limit" in out and "nodes: 0\n" in out
 
 
 def test_enumerate_json(z2_file, capsys):

@@ -263,7 +263,7 @@ def test_node_budget_interrupts():
     G = loops_graph(3)
     res = enumerate_structures(G, spec(GLOBAL, limits=EnumLimits(max_nodes=10)))
     assert not res.exhausted
-    assert res.nodes <= 11
+    assert res.nodes == 11
 
 
 def test_time_budget_bounds_the_automorphism_listing():
@@ -292,12 +292,15 @@ def test_search_depth_is_not_bounded_by_the_call_stack():
 
 def test_search_state_is_freed_on_return():
     """A finished search leaves no reference cycle behind: the result goes
-    away with its last reference, without waiting for the cyclic collector."""
+    away with its last reference, without waiting for the cyclic collector.
+    Four nodes pass the 4-step listing of Aut(loops_graph(2)) and break the
+    search at its fifth node, with its iterator stack live."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for limits in (EnumLimits(), EnumLimits(max_nodes=3)):
+        for limits, stop in ((EnumLimits(), (True, 5)), (EnumLimits(max_nodes=4), (False, 5))):
             res = enumerate_structures(loops_graph(2), spec(MONOID, limits=limits))
+            assert (res.exhausted, res.nodes) == stop
             gone = weakref.ref(res)
             del res
             assert gone() is None
