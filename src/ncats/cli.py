@@ -26,6 +26,7 @@ from .cobordism import build_cob_truncation, gen_sets_graph
 from .enumeration import (
     EnumLimits,
     EnumSpec,
+    LevelUnavailable,
     NotSkeletal,
     enumerate_structures,
     verify_skeletal_uniqueness,
@@ -210,7 +211,10 @@ def cmd_enumerate(args):
     spec = EnumSpec(levels=_parse_levels(args.levels), flags=flags,
                     include_horizontal=args.horizontal,
                     maximal_only=args.maximal_only, limits=_limits(args))
-    result = enumerate_structures(G, spec)
+    try:
+        result = enumerate_structures(G, spec)
+    except LevelUnavailable as e:
+        raise _Usage(str(e)) from None
     rep = fmt.report_document(
         None, counts={"raw": result.raw_count, "iso": result.iso_count},
         exhausted=result.exhausted, nodes=result.nodes,

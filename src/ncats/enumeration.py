@@ -10,7 +10,12 @@ interchange constraints are decided and can never recover.
 but values whose type the carrier alone rules out; it exists so the search
 can be checked against an implementation too simple to share its bugs.
 Both hand each complete assignment to one record step, which runs the
-checkers' own integer scans on it, whatever the search pruned.
+checkers' own integer scans on it, whatever the search pruned, except
+those that read only settled tables.  A table but the last in search
+order is settled while its entries equal those it had at the last record
+that passed, so each scan left out reads exactly the input it passed on.
+The search fills the vertical tables first, so they rarely change from one
+record to the next; with one table nothing is settled.
 
 The search reads one slot table, built once next to the slot list: each
 slot's entry dict and key, its values and the watches of the constraints
@@ -171,14 +176,19 @@ def _resolve_levels(G: NGraph, spec: EnumSpec):
     return levels, h_levels
 
 
-def _scans(G: NGraph, flags: AxiomFlags, tables):
+def _scans(G: NGraph, flags: AxiomFlags, tables, settled=()):
     """The checkers' integer scans that the flags request, one per axiom and
-    table, made lazily, on entry dicts named (d, j) as in the search."""
+    table, made lazily, on entry dicts named (d, j) as in the search.  A scan
+    is left out when every table it reads is named in ``settled``: typing
+    (d, j) reads (d, j), and (d-1, j) when d > j+1; interchange reads (d, j)
+    and (d, j+1); every other scan reads (d, j)."""
     for (d, j), entries in tables.items():
-        yield typing_scan(G, d, j, tables)
-        if flags.global_:
+        fresh = (d, j) not in settled
+        if fresh or d > j + 1 and (d - 1, j) not in settled:
+            yield typing_scan(G, d, j, tables)
+        if fresh and flags.global_:
             yield global_scan(table_keys(G, d, j), entries)
-        if d == j + 1:
+        if fresh and d == j + 1:
             # the laws of a category at level j
             if (flags.unital or flags.groupoid) and j >= 0:
                 # one unit scan serves both flags; it is the groupoid
@@ -188,15 +198,16 @@ def _scans(G: NGraph, flags: AxiomFlags, tables):
                     yield groupoid_scan(G, j, entries)
             if flags.associative:
                 yield assoc_scan(G, j, entries)
-        if flags.interchange and (d, j + 1) in tables:
+        if flags.interchange and (d, j + 1) in tables and (fresh or (d, j + 1) not in settled):
             yield interchange_scan(G, j, tables[d, j + 1], entries)
 
 
-def _passes_flags(G: NGraph, flags: AxiomFlags, tables) -> bool:
+def _passes_flags(G: NGraph, flags: AxiomFlags, tables, settled=()) -> bool:
     """The definitional filter: whether the tables satisfy every axiom the
     flags request, as ``check_category`` would decide, stopping at the first
-    violation."""
-    return all(next(scan, None) is None for scan in _scans(G, flags, tables))
+    violation.  Given ``settled`` names, whose tables hold entries on which
+    every scan passed, it runs only the scans that read another table."""
+    return all(next(scan, None) is None for scan in _scans(G, flags, tables, settled))
 
 
 class _Orbit(list):
@@ -338,38 +349,51 @@ def _slot_table(G, flags, tables, slots):
 
 def _extensions_exist(G, spec, tables):
     """Whether any single absent entry could be filled with a typed value
-    while keeping the requested axioms; used for the maximal-only filter."""
+    while keeping the requested axioms; used for the maximal-only filter on
+    a family that passes them, so each extension's verdict settles every
+    table but the one extended."""
     for (d, j), ent in tables.items():
+        buckets, types = hom_buckets(G, d), composite_type(G, d, j, tables)
+        others = [name for name in tables if name != (d, j)]
         for key in table_keys(G, d, j):
             if key in ent:
                 continue
-            for v in _typed_values(G, tables, d, j, key):
+            for v in buckets.get(types[key], ()):
                 ent[key] = v
-                ok = _passes_flags(G, spec.flags, tables)
+                ok = _passes_flags(G, spec.flags, tables, others)
                 del ent[key]
                 if ok:
                     return True
     return False
 
 
-def _recorder(G, spec, result, deadline=None):
-    """The record step both routes share.  The returned function takes one
-    complete assignment; when it passes the flags (and, in maximal-only
-    mode, admits no single-entry extension) it is tallied raw and by
-    canonical form; only the representatives kept are built.  Listing the
-    automorphisms past ``deadline`` or in more steps than the node budget
-    raises SpaceTooLarge; their key orbit is built at the first record
-    that passes."""
+def _recorder(G, spec, result, names, deadline=None):
+    """The record step both routes share, for table families named by
+    ``names`` in search order.  The returned function takes one complete
+    assignment; when it passes the flags (and, in maximal-only mode, admits
+    no single-entry extension) it is tallied raw and by canonical form;
+    only the representatives kept are built.  The verdict settles each
+    table but the last whose entries equal its copy from the last record
+    that passed the flags.  Listing the automorphisms past ``deadline`` or
+    in more steps than the node budget raises SpaceTooLarge; their key
+    orbit is built at the first record that passes."""
     auts = automorphisms(G, deadline, spec.limits.max_nodes)
     maximal = spec.maximal_only and not spec.flags.global_
     cap = spec.limits.max_representatives
     orbit = None
+    last_pass = dict.fromkeys(names[:-1])
 
     def record(tables):
         nonlocal orbit
         result.records += 1
-        if not _passes_flags(G, spec.flags, tables) or (
-                maximal and _extensions_exist(G, spec, tables)):
+        settled = [name for name in last_pass if tables[name] == last_pass[name]] if last_pass else ()
+        if not _passes_flags(G, spec.flags, tables, settled):
+            result.rejected_at_record += 1
+            return
+        for name in last_pass:
+            if name not in settled:
+                last_pass[name] = dict(tables[name])
+        if maximal and _extensions_exist(G, spec, tables):
             result.rejected_at_record += 1
             return
         result.raw_count += 1
@@ -406,7 +430,7 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
     result = EnumResult(0, 0, [], True)
     nodes, pos, stack = 0, 0, []
     try:
-        record = _recorder(G, spec, result, deadline)
+        record = _recorder(G, spec, result, names, deadline)
     except SpaceTooLarge:
         # a budget ran out while the record step listed Aut(G)
         result.exhausted, pos = False, -1
@@ -540,7 +564,7 @@ def brute_force_oracle(G: NGraph, spec: EnumSpec = EnumSpec(), space_bound: int 
         domains.append(cells + tail)
 
     result = EnumResult(0, 0, [], True)
-    record = _recorder(G, spec, result)
+    record = _recorder(G, spec, result, names)
 
     for combo in itertools.product(*domains):
         tables = {name: {} for name in names}

@@ -24,6 +24,7 @@ from ncats import (
     serialize,
 )
 from ncats.cli import main
+from ncats.graphs import NGraph, StructureTail
 from ncats.morphisms import Transformation
 
 from util import long_order_graph, loops_graph, z2_structure
@@ -160,6 +161,19 @@ def test_enumerate_json(z2_file, capsys):
     schema_validate(rep, report_schema())
     assert rep["counts"] == {"raw": 2, "iso": 2}
     assert rep["exhausted"] is True
+
+
+def test_unavailable_levels_are_usage_errors(z2_file, tmp_path, capsys):
+    """A level the carrier has no table at is a usage error (exit 2), not a
+    failed check: no report is printed, with or without --json."""
+    two_tail = NGraph(1, StructureTail(2, (0, 1)), [[0], [0]], [[1], [0]], [[0]])
+    not_monoidal = write(tmp_path, "two_tail.json", document_from_graph(two_tail))
+    for path, levels, message in ((z2_file, "5", "level 5 outside -1..0"),
+                                  (not_monoidal, "-1", "level -1 needs a single (-1)-cell")):
+        for extra in ([], ["--json"]):
+            assert main(["enumerate", path, "--levels", levels, *extra]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {message}\n"
 
 
 def test_skeletal_subcommand(tmp_path, capsys, z2_file):

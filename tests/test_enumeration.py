@@ -563,6 +563,103 @@ def test_verdict_agrees_with_the_checkers():
         assert seen == {False, True}
 
 
+def test_settled_tables_keep_the_verdict():
+    """A passing family with one table changed gets the same verdict with
+    every other table settled as from the full verdict and from
+    ``check_category``: the scans left out read only tables they passed on."""
+    G = random_graph(random.Random(67), n=2, max_cells=3)
+    sp = spec(include_horizontal=True)
+    names = enumeration._keys(G, *enumeration._resolve_levels(G, sp))[0]
+    rng = random.Random(15)
+    families = list(_assignments(G, sp, rng, 300))
+    seen = set()
+    for flags in (AxiomFlags(), AxiomFlags(interchange=True), AxiomFlags(associative=True, interchange=True),
+                  AxiomFlags(global_=True, interchange=True), TWO_CATEGORY,
+                  AxiomFlags(unital=True, groupoid=True)):
+        for tables in families:
+            if not enumeration._passes_flags(G, flags, tables):
+                continue
+            for name in names:
+                changed = {**tables, name: rng.choice(families)[name]}
+                settled = [other for other in names if other != name]
+                verdict = enumeration._passes_flags(G, flags, changed, settled)
+                S = CategoryStructure(G, *split_tables(changed), flags)
+                assert verdict == enumeration._passes_flags(G, flags, changed) == check_category(S).passed
+                seen.add((name, verdict))
+    assert seen == {(name, verdict) for name in names for verdict in (False, True)}
+
+
+def test_record_step_settles_a_table_only_as_it_last_passed():
+    """Driven directly, the record step tallies as the full verdict does: a
+    table is settled while it equals its entries at the last record that
+    passed, not at one that failed, and the last table never is."""
+    G = random_graph(random.Random(67), n=2, max_cells=3)
+    sp = spec(AxiomFlags(global_=True, interchange=True), include_horizontal=True)
+    names = enumeration._keys(G, *enumeration._resolve_levels(G, sp))[0]
+    middle, last = names[1], names[-1]
+    P = {name: dict(entries) for name, entries in _tables_of(enumerate_structures(G, sp).representatives[0]).items()}
+
+    def one_dropped(name):
+        entries = dict(P[name])
+        entries.pop(next(iter(entries)))
+        return {**P, name: entries}
+
+    sequence = [P,                    # passes
+                one_dropped(middle),  # an earlier table changes and fails
+                one_dropped(middle),  # ... and stays as it failed
+                one_dropped(last),    # back on P's earlier tables, the last one fails
+                P]
+    result = enumeration.EnumResult(0, 0, [], True)
+    record = enumeration._recorder(G, sp, result, names)
+    for tables in sequence:
+        record(tables)
+    passed = [t for t in sequence if check_category(CategoryStructure(G, *split_tables(t), sp.flags)).passed]
+    assert len(passed) == 2
+    assert (result.records, result.raw_count, result.rejected_at_record) == (5, 2, 3)
+    assert result.canonical_counts == Counter(canonical_form(G, t) for t in passed)
+
+
+def test_maximal_only_keeps_the_families_no_entry_extends():
+    """The maximal-only tally, whose extension verdicts settle every table
+    but the one extended, equals the passing families of the raw
+    assignment space that no single added entry keeps passing."""
+    def frozen(tables):
+        return tuple(tuple(sorted(entries.items())) for entries in tables.values())
+
+    for seed, flags in ((67, AxiomFlags(interchange=True)), (67, AxiomFlags(associative=True, interchange=True)),
+                        (23, AxiomFlags(unital=True, groupoid=True, interchange=True))):
+        G = random_graph(random.Random(seed), n=2, max_cells=3)
+        sp = spec(flags, include_horizontal=True, maximal_only=True)
+        passing = {frozen(tables): tables for tables in _assignments(G, sp, None, None)
+                   if enumeration._passes_flags(G, flags, tables)}
+        maximal = Counter()
+        for tables in passing.values():
+            extended = (frozen({**tables, (d, j): {**tables[d, j], key: v}})
+                        for d, j in tables for key in table_keys(G, d, j) if key not in tables[d, j]
+                        for v in range(G.count(d)))
+            if not any(family in passing for family in extended):
+                maximal[canonical_form(G, tables)] += 1
+        res = enumerate_structures(G, sp)
+        assert (res.raw_count, res.canonical_counts) == (sum(maximal.values()), maximal), (seed, flags)
+
+
+def test_the_record_step_is_still_the_net(monkeypatch):
+    """With the associativity and interchange watches dropped from the slot
+    table, the search reaches records the prunes would have cut, and the
+    record step, settling the tables unchanged since its last passing
+    record, turns down every one of them."""
+    cases = [(random_graph(random.Random(67), n=2, max_cells=3), AxiomFlags(associative=True, interchange=True)),
+             (random_graph(random.Random(7), n=2, max_cells=3), TWO_CATEGORY)]
+    pruned = [enumerate_structures(G, spec(flags, include_horizontal=True)) for G, flags in cases]
+    real = enumeration._slot_table
+    monkeypatch.setattr(enumeration, "_slot_table", lambda *args: [row[:4] + (None, None) for row in real(*args)])
+    for (G, flags), want in zip(cases, pruned):
+        got = enumerate_structures(G, spec(flags, include_horizontal=True))
+        assert got.exhausted and want.exhausted
+        assert (got.raw_count, got.canonical_counts) == (want.raw_count, want.canonical_counts)
+        assert got.rejected_at_record > want.rejected_at_record
+
+
 def test_verify_skeletal_uniqueness():
     cert = verify_skeletal_uniqueness(skeletal_graph(3, 1, seed=9))
     assert cert.unique and cert.structure is not None
