@@ -20,7 +20,7 @@ record to the next; with one table nothing is settled.
 The search reads one slot table, built once next to the slot list: each
 slot's entry dict and key, its values and the watches of the constraints
 that read it.  A key's values are the cells of its composite's type
-(``_typed_values``), "absent" last in partial mode.  In a table (j+1, j)
+(``composite_type``), "absent" last in partial mode.  In a table (j+1, j)
 they are built once, narrowed by the unit law under ``unital``; in a table
 (j+2, j) the type reads the table (j+1, j), so they are read, through
 the table's type lookup built once per search, when the search reaches the
@@ -262,12 +262,6 @@ def _keys(G, levels, h_levels):
     return names, slots
 
 
-def _typed_values(G, tables, d, j, key):
-    """The d-cells key (a, b) of table (d, j) may take, ascending: those of
-    its composite's type as ``tables`` stand, none while it is undecided."""
-    return hom_buckets(G, d).get(composite_type(G, d, j, tables)[key], ())
-
-
 def _exchange_watches(G, tables, slots):
     """The interchange watches of each slot position, from the slot order.
 
@@ -313,10 +307,11 @@ def _exchange_watches(G, tables, slots):
 
 def _slot_table(G, flags, tables, slots):
     """The search's row per slot: (entries, key, values, typing, assoc,
-    exchange).  ``values`` are built once for a key whose type reads no
-    other table (see ``_typed_values``); a key whose type reads the table
-    below has None there and ``typing``, its table's hom buckets and
-    composite-type lookup, which the search reads when it reaches the key.
+    exchange).  ``values``, the d-cells of the key's composite type,
+    ascending, are built once for a key whose type reads no other table; a
+    key whose type reads the table below has None there and ``typing``, its
+    table's hom buckets and composite-type lookup, which the search reads
+    when it reaches the key.
     ``assoc`` holds, for a key (a, b) of a table (j+1, j), its preimage
     index and the cells that can follow b or precede a, ``exchange`` the
     key's interchange watch (see ``_exchange_watches``), each None where its
@@ -333,7 +328,7 @@ def _slot_table(G, flags, tables, slots):
         values = assoc = None
         typing = lookups.get((d, j))
         if typing is None:
-            values = _typed_values(G, tables, d, j, key)
+            values = hom_buckets(G, d).get(composite_type(G, d, j, tables)[key], ())
             if flags.unital and d == j + 1 and j >= 0:
                 smap, tmap, idn = G.src_map(d), G.tgt_map(d), G.idn_map(j)
                 if a == idn[smap[a]]:
