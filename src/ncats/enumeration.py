@@ -182,24 +182,28 @@ def _scans(G: NGraph, flags: AxiomFlags, tables, settled=()):
     is left out when every table it reads is named in ``settled``: typing
     (d, j) reads (d, j), and (d-1, j) when d > j+1; interchange reads (d, j)
     and (d, j+1); every other scan reads (d, j)."""
-    for (d, j), entries in tables.items():
-        fresh = (d, j) not in settled
-        if fresh or d > j + 1 and (d - 1, j) not in settled:
+    # six locals: on CPython 3.11 one more moves this generator, made once
+    # per record, into the next allocator size class (288 -> 304 bytes),
+    # which raised monoid-search's peak RSS by 0.2-0.3 MB
+    for d, j in tables:
+        if (d, j) not in settled or d > j + 1 and (d - 1, j) not in settled:
             yield typing_scan(G, d, j, tables)
-        if fresh and flags.global_:
-            yield global_scan(table_keys(G, d, j), entries)
-        if fresh and d == j + 1:
-            # the laws of a category at level j
-            if (flags.unital or flags.groupoid) and j >= 0:
-                # one unit scan serves both flags; it is the groupoid
-                # precondition, so inverses are scanned only once it passes
-                yield units_scan(G, j, entries, flags.global_)
-                if flags.groupoid:
-                    yield groupoid_scan(G, j, entries)
-            if flags.associative:
-                yield assoc_scan(G, j, entries)
-        if flags.interchange and (d, j + 1) in tables and (fresh or (d, j + 1) not in settled):
-            yield interchange_scan(G, j, tables[d, j + 1], entries)
+        if (d, j) not in settled:
+            if flags.global_:
+                yield global_scan(table_keys(G, d, j), tables[d, j])
+            if d == j + 1:
+                # the laws of a category at level j
+                if (flags.unital or flags.groupoid) and j >= 0:
+                    # one unit scan serves both flags; it is the groupoid
+                    # precondition, so inverses are scanned only once it passes
+                    yield units_scan(G, j, tables[d, j], flags.global_)
+                    if flags.groupoid:
+                        yield groupoid_scan(G, j, tables[d, j])
+                if flags.associative:
+                    yield assoc_scan(G, j, tables[d, j])
+        if flags.interchange and (d, j + 1) in tables and (
+                (d, j) not in settled or (d, j + 1) not in settled):
+            yield interchange_scan(G, j, tables[d, j + 1], tables[d, j])
 
 
 def _passes_flags(G: NGraph, flags: AxiomFlags, tables, settled=()) -> bool:
