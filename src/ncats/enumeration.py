@@ -9,17 +9,17 @@ interchange constraints are decided and can never recover.
 ``brute_force_oracle`` iterates the raw assignment space, pruning nothing
 but values whose type the carrier alone rules out; it exists so the search
 can be checked against an implementation too simple to share its bugs.
-Both hand each complete assignment to one record step, which runs the
-checkers' own integer scans on it, whatever the search pruned, except
-those that read only settled tables.  A table but the last in search
+Both hand each complete assignment to one record step, whose verdict runs
+the rows of ``structures.laws``, cheapest first, whatever the search pruned,
+except those that read only settled tables.  A table but the last in search
 order is settled while its entries equal those it had at the last record
-that passed, so each scan left out reads exactly the input it passed on.
+that passed, so each row left out reads exactly the input it passed on.
 The search fills the vertical tables first, so they rarely change from one
 record to the next; with one table nothing is settled.
 
 The search reads one slot table, built once next to the slot list: each
-slot's entry dict and key, its values and the watches of the constraints
-that read it.  A key's values are the cells of its composite's type
+slot's entry dict and key, its values and the watches of the rows of
+``laws`` that read it.  A key's values are the cells of its composite's type
 (``composite_type``), "absent" last in partial mode.  In a table (j+1, j)
 they are built once, narrowed by the unit law under ``unital``; in a table
 (j+2, j) the type reads the table (j+1, j), so they are read, through
@@ -66,6 +66,7 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 from .graphs import (
     SOURCE,
@@ -82,7 +83,6 @@ from .graphs import (
 from .structures import (
     AxiomFlags,
     CategoryStructure,
-    assoc_scan,
     check_associativity,  # noqa: F401 - the checkers stay module globals; perfbench's tracer rebinds them
     check_global,  # noqa: F401
     check_groupoid,  # noqa: F401
@@ -92,16 +92,12 @@ from .structures import (
     composable_pairs,  # noqa: F401 - unused here; perfbench's tracer rebinds it
     composable_triples,  # noqa: F401
     composite_type,
-    global_scan,
-    groupoid_scan,
     h_composable_pairs,  # noqa: F401
     interchange_partners,
-    interchange_scan,
+    laws,
     neighbours,
     split_tables,
     table_keys,
-    typing_scan,
-    units_scan,
 )
 
 
@@ -176,42 +172,26 @@ def _resolve_levels(G: NGraph, spec: EnumSpec):
     return levels, h_levels
 
 
-def _scans(G: NGraph, flags: AxiomFlags, tables, settled=()):
-    """The checkers' integer scans that the flags request, one per axiom and
-    table, made lazily, on entry dicts named (d, j) as in the search.  A scan
-    is left out when every table it reads is named in ``settled``: typing
-    (d, j) reads (d, j), and (d-1, j) when d > j+1; interchange reads (d, j)
-    and (d, j+1); every other scan reads (d, j)."""
-    # six locals: on CPython 3.11 one more moves this generator, made once
-    # per record, into the next allocator size class (288 -> 304 bytes),
-    # which raised monoid-search's peak RSS by 0.2-0.3 MB
-    for d, j in tables:
-        if (d, j) not in settled or d > j + 1 and (d - 1, j) not in settled:
-            yield typing_scan(G, d, j, tables)
-        if (d, j) not in settled:
-            if flags.global_:
-                yield global_scan(table_keys(G, d, j), tables[d, j])
-            if d == j + 1:
-                # the laws of a category at level j
-                if (flags.unital or flags.groupoid) and j >= 0:
-                    # one unit scan serves both flags; it is the groupoid
-                    # precondition, so inverses are scanned only once it passes
-                    yield units_scan(G, j, tables[d, j], flags.global_)
-                    if flags.groupoid:
-                        yield groupoid_scan(G, j, tables[d, j])
-                if flags.associative:
-                    yield assoc_scan(G, j, tables[d, j])
-        if flags.interchange and (d, j + 1) in tables and (
-                (d, j) not in settled or (d, j + 1) not in settled):
-            yield interchange_scan(G, j, tables[d, j + 1], tables[d, j])
+# any order decides alike, but most rejected records fail an early row
+_CHEAPEST_FIRST = ("typing", "typing-horizontal", "global", "global-horizontal",
+                   "units", "groupoid", "associativity", "interchange")
 
 
-def _passes_flags(G: NGraph, flags: AxiomFlags, tables, settled=()) -> bool:
-    """The definitional filter: whether the tables satisfy every axiom the
-    flags request, as ``check_category`` would decide, stopping at the first
-    violation.  Given ``settled`` names, whose tables hold entries on which
-    every scan passed, it runs only the scans that read another table."""
-    return all(next(scan, None) is None for scan in _scans(G, flags, tables, settled))
+def _verdict(G: NGraph, flags: AxiomFlags, names):
+    """The record verdict's rows: each row of ``laws`` that has a scan,
+    cheapest first, as (reads, run), ``run(tables)`` its scan on a family."""
+    rows = sorted(laws(G, flags, names), key=lambda row: _CHEAPEST_FIRST.index(row[0]))
+    return [(reads, partial(scan, *args)) for _axiom, _j, reads, scan, args in rows if scan is not None]
+
+
+def _passes(rows, tables, settled=frozenset()) -> bool:
+    """Whether the family ``tables`` passes every verdict row, as
+    ``check_category`` decides, stopping at the first violation; a row is
+    left out when it reads only tables in ``settled``, which passed it."""
+    for reads, run in rows:
+        if not reads <= settled and next(run(tables), None) is not None:
+            return False
+    return True
 
 
 class _Orbit(list):
@@ -266,25 +246,26 @@ def _keys(G, levels, h_levels):
     return names, slots
 
 
-def _exchange_watches(G, tables, slots):
+def _exchange_watches(G, tables, slots, exchanges):
     """The interchange watches of each slot position, from the slot order.
 
-    Each exchange pairs a table (d, j) with the table (d, j+1).  Written from
-    one table X's side, with Y the other, a quadruple is (p, q, r, s): X-keys
-    (p, q), (r, s) and Y-keys (p, r), (q, s), its positional reads; its outer
-    reads are Y(X(p, q), X(r, s)) and X(Y(p, r), Y(q, s)).  It is held, all
-    six entries read, at the slot of its last positional read, and composing
-    at each later slot of X whose key its Y-keys' composites may form.  At
-    any other slot one of its reads is absent, as the search clears every
-    slot after the one it sets.  The composing candidates are pre-filtered
-    by the boundaries those composites have, (ys[p], yt[r]) and
-    (ys[q], yt[s]), which holds because the search only places typed values.
-    Each watch is (Y, held, composing), a quadruple stored as its keys
+    Each of the ``exchanges``, a table (d, j), pairs it with the table
+    (d, j+1).  Written from one table X's side, with Y the
+    other, a quadruple is (p, q, r, s): X-keys (p, q), (r, s) and Y-keys
+    (p, r), (q, s), its positional reads; its outer reads are
+    Y(X(p, q), X(r, s)) and X(Y(p, r), Y(q, s)).  It is held, all six
+    entries read, at the slot of its last positional read, and composing at
+    each later slot of X whose key its Y-keys' composites may form.  At any
+    other slot one of its reads is absent, as the search clears every slot
+    after the one it sets.  The composing candidates are pre-filtered by the
+    boundaries those composites have, (ys[p], yt[r]) and (ys[q], yt[s]),
+    which holds because the search only places typed values.  Each watch is
+    (Y, held, composing), a quadruple stored as its keys
     ((p, q), (r, s), (p, r), (q, s)).
     """
     at = {((d, j), key): pos for pos, (d, j, key) in enumerate(slots)}
     sides, held = {}, {}
-    for d, j in [(d, j) for d, j in tables if (d, j + 1) in tables]:
+    for d, j in exchanges:
         V, H = (d, j + 1), (d, j)
         for X, Y in ((V, H), (H, V)):
             sides[X] = (Y, boundary_map(G, d, Y[1], SOURCE), boundary_map(G, d, Y[1], TARGET), {})
@@ -316,16 +297,20 @@ def _slot_table(G, flags, tables, slots):
     key whose type reads the table below has None there and ``typing``, its
     table's hom buckets and composite-type lookup, which the search reads
     when it reaches the key.
-    ``assoc`` holds, for a key (a, b) of a table (j+1, j), its preimage
-    index and the cells that can follow b or precede a, ``exchange`` the
-    key's interchange watch (see ``_exchange_watches``), each None where its
-    flag is off or, for ``exchange``, where the slot order leaves nothing to
-    decide."""
+    ``assoc`` holds, for a key (a, b) of a table with an associativity row
+    in ``laws``, its preimage index and the cells that can follow b or
+    precede a, ``exchange`` the key's interchange watch from the interchange
+    rows (see ``_exchange_watches``), each None where there is no such row
+    or, for ``exchange``, where the slot order leaves nothing to decide."""
     tail = () if flags.global_ else (None,)
-    preimages = {(d, j): [[] for _ in range(G.count(d))] for d, j in tables if d == j + 1}
+    law_rows = laws(G, flags, tables)
+    preimages = {(j + 1, j): [[] for _ in range(G.count(j + 1))]
+                 for axiom, j, _reads, _scan, _args in law_rows if axiom == "associativity"}
     lookups = {(d, j): (hom_buckets(G, d), composite_type(G, d, j, tables))
                for d, j in tables if (d - 1, j) in tables}
-    watches = _exchange_watches(G, tables, slots) if flags.interchange else {}
+    exchanges = [(j + 2, j) for axiom, j, _reads, scan, _args in law_rows
+                 if axiom == "interchange" and scan is not None]
+    watches = _exchange_watches(G, tables, slots, exchanges)
     rows = []
     for pos, (d, j, key) in enumerate(slots):
         a, b = key
@@ -340,26 +325,26 @@ def _slot_table(G, flags, tables, slots):
                 elif b == idn[tmap[b]]:
                     values = (a,) if a in values else ()
             values += tail
-        if flags.associative and (d, j) in preimages:
+        if (d, j) in preimages:
             assoc = (preimages[d, j], neighbours(G, j, SOURCE)[b], neighbours(G, j, TARGET)[a])
         rows.append((tables[d, j], key, values, typing, assoc, watches.get(pos)))
     return rows
 
 
-def _extensions_exist(G, spec, tables):
+def _extensions_exist(G, rows, tables):
     """Whether any single absent entry could be filled with a typed value
-    while keeping the requested axioms; used for the maximal-only filter on
+    while passing the verdict ``rows``; used for the maximal-only filter on
     a family that passes them, so each extension's verdict settles every
     table but the one extended."""
     for (d, j), ent in tables.items():
         buckets, types = hom_buckets(G, d), composite_type(G, d, j, tables)
-        others = [name for name in tables if name != (d, j)]
+        others = frozenset(name for name in tables if name != (d, j))
         for key in table_keys(G, d, j):
             if key in ent:
                 continue
             for v in buckets.get(types[key], ()):
                 ent[key] = v
-                ok = _passes_flags(G, spec.flags, tables, others)
+                ok = _passes(rows, tables, others)
                 del ent[key]
                 if ok:
                     return True
@@ -377,22 +362,24 @@ def _recorder(G, spec, result, names, deadline=None):
     in more steps than the node budget raises SpaceTooLarge; their key
     orbit is built at the first record that passes."""
     auts = automorphisms(G, deadline, spec.limits.max_nodes)
+    rows = _verdict(G, spec.flags, names)
     maximal = spec.maximal_only and not spec.flags.global_
     cap = spec.limits.max_representatives
     orbit = None
-    last_pass = dict.fromkeys(names[:-1])
+    last_pass, nothing = dict.fromkeys(names[:-1]), frozenset()
 
     def record(tables):
         nonlocal orbit
         result.records += 1
-        settled = [name for name in last_pass if tables[name] == last_pass[name]] if last_pass else ()
-        if not _passes_flags(G, spec.flags, tables, settled):
+        settled = (frozenset([name for name in last_pass if tables[name] == last_pass[name]])
+                   if last_pass else nothing)
+        if not _passes(rows, tables, settled):
             result.rejected_at_record += 1
             return
         for name in last_pass:
             if name not in settled:
                 last_pass[name] = dict(tables[name])
-        if maximal and _extensions_exist(G, spec, tables):
+        if maximal and _extensions_exist(G, rows, tables):
             result.rejected_at_record += 1
             return
         result.raw_count += 1

@@ -304,14 +304,17 @@ def _check_entries(t, ids_by_dim, n):
 def parse(text: str | bytes) -> GraphDocument:
     """Decode, structurally validate and normalize one document.
 
-    Raises ParseError (with line/column for malformed JSON), UnknownVersion,
-    or DanglingReference naming the missing id.  Semantic validation of the
-    carrier axioms stays with validate_graph.
+    Raises ParseError (with line/column for malformed JSON, the offset of a
+    byte that is not UTF-8), UnknownVersion, or DanglingReference naming
+    the missing id.  Semantic validation of the carrier axioms stays with
+    validate_graph.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         obj = json.loads(text)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"byte {e.start}: not UTF-8 ({e.reason})") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
     _expect_keys(obj, _TOP_KEYS, "document")

@@ -16,11 +16,14 @@ are written in diagrammatic order: the key (a, b) means "a first, then b".
 Checkers never raise on a bad table; they return a report whose checks
 carry one verdict each (pass, fail, or not-applicable) plus explicit
 counterexamples, so a caller can tell exactly which axiom broke and where.
+``laws`` alone decides which axiom applies to which table under which
+flags; ``check_category`` and the enumeration read its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from types import MappingProxyType
 
 from .graphs import (
@@ -341,8 +344,8 @@ def compose(S: CategoryStructure, a: CellId, b: CellId, j: int) -> CellId:
 
 # -- one integer scan per axiom ---------------------------------------------
 #
-# Each scan reads plain entry dicts ({(a, b): v}) and yields one integer
-# tuple per violation.  The checkers below turn those tuples into
+# Each scan reads a family of entry dicts named (d, j) and yields one
+# integer tuple per violation.  The checkers below turn those tuples into
 # counterexamples at the report edge; the enumeration's record step only
 # asks whether a scan yields anything, so it stops at the first violation.
 
@@ -360,24 +363,22 @@ def typing_scan(G: NGraph, d: int, j: int, tables):
             yield key[0], key[1], v, want
 
 
-def global_scan(keys, entries):
-    """The keys, in order, that have no entry."""
-    for key in keys:
-        if key not in entries:
-            yield key
+def global_scan(keys, name, tables):
+    """The keys, in order, that have no entry in the table ``name``."""
+    return filterfalse(tables[name].__contains__, keys)
 
 
-def units_scan(G: NGraph, j: int, entries, total: bool):
-    """Unit-law violations at level j >= 0, cell by cell, as
+def units_scan(G: NGraph, j: int, total: bool, tables):
+    """Unit-law violations in table (j+1, j), j >= 0, cell by cell, as
     (side, key, a, got): side 0 for the left unit key (idn(src a), a) and 1
     for the right one (a, idn(tgt a)), ``got`` the entry there.  A missing
     entry (``got`` None) is a violation only when ``total``."""
-    d = j + 1
+    get = tables[j + 1, j].get
     idn = G.idn_map(j)
-    smap, tmap = G.src_map(d), G.tgt_map(d)
-    for a in range(G.count(d)):
+    smap, tmap = G.src_map(j + 1), G.tgt_map(j + 1)
+    for a in range(G.count(j + 1)):
         for side, key in ((0, (idn[smap[a]], a)), (1, (a, idn[tmap[a]]))):
-            got = entries.get(key)
+            got = get(key)
             if got is None:
                 if total:
                     yield side, key, a, None
@@ -385,9 +386,9 @@ def units_scan(G: NGraph, j: int, entries, total: bool):
                 yield side, key, a, got
 
 
-def assoc_scan(G: NGraph, j: int, entries, lopsided=None):
-    """Composable level-j triples whose two bracketings are both defined
-    and differ, as (a, b, c, left, right), lexicographically.
+def assoc_scan(G: NGraph, j: int, tables, lopsided=None):
+    """Composable triples of table (j+1, j) whose two bracketings are both
+    defined and differ, as (a, b, c, left, right), lexicographically.
 
     Given a list, the scan also appends to ``lopsided`` each triple, as
     (a, b, c), with exactly one bracketing defined; without one it skips
@@ -395,7 +396,7 @@ def assoc_scan(G: NGraph, j: int, entries, lopsided=None):
     right one.
     """
     after = neighbours(G, j, SOURCE)
-    get = entries.get
+    get = tables[j + 1, j].get
     for a, nxt in enumerate(after):
         for b in nxt:
             ab = get((a, b))
@@ -414,14 +415,14 @@ def assoc_scan(G: NGraph, j: int, entries, lopsided=None):
                     lopsided.append((a, b, c))
 
 
-def interchange_scan(G: NGraph, j: int, V, H, lopsided=None):
-    """Middle-four exchange between the vertical entries ``V`` at level
-    j+1 and the horizontal entries ``H`` at level j: the quadruples
-    (a, a2, b, b2), in ``interchange_partners`` order, whose four inner
-    composites and both outer ones are defined and disagree, as
-    (a, a2, b, b2, lhs, rhs).  Given a list, the scan also appends to
-    ``lopsided`` each quadruple with only one outer composite defined."""
-    vget, hget = V.get, H.get
+def interchange_scan(G: NGraph, j: int, tables, lopsided=None):
+    """Middle-four exchange between the vertical table (j+2, j+1) and the
+    horizontal table (j+2, j): the quadruples (a, a2, b, b2), in
+    ``interchange_partners`` order, whose four inner composites and both
+    outer ones are defined and disagree, as (a, a2, b, b2, lhs, rhs).
+    Given a list, the scan also appends to ``lopsided`` each quadruple with
+    only one outer composite defined."""
+    vget, hget = tables[j + 2, j + 1].get, tables[j + 2, j].get
     for (a, a2), partners in interchange_partners(G, j):
         va = vget((a, a2))
         if va is None:
@@ -441,22 +442,57 @@ def interchange_scan(G: NGraph, j: int, V, H, lopsided=None):
                 lopsided.append((a, a2, b, b2))
 
 
-def _inverses(G: NGraph, j: int, entries, a: int):
-    """The two-sided inverses of the (j+1)-cell ``a``, ascending."""
-    d = j + 1
+def _inverses(G: NGraph, j: int, tables, a: int):
+    """The two-sided inverses of the (j+1)-cell ``a`` in ``tables``, ascending."""
+    get = tables[j + 1, j].get
     idn = G.idn_map(j)
-    x, y = G.src_map(d)[a], G.tgt_map(d)[a]
-    for b in hom_buckets(G, d).get((y, x), ()):
-        if entries.get((a, b)) == idn[x] and entries.get((b, a)) == idn[y]:
+    x, y = G.src_map(j + 1)[a], G.tgt_map(j + 1)[a]
+    for b in hom_buckets(G, j + 1).get((y, x), ()):
+        if get((a, b)) == idn[x] and get((b, a)) == idn[y]:
             yield b
 
 
-def groupoid_scan(G: NGraph, j: int, entries):
-    """The (j+1)-cells, ascending, with no two-sided inverse at level j;
-    meaningful once the unit law holds there."""
+def groupoid_scan(G: NGraph, j: int, tables):
+    """The (j+1)-cells, ascending, with no two-sided inverse in table
+    (j+1, j); meaningful once the unit law holds there."""
     for a in range(G.count(j + 1)):
-        if next(_inverses(G, j, entries, a), None) is None:
+        if next(_inverses(G, j, tables, a), None) is None:
             yield a
+
+
+def laws(G: NGraph, flags: AxiomFlags, names) -> list[tuple]:
+    """The laws ``flags`` ask of tables named ``names`` (in ``named_tables``
+    order), one row (axiom, level, reads, scan, args) per axiom and table,
+    in ``check_category``'s report order: ``scan(*args, tables)`` yields the
+    violations in the family ``tables``, reading the tables named ``reads``.
+    The unit row is also the groupoid precondition.  ``scan`` is None where
+    the axiom does not apply: units and inverses at level -1, interchange
+    without the table (j+2, j+1) or, level None, without any (j+2, j)."""
+    rows = []
+    for d, j in names:
+        # the type of a composite in a table (j+2, j) reads the table below
+        reads = {(d, j), (d - 1, j)} if d > j + 1 else {(d, j)}
+        rows.append(("typing" if d == j + 1 else "typing-horizontal", j, frozenset(reads), typing_scan, (G, d, j)))
+    for j in sorted({j for _d, j in names}):
+        if flags.global_:
+            rows += [("global" if d == j + 1 else "global-horizontal", j, frozenset({(d, j)}),
+                      global_scan, (table_keys(G, d, j), (d, j))) for d, i in names if i == j]
+        if (j + 1, j) not in names:
+            continue
+        table = frozenset({(j + 1, j)})
+        if flags.unital or flags.groupoid:
+            rows.append(("units", j, table, units_scan if j >= 0 else None, (G, j, flags.global_)))
+        if flags.associative:
+            rows.append(("associativity", j, table, assoc_scan, (G, j)))
+        if flags.groupoid:
+            rows.append(("groupoid", j, table, groupoid_scan if j >= 0 else None, (G, j)))
+    if flags.interchange:
+        horizontal = [j for d, j in names if d == j + 2]
+        rows += [("interchange", j, frozenset({(j + 2, j), (j + 2, j + 1)}),
+                  interchange_scan if (j + 2, j + 1) in names else None, (G, j)) for j in horizontal]
+        if not horizontal:
+            rows.append(("interchange", None, frozenset(), None, ()))
+    return rows
 
 
 # -- the checkers: the scans' violations as counterexamples -----------------
@@ -492,13 +528,14 @@ def check_typing(S: CategoryStructure) -> AxiomReport:
 def check_global(S: CategoryStructure, j: int) -> AxiomReport:
     """Totality at level j: every key of the vertical and of the horizontal
     table there, whichever ``S`` has, has an entry."""
-    tables = [(d, entries) for (d, i), entries in named_tables(S).items() if i == j]
-    if not tables:
+    tables = named_tables(S)
+    here = [d for d, i in tables if i == j]
+    if not here:
         raise NoTableAtLevel(f"no table at level {j}")
     checks = []
-    for d, entries in tables:
+    for d in here:
         bad = [Counterexample("missing", (CellId(d, a), CellId(d, b)))
-               for a, b in global_scan(table_keys(S.graph, d, j), entries)]
+               for a, b in global_scan(table_keys(S.graph, d, j), (d, j), tables)]
         axiom = "global" if d == j + 1 else "global-horizontal"
         checks.append(AxiomCheck(axiom, j, FAIL if bad else PASS, bad))
     return AxiomReport(checks)
@@ -521,7 +558,7 @@ def check_units(S: CategoryStructure, j: int) -> AxiomReport:
         raise NoTableAtLevel(f"no vertical table at level {j}")
     d = j + 1
     bad = []
-    for side, (p, q), a, got in units_scan(S.graph, j, S.vtables[j].entries, S.flags.global_):
+    for side, (p, q), a, got in units_scan(S.graph, j, S.flags.global_, named_tables(S)):
         cells = (CellId(d, p), CellId(d, q))
         if got is None:
             bad.append(Counterexample(_UNIT_SIDES[side] + "-missing", cells,
@@ -542,7 +579,7 @@ def check_associativity(S: CategoryStructure, j: int) -> AxiomReport:
     lopsided = []
     bad = [Counterexample("associativity", (CellId(d, a), CellId(d, b), CellId(d, c)),
                           expected=CellId(d, left), actual=CellId(d, right))
-           for a, b, c, left, right in assoc_scan(S.graph, j, S.vtables[j].entries, lopsided)]
+           for a, b, c, left, right in assoc_scan(S.graph, j, named_tables(S), lopsided)]
     asymmetric = [Counterexample("partiality-asymmetry", (CellId(d, a), CellId(d, b), CellId(d, c)),
                                  expected="both bracketings defined or neither")
                   for a, b, c in lopsided]
@@ -564,8 +601,7 @@ def check_interchange(S: CategoryStructure, j: int) -> AxiomReport:
     lopsided = []
     bad = [Counterexample("interchange", tuple(CellId(d, x) for x in quad[:4]),
                           expected=CellId(d, quad[4]), actual=CellId(d, quad[5]))
-           for quad in interchange_scan(S.graph, j, S.vtables[j + 1].entries,
-                                        S.htables[j].entries, lopsided)]
+           for quad in interchange_scan(S.graph, j, named_tables(S), lopsided)]
     asymmetric = [Counterexample("partiality-asymmetry", tuple(CellId(d, x) for x in quad),
                                  expected="both evaluation orders defined or neither")
                   for quad in lopsided]
@@ -598,14 +634,14 @@ def _groupoid_report(S: CategoryStructure, j: int, unit: AxiomCheck) -> AxiomRep
     smap, tmap = G.src_map(d), G.tgt_map(d)
     bad = [Counterexample("no-inverse", (CellId(d, a),),
                           expected=(CellId(d, idn[smap[a]]), CellId(d, idn[tmap[a]])))
-           for a in groupoid_scan(G, j, S.vtables[j].entries)]
+           for a in groupoid_scan(G, j, named_tables(S))]
     return _single("groupoid", j, FAIL if bad else PASS, bad)
 
 
 def inverses(S: CategoryStructure, j: int, a: CellId) -> list[CellId]:
     """All two-sided inverses of ``a`` at level j (used to confirm that a
     passing groupoid check pins the inverse down uniquely)."""
-    return [CellId(j + 1, b) for b in _inverses(S.graph, j, S.vtables[j].entries, a.index)]
+    return [CellId(j + 1, b) for b in _inverses(S.graph, j, named_tables(S), a.index)]
 
 
 def check_cocategory(G: NGraph, D: CocompTable) -> AxiomReport:
@@ -635,39 +671,32 @@ def check_cocategory(G: NGraph, D: CocompTable) -> AxiomReport:
 
 
 def check_category(S: CategoryStructure) -> AxiomReport:
-    """Run the full battery selected by the structure's flags.
-
-    Typing always runs.  Totality runs for every level that has a table,
-    the other per-level axioms for every level that has a vertical table;
-    interchange runs for every level that has both tables it needs.
-    A groupoid request with a broken unit law is reported as a failure with
-    a note instead of raising, so the aggregate stays total.  The unit law
-    is scanned once per level, for ``unital`` and as that precondition.
-    """
-    report = check_typing(S)
-    for j in sorted(S.vtables.keys() | S.htables.keys()):
-        if S.flags.global_:
-            report = report.merged(check_global(S, j))
-        if j not in S.vtables:
-            continue
-        if S.flags.unital or S.flags.groupoid:
-            units = check_units(S, j)
-        if S.flags.unital:
-            report = report.merged(units)
-        if S.flags.associative:
-            report = report.merged(check_associativity(S, j))
-        if S.flags.groupoid:
-            report = report.merged(_groupoid_report(S, j, units.checks[0]))
-    if S.flags.interchange:
-        for j in sorted(S.htables):
-            if j + 1 in S.vtables:
-                report = report.merged(check_interchange(S, j))
-            else:
-                report = report.merged(_single(
-                    "interchange", j, NOT_APPLICABLE,
-                    notes=[f"no vertical table at level {j + 1}"]))
-        if not S.htables:
-            report = report.merged(_single(
-                "interchange", None, NOT_APPLICABLE,
-                notes=["no horizontal tables present"]))
-    return report
+    """One check per row of ``laws`` for the structure's flags, in order,
+    from the report of its public checker; the unit row, scanned once per
+    level, is reported under ``unital``, and a groupoid check after a broken
+    unit law fails with a note instead of raising."""
+    typing, totals, checks = check_typing(S), {}, []
+    for axiom, j, _reads, scan, _args in laws(S.graph, S.flags, named_tables(S)):
+        if axiom.startswith("typing"):
+            report = typing
+        elif axiom.startswith("global"):
+            # one report covers both tables of the level
+            if j not in totals:
+                totals[j] = check_global(S, j)
+            report = totals[j]
+        elif axiom == "units":
+            report = check_units(S, j)
+            units = report.checks[0]
+            if not S.flags.unital:
+                continue
+        elif axiom == "associativity":
+            report = check_associativity(S, j)
+        elif axiom == "groupoid":
+            report = _groupoid_report(S, j, units)
+        elif scan is not None:
+            report = check_interchange(S, j)
+        else:
+            note = "no horizontal tables present" if j is None else f"no vertical table at level {j + 1}"
+            report = _single(axiom, j, NOT_APPLICABLE, notes=[note])
+        checks.append(report.find(axiom, j))
+    return AxiomReport(checks)

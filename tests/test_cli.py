@@ -2,6 +2,7 @@ import copy
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -67,6 +68,13 @@ def test_check_failure_exits_one(tmp_path, capsys):
     path = write(tmp_path, "broken.json", document_from_structure(broken))
     assert main(["check", path]) == 1
     assert "verdict: fail" in capsys.readouterr().out
+
+
+def test_check_of_bytes_that_are_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b'{"format_version": "\xff\xfe"}')
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: byte 20: not UTF-8")
 
 
 def test_check_flag_override(z2_file):
@@ -192,8 +200,8 @@ def test_opposite_round_trip(z2_file, tmp_path, capsys):
     out2 = str(tmp_path / "op2.json")
     assert main(["opposite", z2_file, "--level", "1", "-o", out1]) == 0
     assert main(["opposite", out1, "--level", "1", "-o", out2]) == 0
-    original = parse(open(z2_file, "rb").read())
-    twice = parse(open(out2, "rb").read())
+    original = parse(Path(z2_file).read_bytes())
+    twice = parse(Path(out2).read_bytes())
     assert serialize(twice) == serialize(document_from_graph(original.graph()))
     assert main(["opposite", z2_file, "--level", "7"]) == 2
     _ = capsys.readouterr()

@@ -22,7 +22,7 @@ from ncats import (
     skeletal_graph,
     verify_skeletal_uniqueness,
 )
-from ncats import enumeration
+from ncats import enumeration, structures
 from ncats.enumeration import LevelUnavailable
 from ncats.graphs import NGraph, StructureTail, automorphisms, hom_buckets
 from ncats.structures import interchange_partners, split_tables, table_keys
@@ -486,13 +486,13 @@ def test_record_scans_the_unit_law_once_per_level(monkeypatch):
     """Under ``groupoid`` the one unit scan of a level is also the
     precondition of the inverse scan."""
     levels = []
-    real = enumeration.units_scan
+    real = structures.units_scan
 
     def counted(G, j, *rest):
         levels.append(j)
         return real(G, j, *rest)
 
-    monkeypatch.setattr(enumeration, "units_scan", counted)
+    monkeypatch.setattr(structures, "units_scan", counted)
     res = enumerate_structures(loops_graph(4), spec(GROUP))
     assert (res.raw_count, res.iso_count, res.records) == (4, 2, 156)
     assert levels == [0] * 156
@@ -534,6 +534,12 @@ def _assignments(G, sp, rng, count):
         yield tables
 
 
+def _passes(G, flags, tables, settled=()):
+    """The record verdict on one family, with ``settled`` naming the tables
+    whose rows it may leave out."""
+    return enumeration._passes(enumeration._verdict(G, flags, tables), tables, frozenset(settled))
+
+
 def test_verdict_agrees_with_the_checkers():
     """The record step's verdict, run on bare entry dicts, decides exactly
     as ``check_category`` does on the structure they make."""
@@ -557,7 +563,7 @@ def test_verdict_agrees_with_the_checkers():
         for tables in _assignments(G, sp, rng, count):
             for flags in flag_sets:
                 S = CategoryStructure(G, *split_tables(tables), flags)
-                verdict = enumeration._passes_flags(G, flags, tables)
+                verdict = _passes(G, flags, tables)
                 assert verdict == check_category(S).passed, (S, tables)
                 seen.add(verdict)
         assert seen == {False, True}
@@ -577,14 +583,14 @@ def test_settled_tables_keep_the_verdict():
                   AxiomFlags(global_=True, interchange=True), TWO_CATEGORY,
                   AxiomFlags(unital=True, groupoid=True)):
         for tables in families:
-            if not enumeration._passes_flags(G, flags, tables):
+            if not _passes(G, flags, tables):
                 continue
             for name in names:
                 changed = {**tables, name: rng.choice(families)[name]}
                 settled = [other for other in names if other != name]
-                verdict = enumeration._passes_flags(G, flags, changed, settled)
+                verdict = _passes(G, flags, changed, settled)
                 S = CategoryStructure(G, *split_tables(changed), flags)
-                assert verdict == enumeration._passes_flags(G, flags, changed) == check_category(S).passed
+                assert verdict == _passes(G, flags, changed) == check_category(S).passed
                 seen.add((name, verdict))
     assert seen == {(name, verdict) for name in names for verdict in (False, True)}
 
@@ -631,7 +637,7 @@ def test_maximal_only_keeps_the_families_no_entry_extends():
         G = random_graph(random.Random(seed), n=2, max_cells=3)
         sp = spec(flags, include_horizontal=True, maximal_only=True)
         passing = {frozen(tables): tables for tables in _assignments(G, sp, None, None)
-                   if enumeration._passes_flags(G, flags, tables)}
+                   if _passes(G, flags, tables)}
         maximal = Counter()
         for tables in passing.values():
             extended = (frozen({**tables, (d, j): {**tables[d, j], key: v}})

@@ -206,6 +206,13 @@ def test_syntax_error_carries_position():
     assert "line 1" in str(err.value)
 
 
+def test_bytes_that_are_not_utf8_are_a_parse_error():
+    blob = json.dumps(MINIMAL).encode()
+    with pytest.raises(ParseError) as err:
+        parse(blob[:10] + b"\xd0\x00" + blob[10:])
+    assert str(err.value).startswith("byte 10: not UTF-8")
+
+
 def test_unknown_version_rejected():
     bad = dict(MINIMAL, format_version="2")
     with pytest.raises(UnknownVersion):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -25,8 +27,10 @@ from ncats import (
     composable_pairs,
     compose,
     h_composable_pairs,
+    report_document,
 )
 from ncats import structures
+from ncats.cobordism import build_cob_truncation
 from ncats.graphs import SOURCE, TARGET
 from ncats.structures import (
     FAIL,
@@ -39,6 +43,8 @@ from ncats.structures import (
     StructureError,
     UnitsRequired,
     inverses,
+    laws,
+    named_tables,
 )
 
 from util import (
@@ -46,6 +52,7 @@ from util import (
     chain_graph,
     loops_graph,
     parallel_pair_graph,
+    total_order_structure,
     z2_structure,
 )
 
@@ -331,6 +338,43 @@ def test_check_category_scans_the_unit_law_once_per_level(monkeypatch):
                 else:
                     assert groupoid.counterexamples == units.checks[0].counterexamples
                     assert groupoid.verdict == units.checks[0].verdict
+
+
+def test_check_category_reports_over_the_horizontal_rewrites_are_pinned():
+    """Every one-entry rewrite of the horizontal table of the cat of two
+    Z2s, flags kept, gets the report frozen here, byte for byte."""
+    _, Z = z2_structure()
+    G, S = build_cat_of_cats([Z, Z])
+    entries = S.htables[0].entries
+    digest, rewrites = hashlib.sha256(), 0
+    for key, val in sorted(entries.items()):
+        for alt in range(G.count(2)):
+            if alt == val:
+                continue
+            bent = CategoryStructure(G, list(S.vtables.values()), [CompTable(0, {**entries, key: alt})], S.flags)
+            digest.update(json.dumps(report_document(check_category(bent)), sort_keys=True).encode())
+            rewrites += 1
+    assert rewrites == 1920
+    assert digest.hexdigest() == "271e28319747372ab41d266a77afb2f77f3eff77f396cced9ce4de610123f145"
+
+
+def test_check_category_reports_the_rows_of_laws():
+    """Under every flag set, ``check_category`` reports one check per row
+    of ``laws``, in its order, the unit row only under ``unital``."""
+    Z = z2_structure()[1]
+    _, cat = build_cat_of_cats([Z], depth=2)
+    G = loops_graph(2)
+    carriers = [Z, total_order_structure(3)[1], build_cob_truncation(3)[1], cat,
+                build_cat_of_cats([Z], depth=3)[1],
+                CategoryStructure(cat.graph, [cat.vtables[0]], [cat.htables[0]]),
+                CategoryStructure(G, [CompTable(-1, {(0, 0): 0}), Z.vtables[0]]),
+                CategoryStructure(G)]
+    for S in carriers:
+        for bits in itertools.product((False, True), repeat=5):
+            S.flags = AxiomFlags(*bits)
+            rows = [(axiom, j) for axiom, j, _reads, _scan, _args in laws(S.graph, S.flags, named_tables(S))
+                    if axiom != "units" or S.flags.unital]
+            assert [(c.axiom, c.level) for c in check_category(S).checks] == rows, (S, bits)
 
 
 def test_every_failing_check_carries_a_counterexample():
