@@ -10,10 +10,11 @@ interchange constraints are decided and can never recover.
 but values whose type the carrier alone rules out; it exists so the search
 can be checked against an implementation too simple to share its bugs.
 Both hand each complete assignment to one record step, whose verdict runs
-the rows of ``structures.laws``, cheapest first, whatever the search pruned,
-except those that read only settled tables.  A table but the last in search
-order is settled while its entries equal those it had at the last record
-that passed, so each row left out reads exactly the input it passed on.
+the rows of ``structures.laws`` cheapest first (typing, totality, units,
+inverses, associativity, interchange), whatever the search pruned, except
+those that read only settled tables.  A table but the last in search order
+is settled while its entries equal those it had at the last record that
+passed, so each row left out reads exactly the input it passed on.
 The search fills the vertical tables first, so they rarely change from one
 record to the next; with one table nothing is settled.
 
