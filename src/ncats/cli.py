@@ -8,7 +8,8 @@ a file, and ``gen`` writes example documents.
 
 Exit codes: 0 all requested checks passed (or the enumeration finished),
 1 a check failed (an invalid carrier fails its ``carrier`` check in every
-subcommand), 2 usage or parse error, 3 a budget was exceeded.
+subcommand, invalid tables fail with their error in every subcommand that
+reads them), 2 usage or parse error, 3 a budget was exceeded.
 ``--json`` prints the machine-readable report instead of prose; human
 output shows at most 10 counterexamples per check unless ``--all`` is
 given.  NCATS_MAX_NODES and NCATS_TIME_BUDGET set default search budgets.
@@ -64,8 +65,8 @@ class _Usage(Exception):
     pass
 
 
-class _BadCarrier(Exception):
-    """An invalid carrier; its argument is the failing carrier report."""
+class _Invalid(Exception):
+    """An invalid carrier or tables; its argument is the failing report."""
 
 
 def _parse_flags(text):
@@ -134,7 +135,18 @@ def _document(args):
     issues = [Counterexample(i.condition, () if i.cell is None else (i.cell,), actual=i.detail)
               for i in G.issues]
     report = AxiomReport([AxiomCheck("carrier", None, FAIL, issues)])
-    raise _BadCarrier(fmt.report_document(report, name_of=str))
+    raise _Invalid(fmt.report_document(report, name_of=str))
+
+
+def _structure(doc, args):
+    """The file's structure under ``--flags``.  Invalid tables end the
+    command with a failing report that carries the error (exit 1)."""
+    try:
+        return doc.structure(_parse_flags(args.flags))
+    except StructureError as e:
+        rep = fmt.report_document(None, error=str(e))
+        rep["verdict"] = "fail"
+        raise _Invalid(rep) from None
 
 
 def _emit(rep, args):
@@ -191,13 +203,7 @@ def _write_doc(doc, out):
 
 def cmd_check(args):
     doc, G = _document(args)
-    try:
-        S = doc.structure(_parse_flags(args.flags))
-    except StructureError as e:
-        rep = fmt.report_document(None, error=str(e))
-        rep["verdict"] = "fail"
-        return _emit(rep, args)
-    report = check_category(S)
+    report = check_category(_structure(doc, args))
     for D in doc.cotables():
         report = report.merged(check_cocategory(G, D))
     return _emit(fmt.report_document(report, name_of=doc.cell_name), args)
@@ -265,7 +271,7 @@ def cmd_morphism(args):
 def cmd_functor(args):
     doc, _ = _document(args)
     m = doc.morphism(args.name)
-    S = doc.structure(_parse_flags(args.flags))
+    S = _structure(doc, args)
     report = check_functor(m, S, S)
     return _emit(fmt.report_document(report, name_of=doc.cell_name), args)
 
@@ -284,7 +290,7 @@ def cmd_nat(args):
     doc, _ = _document(args)
     t = doc.transformation(args.t)
     _expect_ends(doc, "transformations", args.t, f=args.f, g=args.g)
-    S = doc.structure(_parse_flags(args.flags))
+    S = _structure(doc, args)
     report = check_transformation(t, S, S)
     return _emit(fmt.report_document(report, name_of=doc.cell_name), args)
 
@@ -293,20 +299,25 @@ def cmd_modification(args):
     doc, _ = _document(args)
     md = doc.modification(args.m)
     _expect_ends(doc, "modifications", args.m, s=args.s, t=args.t)
-    S = doc.structure(_parse_flags(args.flags))
+    S = _structure(doc, args)
     report = check_modification(md, S, S)
     return _emit(fmt.report_document(report, name_of=doc.cell_name), args)
 
 
 def cmd_gen(args):
-    if args.kind == "cob":
-        _, S = build_cob_truncation(args.max_points)
-        doc = fmt.document_from_structure(S)
-    elif args.kind == "sets":
-        doc = fmt.document_from_graph(gen_sets_graph(args.max_size))
-    else:
-        G = skeletal_graph(args.objects, args.n, seed=args.seed)
-        doc = fmt.document_from_graph(G)
+    try:
+        if args.kind == "cob":
+            _, S = build_cob_truncation(args.max_points)
+            doc = fmt.document_from_structure(S)
+        elif args.kind == "sets":
+            doc = fmt.document_from_graph(gen_sets_graph(args.max_size))
+        else:
+            G = skeletal_graph(args.objects, args.n, seed=args.seed)
+            doc = fmt.document_from_graph(G)
+    except SpaceTooLarge:
+        raise
+    except GraphError as e:
+        raise _Usage(str(e)) from None
     _write_doc(doc, args.output)
     return 0
 
@@ -418,7 +429,7 @@ def main(argv=None) -> int:
         return 0 if not e.code else 2
     try:
         return args.func(args)
-    except _BadCarrier as e:
+    except _Invalid as e:
         return _emit(e.args[0], args)
     except (_Usage, fmt.ParseError) as e:
         sys.stderr.write(f"error: {e}\n")

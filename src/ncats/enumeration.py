@@ -528,10 +528,10 @@ def brute_force_oracle(G: NGraph, spec: EnumSpec = EnumSpec(), space_bound: int 
     Every key ranges over every cell of the right dimension (plus "absent"
     in partial mode); a key whose composite's type reads no other table,
     as in a table (j+1, j), only over the cells of that type in the raw
-    maps.  Each full assignment is filtered through the axiom checkers.  The
-    assignment space, every cell counted, must fit under ``space_bound``,
-    and listing the automorphisms within the node budget, or SpaceTooLarge
-    is raised.
+    maps.  Each full assignment goes to the record step, which runs the
+    rows of ``structures.laws``.  The product of the domains it iterates
+    must fit under ``space_bound``, and listing the automorphisms within
+    the node budget, or SpaceTooLarge is raised.
     """
     levels, h_levels = _resolve_levels(G, spec)
     start = time.monotonic()
@@ -540,15 +540,15 @@ def brute_force_oracle(G: NGraph, spec: EnumSpec = EnumSpec(), space_bound: int 
     tail = () if spec.flags.global_ else (None,)
     space, domains = 1, []
     for d, j, key in slots:
-        space *= G.count(d) + len(tail)
-        if space > space_bound:
-            raise SpaceTooLarge(f"assignment space exceeds {space_bound}")
         cells = tuple(range(G.count(d)))
         if (d - 1, j) not in names:
             want = composite_type(G, d, j, {})[key]
             smap, tmap = G.src_map(d), G.tgt_map(d)
             cells = tuple(v for v in cells if (smap[v], tmap[v]) == want)
         domains.append(cells + tail)
+        space *= len(domains[-1])
+        if space > space_bound:
+            raise SpaceTooLarge(f"assignment space exceeds {space_bound}")
 
     result = EnumResult(0, 0, [], True)
     record = _recorder(G, spec, result, names)

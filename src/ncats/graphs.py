@@ -264,12 +264,6 @@ class NGraph:
             raise BadLevel(f"no identity section at dimension {x.dim}")
         return CellId(x.dim + 1, self._idn[x.dim][x.index])
 
-    def identity_indices(self, dim: int) -> frozenset[int]:
-        """Indices at ``dim`` that are images of the identity section."""
-        if dim <= 0 or dim > self.n:
-            return frozenset()
-        return frozenset(self._idn[dim - 1])
-
     def label(self, z: CellId):
         if self.labels is None or z.dim < 0:
             return None

@@ -273,11 +273,12 @@ def _named_section(obj, what, ends, known, read, *extra):
 
 
 def _check_entries(t, ids_by_dim, n):
-    _expect(isinstance(t, dict), "table records must be objects")
+    _expect_keys(t, {"kind", "level", "entries"}, "table record")
     kind = t.get("kind")
     _expect(isinstance(kind, str) and kind in _KIND_ORDER, f"unknown table kind {kind!r}")
     level = t.get("level")
-    _expect(isinstance(level, int), "table level must be an integer")
+    _expect(isinstance(level, int) and not isinstance(level, bool),
+            "table level must be an integer")
     if kind == MINUS_ONE:
         _expect(level == -1, "a minus-one table lives at level -1")
     # a table holds (level + offset)-cells, and the top dimension is n
@@ -322,10 +323,11 @@ def parse(text: str | bytes) -> GraphDocument:
     if version != FORMAT_VERSION:
         raise UnknownVersion(f"format_version {version!r} is not supported")
     n = obj.get("n")
-    _expect(isinstance(n, int) and n >= 1, "n must be an integer >= 1")
+    _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "n must be an integer >= 1")
     _expect_keys(obj.get("tail"), {"minus_one"}, "tail")
     minus_one = obj["tail"].get("minus_one")
-    _expect(minus_one in (1, 2), "tail.minus_one must be 1 or 2")
+    _expect(minus_one in (1, 2) and not isinstance(minus_one, bool),
+            "tail.minus_one must be 1 or 2")
 
     dims = obj.get("dims")
     _expect(isinstance(dims, list) and len(dims) == n + 1,
@@ -383,7 +385,8 @@ def parse(text: str | bytes) -> GraphDocument:
     def read_transformation(name, item):
         levels = item.get("levels", [0])
         _expect(isinstance(levels, list)
-                and all(isinstance(i, int) and 0 <= i <= n - 1 for i in levels)
+                and all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i <= n - 1
+                        for i in levels)
                 and levels == sorted(set(levels)),
                 f"transformation {name!r} levels must be sorted dimensions below {n}")
         return {"levels": list(levels),

@@ -334,25 +334,13 @@ def enumerate_functors(cE: CategoryStructure, cF: CategoryStructure, bound: int 
     """Every functor from cE to cF, in a deterministic order.
 
     Filters the graph morphisms ``graph_maps`` lists down to those that
-    preserve all defined composites.
+    preserve all defined composites.  ``bound`` caps the steps of that
+    listing, one per cell placed or map yielded; past it SpaceTooLarge is
+    raised.
     """
     E, F = cE.graph, cF.graph
-    if E.n != F.n:
-        raise DimensionMismatch(f"carriers have heights {E.n} and {F.n}")
-    if E.tail.minus_one_count != F.tail.minus_one_count:
-        return []
-    if E.count(0) > 0 and E.tail.zero_type != F.tail.zero_type:
-        return []
-
-    space = max(1, F.count(0)) ** E.count(0)
-    for d in range(1, E.n + 1):
-        free = E.count(d) - len(E.identity_indices(d))
-        space *= max(1, F.count(d)) ** free
-        if space > bound:
-            raise SpaceTooLarge(f"functor space exceeds {bound}")
-
     out = []
-    for comps in graph_maps(E, F):
+    for comps in graph_maps(E, F, max_steps=bound):
         m = GraphMorphism(E, F, comps)
         if check_functor(m, cE, cF).passed:
             out.append(m)

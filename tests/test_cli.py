@@ -226,6 +226,20 @@ def test_gen_cob_and_sets_check_out(tmp_path, capsys):
     assert main(["gen", "cob", "--max-points", "9", "-o", cob]) == 3
 
 
+def test_gen_argument_errors_exit_two(capsys):
+    """Sizes no carrier can have are usage errors; sizes too large to
+    build stay budget errors."""
+    for argv, code, message in (
+            (["sets", "--max-size", "0"], 2, "need at least one set"),
+            (["skeletal", "--objects", "-1"], 2, "need a nonnegative object count and n >= 1"),
+            (["skeletal", "--n", "0"], 2, "need a nonnegative object count and n >= 1"),
+            (["cob", "--max-points", "5"], 3, "point budgets above 4 produce unreasonably large tables"),
+            (["sets", "--max-size", "4"], 3, "set sizes above 3 produce unreasonably many map pairs")):
+        assert main(["gen", *argv]) == code, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n", argv
+
+
 def morphism_file(tmp_path):
     G, S = z2_structure()
     fs = enumerate_functors(S, S)
@@ -307,6 +321,29 @@ def test_every_subcommand_reports_an_invalid_carrier(tmp_path, capsys):
             rep = json.loads(capsys.readouterr().out)
             schema_validate(rep, report_schema())
             assert [c["axiom"] for c in rep["checks"]] == ["carrier"], argv
+
+
+def test_every_subcommand_reports_invalid_tables(tmp_path, capsys):
+    """Each subcommand that reads the tables turns a key that is not
+    composable into a failing report carrying the error, exit 1."""
+    doc = json.loads(serialize(modification_document()[0]))
+    table = next(t for t in doc["tables"] if t["kind"] == "vertical" and t["level"] == 1)
+    keys = [e[:2] for e in table["entries"]]
+    cells = [c["id"] for c in doc["dims"][2]]
+    a, b = next([a, b] for a in cells for b in cells if [a, b] not in keys)
+    table["entries"].append([a, b, a])
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["check"], ["functor", "--name", "I"], ["nat", "--t", "S"],
+                 ["modification", "--m", "M"]):
+        assert main([argv[0], str(path), *argv[1:]]) == 1, argv
+        out, err = capsys.readouterr()
+        assert "error: level 1 key" in out and "verdict: fail" in out, argv
+        assert err == "", argv
+        assert main([argv[0], str(path), "--json", *argv[1:]]) == 1, argv
+        rep = json.loads(capsys.readouterr().out)
+        schema_validate(rep, report_schema())
+        assert rep["verdict"] == "fail" and "not composable" in rep["error"], argv
 
 
 def test_modification_with_unequal_levels_exits_two(tmp_path, capsys):

@@ -24,13 +24,14 @@ from ncats import (
 )
 from ncats import enumeration, structures
 from ncats.enumeration import LevelUnavailable
-from ncats.graphs import NGraph, StructureTail, automorphisms, hom_buckets
+from ncats.graphs import NGraph, SpaceTooLarge, StructureTail, automorphisms, hom_buckets
 from ncats.structures import interchange_partners, split_tables, table_keys
 
 from util import (
     chain_graph,
     long_order_graph,
     loops_graph,
+    oriental_2_graph,
     parallel_pair_graph,
     random_graph,
     relabeled,
@@ -86,6 +87,24 @@ def test_oracle_agreement_on_parallel_pair():
         assert fast.canonical_counts == slow.canonical_counts
     assert enumerate_structures(G, spec(GLOBAL)).raw_count == 16
     assert enumerate_structures(G, spec(GLOBAL)).iso_count == 10
+
+
+def test_oracle_agreement_on_the_second_oriental():
+    """O_2 admits 2 structures.  The oracle's bound is the product of the
+    domains it iterates, the typed values of each key: 32 assignments,
+    where every cell of each key's dimension would count about 1.9e18.
+    A horizontal key's type reads a vertical table, so its domain is every
+    2-cell, and that product stays out of reach."""
+    G = oriental_2_graph()
+    for flags, raw in ((GLOBAL, 32), (MONOID, 2)):
+        fast = enumerate_structures(G, spec(flags))
+        slow = brute_force_oracle(G, spec(flags), space_bound=32)
+        assert fast.raw_count == slow.raw_count == fast.iso_count == raw
+        assert fast.canonical_counts == slow.canonical_counts
+    with pytest.raises(SpaceTooLarge):
+        brute_force_oracle(G, spec(GLOBAL), space_bound=31)
+    with pytest.raises(SpaceTooLarge):
+        brute_force_oracle(G, spec(MONOID, include_horizontal=True))
 
 
 def test_oracle_agreement_partial_mode():
@@ -362,9 +381,7 @@ def test_interchange_search_matches_oracle():
             for maximal in (False, True):
                 sp = spec(INTERCHANGE_FLAGS[name], include_horizontal=True, maximal_only=maximal)
                 fast = enumerate_structures(G, sp)
-                # the bound counts every cell of each key's dimension; the
-                # oracle runs only the typed ones (3888 at seeds 7 and 47)
-                slow = brute_force_oracle(G, sp, space_bound=3 * 10 ** 5)
+                slow = brute_force_oracle(G, sp)
                 assert fast.exhausted
                 assert fast.raw_count == slow.raw_count
                 assert fast.canonical_counts == slow.canonical_counts

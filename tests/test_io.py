@@ -1,7 +1,9 @@
+import copy
 import json
 
 import pytest
-from jsonschema import validate as schema_validate
+from hypothesis import given, settings, strategies as st
+from jsonschema import Draft202012Validator, validate as schema_validate
 
 from ncats import (
     AxiomFlags,
@@ -284,9 +286,66 @@ def test_structural_rejections():
         bad_copy(morphisms=[morphism], transformations=[dict(transformation, f=[])]),
         bad_copy(morphisms=[morphism], transformations=[dict(transformation, levels=[[0]])]),
         bad_copy(morphisms=[morphism], transformations=[dict(transformation, levels=[0, "a"])]),
+        # JSON booleans where the schema wants integers, and a key it
+        # does not know
+        bad_copy(n=True),
+        bad_copy(tail={"minus_one": True}),
+        bad_copy(tables=[{"kind": "vertical", "level": False, "entries": []}]),
+        bad_copy(tables=[{"kind": "vertical", "level": 0, "extra": 1}]),
+        bad_copy(morphisms=[morphism], transformations=[dict(transformation, levels=[False])]),
         bad_copy(morphisms=[morphism], transformations=[transformation],
                  modifications=[{"name": "M", "s": "T", "t": {}, "comps": {}}]),
     ):
+        with pytest.raises(ParseError):
+            parse(json.dumps(doc))
+
+
+def _paths(node, path=()):
+    """The path of every value below ``node``, as keys and indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+_MUTANTS = [True, False, None, 0, 1, 2, -1, 1.5, "", "x", "i", [], {}, [0],
+            ["i", "i", "i"], {"x": "i"}]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_parse_rejects_what_the_schema_rejects(data):
+    """Up to three edits to a valid document, each replacing or deleting a
+    value or adding one: whenever the schema turns the result down, parse
+    raises ParseError."""
+    morphism = {"name": "I", "comps": [{"x": "x"}, {"i": "i"}]}
+    seeds = [bad_copy(tables=[{"kind": "vertical", "level": 0, "entries": [["i", "i", "i"]]}],
+                      flags=["global"], morphisms=[morphism],
+                      transformations=[{"name": "T", "f": "I", "g": "I", "levels": [0],
+                                        "comps": {"0": {"x": "i"}}}]),
+             json.loads(serialize(modification_document()[0]))]
+    doc = copy.deepcopy(data.draw(st.sampled_from(seeds)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        *head, last = data.draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        edit = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        value = copy.deepcopy(data.draw(st.sampled_from(_MUTANTS)))
+        if edit == "replace":
+            parent[last] = value
+        elif edit == "delete":
+            del parent[last]
+        elif isinstance(parent, dict):
+            parent["extra"] = value
+        else:
+            parent.insert(last, value)
+    if not Draft202012Validator(graph_schema()).is_valid(doc):
         with pytest.raises(ParseError):
             parse(json.dumps(doc))
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -130,8 +131,11 @@ def test_enumerate_functors_counts():
     _, N = absorbing_structure()
     assert len(enumerate_functors(Z, N)) == 1      # the twist cannot survive
     assert len(enumerate_functors(N, Z)) == 1
+    for k in range(2, 7):
+        # the monotone self-maps of a k-chain, C(2k-1, k) (OEIS A001700)
+        _, T = total_order_structure(k)
+        assert len(enumerate_functors(T, T)) == math.comb(2 * k - 1, k)
     _, T3 = total_order_structure(3)
-    assert len(enumerate_functors(T3, T3)) == 10   # monotone self-maps of a 3-chain
     with pytest.raises(SpaceTooLarge):
         enumerate_functors(T3, T3, bound=1)
 
@@ -261,6 +265,15 @@ def test_cat_of_cats_counts_and_axioms():
     assert [G2.count(d) for d in range(3)] == [2, 8, 16]
     assert check_category(S2).passed
     assert check_interchange(S2, 0).passed
+
+
+def test_cat_of_a_four_chain():
+    """On a thin category the functors are the monotone maps and there is
+    one transformation f => g exactly when f <= g pointwise."""
+    G, _S = build_cat_of_cats([total_order_structure(4)[1]])
+    monotone = list(itertools.combinations_with_replacement(range(4), 4))
+    below = sum(all(x <= y for x, y in zip(f, g)) for f in monotone for g in monotone)
+    assert [G.count(d) for d in range(3)] == [1, len(monotone), below] == [1, 35, 490]
 
 
 def test_cat_of_cats_depth_three():

@@ -53,6 +53,16 @@ def chain_graph():
                   [[0, 1, 2]])
 
 
+def oriental_2_graph():
+    """The carrier of Street's second oriental O_2: objects 0, 1, 2, arrows
+    a: 0 -> 1, b: 1 -> 2 and f, c: 0 -> 2 after the identities, and one
+    2-cell f => c after the identity 2-cells."""
+    return NGraph(2, TAIL1,
+                  [[0, 0, 0], [0, 1, 2, 0, 1, 0, 0], [0, 1, 2, 3, 4, 5, 6, 5]],
+                  [[0, 0, 0], [0, 1, 2, 1, 2, 2, 2], [0, 1, 2, 3, 4, 5, 6, 6]],
+                  [[0, 1, 2], [0, 1, 2, 3, 4, 5, 6]])
+
+
 def total_order_structure(k):
     """The linear order on k objects as a thin category."""
     objects = list(range(k))
