@@ -23,29 +23,12 @@ import os
 import sys
 
 from . import io as fmt
-from .cobordism import build_cob_truncation, gen_sets_graph
-from .enumeration import (
-    EnumLimits,
-    EnumSpec,
-    LevelUnavailable,
-    NotSkeletal,
-    enumerate_structures,
-    verify_skeletal_uniqueness,
-)
 from .graphs import (
     GraphError,
     NGraph,
     SpaceTooLarge,
     opposite,
     skeletal_graph,
-)
-from .morphisms import (
-    VarianceSpec,
-    check_contravariant,
-    check_functor,
-    check_graph_morphism,
-    check_modification,
-    check_transformation,
 )
 from .structures import (
     FAIL,
@@ -107,6 +90,8 @@ def _at_least_zero(name, value):
 
 def _budget(args, option, env, cast):
     """The option's value, else the environment's, else the default."""
+    from .enumeration import EnumLimits
+
     value = getattr(args, option)
     if value is None:
         return _at_least_zero(env, _env_limit(env, cast, getattr(EnumLimits, option)))
@@ -114,6 +99,8 @@ def _budget(args, option, env, cast):
 
 
 def _limits(args):
+    from .enumeration import EnumLimits
+
     return EnumLimits(max_nodes=_budget(args, "max_nodes", "NCATS_MAX_NODES", int),
                       time_budget=_budget(args, "time_budget", "NCATS_TIME_BUDGET", float))
 
@@ -210,6 +197,8 @@ def cmd_check(args):
 
 
 def cmd_enumerate(args):
+    from .enumeration import EnumSpec, LevelUnavailable, enumerate_structures
+
     doc, G = _document(args)
     flags = _parse_flags(args.flags)
     if flags is None:
@@ -229,6 +218,8 @@ def cmd_enumerate(args):
 
 
 def cmd_skeletal(args):
+    from .enumeration import NotSkeletal, verify_skeletal_uniqueness
+
     _, G = _document(args)
     try:
         cert = verify_skeletal_uniqueness(G, _limits(args))
@@ -258,6 +249,8 @@ def cmd_opposite(args):
 
 
 def cmd_morphism(args):
+    from .morphisms import VarianceSpec, check_contravariant, check_graph_morphism
+
     doc, _ = _document(args)
     m = doc.morphism(args.name)
     variance = _parse_levels(args.contravariant)
@@ -269,6 +262,8 @@ def cmd_morphism(args):
 
 
 def cmd_functor(args):
+    from .morphisms import check_functor
+
     doc, _ = _document(args)
     m = doc.morphism(args.name)
     S = _structure(doc, args)
@@ -287,6 +282,8 @@ def _expect_ends(doc, kind, name, **ends):
 
 
 def cmd_nat(args):
+    from .morphisms import check_transformation
+
     doc, _ = _document(args)
     t = doc.transformation(args.t)
     _expect_ends(doc, "transformations", args.t, f=args.f, g=args.g)
@@ -296,6 +293,8 @@ def cmd_nat(args):
 
 
 def cmd_modification(args):
+    from .morphisms import check_modification
+
     doc, _ = _document(args)
     md = doc.modification(args.m)
     _expect_ends(doc, "modifications", args.m, s=args.s, t=args.t)
@@ -305,6 +304,8 @@ def cmd_modification(args):
 
 
 def cmd_gen(args):
+    from .cobordism import build_cob_truncation, gen_sets_graph
+
     try:
         if args.kind == "cob":
             _, S = build_cob_truncation(args.max_points)

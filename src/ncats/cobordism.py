@@ -191,6 +191,8 @@ def build_cob_truncation(max_points: int) -> tuple[NGraph, CategoryStructure]:
     the level-0 table the gluing map.  Gluing never leaves the cell set, so
     the table comes out total.
     """
+    if max_points < 0:
+        raise GraphError("need a nonnegative point budget")
     if max_points > 4:
         raise SpaceTooLarge("point budgets above 4 produce unreasonably large tables")
     objects = all_boundaries(max_points)

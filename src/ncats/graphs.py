@@ -17,7 +17,6 @@ product of their own (a monoidal carrier).
 from __future__ import annotations
 
 import functools
-import random
 import time
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -597,6 +596,8 @@ def skeletal_graph(objects: int, n: int, minus_one: int = 1, seed=None) -> NGrap
     k = objects
     perms = [list(range(k)), list(range(k * k))]
     if seed is not None:
+        import random
+
         rng = random.Random(seed)
         for p in perms:
             rng.shuffle(p)

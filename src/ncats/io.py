@@ -17,9 +17,9 @@ alone.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 from .graphs import CellId, NGraph, ValidationReport, validate_graph
-from .morphisms import GraphMorphism, Modification, Transformation
 from .structures import (
     FLAG_NAMES,
     AxiomFlags,
@@ -29,6 +29,9 @@ from .structures import (
     Counterexample,
     split_tables,
 )
+
+if TYPE_CHECKING:
+    from .morphisms import GraphMorphism, Modification, Transformation
 
 FORMAT_VERSION = "1"
 
@@ -186,6 +189,8 @@ class GraphDocument:
         return tuple(self._index[d + k][sec[cid]] for cid in self._ids[d])
 
     def morphism(self, name: str) -> GraphMorphism:
+        from .morphisms import GraphMorphism
+
         item = self.section("morphisms", name)
         G = self._carrier()
         return GraphMorphism(G, G, tuple(
@@ -195,12 +200,16 @@ class GraphDocument:
         return {i: self._decode(item["comps"][str(i)], i, k) for i in levels}
 
     def transformation(self, name: str) -> Transformation:
+        from .morphisms import Transformation
+
         item = self.section("transformations", name)
         levels = tuple(item["levels"])
         return Transformation(self.morphism(item["f"]), self.morphism(item["g"]),
                               self._per_level(item, levels, 1), levels)
 
     def modification(self, name: str) -> Modification:
+        from .morphisms import Modification
+
         item = self.section("modifications", name)
         s = self.transformation(item["s"])
         return Modification(s, self.transformation(item["t"]), self._per_level(item, s.levels, 2))
@@ -326,7 +335,7 @@ def parse(text: str | bytes) -> GraphDocument:
     _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "n must be an integer >= 1")
     _expect_keys(obj.get("tail"), {"minus_one"}, "tail")
     minus_one = obj["tail"].get("minus_one")
-    _expect(minus_one in (1, 2) and not isinstance(minus_one, bool),
+    _expect(isinstance(minus_one, int) and not isinstance(minus_one, bool) and minus_one in (1, 2),
             "tail.minus_one must be 1 or 2")
 
     dims = obj.get("dims")

@@ -233,6 +233,7 @@ def test_gen_argument_errors_exit_two(capsys):
             (["sets", "--max-size", "0"], 2, "need at least one set"),
             (["skeletal", "--objects", "-1"], 2, "need a nonnegative object count and n >= 1"),
             (["skeletal", "--n", "0"], 2, "need a nonnegative object count and n >= 1"),
+            (["cob", "--max-points", "-1"], 2, "need a nonnegative point budget"),
             (["cob", "--max-points", "5"], 3, "point budgets above 4 produce unreasonably large tables"),
             (["sets", "--max-size", "4"], 3, "set sizes above 3 produce unreasonably many map pairs")):
         assert main(["gen", *argv]) == code, argv

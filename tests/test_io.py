@@ -290,6 +290,8 @@ def test_structural_rejections():
         # does not know
         bad_copy(n=True),
         bad_copy(tail={"minus_one": True}),
+        # a float equal to 1 would serialize as 1.0: two byte forms of one carrier
+        bad_copy(tail={"minus_one": 1.0}),
         bad_copy(tables=[{"kind": "vertical", "level": False, "entries": []}]),
         bad_copy(tables=[{"kind": "vertical", "level": 0, "extra": 1}]),
         bad_copy(morphisms=[morphism], transformations=[dict(transformation, levels=[False])]),
