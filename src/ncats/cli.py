@@ -131,9 +131,7 @@ def _structure(doc, args):
     try:
         return doc.structure(_parse_flags(args.flags))
     except StructureError as e:
-        rep = fmt.report_document(None, error=str(e))
-        rep["verdict"] = "fail"
-        raise _Invalid(rep) from None
+        raise _Invalid(fmt.report_document(None, error=str(e))) from None
 
 
 def _emit(rep, args):
@@ -224,9 +222,7 @@ def cmd_skeletal(args):
     try:
         cert = verify_skeletal_uniqueness(G, _limits(args))
     except NotSkeletal as e:
-        rep = fmt.report_document(None, error=str(e))
-        rep["verdict"] = "fail"
-        return _emit(rep, args)
+        return _emit(fmt.report_document(None, error=str(e)), args)
     result = cert.result
     rep = fmt.report_document(
         None, counts={"raw": result.raw_count, "iso": result.iso_count},

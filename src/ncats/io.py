@@ -148,32 +148,24 @@ class GraphDocument:
                 yield t
 
     def structure(self, flags: AxiomFlags | None = None) -> CategoryStructure:
-        G = self._carrier()
+        G, at = self._carrier(), self.index_of
         tables = {}
         for t in self._tables({VERTICAL, MINUS_ONE, HORIZONTAL}):
             j = t["level"]
             d = j + _OFFSET[t["kind"]]
-            entries = tables[d, j] = {}
-            for a, b, v in t["entries"]:
-                key = (self.index_of(d, a, "table"), self.index_of(d, b, "table"))
-                _expect(key not in entries, f"duplicate entry ({a}, {b}) at level {j}")
-                entries[key] = self.index_of(d, v, "table")
+            tables[d, j] = {(at(d, a, "table"), at(d, b, "table")): at(d, v, "table")
+                            for a, b, v in t["entries"]}
         return CategoryStructure(G, *split_tables(tables),
                                  self.flags() if flags is None else flags)
 
     def cotables(self) -> list[CocompTable]:
-        out = []
+        at, out = self.index_of, []
         for t in self._tables({CO}):
             j = t["level"]
             d = j + 1
-            entries = {}
-            for z, w, p, q in t["entries"]:
-                zi = self.index_of(d, z, "co table")
-                _expect(zi not in entries, f"duplicate co entry for {z}")
-                entries[zi] = (self.index_of(j, w, "co table"),
-                               self.index_of(d, p, "co table"),
-                               self.index_of(d, q, "co table"))
-            out.append(CocompTable(j, entries))
+            out.append(CocompTable(j, {at(d, z, "co table"): (at(j, w, "co table"), at(d, p, "co table"),
+                                                              at(d, q, "co table"))
+                                       for z, w, p, q in t["entries"]}))
         return out
 
     def section(self, kind: str, name: str) -> dict:
@@ -297,7 +289,7 @@ def _check_entries(t, ids_by_dim, n):
     value_dim = level + _OFFSET[kind]
     raw = t.get("entries", [])
     _expect(isinstance(raw, list), f"{kind} table entries must be a list")
-    entries = []
+    entries, keys = [], set()
     for e in raw:
         _expect(isinstance(e, list) and len(e) == width,
                 f"{kind} table entries must be lists of {width} ids")
@@ -307,6 +299,11 @@ def _check_entries(t, ids_by_dim, n):
             _expect(isinstance(ref, str), "table entries hold cell ids")
             if ref not in ids_by_dim[dim]:
                 raise DanglingReference(ref, f"{kind} table at level {level}")
+        # a composition table keys an entry by its pair, a co table by its cell
+        key = e[0] if kind == CO else tuple(e[:2])
+        _expect(key not in keys, f"duplicate co entry for {key}" if kind == CO
+                else f"duplicate entry ({key[0]}, {key[1]}) at level {level}")
+        keys.add(key)
         entries.append(list(e))
     return {"kind": kind, "level": level, "entries": sorted(entries)}
 
@@ -548,7 +545,8 @@ def report_document(report: AxiomReport | None = None, name_of=None,
 
     ``name_of`` maps CellId to the string used in the file; the default is
     the generated c<dim>_<index> scheme.  Extra keyword fields (exhausted,
-    nodes, elapsed, limit_exceeded, ...) are copied in verbatim.
+    nodes, elapsed, limit_exceeded, error, ...) are copied in verbatim; an
+    ``error`` makes the verdict fail.
     """
     if name_of is None:
         name_of = lambda z: f"tail_{z.index}" if z.dim < 0 else f"c{z.dim}_{z.index}"
@@ -570,6 +568,8 @@ def report_document(report: AxiomReport | None = None, name_of=None,
         doc["checks"] = checks
         if not report.passed:
             verdict = "fail"
+    if "error" in extra:
+        verdict = "fail"
     if counts is not None:
         doc["counts"] = counts
     doc.update(extra)

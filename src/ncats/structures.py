@@ -17,12 +17,13 @@ Checkers never raise on a bad table; they return a report whose checks
 carry one verdict each (pass, fail, or not-applicable) plus explicit
 counterexamples, so a caller can tell exactly which axiom broke and where.
 ``laws`` alone decides which axiom applies to which table under which
-flags; ``check_category`` and the enumeration read its rows.
+flags.  The enumeration reads its rows; every checker reports them, each
+row as one check built by ``_check``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from itertools import filterfalse
 from types import MappingProxyType
 
@@ -72,6 +73,8 @@ class UnitsRequired(StructureError):
 
 @dataclass(frozen=True)
 class AxiomFlags:
+    """One switch per name of ``FLAG_NAMES``, in its order."""
+
     global_: bool = False
     unital: bool = False
     associative: bool = False
@@ -84,20 +87,10 @@ class AxiomFlags:
         unknown = names - set(FLAG_NAMES)
         if unknown:
             raise ValueError(f"unknown flags: {sorted(unknown)}")
-        return cls(
-            global_="global" in names,
-            unital="unital" in names,
-            associative="associative" in names,
-            interchange="interchange" in names,
-            groupoid="groupoid" in names,
-        )
+        return cls(*(name in names for name in FLAG_NAMES))
 
     def names(self) -> tuple[str, ...]:
-        picked = []
-        for name in FLAG_NAMES:
-            if getattr(self, "global_" if name == "global" else name):
-                picked.append(name)
-        return tuple(picked)
+        return tuple(name for name, on in zip(FLAG_NAMES, astuple(self)) if on)
 
 
 @dataclass
@@ -370,7 +363,7 @@ def global_scan(keys, name, tables):
 
 def units_scan(G: NGraph, j: int, total: bool, tables):
     """Unit-law violations in table (j+1, j), j >= 0, cell by cell, as
-    (side, key, a, got): side 0 for the left unit key (idn(src a), a) and 1
+    (a, side, key, got): side 0 for the left unit key (idn(src a), a) and 1
     for the right one (a, idn(tgt a)), ``got`` the entry there.  A missing
     entry (``got`` None) is a violation only when ``total``."""
     get = tables[j + 1, j].get
@@ -381,9 +374,9 @@ def units_scan(G: NGraph, j: int, total: bool, tables):
             got = get(key)
             if got is None:
                 if total:
-                    yield side, key, a, None
+                    yield a, side, key, None
             elif got != a:
-                yield side, key, a, got
+                yield a, side, key, got
 
 
 def assoc_scan(G: NGraph, j: int, tables, lopsided=None):
@@ -466,8 +459,10 @@ def laws(G: NGraph, flags: AxiomFlags, names) -> list[tuple]:
     in ``check_category``'s report order: ``scan(*args, tables)`` yields the
     violations in the family ``tables``, reading the tables named ``reads``.
     The unit row is also the groupoid precondition.  ``scan`` is None where
-    the axiom does not apply: units and inverses at level -1, interchange
-    without the table (j+2, j+1) or, level None, without any (j+2, j)."""
+    the axiom does not apply, and ``args`` then holds the note that says why:
+    units and inverses at level -1, interchange without the table
+    (j+2, j+1) or, level None, without any (j+2, j)."""
+    unitless = (None, ("no identity section below dimension 0",))
     rows = []
     for d, j in names:
         # the type of a composite in a table (j+2, j) reads the table below
@@ -481,21 +476,104 @@ def laws(G: NGraph, flags: AxiomFlags, names) -> list[tuple]:
             continue
         table = frozenset({(j + 1, j)})
         if flags.unital or flags.groupoid:
-            rows.append(("units", j, table, units_scan if j >= 0 else None, (G, j, flags.global_)))
+            rows.append(("units", j, table, *((units_scan, (G, j, flags.global_)) if j >= 0 else unitless)))
         if flags.associative:
             rows.append(("associativity", j, table, assoc_scan, (G, j)))
         if flags.groupoid:
-            rows.append(("groupoid", j, table, groupoid_scan if j >= 0 else None, (G, j)))
+            rows.append(("groupoid", j, table, *((groupoid_scan, (G, j)) if j >= 0 else unitless)))
     if flags.interchange:
         horizontal = [j for d, j in names if d == j + 2]
-        rows += [("interchange", j, frozenset({(j + 2, j), (j + 2, j + 1)}),
-                  interchange_scan if (j + 2, j + 1) in names else None, (G, j)) for j in horizontal]
+        for j in horizontal:
+            run = ((interchange_scan, (G, j)) if (j + 2, j + 1) in names
+                   else (None, (f"no vertical table at level {j + 1}",)))
+            rows.append(("interchange", j, frozenset({(j + 2, j), (j + 2, j + 1)}), *run))
         if not horizontal:
-            rows.append(("interchange", None, frozenset(), None, ()))
+            rows.append(("interchange", None, frozenset(), None, ("no horizontal tables present",)))
     return rows
 
 
-# -- the checkers: the scans' violations as counterexamples -----------------
+# -- the report edge: each row of ``laws`` as one check ---------------------
+#
+# A check lists its scan's violations as CellId counterexamples, in the
+# ascending order of the violation tuples: key order, in which every scan
+# but the typing one yields them already.
+
+def _cells(d, xs):
+    return tuple(CellId(d, x) for x in xs)
+
+
+def _mistyped(G, d, x):
+    a, b, v, want = x
+    if want is None:
+        return Counterexample("untypeable", _cells(d, (a, b)),
+                              expected="vertical composite of the boundaries", actual=CellId(d, v))
+    return Counterexample("typing", _cells(d, (a, b)), expected=_cells(d - 1, want), actual=CellId(d, v))
+
+
+def _missing(G, d, key):
+    return Counterexample("missing", _cells(d, key))
+
+
+def _not_a_unit(G, d, x):
+    a, side, key, got = x
+    kind = ("unit-left", "unit-right")[side]
+    if got is None:
+        return Counterexample(kind + "-missing", _cells(d, key), expected=CellId(d, a))
+    return Counterexample(kind, _cells(d, key), expected=CellId(d, a), actual=CellId(d, got))
+
+
+def _no_inverse(G, d, a):
+    idn = G.idn_map(d - 1)
+    return Counterexample("no-inverse", (CellId(d, a),),
+                          expected=_cells(d, (idn[G.src_map(d)[a]], idn[G.tgt_map(d)[a]])))
+
+
+def _unequal(kind):
+    """The counterexample of an equation whose violation lists its cells,
+    then the values of its two sides."""
+    return lambda G, d, x: Counterexample(kind, _cells(d, x[:-2]),
+                                          expected=CellId(d, x[-2]), actual=CellId(d, x[-1]))
+
+
+# axiom: (the dimension of its cells above the level, the counterexample of
+# one violation, and, where the scan also collects the instances with one
+# side undefined, what such an instance lacks)
+_SHAPES = {
+    "typing": (1, _mistyped, None),
+    "typing-horizontal": (2, _mistyped, None),
+    "global": (1, _missing, None),
+    "global-horizontal": (2, _missing, None),
+    "units": (1, _not_a_unit, None),
+    "associativity": (1, _unequal("associativity"), "both bracketings defined or neither"),
+    "groupoid": (1, _no_inverse, None),
+    "interchange": (2, _unequal("interchange"), "both evaluation orders defined or neither"),
+}
+
+
+def _check(G: NGraph, row, tables) -> AxiomCheck:
+    """The check of one row of ``laws`` on the family ``tables``:
+    not-applicable, with the row's note, where the row has no scan;
+    otherwise the scan's violations, plus its lopsided instances as
+    ``partiality-asymmetry`` where it collects them; partiality alone is
+    not a violation."""
+    axiom, j, _reads, scan, args = row
+    if scan is None:
+        return AxiomCheck(axiom, j, NOT_APPLICABLE, notes=list(args))
+    offset, shape, lopsided_expected = _SHAPES[axiom]
+    d, lopsided = j + offset, []
+    found = scan(*args, tables, lopsided) if lopsided_expected else scan(*args, tables)
+    bad = [shape(G, d, x) for x in sorted(found)]
+    asymmetric = [Counterexample("partiality-asymmetry", _cells(d, x), expected=lopsided_expected)
+                  for x in lopsided]
+    return AxiomCheck(axiom, j, FAIL if bad else PASS, bad, asymmetric)
+
+
+def _rows(S: CategoryStructure, names, flags: AxiomFlags, axioms) -> AxiomReport:
+    """The checks of ``S`` from the rows of ``laws`` under ``flags`` on the
+    tables ``names`` whose axiom is one of ``axioms``."""
+    G, tables = S.graph, named_tables(S)
+    return AxiomReport([_check(G, row, tables) for row in laws(G, flags, names) if row[0] in axioms])
+
 
 def check_typing(S: CategoryStructure) -> AxiomReport:
     """Every entry must land in the hom-set its composite's type spans.
@@ -503,45 +581,16 @@ def check_typing(S: CategoryStructure) -> AxiomReport:
     Horizontal values are typed through the vertical table at the same
     level; a missing vertical composite makes the entry untypeable.
     """
-    checks = []
-    G = S.graph
-    tables = named_tables(S)
-    # the scans yield entries as stored; the counterexamples are put in key
-    # order
-    for d, j in tables:
-        bad = []
-        for a, b, v, want in sorted(typing_scan(G, d, j, tables)):
-            cells = (CellId(d, a), CellId(d, b))
-            if want is None:
-                bad.append(Counterexample("untypeable", cells,
-                                          expected="vertical composite of the boundaries",
-                                          actual=CellId(d, v)))
-            else:
-                bad.append(Counterexample("typing", cells,
-                                          expected=(CellId(d - 1, want[0]), CellId(d - 1, want[1])),
-                                          actual=CellId(d, v)))
-        axiom = "typing" if d == j + 1 else "typing-horizontal"
-        checks.append(AxiomCheck(axiom, j, FAIL if bad else PASS, bad))
-    return AxiomReport(checks)
+    return _rows(S, named_tables(S), AxiomFlags(), ("typing", "typing-horizontal"))
 
 
 def check_global(S: CategoryStructure, j: int) -> AxiomReport:
     """Totality at level j: every key of the vertical and of the horizontal
     table there, whichever ``S`` has, has an entry."""
-    tables = named_tables(S)
-    here = [d for d, i in tables if i == j]
+    here = [(d, i) for d, i in named_tables(S) if i == j]
     if not here:
         raise NoTableAtLevel(f"no table at level {j}")
-    checks = []
-    for d in here:
-        bad = [Counterexample("missing", (CellId(d, a), CellId(d, b)))
-               for a, b in global_scan(table_keys(S.graph, d, j), (d, j), tables)]
-        axiom = "global" if d == j + 1 else "global-horizontal"
-        checks.append(AxiomCheck(axiom, j, FAIL if bad else PASS, bad))
-    return AxiomReport(checks)
-
-
-_UNIT_SIDES = ("unit-left", "unit-right")
+    return _rows(S, here, AxiomFlags(global_=True), ("global", "global-horizontal"))
 
 
 def check_units(S: CategoryStructure, j: int) -> AxiomReport:
@@ -551,22 +600,9 @@ def check_units(S: CategoryStructure, j: int) -> AxiomReport:
     Level -1 is not applicable: there is no identity section below
     dimension 0, so the product of 0-cells carries no designated unit.
     """
-    if j == -1:
-        return _single("units", -1, NOT_APPLICABLE,
-                       notes=["no identity section below dimension 0"])
-    if j not in S.vtables:
+    if j != -1 and j not in S.vtables:
         raise NoTableAtLevel(f"no vertical table at level {j}")
-    d = j + 1
-    bad = []
-    for side, (p, q), a, got in units_scan(S.graph, j, S.flags.global_, named_tables(S)):
-        cells = (CellId(d, p), CellId(d, q))
-        if got is None:
-            bad.append(Counterexample(_UNIT_SIDES[side] + "-missing", cells,
-                                      expected=CellId(d, a)))
-        else:
-            bad.append(Counterexample(_UNIT_SIDES[side], cells,
-                                      expected=CellId(d, a), actual=CellId(d, got)))
-    return _single("units", j, FAIL if bad else PASS, bad)
+    return _rows(S, [(j + 1, j)], AxiomFlags(global_=S.flags.global_, unital=True), ("units",))
 
 
 def check_associativity(S: CategoryStructure, j: int) -> AxiomReport:
@@ -575,15 +611,7 @@ def check_associativity(S: CategoryStructure, j: int) -> AxiomReport:
     separately; partiality alone is not a violation."""
     if j not in S.vtables:
         raise NoTableAtLevel(f"no vertical table at level {j}")
-    d = j + 1
-    lopsided = []
-    bad = [Counterexample("associativity", (CellId(d, a), CellId(d, b), CellId(d, c)),
-                          expected=CellId(d, left), actual=CellId(d, right))
-           for a, b, c, left, right in assoc_scan(S.graph, j, named_tables(S), lopsided)]
-    asymmetric = [Counterexample("partiality-asymmetry", (CellId(d, a), CellId(d, b), CellId(d, c)),
-                                 expected="both bracketings defined or neither")
-                  for a, b, c in lopsided]
-    return _single("associativity", j, FAIL if bad else PASS, bad, asymmetric=asymmetric)
+    return _rows(S, [(j + 1, j)], AxiomFlags(associative=True), ("associativity",))
 
 
 def check_interchange(S: CategoryStructure, j: int) -> AxiomReport:
@@ -597,15 +625,7 @@ def check_interchange(S: CategoryStructure, j: int) -> AxiomReport:
     if j + 1 not in S.vtables or j not in S.htables:
         raise MissingTables(f"interchange at level {j} needs the vertical table "
                             f"at level {j + 1} and the horizontal table at level {j}")
-    d = j + 2
-    lopsided = []
-    bad = [Counterexample("interchange", tuple(CellId(d, x) for x in quad[:4]),
-                          expected=CellId(d, quad[4]), actual=CellId(d, quad[5]))
-           for quad in interchange_scan(S.graph, j, named_tables(S), lopsided)]
-    asymmetric = [Counterexample("partiality-asymmetry", tuple(CellId(d, x) for x in quad),
-                                 expected="both evaluation orders defined or neither")
-                  for quad in lopsided]
-    return _single("interchange", j, FAIL if bad else PASS, bad, asymmetric=asymmetric)
+    return _rows(S, [(j + 2, j + 1), (j + 2, j)], AxiomFlags(interchange=True), ("interchange",))
 
 
 def check_groupoid(S: CategoryStructure, j: int) -> AxiomReport:
@@ -614,28 +634,9 @@ def check_groupoid(S: CategoryStructure, j: int) -> AxiomReport:
     The unit law is a precondition; a failing unit check makes inversion
     meaningless, which is raised rather than reported.
     """
-    unit = check_units(S, j).checks[0]
-    if unit.verdict == FAIL:
+    if check_units(S, j).checks[0].verdict == FAIL:
         raise UnitsRequired(f"unit law fails at level {j}; inversion is undecidable")
-    return _groupoid_report(S, j, unit)
-
-
-def _groupoid_report(S: CategoryStructure, j: int, unit: AxiomCheck) -> AxiomReport:
-    """The groupoid check at level j given the unit check there, which it
-    follows when that fails or does not apply."""
-    if unit.verdict == FAIL:
-        return _single("groupoid", j, FAIL, list(unit.counterexamples),
-                       notes=["unit law violated; inversion is undecidable"])
-    if unit.verdict == NOT_APPLICABLE:
-        return _single("groupoid", j, NOT_APPLICABLE, notes=list(unit.notes))
-    G = S.graph
-    d = j + 1
-    idn = G.idn_map(j)
-    smap, tmap = G.src_map(d), G.tgt_map(d)
-    bad = [Counterexample("no-inverse", (CellId(d, a),),
-                          expected=(CellId(d, idn[smap[a]]), CellId(d, idn[tmap[a]])))
-           for a in groupoid_scan(G, j, named_tables(S))]
-    return _single("groupoid", j, FAIL if bad else PASS, bad)
+    return _rows(S, [(j + 1, j)], AxiomFlags(groupoid=True), ("groupoid",))
 
 
 def inverses(S: CategoryStructure, j: int, a: CellId) -> list[CellId]:
@@ -671,32 +672,21 @@ def check_cocategory(G: NGraph, D: CocompTable) -> AxiomReport:
 
 
 def check_category(S: CategoryStructure) -> AxiomReport:
-    """One check per row of ``laws`` for the structure's flags, in order,
-    from the report of its public checker; the unit row, scanned once per
-    level, is reported under ``unital``, and a groupoid check after a broken
-    unit law fails with a note instead of raising."""
-    typing, totals, checks = check_typing(S), {}, []
-    for axiom, j, _reads, scan, _args in laws(S.graph, S.flags, named_tables(S)):
-        if axiom.startswith("typing"):
-            report = typing
-        elif axiom.startswith("global"):
-            # one report covers both tables of the level
-            if j not in totals:
-                totals[j] = check_global(S, j)
-            report = totals[j]
-        elif axiom == "units":
-            report = check_units(S, j)
-            units = report.checks[0]
+    """One check per row of ``laws`` for the structure's flags, in order.
+    The unit row, which the groupoid row presupposes, is reported only
+    under ``unital``; a groupoid row after a failing unit row fails with the
+    unit counterexamples and a note instead of raising."""
+    G, tables, checks = S.graph, named_tables(S), []
+    for row in laws(G, S.flags, tables):
+        axiom, j = row[:2]
+        if axiom == "groupoid" and unit.verdict == FAIL:
+            check = AxiomCheck(axiom, j, FAIL, list(unit.counterexamples),
+                               notes=["unit law violated; inversion is undecidable"])
+        else:
+            check = _check(G, row, tables)
+        if axiom == "units":
+            unit = check
             if not S.flags.unital:
                 continue
-        elif axiom == "associativity":
-            report = check_associativity(S, j)
-        elif axiom == "groupoid":
-            report = _groupoid_report(S, j, units)
-        elif scan is not None:
-            report = check_interchange(S, j)
-        else:
-            note = "no horizontal tables present" if j is None else f"no vertical table at level {j + 1}"
-            report = _single(axiom, j, NOT_APPLICABLE, notes=[note])
-        checks.append(report.find(axiom, j))
+        checks.append(check)
     return AxiomReport(checks)

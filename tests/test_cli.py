@@ -347,6 +347,23 @@ def test_every_subcommand_reports_invalid_tables(tmp_path, capsys):
         assert rep["verdict"] == "fail" and "not composable" in rep["error"], argv
 
 
+def test_every_subcommand_refuses_a_repeated_table_key(tmp_path, capsys):
+    """A second entry for one key is a parse error, exit 2 with one
+    ``error:`` line, in every subcommand that reads a file, not only in
+    those that build the tables."""
+    doc = json.loads(serialize(modification_document()[0]))
+    table = next(t for t in doc["tables"] if t["kind"] == "vertical" and t["level"] == 0)
+    a, b, v = table["entries"][0]
+    table["entries"].append([a, b, next(e[2] for e in table["entries"] if e[2] != v)])
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["check"], ["enumerate"], ["skeletal"], ["opposite", "--level", "1"],
+                 ["morphism", "--name", "I"], ["functor", "--name", "I"],
+                 ["nat", "--t", "S"], ["modification", "--m", "M"]):
+        assert main([argv[0], str(path), *argv[1:]]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: duplicate entry ({a}, {b}) at level 0\n", argv
+
 def test_modification_with_unequal_levels_exits_two(tmp_path, capsys):
     from ncats.morphisms import Modification
 

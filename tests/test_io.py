@@ -302,6 +302,33 @@ def test_structural_rejections():
             parse(json.dumps(doc))
 
 
+def test_a_repeated_table_key_is_a_parse_error():
+    """Two entries for one key of a composition table, or two witnesses for
+    one cell of a co table, are refused while parsing, before any table is
+    built: serializing would write both back."""
+    z2 = json.loads(serialize(document_from_structure(z2_structure()[1])))
+    z2["tables"][0]["entries"].append(["c1_0", "c1_0", "c1_1"])
+    twice = bad_copy(tables=[{"kind": "vertical", "level": 0, "entries": [["i", "i", "i"]] * 2}])
+    witnessed = bad_copy(tables=[{"kind": "co", "level": 0, "entries": [["i", "x", "i", "i"]] * 2}])
+    for raw, message in ((z2, "duplicate entry (c1_0, c1_0) at level 0"),
+                         (twice, "duplicate entry (i, i) at level 0"),
+                         (witnessed, "duplicate co entry for i")):
+        with pytest.raises(ParseError) as err:
+            parse(json.dumps(raw))
+        assert str(err.value) == message
+
+def test_parse_is_stricter_than_the_schema_where_the_schema_cannot_say():
+    """The schema takes ``n`` and ``minus_one`` written as 1.0 (JSON Schema
+    counts it as the integer 1) and a repeated table key; ``parse``
+    refuses all three, as the schema's ``$comment`` says."""
+    schema = graph_schema()
+    assert "stricter" in schema["$comment"]
+    repeated = [{"kind": "vertical", "level": 0, "entries": [["i", "i", "i"]] * 2}]
+    for raw in (bad_copy(n=1.0), bad_copy(tail={"minus_one": 1.0}), bad_copy(tables=repeated)):
+        schema_validate(raw, schema)
+        with pytest.raises(ParseError):
+            parse(json.dumps(raw))
+
 def _paths(node, path=()):
     """The path of every value below ``node``, as keys and indices."""
     if isinstance(node, dict):
@@ -459,6 +486,9 @@ def test_report_document_and_exit_codes():
     limited = report_document(None, counts={"raw": 0, "iso": 0}, limit_exceeded=True)
     schema_validate(limited, report_schema())
     assert exit_code(limited) == 3
+    errored = report_document(None, error="level 0 key (c1_0, c1_1) is not composable")
+    schema_validate(errored, report_schema())
+    assert errored["verdict"] == "fail" and exit_code(errored) == 1
 
 
 def test_counterexample_names_use_document_ids():

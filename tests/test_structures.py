@@ -31,6 +31,7 @@ from ncats import (
 )
 from ncats import structures
 from ncats.cobordism import build_cob_truncation
+from ncats.enumeration import _CHEAPEST_FIRST
 from ncats.graphs import SOURCE, TARGET
 from ncats.structures import (
     FAIL,
@@ -358,9 +359,12 @@ def test_check_category_reports_over_the_horizontal_rewrites_are_pinned():
     assert digest.hexdigest() == "271e28319747372ab41d266a77afb2f77f3eff77f396cced9ce4de610123f145"
 
 
-def test_check_category_reports_the_rows_of_laws():
-    """Under every flag set, ``check_category`` reports one check per row
-    of ``laws``, in its order, the unit row only under ``unital``."""
+def _report_edge_structures():
+    """Structures that reach every branch of the public checkers, as
+    (carriers, extra).  The carriers have level -1, vertical and horizontal
+    tables; the extra structures add a broken unit law, a horizontal-only
+    level, each half of the interchange pair alone, mistyped entries and
+    partial tables with lopsided triples and quadruples."""
     Z = z2_structure()[1]
     _, cat = build_cat_of_cats([Z], depth=2)
     G = loops_graph(2)
@@ -369,12 +373,94 @@ def test_check_category_reports_the_rows_of_laws():
                 CategoryStructure(cat.graph, [cat.vtables[0]], [cat.htables[0]]),
                 CategoryStructure(G, [CompTable(-1, {(0, 0): 0}), Z.vtables[0]]),
                 CategoryStructure(G)]
+    _, order = total_order_structure(3)
+    order_entries = order.vtables[0].entries
+    _, two = build_cat_of_cats([Z, Z])
+    h_entries = two.htables[0].entries
+    key = min(h_entries)
+    bent = {**h_entries, key: (h_entries[key] + 1) % two.graph.count(2)}
+    extra = [
+        CategoryStructure(G, [CompTable(0, {(0, 0): 1, (0, 1): 0, (1, 0): 1, (1, 1): 0})]),
+        CategoryStructure(cat.graph, [cat.vtables[1]], [cat.htables[0]]),
+        CategoryStructure(cat.graph, list(cat.vtables.values())),
+        CategoryStructure(parallel_pair_graph(), [CompTable(0, {(0, 2): 0, (2, 1): 3})]),
+        CategoryStructure(order.graph, [CompTable(0, dict(list(order_entries.items())[::2]))]),
+        CategoryStructure(two.graph, list(two.vtables.values()),
+                          [CompTable(0, dict(list(h_entries.items())[::3]))]),
+        CategoryStructure(two.graph, list(two.vtables.values()), [CompTable(0, bent)]),
+    ]
+    return carriers, extra
+
+
+def test_public_checker_reports_are_pinned():
+    """Every public checker at every level -1..n, under the global flag off
+    and on, and ``check_category`` under every flag set, on fixed
+    structures: the report JSON, or the exception's type and message,
+    hashed byte for byte."""
+    carriers, extra = _report_edge_structures()
+    # the fixture reaches the cases it is there for
+    assert check_associativity(extra[4], 0).checks[0].asymmetric
+    assert check_interchange(extra[5], 0).checks[0].asymmetric
+    assert [c.axiom for c in check_global(extra[1], 0).checks] == ["global-horizontal"]
+    with pytest.raises(UnitsRequired):
+        check_groupoid(extra[0], 0)
+    for S in (carriers[5], extra[2]):
+        with pytest.raises(MissingTables):
+            check_interchange(S, 0)
+    checkers = (check_global, check_units, check_associativity, check_interchange, check_groupoid)
+    digest, cases = hashlib.sha256(), 0
+
+    def record(run, *args):
+        nonlocal cases
+        try:
+            out = json.dumps(report_document(run(*args)), sort_keys=True)
+        except StructureError as e:
+            out = f"{type(e).__name__}: {e}"
+        digest.update(out.encode() + b"\n")
+        cases += 1
+
+    for S in carriers + extra:
+        flags = S.flags
+        for global_ in (False, True):
+            S.flags = AxiomFlags(global_=global_)
+            record(check_typing, S)
+            for run in checkers:
+                for j in range(-1, S.graph.n + 1):
+                    record(run, S, j)
+        for bits in itertools.product((False, True), repeat=5):
+            S.flags = AxiomFlags(*bits)
+            record(check_category, S)
+        S.flags = flags
+    assert cases == 1040
+    assert digest.hexdigest() == "dafb4e6770fb58913f6d25e08706a152fda964e3317b97eabe55ebf854a47c90"
+
+
+def test_check_category_reports_the_rows_of_laws():
+    """Under every flag set, ``check_category`` reports one check per row
+    of ``laws``, in its order, the unit row only under ``unital``."""
+    carriers, _extra = _report_edge_structures()
     for S in carriers:
         for bits in itertools.product((False, True), repeat=5):
             S.flags = AxiomFlags(*bits)
             rows = [(axiom, j) for axiom, j, _reads, _scan, _args in laws(S.graph, S.flags, named_tables(S))
                     if axiom != "units" or S.flags.unital]
             assert [(c.axiom, c.level) for c in check_category(S).checks] == rows, (S, bits)
+
+
+def test_every_law_has_a_counterexample_shape_and_a_verdict_rank():
+    """A law joins ``laws`` as a row; its axiom must also have a
+    counterexample shape at the report edge and a rank in the record
+    verdict's order.  Every axiom a row carries, under every flag set, on
+    carriers with level -1, vertical and horizontal tables, has both, and
+    neither table keeps an axiom no row carries."""
+    carriers, _extra = _report_edge_structures()
+    names = [named_tables(S) for S in carriers]
+    assert {d - j for tables in names for d, j in tables} == {1, 2}
+    assert any((0, -1) in tables for tables in names)
+    axioms = {row[0] for S, tables in zip(carriers, names)
+              for bits in itertools.product((False, True), repeat=5)
+              for row in laws(S.graph, AxiomFlags(*bits), tables)}
+    assert axioms == set(structures._SHAPES) == set(_CHEAPEST_FIRST)
 
 
 def test_every_failing_check_carries_a_counterexample():
