@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import random
 
 import pytest
 
@@ -20,6 +22,7 @@ from ncats import (
     reverse_orientation,
 )
 from ncats.cobordism import all_boundaries, format_signs
+from ncats.io import document_from_structure, serialize
 
 
 def test_sign_parsing():
@@ -41,6 +44,69 @@ def test_diagram_validation():
         MatchDiagram((1,), (1,), (((0, 0), (0, 0)),))      # degenerate strand
     ok = MatchDiagram((1,), (1,), (((1, 0), (0, 0)),))
     assert ok == make_cylinder((1,))                       # pairs get normalized
+
+
+def test_diagram_signs_must_be_plus_or_minus_one():
+    for bad in (2, 0, -3, True, 1.0):
+        with pytest.raises(GraphError, match=f"orientation sign {bad!r} "):
+            MatchDiagram((bad,), (bad,), (((0, 0), (1, 0)),))
+        with pytest.raises(GraphError, match=f"orientation sign {bad!r} "):
+            all_diagrams((bad,), (bad,))
+        with pytest.raises(GraphError, match=f"orientation sign {bad!r} "):
+            all_diagrams((1,), (bad, -1))
+    assert [str(d) for d in all_diagrams((1,), (1,))] == ["+=>+ [0.0-1.0]"]
+
+
+def test_diagram_points_are_integer_sides_and_indices():
+    for strand in (((False, 0), (True, 0)),        # boolean sides
+                   ((0, 0), (1, True)),            # boolean index
+                   ((0, 0.0), (1, 0)),             # float index
+                   ((0, 0), (2, 0)),               # no side 2
+                   ((0, 0), (1, 1)),               # index out of range
+                   ([0, 0], [1, 0])):              # not a tuple
+        with pytest.raises(GraphError, match="bad strand"):
+            MatchDiagram((1,), (1,), (strand,))
+    with pytest.raises(GraphError, match="perfect matching"):
+        MatchDiagram((1, 1), (1, 1), (((0, 0), (1, 0)), ((0, 0), (1, 1))))
+
+
+def _reference_glue(M, N):
+    """Gluing by the original route: strands followed through dicts keyed
+    by (side, index) points, independent of the involution core."""
+    m_match, n_match = {}, {}
+    for match, D in ((m_match, M), (n_match, N)):
+        for p, q in D.pairs:
+            match[p], match[q] = q, p
+
+    def follow(cur, first):
+        while True:
+            side, i = cur = (m_match if first else n_match)[cur]
+            if side == (0 if first else 1):
+                return cur
+            cur, first = ((0, i) if first else (1, i)), not first
+
+    pairs, done = [], set()
+    for start, first in ([((0, i), True) for i in range(len(M.source))]
+                         + [((1, j), False) for j in range(len(N.target))]):
+        if start not in done:
+            end = follow(start, first)
+            done.update((start, end))
+            pairs.append((start, end))
+    return MatchDiagram(M.source, N.target, tuple(pairs))
+
+
+def _listed_arrows(max_points):
+    """The truncation's arrows in its cell order, listed independently."""
+    bounds = all_boundaries(max_points)
+    return [d for A in bounds for B in bounds for d in all_diagrams(A, B)]
+
+
+def test_glue_agrees_with_the_reference_route():
+    b2 = all_boundaries(2)
+    for A, B, C in itertools.product(b2, repeat=3):
+        for M in all_diagrams(A, B):
+            for N in all_diagrams(B, C):
+                assert glue(M, N) == _reference_glue(M, N)
 
 
 def test_glue_discards_loops():
@@ -123,6 +189,39 @@ def test_truncation_three_points():
     assert check_category(S).passed
     with pytest.raises(SpaceTooLarge):
         build_cob_truncation(5)
+
+
+def test_truncation_tables_match_the_reference_route():
+    for mp in range(4):
+        G, S = build_cob_truncation(mp)
+        arrows = _listed_arrows(mp)
+        assert G.labels[1] == tuple(str(d) for d in arrows)
+        entries = S.vtables[0].entries
+        composable = [(i, j) for i, d in enumerate(arrows)
+                      for j, e in enumerate(arrows) if d.target == e.source]
+        assert list(entries) == composable                 # entry order too
+        for (i, j), k in entries.items():
+            assert arrows[k] == _reference_glue(arrows[i], arrows[j])
+
+
+def test_truncation_documents_are_pinned():
+    want = ["4d3dd2300a41b05c0da7ea390e81b792a53ce5b8aedb2843f2fffebf61c50b8e",
+            "57d5651d096d1144c4125f0784d709f6fe13cbcba4ea05a55d68589096e33f3a",
+            "eb51add463d4647ee7e3765abeaaf6e88bccf342190de8b3e295113226ba6e21",
+            "1c69728b41b813ff8c2705d17391a8688c5bd399c49fed22a977221d4097d7e8"]
+    got = [hashlib.sha256(serialize(document_from_structure(build_cob_truncation(mp)[1])))
+           .hexdigest() for mp in range(4)]
+    assert got == want
+
+
+def test_four_point_truncation_sampled_against_the_reference():
+    G, S = build_cob_truncation(4)
+    entries = S.vtables[0].entries
+    assert (G.count(0), G.count(1), len(entries)) == (31, 2107, 241677)
+    arrows = _listed_arrows(4)
+    assert G.labels[1] == tuple(str(d) for d in arrows)
+    for (i, j), k in random.Random(20).sample(sorted(entries.items()), 2000):
+        assert arrows[k] == _reference_glue(arrows[i], arrows[j])
 
 
 def test_sets_graph_counts():
