@@ -24,6 +24,7 @@ import sys
 
 from . import io as fmt
 from .graphs import (
+    BadLevel,
     GraphError,
     NGraph,
     SpaceTooLarge,
@@ -251,7 +252,10 @@ def cmd_morphism(args):
     m = doc.morphism(args.name)
     variance = _parse_levels(args.contravariant)
     if variance:
-        report = check_contravariant(m, VarianceSpec(frozenset(variance)))
+        try:
+            report = check_contravariant(m, VarianceSpec(frozenset(variance)))
+        except BadLevel as e:
+            raise _Usage(str(e)) from None
     else:
         report = check_graph_morphism(m)
     return _emit(fmt.report_document(report, name_of=doc.cell_name), args)

@@ -36,18 +36,16 @@ holding it, which the search appends to when it sets an entry and pops
 from when it clears one; its stack sets and clears entries last-in,
 first-out, so the key it clears is always the last one listed.
 
-Interchange pairs a table (j+2, j) with the table (j+2, j+1).  A
-middle-four quadruple reads four entries at fixed keys, two in each table,
-and two outer composites whose keys depend on the values.  The search sets
-slots in order and clears every slot after the one it sets, so a quadruple
-can be decided only once its last fixed key is set: it is held there and
-read in full.  At a later slot whose key its inner composites in the other
-table may form, it is checked as composing: when they do, the new value is
-that outer composite, so only the two fixed keys of its own table and the
-other outer composite are left to read.  Everywhere else one of its reads
-is absent.  The watches follow from the slot list; since every vertical
-table is filled before every horizontal one, no vertical slot watches any
-quadruple.
+Interchange pairs a horizontal table (j+2, j) with the vertical table
+(j+2, j+1).  A middle-four quadruple reads four entries at fixed keys, two
+in each table, and two outer composites whose keys depend on the values.
+Every vertical table is filled before every horizontal one, so only the
+horizontal slots watch quadruples.  A quadruple is held at the later of its
+two horizontal keys and read in full.  At a later horizontal slot whose key
+its vertical composites may form, it is checked as composing: when they do,
+the new value is that outer composite, so only its two horizontal keys and
+the other outer composite are left to read.  Everywhere else one of its
+reads is absent, as the search clears every slot after the one it sets.
 
 Structures are counted both raw and up to isomorphism.  Two table families
 on one carrier are isomorphic when some graph automorphism carries one onto
@@ -250,44 +248,36 @@ def _keys(G, levels, h_levels):
 def _exchange_watches(G, tables, slots, exchanges):
     """The interchange watches of each slot position, from the slot order.
 
-    Each of the ``exchanges``, a table (d, j), pairs it with the table
-    (d, j+1).  Written from one table X's side, with Y the
-    other, a quadruple is (p, q, r, s): X-keys (p, q), (r, s) and Y-keys
-    (p, r), (q, s), its positional reads; its outer reads are
-    Y(X(p, q), X(r, s)) and X(Y(p, r), Y(q, s)).  It is held, all six
-    entries read, at the slot of its last positional read, and composing at
-    each later slot of X whose key its Y-keys' composites may form.  At any
-    other slot one of its reads is absent, as the search clears every slot
-    after the one it sets.  The composing candidates are pre-filtered by the
-    boundaries those composites have, (ys[p], yt[r]) and (ys[q], yt[s]),
-    which holds because the search only places typed values.  Each watch is
-    (Y, held, composing), a quadruple stored as its keys
-    ((p, q), (r, s), (p, r), (q, s)).
+    Each of the ``exchanges``, a horizontal table H = (d, j), pairs it with
+    the vertical table V = (d, j+1), all of whose slots come first.  A
+    quadruple (a, a2, b, b2) reads H-keys (a, b), (a2, b2), V-keys (a, a2),
+    (b, b2) and the outer composites H(V(a, a2), V(b, b2)) and
+    V(H(a, b), H(a2, b2)).  It is held, all six entries read, at the later
+    of its H-keys, and composing at each later slot of H whose key its V
+    composites may form, pre-filtered by their boundaries (vs[a], vt[a2])
+    and (vs[b], vt[b2]), as the search only places typed values.  At any
+    other slot one of its reads is absent.  Each watch is (V, held,
+    composing), a quadruple stored as its keys
+    ((a, b), (a2, b2), (a, a2), (b, b2)).
     """
     at = {((d, j), key): pos for pos, (d, j, key) in enumerate(slots)}
-    sides, held = {}, {}
+    watches = {}
     for d, j in exchanges:
         V, H = (d, j + 1), (d, j)
-        for X, Y in ((V, H), (H, V)):
-            sides[X] = (Y, boundary_map(G, d, Y[1], SOURCE), boundary_map(G, d, Y[1], TARGET), {})
+        vs, vt = boundary_map(G, d, j + 1, SOURCE), boundary_map(G, d, j + 1, TARGET)
+        held, by_type = {}, {}
         for (a, a2), partners in interchange_partners(G, j):
             for b, b2 in partners:
-                last = max(at[V, (a, a2)], at[V, (b, b2)], at[H, (a, b)], at[H, (a2, b2)])
-                for X, (p, q, r, s) in ((V, (a, a2, b, b2)), (H, (a, b, a2, b2))):
-                    _Y, ys, yt, by_type = sides[X]
-                    quad = ((p, q), (r, s), (p, r), (q, s))
-                    if last in (at[X, (p, q)], at[X, (r, s)]):
-                        held.setdefault(last, []).append(quad)
-                    by_type.setdefault((ys[p], yt[r], ys[q], yt[s]), []).append((last, quad))
-    watches = {}
-    for pos, (d, j, (a, b)) in enumerate(slots):
-        if (d, j) in sides:
-            Y, ys, yt, by_type = sides[d, j]
-            # a quadruple whose last positional read is this slot is held here
-            composing = tuple(quad for last, quad in by_type.get((ys[a], yt[a], ys[b], yt[b]), ())
+                quad = ((a, b), (a2, b2), (a, a2), (b, b2))
+                last = max(at[H, (a, b)], at[H, (a2, b2)])
+                held.setdefault(last, []).append(quad)
+                by_type.setdefault((vs[a], vt[a2], vs[b], vt[b2]), []).append((last, quad))
+        for x, y in table_keys(G, d, j):
+            pos = at[H, (x, y)]
+            composing = tuple(quad for last, quad in by_type.get((vs[x], vt[x], vs[y], vt[y]), ())
                               if last < pos)
             if pos in held or composing:
-                watches[pos] = (tables[Y], tuple(held.get(pos, ())), composing)
+                watches[pos] = (tables[V], tuple(held.get(pos, ())), composing)
     return watches
 
 
@@ -456,25 +446,25 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
                 return False
         return True
 
-    def interchange_ok(X, key, v, Y, held, composing):
+    def interchange_ok(H, key, v, V, held, composing):
         """Middle-four exchange on the quadruples the new entry key -> v of
-        X can decide (see ``_exchange_watches``): a held one reads all six
-        entries; a composing one matches when its Y-keys compose to ``key``,
-        and then its outer X composite is v itself."""
-        xget, yget = X.get, Y.get
-        for xk, xk2, yk, yk2 in held:
-            xl, xr, yl, yr = xget(xk), xget(xk2), yget(yk), yget(yk2)
-            if xl is None or xr is None or yl is None or yr is None:
+        the horizontal table H can decide (see ``_exchange_watches``): a held
+        one reads all six entries; a composing one matches when its V-keys
+        compose to ``key``, and then its outer H composite is v itself."""
+        hget, vget = H.get, V.get
+        for hk, hk2, vk, vk2 in held:
+            hl, hr, vl, vr = hget(hk), hget(hk2), vget(vk), vget(vk2)
+            if hl is None or hr is None or vl is None or vr is None:
                 continue
-            one, other = yget((xl, xr)), xget((yl, yr))
+            one, other = vget((hl, hr)), hget((vl, vr))
             if one is not None and other is not None and one != other:
                 return False
         x, y = key
-        for xk, xk2, yk, yk2 in composing:
-            if yget(yk) == x and yget(yk2) == y:
-                xl, xr = xget(xk), xget(xk2)
-                if xl is not None and xr is not None:
-                    one = yget((xl, xr))
+        for hk, hk2, vk, vk2 in composing:
+            if vget(vk) == x and vget(vk2) == y:
+                hl, hr = hget(hk), hget(hk2)
+                if hl is not None and hr is not None:
+                    one = vget((hl, hr))
                     if one is not None and one != v:
                         return False
         return True

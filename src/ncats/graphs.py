@@ -113,26 +113,29 @@ class HomSet:
     members: tuple[CellId, ...]
 
 
+def _integer(v):
+    """Whether ``v`` is an int and not a bool, as ``io.parse`` requires."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _collect_issues(n, minus_one, zero_type, src, tgt, idn):
     issues = []
 
     def issue(cond, cell, detail):
         issues.append(ValidationIssue(cond, cell, detail))
 
-    if not isinstance(n, int) or n < 1:
+    if not _integer(n) or n < 1:
         issue(INDEX_OUT_OF_RANGE, None, f"n must be a positive integer, got {n!r}")
         return issues
-    if minus_one not in (1, 2):
+    if not _integer(minus_one) or minus_one not in (1, 2):
         issue(BAD_TAIL_SIZE, None, f"grade -1 must hold 1 or 2 cells, got {minus_one!r}")
         return issues
     if (
         len(zero_type) != 2
-        or any(not isinstance(v, int) or not 0 <= v < minus_one for v in zero_type)
+        or any(not _integer(v) or not 0 <= v < minus_one for v in zero_type)
     ):
         issue(BAD_TAIL_SIZE, None, f"zero type {zero_type!r} does not index the tail")
         return issues
-    if minus_one == 1 and tuple(zero_type) != (0, 0):
-        issue(BAD_TAIL_SIZE, None, "a single (-1)-cell forces the diagonal zero type")
 
     if len(src) != n + 1 or len(tgt) != n + 1:
         issue(INDEX_OUT_OF_RANGE, None, "source/target families must cover dimensions 0..n")
@@ -153,14 +156,14 @@ def _collect_issues(n, minus_one, zero_type, src, tgt, idn):
 
     # boundary references stay in range; dimension 0 points into the tail
     for i, (s, t) in enumerate(zip(src[0], tgt[0])):
-        if not (isinstance(s, int) and isinstance(t, int) and 0 <= s < minus_one and 0 <= t < minus_one):
+        if not (_integer(s) and _integer(t) and 0 <= s < minus_one and 0 <= t < minus_one):
             issue(INDEX_OUT_OF_RANGE, CellId(0, i), f"boundary ({s!r}, {t!r}) does not index the tail")
         elif (s, t) != tuple(zero_type):
             issue(ZERO_TYPE_VIOLATION, CellId(0, i), f"0-cell typed ({s}, {t}), expected {tuple(zero_type)}")
     for d in range(1, n + 1):
         below = counts[d - 1]
         for i, (s, t) in enumerate(zip(src[d], tgt[d])):
-            if not (isinstance(s, int) and isinstance(t, int) and 0 <= s < below and 0 <= t < below):
+            if not (_integer(s) and _integer(t) and 0 <= s < below and 0 <= t < below):
                 issue(INDEX_OUT_OF_RANGE, CellId(d, i), f"boundary ({s!r}, {t!r}) out of range for dimension {d - 1}")
     if any(i.condition == INDEX_OUT_OF_RANGE for i in issues):
         return issues
@@ -168,7 +171,7 @@ def _collect_issues(n, minus_one, zero_type, src, tgt, idn):
     # identity section split by both boundaries
     for d in range(n):
         for x, up in enumerate(idn[d]):
-            if not (isinstance(up, int) and 0 <= up < counts[d + 1]):
+            if not (_integer(up) and 0 <= up < counts[d + 1]):
                 issue(INDEX_OUT_OF_RANGE, CellId(d, x), f"identity image {up!r} out of range for dimension {d + 1}")
                 continue
             if src[d + 1][up] != x or tgt[d + 1][up] != x:

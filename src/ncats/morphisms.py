@@ -22,6 +22,7 @@ read diagrammatically: (a, b) means a first, then b.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .graphs import (
@@ -352,27 +353,18 @@ def enumerate_transformations(f: GraphMorphism, g: GraphMorphism,
                               levels: tuple[int, ...] = (0,),
                               bound: int = 10 ** 6) -> list[Transformation]:
     """Every transformation between two parallel functors: raw component
-    assignments over the right hom-sets, filtered by the naturality check."""
+    assignments over the right hom-sets, filtered by the naturality check;
+    SpaceTooLarge when the product of the hom-set sizes exceeds ``bound``."""
     E, F = f.domain, f.codomain
-    cand = {}
-    space = 1
-    for i in levels:
-        d = i + 1
-        for x in range(E.count(i)):
-            cand[(i, x)] = hom_buckets(F, d).get((f.comps[i][x], g.comps[i][x]), ())
-            space *= max(1, len(cand[(i, x)]))
-            if space > bound:
-                raise SpaceTooLarge(f"transformation space exceeds {bound}")
-            if not cand[(i, x)]:
-                return []
-
-    slots = [(i, x) for i in levels for x in range(E.count(i))]
+    homs = [hom_buckets(F, i + 1).get((f.comps[i][x], g.comps[i][x]), ())
+            for i in levels for x in range(E.count(i))]
+    if math.prod(map(len, homs)) > bound:
+        raise SpaceTooLarge(f"transformation space exceeds {bound}")
     out = []
-    for combo in itertools.product(*(cand[slot] for slot in slots)):
-        comps = {i: [0] * E.count(i) for i in levels}
-        for (i, x), v in zip(slots, combo):
-            comps[i][x] = v
-        t = Transformation(f, g, {i: tuple(m) for i, m in comps.items()}, levels)
+    for combo in itertools.product(*homs):
+        components = iter(combo)
+        t = Transformation(f, g, {i: tuple(itertools.islice(components, E.count(i))) for i in levels},
+                           levels)
         if check_transformation(t, cE, cF).passed:
             out.append(t)
     return out

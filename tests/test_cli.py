@@ -11,6 +11,7 @@ from jsonschema import validate as schema_validate
 from ncats import (
     AxiomFlags,
     CategoryStructure,
+    CocompTable,
     CompTable,
     GraphMorphism,
     build_cat_of_cats,
@@ -68,6 +69,29 @@ def test_check_failure_exits_one(tmp_path, capsys):
     path = write(tmp_path, "broken.json", document_from_structure(broken))
     assert main(["check", path]) == 1
     assert "verdict: fail" in capsys.readouterr().out
+
+
+def test_check_reports_the_co_tables(tmp_path, capsys):
+    """``check`` adds a cocategory check per co table: the arrow x -> y split
+    through x by (idn x, the arrow) passes; split by (the arrow, the arrow)
+    its left piece ends at y, not x."""
+    from util import arrow_graph
+
+    G = arrow_graph()
+    table = CompTable(0, {(0, 0): 0, (0, 2): 2, (1, 1): 1, (2, 1): 2})
+    flags = AxiomFlags(global_=True, unital=True, associative=True)
+    for witness, code, counterexamples in (
+            ((0, 0, 2), 0, []),
+            ((0, 2, 2), 1, [{"kind": "co-left", "cells": ["c1_2", "c1_2"],
+                             "expected": ["c0_0", "c0_0"], "actual": ["c0_0", "c0_1"]}])):
+        doc = build_document(G, [table], cotables=[CocompTable(0, {2: witness})], flags=flags)
+        assert main(["check", write(tmp_path, "co.json", doc), "--json"]) == code
+        rep = json.loads(capsys.readouterr().out)
+        schema_validate(rep, report_schema())
+        assert [c["verdict"] for c in rep["checks"][:-1]] == ["pass"] * 4
+        assert rep["checks"][-1] == {"axiom": "cocategory", "level": 0, "asymmetric": [],
+                                     "verdict": "fail" if counterexamples else "pass",
+                                     "counterexamples": counterexamples}
 
 
 def test_check_of_bytes_that_are_not_utf8_exits_two(tmp_path, capsys):
@@ -172,14 +196,17 @@ def test_enumerate_json(z2_file, capsys):
 
 
 def test_unavailable_levels_are_usage_errors(z2_file, tmp_path, capsys):
-    """A level the carrier has no table at is a usage error (exit 2), not a
-    failed check: no report is printed, with or without --json."""
+    """A level the carrier has no table or dimension at is a usage error
+    (exit 2), not a failed check: no report is printed, with or without
+    --json."""
     two_tail = NGraph(1, StructureTail(2, (0, 1)), [[0], [0]], [[1], [0]], [[0]])
     not_monoidal = write(tmp_path, "two_tail.json", document_from_graph(two_tail))
-    for path, levels, message in ((z2_file, "5", "level 5 outside -1..0"),
-                                  (not_monoidal, "-1", "level -1 needs a single (-1)-cell")):
+    for argv, message in ((["enumerate", z2_file, "--levels", "5"], "level 5 outside -1..0"),
+                          (["enumerate", not_monoidal, "--levels", "-1"], "level -1 needs a single (-1)-cell"),
+                          (["morphism", morphism_file(tmp_path), "--name", "F", "--contravariant", "5"],
+                           "variance level 5 outside 1..1")):
         for extra in ([], ["--json"]):
-            assert main(["enumerate", path, "--levels", levels, *extra]) == 2
+            assert main([*argv, *extra]) == 2
             out, err = capsys.readouterr()
             assert out == "" and err == f"error: {message}\n"
 

@@ -85,6 +85,35 @@ def test_validate_reports_range_errors():
     assert any(i.condition == INDEX_OUT_OF_RANGE for i in rep.issues)
 
 
+@pytest.mark.parametrize("change, condition, detail", [
+    (dict(n=0), INDEX_OUT_OF_RANGE, "n must be a positive integer, got 0"),
+    (dict(minus_one=3), BAD_TAIL_SIZE, "grade -1 must hold 1 or 2 cells, got 3"),
+    (dict(minus_one=2, zero_type=(0, 2)), BAD_TAIL_SIZE, "zero type (0, 2) does not index the tail"),
+    # one (-1)-cell leaves only the diagonal zero type
+    (dict(zero_type=(0, 1)), BAD_TAIL_SIZE, "zero type (0, 1) does not index the tail"),
+    (dict(src=[[0]]), INDEX_OUT_OF_RANGE, "source/target families must cover dimensions 0..n"),
+    (dict(idn=[]), INDEX_OUT_OF_RANGE, "identity sections must cover dimensions 0..n-1"),
+    (dict(tgt=[[0], []]), INDEX_OUT_OF_RANGE, "dimension 1: target list length differs from source list"),
+    (dict(idn=[[]]), INDEX_OUT_OF_RANGE, "dimension 0: identity section is not total"),
+    (dict(src=[[1], [0]]), INDEX_OUT_OF_RANGE, "boundary (1, 0) does not index the tail"),
+    (dict(idn=[[1]]), INDEX_OUT_OF_RANGE, "identity image 1 out of range for dimension 1"),
+    # a bool is not an integer, as io.parse reads it
+    (dict(n=True), INDEX_OUT_OF_RANGE, "n must be a positive integer, got True"),
+    (dict(minus_one=True), BAD_TAIL_SIZE, "grade -1 must hold 1 or 2 cells, got True"),
+    (dict(zero_type=(False, False)), BAD_TAIL_SIZE, "zero type (False, False) does not index the tail"),
+    (dict(minus_one=2, zero_type=(0, 1), src=[[False], [0]], tgt=[[True], [0]]),
+     INDEX_OUT_OF_RANGE, "boundary (False, True) does not index the tail"),
+    (dict(src=[[0], [False]]), INDEX_OUT_OF_RANGE, "boundary (False, 0) out of range for dimension 0"),
+    (dict(idn=[[False]]), INDEX_OUT_OF_RANGE, "identity image False out of range for dimension 1"),
+])
+def test_validate_names_each_refusal(change, condition, detail):
+    """Each refusal of a malformed one-loop carrier, by its condition."""
+    rep = validate_graph({**dict(n=1, minus_one=1, zero_type=(0, 0), src=[[0], [0]], tgt=[[0], [0]],
+                                 idn=[[0]]), **change})
+    assert isinstance(rep, ValidationReport)
+    assert [(i.condition, i.detail) for i in rep.issues] == [(condition, detail)]
+
+
 def test_graph_is_immutable_and_label_blind():
     G = loops_graph(2)
     with pytest.raises(AttributeError):

@@ -230,6 +230,24 @@ def test_naturality_check_and_counts():
         assert any(c.kind == "NaturalityFailed" for c in chk.counterexamples)
 
 
+def test_transformation_space_is_the_product_of_its_hom_sets():
+    """``bound`` caps the product of the component hom-set sizes; an empty
+    hom-set leaves no transformation, whatever the other sizes."""
+    G, Z = z2_structure()
+    ident = identity_morphism(G)
+    assert len(enumerate_transformations(ident, ident, Z, Z, bound=2)) == 2
+    with pytest.raises(SpaceTooLarge):
+        enumerate_transformations(ident, ident, Z, Z, bound=1)
+    # Z2 on the object p, only its identity on q; the map onto p sends q's
+    # component to Hom(q, p), which is empty, after p's two loops
+    G = NGraph(1, StructureTail(1, (0, 0)), [[0, 0], [0, 1, 0]], [[0, 0], [0, 1, 0]], [[0, 1]])
+    S = CategoryStructure(G, [CompTable(0, {(0, 0): 0, (0, 2): 2, (1, 1): 1, (2, 0): 2, (2, 2): 0})], [],
+                          AxiomFlags(global_=True, unital=True, associative=True))
+    onto_p = GraphMorphism(G, G, ((0, 0), (0, 0, 2)))
+    assert check_functor(onto_p, S, S).passed
+    assert enumerate_transformations(identity_morphism(G), onto_p, S, S, bound=1) == []
+
+
 def test_naturality_on_thin_category():
     _, T3 = total_order_structure(3)
     fs = enumerate_functors(T3, T3)
