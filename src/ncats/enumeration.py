@@ -3,9 +3,15 @@
 Two routes compute the same answer.  Both keep a family of tables as
 entry dicts named (d, j), as ``structures`` names them: the vertical
 tables (j+1, j), levels ascending, then the horizontal ones (j+2, j).
-``enumerate_structures`` backtracks over table entries in that order, keys
-lexicographic, pruning branches as soon as typing, unit, associativity or
-interchange constraints are decided and can never recover.
+``enumerate_structures`` backtracks over table entries in that order,
+pruning branches as soon as typing, unit, associativity or interchange
+constraints are decided and can never recover.  It orders the cells of
+each dimension by rank (``_rank``): 0-cells by index, d-cells by the rank
+of their source, then of their target, identities first, then by index.
+Each table's keys (a, b) go by (rank a, rank b) and each key's values by
+rank, so the search on a carrier is the index-order search on its copy
+renumbered by rank, and its node count depends on the input's numbering
+only through the 0-cells and the non-identity cells within one type.
 ``brute_force_oracle`` iterates the raw assignment space, pruning nothing
 but values whose type the carrier alone rules out; it exists so the search
 can be checked against an implementation too simple to share its bugs.
@@ -21,11 +27,11 @@ record to the next; with one table nothing is settled.
 The search reads one slot table, built once next to the slot list: each
 slot's entry dict and key, its values and the watches of the rows of
 ``laws`` that read it.  A key's values are the cells of its composite's type
-(``composite_type``), "absent" last in partial mode.  In a table (j+1, j)
-they are built once, narrowed by the unit law under ``unital``; in a table
-(j+2, j) the type reads the table (j+1, j), so they are read, through
-the table's type lookup built once per search, when the search reaches the
-key.  The maximal-only filter tries the typed values of every absent key.
+(``composite_type``) in rank order, "absent" last in partial mode.  In a
+table (j+1, j) they are built once, narrowed by the unit law under
+``unital``; in a table (j+2, j) the type reads the table (j+1, j), so they
+are read, through the table's type lookup built once per search, when the
+search reaches the key.  The maximal-only filter tries the typed values of every absent key.
 
 The search checks associativity only on the triples that read the entry
 (a, b) -> v it has just set, in four roles: (a, b, c) for each c that can
@@ -66,6 +72,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from types import MappingProxyType
 
 from .graphs import (
     SOURCE,
@@ -78,6 +85,7 @@ from .graphs import (
     hom_buckets,
     is_monoidal_carrier,
     is_skeletal,
+    per_carrier,
 )
 from .structures import (
     AxiomFlags,
@@ -237,11 +245,38 @@ def canonical_form(G: NGraph, tables, auts=None) -> bytes:
     return repr((auts.names, "".join(best))).encode()
 
 
+@per_carrier
+def _rank(G, d):
+    """The rank of each d-cell, its place in the search's order of the
+    d-cells: at d = 0 the index order, above it by (rank of the source,
+    rank of the target, not an identity, index), so the cells of one type
+    sit together with the identity first."""
+    if d == 0:
+        return tuple(range(G.count(0)))
+    below, smap, tmap, idn = _rank(G, d - 1), G.src_map(d), G.tgt_map(d), G.idn_map(d - 1)
+    order = sorted(range(G.count(d)), key=lambda c: (below[smap[c]], below[tmap[c]], c != idn[smap[c]], c))
+    rank = [0] * len(order)
+    for r, c in enumerate(order):
+        rank[c] = r
+    return tuple(rank)
+
+
+@per_carrier
+def _ranked_buckets(G, d):
+    """``hom_buckets(G, d)`` with each bucket in rank order."""
+    rank = _rank(G, d).__getitem__
+    return MappingProxyType({typ: tuple(sorted(cells, key=rank)) for typ, cells in hom_buckets(G, d).items()})
+
+
 def _keys(G, levels, h_levels):
     """The table names (d, j), in search order, and the slot list: every
-    (d, j, key) in search order, each table's keys lexicographically."""
+    (d, j, key) in search order, each table's keys (a, b) by (rank a,
+    rank b)."""
     names = [(j + 1, j) for j in levels] + [(j + 2, j) for j in h_levels]
-    slots = [(d, j, key) for d, j in names for key in table_keys(G, d, j)]
+    slots = []
+    for d, j in names:
+        rank = _rank(G, d)
+        slots += [(d, j, key) for key in sorted(table_keys(G, d, j), key=lambda k: (rank[k[0]], rank[k[1]]))]
     return names, slots
 
 
@@ -283,11 +318,11 @@ def _exchange_watches(G, tables, slots, exchanges):
 
 def _slot_table(G, flags, tables, slots):
     """The search's row per slot: (entries, key, values, typing, assoc,
-    exchange).  ``values``, the d-cells of the key's composite type,
-    ascending, are built once for a key whose type reads no other table; a
+    exchange).  ``values``, the d-cells of the key's composite type in rank
+    order, are built once for a key whose type reads no other table; a
     key whose type reads the table below has None there and ``typing``, its
-    table's hom buckets and composite-type lookup, which the search reads
-    when it reaches the key.
+    table's hom buckets in rank order and composite-type lookup, which the
+    search reads when it reaches the key.
     ``assoc`` holds, for a key (a, b) of a table with an associativity row
     in ``laws``, its preimage index and the cells that can follow b or
     precede a, ``exchange`` the key's interchange watch from the interchange
@@ -297,7 +332,7 @@ def _slot_table(G, flags, tables, slots):
     law_rows = laws(G, flags, tables)
     preimages = {(j + 1, j): [[] for _ in range(G.count(j + 1))]
                  for axiom, j, _reads, _scan, _args in law_rows if axiom == "associativity"}
-    lookups = {(d, j): (hom_buckets(G, d), composite_type(G, d, j, tables))
+    lookups = {(d, j): (_ranked_buckets(G, d), composite_type(G, d, j, tables))
                for d, j in tables if (d - 1, j) in tables}
     exchanges = [(j + 2, j) for axiom, j, _reads, scan, _args in law_rows
                  if axiom == "interchange" and scan is not None]
@@ -308,7 +343,7 @@ def _slot_table(G, flags, tables, slots):
         values = assoc = None
         typing = lookups.get((d, j))
         if typing is None:
-            values = hom_buckets(G, d).get(composite_type(G, d, j, tables)[key], ())
+            values = _ranked_buckets(G, d).get(composite_type(G, d, j, tables)[key], ())
             if flags.unital and d == j + 1 and j >= 0:
                 smap, tmap, idn = G.src_map(d), G.tgt_map(d), G.idn_map(j)
                 if a == idn[smap[a]]:
@@ -389,8 +424,10 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
     """Count and classify every table family on ``G`` satisfying the flags.
 
     Deterministic: vertical levels are filled in ascending order with keys
-    in lexicographic order, then horizontal levels the same way, and
-    candidate values ascend (with "absent" tried last in partial mode).
+    (a, b) by (rank a, rank b) (see ``_rank``), then horizontal levels the
+    same way, and candidate values go by rank (with "absent" tried last in
+    partial mode).  Discovery order, that of ``representatives`` and of
+    ``canonical_counts``, follows the search order.
     Hitting the node or time limit returns the partial tally with
     ``exhausted=False``; both limits also bound the record step's listing
     of the automorphisms, before the first node.  The backtracking

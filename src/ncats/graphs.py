@@ -118,6 +118,11 @@ def _integer(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _sequence(v):
+    """Whether ``v`` is a list or a tuple, as ``io.parse`` requires a list."""
+    return isinstance(v, (list, tuple))
+
+
 def _collect_issues(n, minus_one, zero_type, src, tgt, idn):
     issues = []
 
@@ -131,25 +136,32 @@ def _collect_issues(n, minus_one, zero_type, src, tgt, idn):
         issue(BAD_TAIL_SIZE, None, f"grade -1 must hold 1 or 2 cells, got {minus_one!r}")
         return issues
     if (
-        len(zero_type) != 2
+        not _sequence(zero_type)
+        or len(zero_type) != 2
         or any(not _integer(v) or not 0 <= v < minus_one for v in zero_type)
     ):
         issue(BAD_TAIL_SIZE, None, f"zero type {zero_type!r} does not index the tail")
         return issues
 
-    if len(src) != n + 1 or len(tgt) != n + 1:
+    if not (_sequence(src) and _sequence(tgt)) or len(src) != n + 1 or len(tgt) != n + 1:
         issue(INDEX_OUT_OF_RANGE, None, "source/target families must cover dimensions 0..n")
         return issues
-    if len(idn) != n:
+    if not _sequence(idn) or len(idn) != n:
         issue(INDEX_OUT_OF_RANGE, None, "identity sections must cover dimensions 0..n-1")
         return issues
 
-    counts = [len(src[d]) for d in range(n + 1)]
     for d in range(n + 1):
-        if len(tgt[d]) != counts[d]:
+        if not (_sequence(src[d]) and _sequence(tgt[d])):
+            issue(INDEX_OUT_OF_RANGE, None, f"dimension {d}: source and target maps must be lists")
+            return issues
+        if len(tgt[d]) != len(src[d]):
             issue(INDEX_OUT_OF_RANGE, None, f"dimension {d}: target list length differs from source list")
             return issues
+    counts = [len(src[d]) for d in range(n + 1)]
     for d in range(n):
+        if not _sequence(idn[d]):
+            issue(INDEX_OUT_OF_RANGE, None, f"dimension {d}: identity section must be a list")
+            return issues
         if len(idn[d]) != counts[d]:
             issue(INDEX_OUT_OF_RANGE, None, f"dimension {d}: identity section is not total")
             return issues
@@ -288,12 +300,14 @@ def validate_graph(raw) -> NGraph | ValidationReport:
     idn = raw.get("idn", [])
     zero_type = raw.get("zero_type")
     if zero_type is None:
-        if src and len(src) > 0 and len(src[0]) > 0 and tgt and len(tgt[0]) > 0:
+        try:
             zero_type = (src[0][0], tgt[0][0])
-        else:
+        except (IndexError, KeyError, TypeError):
             zero_type = (0, 0)
+    if _sequence(zero_type):
+        zero_type = tuple(zero_type)
     try:
-        return NGraph(n, StructureTail(minus_one, tuple(zero_type)), src, tgt, idn, raw.get("labels"))
+        return NGraph(n, StructureTail(minus_one, zero_type), src, tgt, idn, raw.get("labels"))
     except GraphValidationError as e:
         return ValidationReport(e.issues)
 

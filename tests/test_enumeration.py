@@ -348,18 +348,19 @@ def test_horizontal_search_on_skeletal_two_graph():
 
 
 # search nodes per random 2-graph seed and flag set, frozen from the search
-# that rescanned every quadruple at every node; partial and maximal-only
-# mode visit the same nodes.  Seed 67 is a carrier where interchange
-# prunes: 5278 partial tables with {interchange}, 6642 without.  So are the
-# carriers of seeds 7 and 47, with two 0-cells, two 1-cells and three
-# 2-cells ({global} alone: 580 and 529 nodes, 256 tables; {global, unital,
-# associative}: 76 and 70 nodes, 32 tables), pinned in total mode only:
-# partial mode has 663,552 raw assignments there.
+# that rescanned every quadruple at every node (seed 7 in rank order, which
+# puts its third 2-cell, of the first 2-cell's type, second); partial and
+# maximal-only mode visit the same nodes.  Seed 67 is a carrier where
+# interchange prunes: 5278 partial tables with {interchange}, 6642 without.
+# So are the carriers of seeds 7 and 47, with two 0-cells, two 1-cells and
+# three 2-cells ({global} alone: 784 and 529 nodes, 256 tables; {global,
+# unital, associative}: 101 and 70 nodes, 32 tables), pinned in total mode
+# only: partial mode has 663,552 raw assignments there.
 INTERCHANGE_NODES = {
     2: {"i": 12, "gi": 3, "ai": 12, "guai": 3},
     23: {"i": 90, "gi": 6, "ai": 90, "guai": 6},
     67: {"i": 9518, "gi": 369, "ai": 7840, "guai": 44},
-    7: {"gi": 428, "guai": 51},
+    7: {"gi": 476, "guai": 56},
     47: {"gi": 387, "guai": 48},
 }
 INTERCHANGE_FLAGS = {
@@ -433,18 +434,18 @@ GLOBAL_ASSOCIATIVE = AxiomFlags(global_=True, associative=True)
 
 # (carrier, spec, oracle fits, nodes, records), frozen from the search that
 # rescanned every triple ending in b or starting with a whenever it set
-# (a, b); the record step re-checks every structure, so a weaker prune
-# would show only as more nodes
+# (a, b), run on the carrier relabeled by its rank; the record step
+# re-checks every structure, so a weaker prune would show only as more
+# nodes.  The rank puts the identity loop first wherever it sits.
 ASSOCIATIVE_NODES = [
-    *((_loops_with_identity_at(4, r), spec(MONOID), False, nodes, 156)
-      for r, nodes in enumerate((2513, 2733, 4379, 7211))),
+    *((_loops_with_identity_at(4, r), spec(MONOID), False, 2513, 156) for r in range(4)),
     (loops_graph(3), spec(ASSOCIATIVE), False, 82604, 31789),
     (loops_graph(3), spec(GLOBAL), False, 29523, 19683),
     (loops_graph(3), spec(GLOBAL_ASSOCIATIVE), True, 1230, 113),
     (loops_graph(2), spec(ASSOCIATIVE, levels=(-1, 0)), True, 230, 130),
     (loops_graph(2), spec(GLOBAL_ASSOCIATIVE, levels=(-1, 0)), True, 27, 8),
-    (parallel_pair_graph(), spec(ASSOCIATIVE), True, 456, 257),
-    (parallel_pair_graph(), spec(ASSOCIATIVE, maximal_only=True), True, 456, 257),
+    (parallel_pair_graph(), spec(ASSOCIATIVE), True, 494, 257),
+    (parallel_pair_graph(), spec(ASSOCIATIVE, maximal_only=True), True, 494, 257),
 ]
 
 
@@ -465,18 +466,19 @@ def test_associativity_prune_node_counts():
 def test_two_categories_on_the_cat_of_cats_carrier():
     G = build_cat_of_cats([z2_structure()[1]], depth=2)[0]
     res = enumerate_structures(G, spec(TWO_CATEGORY, include_horizontal=True))
-    assert (res.exhausted, res.raw_count, res.iso_count, res.nodes) == (True, 2098, 2098, 13282)
+    assert (res.exhausted, res.raw_count, res.iso_count, res.nodes) == (True, 2098, 2098, 13579)
     assert (res.records, res.rejected_at_record) == (2098, 0)
 
 
 # relabelings of the cat-of-one-Z2 carrier (one 0-cell, two 1-cells, four
 # 2-cells), one permutation per dimension, with their (nodes, records, raw,
-# iso) under TWO_CATEGORY: relabeling reorders the slots, so each visits its
-# own nodes, but the answer is the same
+# iso) under TWO_CATEGORY: the search orders slots and values by rank, and
+# each type there holds at most one cell besides its identity, so every
+# relabeling has the same rank order and visits the same nodes
 RELABELED_NODES = [
-    ([[0], [1, 0], [2, 3, 1, 0]], (13557, 2098, 2098, 2098)),
-    ([[0], [1, 0], [2, 1, 3, 0]], (23945, 2098, 2098, 2098)),
-    ([[0], [0, 1], [1, 0, 3, 2]], (16126, 2098, 2098, 2098)),
+    ([[0], [1, 0], [2, 3, 1, 0]], (13579, 2098, 2098, 2098)),
+    ([[0], [1, 0], [2, 1, 3, 0]], (13579, 2098, 2098, 2098)),
+    ([[0], [0, 1], [1, 0, 3, 2]], (13579, 2098, 2098, 2098)),
 ]
 
 
@@ -486,6 +488,61 @@ def test_two_categories_on_relabeled_carriers():
         res = enumerate_structures(relabeled(G, perms), spec(TWO_CATEGORY, include_horizontal=True))
         assert res.exhausted
         assert (res.nodes, res.records, res.raw_count, res.iso_count) == pinned, perms
+
+
+def test_search_does_not_depend_on_where_the_identity_loop_sits():
+    """The loops of ``loops_graph(k)`` are interchangeable, so a labeling
+    is fixed by the index of the identity loop.  The rank puts it first
+    wherever it sits, so every labeling searches as the identity-first one,
+    and order-5 monoids with the identity last fit perfbench's node pin of
+    the identity-first search (the index order needed 2,275,327 nodes)."""
+    for k in (2, 3, 4):
+        for flags in (MONOID, GROUP):
+            first = enumerate_structures(loops_graph(k), spec(flags))
+            for r in range(1, k):
+                res = enumerate_structures(_loops_with_identity_at(k, r), spec(flags))
+                assert ((res.nodes, res.records, res.rejected_at_record, res.raw_count, res.iso_count)
+                        == (first.nodes, first.records, first.rejected_at_record, first.raw_count,
+                            first.iso_count)), (k, flags, r)
+        if k == 4:
+            assert (first.nodes, first.raw_count, first.iso_count) == (2513, 4, 2)
+    last = enumerate_structures(_loops_with_identity_at(5, 4),
+                                spec(MONOID, limits=EnumLimits(max_nodes=271_507)))
+    assert (last.exhausted, last.nodes, last.raw_count, last.iso_count) == (True, 271_507, 4122, 228)
+
+
+def _rank_relabeled(G):
+    """The copy of ``G`` in which each cell's index is its rank."""
+    return relabeled(G, [enumeration._rank(G, d) for d in range(G.n + 1)])
+
+
+def test_search_is_the_index_order_search_on_the_rank_relabeled_copy():
+    """On a carrier and on its copy relabeled by rank, whose own rank is the
+    index order, the search takes the same steps: the same nodes and
+    records, the same classes in discovery order with the same sizes, and
+    representatives that the rank relabels into each other.  So a moved node
+    pin comes from the order, not from a weaker prune."""
+    cases = [(random_graph(random.Random(seed), n=2, max_cells=3),
+              spec(INTERCHANGE_FLAGS[name], include_horizontal=True))
+             for seed, pins in INTERCHANGE_NODES.items() for name in pins]
+    cases += [(parallel_pair_graph(), spec(flags)) for flags in (ASSOCIATIVE, MONOID)]
+    cases.append((build_cat_of_cats([z2_structure()[1]], depth=2)[0],
+                  spec(TWO_CATEGORY, include_horizontal=True)))
+    moved = 0
+    for G, sp in cases:
+        R = _rank_relabeled(G)
+        assert all(enumeration._rank(R, d) == tuple(range(R.count(d))) for d in range(R.n + 1))
+        rank = [enumeration._rank(G, d) for d in range(G.n + 1)]
+        moved += R != G
+        res, ref = enumerate_structures(G, sp), enumerate_structures(R, sp)
+        assert res.exhausted and ref.exhausted
+        assert ((res.nodes, res.records, res.rejected_at_record, res.raw_count, res.iso_count)
+                == (ref.nodes, ref.records, ref.rejected_at_record, ref.raw_count, ref.iso_count)), sp
+        assert list(res.canonical_counts.values()) == list(ref.canonical_counts.values())
+        assert [{(d, j): {(rank[d][a], rank[d][b]): rank[d][v] for (a, b), v in entries.items()}
+                 for (d, j), entries in _tables_of(S).items()} for S in res.representatives] == [
+            _tables_of(S) for S in ref.representatives]
+    assert moved >= 3
 
 
 def test_record_counters():

@@ -31,6 +31,7 @@ from ncats import (
 from ncats.graphs import (
     BAD_TAIL_SIZE,
     GLOBULARITY_VIOLATION,
+    GraphValidationError,
     INDEX_OUT_OF_RANGE,
     SECTION_VIOLATION,
     SOURCE,
@@ -105,6 +106,13 @@ def test_validate_reports_range_errors():
      INDEX_OUT_OF_RANGE, "boundary (False, True) does not index the tail"),
     (dict(src=[[0], [False]]), INDEX_OUT_OF_RANGE, "boundary (False, 0) out of range for dimension 0"),
     (dict(idn=[[False]]), INDEX_OUT_OF_RANGE, "identity image False out of range for dimension 1"),
+    # a number where a list belongs
+    (dict(zero_type=0), BAD_TAIL_SIZE, "zero type 0 does not index the tail"),
+    (dict(src=5), INDEX_OUT_OF_RANGE, "source/target families must cover dimensions 0..n"),
+    (dict(idn=5), INDEX_OUT_OF_RANGE, "identity sections must cover dimensions 0..n-1"),
+    (dict(src=[[0], 5]), INDEX_OUT_OF_RANGE, "dimension 1: source and target maps must be lists"),
+    (dict(tgt=[5, [0]]), INDEX_OUT_OF_RANGE, "dimension 0: source and target maps must be lists"),
+    (dict(idn=[5]), INDEX_OUT_OF_RANGE, "dimension 0: identity section must be a list"),
 ])
 def test_validate_names_each_refusal(change, condition, detail):
     """Each refusal of a malformed one-loop carrier, by its condition."""
@@ -112,6 +120,17 @@ def test_validate_names_each_refusal(change, condition, detail):
                                  idn=[[0]]), **change})
     assert isinstance(rep, ValidationReport)
     assert [(i.condition, i.detail) for i in rep.issues] == [(condition, detail)]
+
+
+@pytest.mark.parametrize("tail, src, condition", [
+    (StructureTail(1, 0), [[0], [0]], BAD_TAIL_SIZE),
+    (StructureTail(1, (0, 0)), [[0], 5], INDEX_OUT_OF_RANGE),
+])
+def test_constructor_refuses_a_number_where_a_list_belongs(tail, src, condition):
+    """The constructor raises its own error, not a TypeError from ``len``."""
+    with pytest.raises(GraphValidationError) as caught:
+        NGraph(1, tail, src, [[0], [0]], [[0]])
+    assert [i.condition for i in caught.value.issues] == [condition]
 
 
 def test_graph_is_immutable_and_label_blind():
