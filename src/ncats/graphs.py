@@ -595,8 +595,9 @@ def automorphisms(G: NGraph, deadline: float | None = None,
     return [GraphAutomorphism(maps) for maps in graph_maps(G, G, True, deadline, max_steps)]
 
 
-def skeletal_graph(objects: int, n: int, minus_one: int = 1, seed=None) -> NGraph:
-    """Build a skeletal n-graph on the given number of 0-cells.
+def skeletal_graph(objects: int, n: int, seed=None) -> NGraph:
+    """Build a skeletal n-graph on the given number of 0-cells, over one
+    (-1)-cell; past a million cells and dimensions, SpaceTooLarge.
 
     Singleton hom-sets leave no slack: dimension 1 holds one cell per
     ordered pair of 0-cells and every higher dimension is the identity
@@ -606,11 +607,9 @@ def skeletal_graph(objects: int, n: int, minus_one: int = 1, seed=None) -> NGrap
     """
     if objects < 0 or n < 1:
         raise GraphError("need a nonnegative object count and n >= 1")
-    if minus_one == 1:
-        zero_type = (0, 0)
-    else:
-        zero_type = (0, 1)
     k = objects
+    if k + n * k * k + n > 10 ** 6:
+        raise SpaceTooLarge("a skeletal carrier past a million cells is too large to build")
     perms = [list(range(k)), list(range(k * k))]
     if seed is not None:
         import random
@@ -631,12 +630,12 @@ def skeletal_graph(objects: int, n: int, minus_one: int = 1, seed=None) -> NGrap
     for x in range(k):
         idn0[perms[0][x]] = perms[1][x * k + x]
 
-    src = [[zero_type[0]] * k, src1]
-    tgt = [[zero_type[1]] * k, tgt1]
+    src = [[0] * k, src1]
+    tgt = [[0] * k, tgt1]
     idn = [idn0]
     for d in range(2, n + 1):
         m = k * k
         src.append(list(range(m)))
         tgt.append(list(range(m)))
         idn.append(list(range(m)))
-    return NGraph(n, StructureTail(minus_one, zero_type), src, tgt, idn)
+    return NGraph(n, StructureTail(1, (0, 0)), src, tgt, idn)

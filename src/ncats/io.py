@@ -516,8 +516,7 @@ def document_from_graph(G: NGraph) -> GraphDocument:
 
 
 def document_from_structure(S: CategoryStructure) -> GraphDocument:
-    return build_document(S.graph, S.vtables.values(), S.htables.values(),
-                          flags=S.flags)
+    return build_document(S.graph, *split_tables(S.tables), flags=S.flags)
 
 
 def _json_value(v, name_of):

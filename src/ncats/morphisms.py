@@ -33,6 +33,7 @@ from .graphs import (
     NGraph,
     SpaceTooLarge,
     StructureTail,
+    _integer,
     graph_maps,
     hom_buckets,
     opposite,
@@ -49,7 +50,6 @@ from .structures import (
     Counterexample,
     _single,
     check_category,
-    named_tables,
     split_tables,
 )
 
@@ -74,8 +74,8 @@ class GraphMorphism:
             if len(m) != self.domain.count(d):
                 raise GraphError(f"dimension {d} component is not total")
             for v in m:
-                if not 0 <= v < self.codomain.count(d):
-                    raise GraphError(f"dimension {d} component value {v} out of range")
+                if not (_integer(v) and 0 <= v < self.codomain.count(d)):
+                    raise GraphError(f"dimension {d} component value {v!r} out of range")
 
     def apply(self, z: CellId) -> CellId:
         if z.dim == -1:
@@ -127,7 +127,7 @@ def check_graph_morphism(m: GraphMorphism) -> AxiomReport:
                     "identity-square", (CellId(d, x),),
                     expected=CellId(d + 1, F.idn_map(d)[m.comps[d][x]]),
                     actual=CellId(d + 1, upper[up])))
-    return _single("graph-morphism", None, FAIL if bad else PASS, bad)
+    return _single("graph-morphism", None, bad)
 
 
 def check_contravariant(m: GraphMorphism, variance: VarianceSpec) -> AxiomReport:
@@ -150,10 +150,9 @@ def check_functor(m: GraphMorphism, cE: CategoryStructure, cF: CategoryStructure
     if cE.graph != m.domain or cF.graph != m.codomain:
         raise GraphError("structures do not live on the morphism's carriers")
     report = check_graph_morphism(m)
-    codomain = named_tables(cF)
-    for (d, j), entries in named_tables(cE).items():
+    for (d, j), entries in cE.tables.items():
         fmap = m.comps[d]
-        target = codomain.get((d, j))
+        target = cF.tables.get((d, j))
         bad = []
         for (a, b), v in sorted(entries.items()):
             if target is None:
@@ -171,7 +170,7 @@ def check_functor(m: GraphMorphism, cE: CategoryStructure, cF: CategoryStructure
                     "composite-square", (CellId(d, a), CellId(d, b)),
                     expected=CellId(d, fmap[v]), actual=CellId(d, got)))
         axiom = "functor" if d == j + 1 else "functor-horizontal"
-        report = report.merged(AxiomReport([AxiomCheck(axiom, j, FAIL if bad else PASS, bad)]))
+        report = report.merged(_single(axiom, j, bad))
     return report
 
 
@@ -183,14 +182,16 @@ def _components(f: GraphMorphism, comps, levels, k: int, no_room: str) -> dict[i
     E, F = f.domain, f.codomain
     comps = {i: tuple(m) for i, m in comps.items()}
     for i in levels:
+        if not _integer(i):
+            raise BadLevel(f"level {i!r} is not an integer")
         if not 0 <= i <= E.n - 1 or i + k > F.n:
             raise BadLevel(no_room.format(i=i, d=i + k))
         m = comps.get(i)
         if m is None or len(m) != E.count(i):
             raise GraphError(f"level {i} components are not total")
         for v in m:
-            if not 0 <= v < F.count(i + k):
-                raise GraphError(f"level {i} component value {v} out of range")
+            if not (_integer(v) and 0 <= v < F.count(i + k)):
+                raise GraphError(f"level {i} component value {v!r} out of range")
     return comps
 
 
@@ -261,19 +262,18 @@ def check_transformation(t: Transformation, cE: CategoryStructure, cF: CategoryS
     notes = []
     if E.n > 1 and t.levels == (0,):
         notes.append("components configured at level 0 only; higher cells are not constrained")
-    tables = named_tables(cF)
     for i in t.levels:
         comp = t.comps[i]
         d = i + 1
         bad = _untyped(F, i, d, comp, f.comps[i], g.comps[i])
-        if (d, i) not in tables:
+        if (d, i) not in cF.tables:
             bad += [Counterexample("NaturalitySquareUndefined", (CellId(d, a),),
                                    expected=f"codomain table at level {i}")
                     for a in range(E.count(d))]
         else:
             rows = [(a, x, y, comp, f.comps[d][a], g.comps[d][a])
                     for a, (x, y) in enumerate(zip(E.src_map(d), E.tgt_map(d)))]
-            bad += _squares(rows, tables, i, d, "NaturalitySquareUndefined", "NaturalityFailed")
+            bad += _squares(rows, cF.tables, i, d, "NaturalitySquareUndefined", "NaturalityFailed")
         checks.append(AxiomCheck("naturality", i, FAIL if bad else PASS, bad, notes=list(notes)))
     return AxiomReport(checks)
 
@@ -306,7 +306,6 @@ def check_modification(md: Modification, cE: CategoryStructure, cF: CategoryStru
     E, F = f.domain, f.codomain
     if cE.graph != E or cF.graph != F:
         raise GraphError("structures do not live on the modification's carriers")
-    tables = named_tables(cF)
     checks = []
     for i in s.levels:
         comp = md.comps[i]
@@ -316,17 +315,17 @@ def check_modification(md: Modification, cE: CategoryStructure, cF: CategoryStru
         paths = [(arrow, x_of[arrow], y_of[arrow], side, f.comps[d1][arrow], g.comps[d1][arrow])
                  for ends in zip(E.src_map(d2), E.tgt_map(d2)) for arrow in ends
                  for side in (s.comps[i], t.comps[i])]
-        bad += _squares(paths, tables, i, d1, "PathUndefined", "path")
+        bad += _squares(paths, cF.tables, i, d1, "PathUndefined", "path")
         checks.append(AxiomCheck("modification-paths", i, FAIL if bad else PASS, bad))
 
-        if (d2, i) not in tables:
+        if (d2, i) not in cF.tables:
             checks.append(AxiomCheck(
                 "modification-cells", i, NOT_APPLICABLE,
                 notes=[f"no horizontal table at level {i} in the codomain"]))
             continue
         cells = [(alpha, x_of[a], y_of[a], comp, f.comps[d2][alpha], g.comps[d2][alpha])
                  for alpha, a in enumerate(E.src_map(d2))]
-        hbad = _squares(cells, tables, i, d2, "PathUndefined", "cell-square")
+        hbad = _squares(cells, cF.tables, i, d2, "PathUndefined", "cell-square")
         checks.append(AxiomCheck("modification-cells", i, FAIL if hbad else PASS, hbad))
     return AxiomReport(checks)
 
@@ -391,7 +390,7 @@ def build_cat_of_cats(cats: list[CategoryStructure], depth: int = 2):
     for c in cats:
         if c.graph.n != 1:
             raise GraphError("inputs must be height-one carriers")
-        probe = CategoryStructure(c.graph, *split_tables(named_tables(c)),
+        probe = CategoryStructure(c.graph, *split_tables(c.tables),
                                   AxiomFlags(global_=True, unital=True, associative=True))
         if not check_category(probe).passed:
             raise GraphError("inputs must satisfy the global, unital and associative checks")
@@ -443,7 +442,7 @@ def build_cat_of_cats(cats: list[CategoryStructure], depth: int = 2):
             if v2_idx != v_idx:
                 continue
             i, j, _u = functors[u_idx]
-            table = cats[j].vtables[0].entries
+            table = cats[j].tables[1, 0]
             comp = tuple(table[(t.comps[0][x], s.comps[0][x])]
                          for x in range(cats[i].graph.count(0)))
             level1[(t_idx, s_idx)] = transformation_index[(u_idx, w_idx, comp)]
@@ -456,7 +455,7 @@ def build_cat_of_cats(cats: list[CategoryStructure], depth: int = 2):
             pi, pl, p = functors[p_idx]
             if pi != j:
                 continue
-            table = cats[pl].vtables[0].entries
+            table = cats[pl].tables[1, 0]
             # whisker t through p, then s at the far end of each object image
             comp = tuple(
                 table[(p.comps[1][t.comps[0][x]], s.comps[0][v.comps[0][x]])]

@@ -6,11 +6,11 @@ one rule covers every table.  Its keys are the pairs (a, b) whose
 j-boundaries meet (``table_keys``).  A composite runs from src a to tgt b
 when d = j+1; otherwise its source and target are the (d-1, j) composites
 of the two sources and of the two targets (``composite_type``).  The
-vertical table at level j is (j+1, j), kept in ``vtables``; the horizontal
-one is (j+2, j), kept in ``htables``.  ``CompTable`` is the one table class
-(``HCompTable`` is an alias).  Other modules read and build tables as entry
-dicts named (d, j), through ``named_tables`` and its inverse
-``split_tables``.  Level -1 is only allowed on a monoidal carrier.  Entries
+vertical table at level j is (j+1, j), the horizontal one (j+2, j).  A
+structure keeps its tables once, as the entry dicts ``S.tables`` named
+(d, j); ``CompTable`` (alias ``HCompTable``) pairs one with its level, as
+the constructor, ``split_tables`` and the ``vtables``/``htables`` views
+take or give them.  Level -1 is only allowed on a monoidal carrier.  Entries
 are written in diagrammatic order: the key (a, b) means "a first, then b".
 
 Checkers never raise on a bad table; they return a report whose checks
@@ -32,6 +32,7 @@ from .graphs import (
     TARGET,
     CellId,
     NGraph,
+    _integer,
     boundary_fibers,
     boundary_map,
     hom_buckets,
@@ -148,11 +149,9 @@ class AxiomReport:
         raise KeyError(f"no check for {axiom!r} at level {level!r}")
 
 
-def _single(axiom, level, verdict, counterexamples=None, asymmetric=None, notes=None):
-    return AxiomReport([AxiomCheck(
-        axiom, level, verdict,
-        counterexamples or [], asymmetric or [], notes or [],
-    )])
+def _single(axiom, level, bad) -> AxiomReport:
+    """One check, failing exactly when ``bad`` lists a counterexample."""
+    return AxiomReport([AxiomCheck(axiom, level, FAIL if bad else PASS, bad)])
 
 
 @per_carrier
@@ -255,65 +254,70 @@ def interchange_partners(G: NGraph, j: int):
 
 
 class CategoryStructure:
-    """A carrier plus whatever composition tables the candidate provides.
+    """A carrier plus its composition tables, kept once as ``tables``: entry
+    dicts named (d, j), the (j+1, j) by ascending level, then the (j+2, j).
 
     Tables may be partial; the flags say which axioms the candidate claims.
-    Construction rejects keys that are not composable and tables at levels
-    the carrier cannot host, but makes no judgement about the axioms; that
-    is the checkers' job.
+    Construction files each given table's entry dict uncopied, rejecting
+    keys that are not composable and tables at levels the carrier cannot
+    host, but makes no judgement about the axioms; that is the checkers' job.
     """
 
     def __init__(self, graph: NGraph, vtables=(), htables=(), flags: AxiomFlags = AxiomFlags()):
         self.graph = graph
         self.flags = flags
-        self.vtables: dict[int, CompTable] = {}
-        self.htables: dict[int, CompTable] = {}
+        self.tables: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
         # a table at level j composes (j + offset)-cells; the lowest level
         # is offset - 2, and level -1 needs a monoidal carrier
-        for offset, given, kept, kind, prefix, unmet in (
-                (1, vtables, self.vtables, "vertical", "", "is not composable"),
-                (2, htables, self.htables, "horizontal", "horizontal ", "shares no boundary")):
-            for t in given.values() if isinstance(given, dict) else given:
+        for offset, given, kind, prefix, unmet in (
+                (1, vtables, "vertical", "", "is not composable"),
+                (2, htables, "horizontal", "horizontal ", "shares no boundary")):
+            given = list(given.values() if isinstance(given, dict) else given)
+            for t in given:
+                if not _integer(t.level):
+                    raise StructureError(f"{kind} level {t.level!r} is not an integer")
+            for t in sorted(given, key=lambda t: t.level):
                 j, d = t.level, t.level + offset
                 if not offset - 2 <= j <= graph.n - offset:
                     raise NoTableAtLevel(f"{kind} level {j} outside {offset - 2}..{graph.n - offset}")
                 if j == -1 and not is_monoidal_carrier(graph):
                     raise NoTableAtLevel("level -1 table needs a single (-1)-cell")
-                if j in kept:
+                if (d, j) in self.tables:
                     raise StructureError(f"duplicate {kind} table at level {j}")
                 cnt = graph.count(d)
                 tmap, smap = boundary_map(graph, d, j, TARGET), boundary_map(graph, d, j, SOURCE)
-                for (a, b), v in t.entries.items():
+                for key, v in t.entries.items():
+                    a, b = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+                    # plain ints pass at once; anything else must pass io.parse's test
+                    if not (type(a) is type(b) is type(v) is int or all(map(_integer, (a, b, v)))):
+                        raise StructureError(f"{prefix}level {j} entry {key!r} -> {v!r} is not made of cell indices")
                     if not (0 <= a < cnt and 0 <= b < cnt and 0 <= v < cnt):
                         raise StructureError(f"{prefix}level {j} entry ({a}, {b}) -> {v} out of range")
                     if tmap[a] != smap[b]:
                         raise NotComposable(f"{prefix}level {j} key ({a}, {b}) {unmet}")
-                kept[j] = t
+                self.tables[d, j] = t.entries
+
+    # views for API users: the tables of one kind by level, wrapping the same entry dicts
+    vtables = property(lambda self: {t.level: t for t in split_tables(self.tables)[0]})
+    htables = property(lambda self: {t.level: t for t in split_tables(self.tables)[1]})
 
     def __eq__(self, other):
         return (
             isinstance(other, CategoryStructure)
             and self.graph == other.graph
             and self.flags == other.flags
-            and named_tables(self) == named_tables(other)
+            and self.tables == other.tables
         )
 
     def __repr__(self):
-        vs = {j: len(t.entries) for j, t in sorted(self.vtables.items())}
-        hs = {j: len(t.entries) for j, t in sorted(self.htables.items())}
+        vs, hs = ({j: len(entries) for (d, j), entries in self.tables.items() if d - j == offset}
+                  for offset in (1, 2))
         return f"CategoryStructure(vertical {vs}, horizontal {hs}, flags {self.flags.names()})"
-
-
-def named_tables(S: CategoryStructure) -> dict:
-    """The entry dicts of ``S`` named (d, j): the vertical tables (j+1, j),
-    levels ascending, then the horizontal tables (j+2, j)."""
-    return {**{(j + 1, j): t.entries for j, t in sorted(S.vtables.items())},
-            **{(j + 2, j): t.entries for j, t in sorted(S.htables.items())}}
 
 
 def split_tables(tables):
     """The vertical and the horizontal tables of entry dicts named (d, j),
-    as ``CategoryStructure`` takes them, uncopied: ``named_tables`` undone."""
+    as ``CategoryStructure`` takes them, uncopied: ``S.tables`` undone."""
     split = {1: [], 2: []}
     for (d, j), entries in tables.items():
         split[d - j].append(CompTable(j, entries))
@@ -322,15 +326,15 @@ def split_tables(tables):
 
 def compose(S: CategoryStructure, a: CellId, b: CellId, j: int) -> CellId:
     """Table lookup for "a then b" at level j, raising when impossible."""
-    if j not in S.vtables:
-        raise NoTableAtLevel(f"no vertical table at level {j}")
     d = j + 1
+    if (d, j) not in S.tables:
+        raise NoTableAtLevel(f"no vertical table at level {j}")
     if a.dim != d or b.dim != d:
         raise NotComposable(f"level {j} composes dimension-{d} cells, got {a} and {b}")
     if not composable(S.graph, j, a.index, b.index):
         raise NotComposable(f"{a} and {b} do not meet end to end")
     try:
-        return CellId(d, S.vtables[j].entries[(a.index, b.index)])
+        return CellId(d, S.tables[d, j][a.index, b.index])
     except KeyError:
         raise NotDefined(f"level {j} table has no entry for ({a}, {b})") from None
 
@@ -454,7 +458,7 @@ def groupoid_scan(G: NGraph, j: int, tables):
 
 
 def laws(G: NGraph, flags: AxiomFlags, names) -> list[tuple]:
-    """The laws ``flags`` ask of tables named ``names`` (in ``named_tables``
+    """The laws ``flags`` ask of tables named ``names`` (in ``S.tables``
     order), one row (axiom, level, reads, scan, args) per axiom and table,
     in ``check_category``'s report order: ``scan(*args, tables)`` yields the
     violations in the family ``tables``, reading the tables named ``reads``.
@@ -571,8 +575,8 @@ def _check(G: NGraph, row, tables) -> AxiomCheck:
 def _rows(S: CategoryStructure, names, flags: AxiomFlags, axioms) -> AxiomReport:
     """The checks of ``S`` from the rows of ``laws`` under ``flags`` on the
     tables ``names`` whose axiom is one of ``axioms``."""
-    G, tables = S.graph, named_tables(S)
-    return AxiomReport([_check(G, row, tables) for row in laws(G, flags, names) if row[0] in axioms])
+    G = S.graph
+    return AxiomReport([_check(G, row, S.tables) for row in laws(G, flags, names) if row[0] in axioms])
 
 
 def check_typing(S: CategoryStructure) -> AxiomReport:
@@ -581,13 +585,13 @@ def check_typing(S: CategoryStructure) -> AxiomReport:
     Horizontal values are typed through the vertical table at the same
     level; a missing vertical composite makes the entry untypeable.
     """
-    return _rows(S, named_tables(S), AxiomFlags(), ("typing", "typing-horizontal"))
+    return _rows(S, S.tables, AxiomFlags(), ("typing", "typing-horizontal"))
 
 
 def check_global(S: CategoryStructure, j: int) -> AxiomReport:
     """Totality at level j: every key of the vertical and of the horizontal
     table there, whichever ``S`` has, has an entry."""
-    here = [(d, i) for d, i in named_tables(S) if i == j]
+    here = [(d, i) for d, i in S.tables if i == j]
     if not here:
         raise NoTableAtLevel(f"no table at level {j}")
     return _rows(S, here, AxiomFlags(global_=True), ("global", "global-horizontal"))
@@ -600,7 +604,7 @@ def check_units(S: CategoryStructure, j: int) -> AxiomReport:
     Level -1 is not applicable: there is no identity section below
     dimension 0, so the product of 0-cells carries no designated unit.
     """
-    if j != -1 and j not in S.vtables:
+    if j != -1 and (j + 1, j) not in S.tables:
         raise NoTableAtLevel(f"no vertical table at level {j}")
     return _rows(S, [(j + 1, j)], AxiomFlags(global_=S.flags.global_, unital=True), ("units",))
 
@@ -609,7 +613,7 @@ def check_associativity(S: CategoryStructure, j: int) -> AxiomReport:
     """Both bracketings of every composable triple agree when both are
     defined.  Triples where exactly one side is defined are collected
     separately; partiality alone is not a violation."""
-    if j not in S.vtables:
+    if (j + 1, j) not in S.tables:
         raise NoTableAtLevel(f"no vertical table at level {j}")
     return _rows(S, [(j + 1, j)], AxiomFlags(associative=True), ("associativity",))
 
@@ -622,7 +626,7 @@ def check_interchange(S: CategoryStructure, j: int) -> AxiomReport:
     defined, the two evaluation orders must agree.  Quadruples where only
     one outer side is defined are collected separately.
     """
-    if j + 1 not in S.vtables or j not in S.htables:
+    if (j + 2, j + 1) not in S.tables or (j + 2, j) not in S.tables:
         raise MissingTables(f"interchange at level {j} needs the vertical table "
                             f"at level {j + 1} and the horizontal table at level {j}")
     return _rows(S, [(j + 2, j + 1), (j + 2, j)], AxiomFlags(interchange=True), ("interchange",))
@@ -642,7 +646,7 @@ def check_groupoid(S: CategoryStructure, j: int) -> AxiomReport:
 def inverses(S: CategoryStructure, j: int, a: CellId) -> list[CellId]:
     """All two-sided inverses of ``a`` at level j (used to confirm that a
     passing groupoid check pins the inverse down uniquely)."""
-    return [CellId(j + 1, b) for b in _inverses(S.graph, j, named_tables(S), a.index)]
+    return [CellId(j + 1, b) for b in _inverses(S.graph, j, S.tables, a.index)]
 
 
 def check_cocategory(G: NGraph, D: CocompTable) -> AxiomReport:
@@ -655,7 +659,8 @@ def check_cocategory(G: NGraph, D: CocompTable) -> AxiomReport:
     smap, tmap = G.src_map(d), G.tgt_map(d)
     bad = []
     for z, (w, p, q) in sorted(D.entries.items()):
-        if not (0 <= z < G.count(d) and 0 <= p < G.count(d) and 0 <= q < G.count(d) and 0 <= w < G.count(j)):
+        if not (all(map(_integer, (z, w, p, q)))
+                and 0 <= z < G.count(d) and 0 <= p < G.count(d) and 0 <= q < G.count(d) and 0 <= w < G.count(j)):
             bad.append(Counterexample("co-range", (CellId(d, z),),
                                       actual=(w, p, q)))
             continue
@@ -668,7 +673,7 @@ def check_cocategory(G: NGraph, D: CocompTable) -> AxiomReport:
             bad.append(Counterexample("co-right", (CellId(d, z), CellId(d, q)),
                                       expected=(CellId(j, w), CellId(j, y)),
                                       actual=(CellId(j, smap[q]), CellId(j, tmap[q]))))
-    return _single("cocategory", j, FAIL if bad else PASS, bad)
+    return _single("cocategory", j, bad)
 
 
 def check_category(S: CategoryStructure) -> AxiomReport:
@@ -676,7 +681,7 @@ def check_category(S: CategoryStructure) -> AxiomReport:
     The unit row, which the groupoid row presupposes, is reported only
     under ``unital``; a groupoid row after a failing unit row fails with the
     unit counterexamples and a note instead of raising."""
-    G, tables, checks = S.graph, named_tables(S), []
+    G, tables, checks = S.graph, S.tables, []
     for row in laws(G, S.flags, tables):
         axiom, j = row[:2]
         if axiom == "groupoid" and unit.verdict == FAIL:

@@ -262,7 +262,8 @@ def test_gen_argument_errors_exit_two(capsys):
             (["skeletal", "--n", "0"], 2, "need a nonnegative object count and n >= 1"),
             (["cob", "--max-points", "-1"], 2, "need a nonnegative point budget"),
             (["cob", "--max-points", "5"], 3, "point budgets above 4 produce unreasonably large tables"),
-            (["sets", "--max-size", "4"], 3, "set sizes above 3 produce unreasonably many map pairs")):
+            (["sets", "--max-size", "4"], 3, "set sizes above 3 produce unreasonably many map pairs"),
+            (["skeletal", "--objects", "1000"], 3, "a skeletal carrier past a million cells is too large to build")):
         assert main(["gen", *argv]) == code, argv
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n", argv

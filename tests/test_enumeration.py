@@ -145,12 +145,6 @@ def test_representative_structures_satisfy_the_request():
         assert rep.passed
 
 
-def _tables_of(S):
-    """A structure's tables in the record step's form, named (d, j)."""
-    return {**{(j + 1, j): t.entries for j, t in S.vtables.items()},
-            **{(j + 2, j): t.entries for j, t in S.htables.items()}}
-
-
 def test_canonical_form_is_orbit_invariant():
     """The public ``canonical_form`` gives each representative the key the
     record step tallied it under, and every automorphic relabeling of it the
@@ -161,16 +155,16 @@ def test_canonical_form_is_orbit_invariant():
                                    limits=EnumLimits(max_nodes=2000, max_representatives=1000)))):
         auts = automorphisms(G)
         res = enumerate_structures(G, sp)
-        forms = [canonical_form(G, _tables_of(S), auts) for S in res.representatives]
+        forms = [canonical_form(G, S.tables, auts) for S in res.representatives]
         assert set(forms) == set(res.canonical_counts)
         assert len(forms) == res.iso_count
         assert sum(res.canonical_counts.values()) == res.raw_count
         for S, form in zip(res.representatives, forms):
-            assert canonical_form(G, dict(reversed(_tables_of(S).items()))) == form
+            assert canonical_form(G, dict(reversed(S.tables.items()))) == form
             for phi in auts:
                 image = {(d, j): {(phi.maps[d][a], phi.maps[d][b]): phi.maps[d][v]
                                   for (a, b), v in entries.items()}
-                         for (d, j), entries in _tables_of(S).items()}
+                         for (d, j), entries in S.tables.items()}
                 assert canonical_form(G, image, auts) == form
 
 
@@ -540,8 +534,8 @@ def test_search_is_the_index_order_search_on_the_rank_relabeled_copy():
                 == (ref.nodes, ref.records, ref.rejected_at_record, ref.raw_count, ref.iso_count)), sp
         assert list(res.canonical_counts.values()) == list(ref.canonical_counts.values())
         assert [{(d, j): {(rank[d][a], rank[d][b]): rank[d][v] for (a, b), v in entries.items()}
-                 for (d, j), entries in _tables_of(S).items()} for S in res.representatives] == [
-            _tables_of(S) for S in ref.representatives]
+                 for (d, j), entries in S.tables.items()} for S in res.representatives] == [
+            S.tables for S in ref.representatives]
     assert moved >= 3
 
 
@@ -677,7 +671,7 @@ def test_record_step_settles_a_table_only_as_it_last_passed():
     sp = spec(AxiomFlags(global_=True, interchange=True), include_horizontal=True)
     names = enumeration._keys(G, *enumeration._resolve_levels(G, sp))[0]
     middle, last = names[1], names[-1]
-    P = {name: dict(entries) for name, entries in _tables_of(enumerate_structures(G, sp).representatives[0]).items()}
+    P = {name: dict(entries) for name, entries in enumerate_structures(G, sp).representatives[0].tables.items()}
 
     def one_dropped(name):
         entries = dict(P[name])

@@ -259,6 +259,17 @@ def test_skeletal_graph_carriers_are_pinned():
     assert digest.hexdigest() == "112173cc76fbe7eb3ec5d4647d8df3734fa318b506bdbffaa55422bf3aa9dca5"
 
 
+@pytest.mark.parametrize("objects, n", [(1000, 1), (1, 500_000), (0, 1_000_001)])
+def test_skeletal_graph_refuses_a_carrier_just_over_the_cap(objects, n):
+    """Objects plus n times objects squared cells, and n dimensions, may
+    not exceed a million; a size just over that is refused before
+    anything is built (999 objects or height 499,999 over one object
+    would still be built)."""
+    with pytest.raises(SpaceTooLarge) as err:
+        skeletal_graph(objects, n)
+    assert str(err.value) == "a skeletal carrier past a million cells is too large to build"
+
+
 def test_graph_maps_stop_at_the_deadline():
     """Aut(loops_graph(10)) has 9! elements; a passed deadline ends the
     listing at the first check, 1024 steps in."""

@@ -400,6 +400,29 @@ def test_component_errors_are_pinned():
         assert _raised(make) == (kind, message)
 
 
+@pytest.mark.parametrize("bad", [0.0, True, "0", None])
+def test_maps_refuse_what_is_not_a_cell_index(bad):
+    """Component values and levels must be ints and not bools, as in a
+    file; anything else is a GraphError when the map is built, not a
+    TypeError later."""
+    from ncats.graphs import BadLevel
+
+    G = loops_graph(2)
+    I = identity_morphism(G)
+    C = cat_of_z2s(1)[0]
+    J = identity_morphism(C)
+    tr = Transformation(J, J, {0: (C.idn_map(0)[0],)})
+    for make, kind, message in (
+            (lambda: GraphMorphism(G, G, ((0,), (bad, 1))), GraphError,
+             f"dimension 1 component value {bad!r} out of range"),
+            (lambda: GraphMorphism(G, G, ((bad,), (0, 1))), GraphError,
+             f"dimension 0 component value {bad!r} out of range"),
+            (lambda: Transformation(I, I, {0: (bad,)}), GraphError, f"level 0 component value {bad!r} out of range"),
+            (lambda: Transformation(I, I, {0: (0,)}, (bad,)), BadLevel, f"level {bad!r} is not an integer"),
+            (lambda: Modification(tr, tr, {0: (bad,)}), GraphError, f"level 0 component value {bad!r} out of range")):
+        assert _raised(make) == (kind, message)
+
+
 def test_modification_without_horizontal_table():
     G, S = cat_of_z2s(1)
     bare = CategoryStructure(G, list(S.vtables.values()), [], S.flags)

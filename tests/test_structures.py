@@ -45,7 +45,6 @@ from ncats.structures import (
     UnitsRequired,
     inverses,
     laws,
-    named_tables,
 )
 
 from util import (
@@ -127,21 +126,69 @@ def test_construction_errors_are_pinned():
         assert str(err.value) == message
 
 
-def test_split_tables_inverts_named_tables():
-    """One table class; ``split_tables`` rebuilds a structure from its
-    entry dicts named (d, j)."""
+def test_split_tables_inverts_the_tables():
+    """One table class; ``split_tables`` turns a structure's tables, the
+    entry dicts named (d, j), back into the lists its constructor takes."""
     assert HCompTable is CompTable
     cases = [z2_structure()[1], build_cat_of_cats([z2_structure()[1]], depth=2)[1],
              build_cat_of_cats([z2_structure()[1]], depth=3)[1],
              CategoryStructure(loops_graph(2), [CompTable(-1, {(0, 0): 0}), CompTable(0, {})])]
     for S in cases:
-        named = structures.named_tables(S)
-        vertical, horizontal = structures.split_tables(named)
-        assert [(t.level, t.entries) for t in vertical] == sorted(
-            (j, t.entries) for j, t in S.vtables.items())
-        assert [(t.level, t.entries) for t in horizontal] == sorted(
-            (j, t.entries) for j, t in S.htables.items())
+        vertical, horizontal = structures.split_tables(S.tables)
+        assert [((t.level + 1, t.level), t.entries) for t in vertical] + [
+            ((t.level + 2, t.level), t.entries) for t in horizontal] == list(S.tables.items())
+        assert all(t.entries is S.tables[t.level + 1, t.level] for t in vertical)
         assert CategoryStructure(S.graph, vertical, horizontal, S.flags) == S
+
+
+def test_tables_are_the_only_table_state_in_named_order():
+    """A structure keeps its tables once, uncopied, as ``tables``: the
+    vertical tables (j+1, j) by ascending level, then the horizontal ones
+    (j+2, j), in whatever order or form they were given.  ``vtables`` and
+    ``htables`` wrap those same dicts."""
+    C, T = build_cat_of_cats([z2_structure()[1]], depth=2)
+    T0, T1, H0 = CompTable(0, T.tables[1, 0]), CompTable(1, T.tables[2, 1]), CompTable(0, T.tables[2, 0])
+    for vertical in ([T1, T0], {1: T1, 0: T0}, (t for t in (T1, T0))):
+        S = CategoryStructure(C, vertical, [H0], T.flags)
+        assert list(S.tables) == [(1, 0), (2, 1), (2, 0)]
+        assert [S.tables[name] for name in S.tables] == [T0.entries, T1.entries, H0.entries]
+        assert all(S.tables[name] is t.entries for name, t in (((1, 0), T0), ((2, 1), T1), ((2, 0), H0)))
+        assert set(vars(S)) == {"graph", "flags", "tables"}
+        assert S == T
+    for S in (T, z2_structure()[1], build_cat_of_cats([z2_structure()[1]], depth=3)[1]):
+        assert sorted(S.vtables) == [j for d, j in S.tables if d == j + 1]
+        assert sorted(S.htables) == [j for d, j in S.tables if d == j + 2]
+        assert all(t.level == j and t.entries is S.tables[j + 1, j] for j, t in S.vtables.items())
+        assert all(t.level == j and t.entries is S.tables[j + 2, j] for j, t in S.htables.items())
+        assert CategoryStructure(S.graph, S.vtables, S.htables, S.flags) == S
+        assert set(vars(S)) == {"graph", "flags", "tables"}
+
+
+@pytest.mark.parametrize("vertical, horizontal, message", [
+    ([CompTable(0, {(0.0, 0): 0})], [], "level 0 entry (0.0, 0) -> 0 is not made of cell indices"),
+    ([CompTable(0, {(0, 0): 0.0})], [], "level 0 entry (0, 0) -> 0.0 is not made of cell indices"),
+    ([CompTable(0, {("0", 0): 0})], [], "level 0 entry ('0', 0) -> 0 is not made of cell indices"),
+    ([CompTable(0, {(0,): 0})], [], "level 0 entry (0,) -> 0 is not made of cell indices"),
+    ([CompTable(0, {(True, 0): 0})], [], "level 0 entry (True, 0) -> 0 is not made of cell indices"),
+    ([CompTable(0, {(0, 0): False})], [], "level 0 entry (0, 0) -> False is not made of cell indices"),
+    ([CompTable(0.0, {})], [], "vertical level 0.0 is not an integer"),
+    ([CompTable("0", {})], [], "vertical level '0' is not an integer"),
+    ([CompTable(None, {})], [], "vertical level None is not an integer"),
+    ([CompTable(0, {}), CompTable(True, {})], [], "vertical level True is not an integer"),
+    ([], [HCompTable(0.0, {})], "horizontal level 0.0 is not an integer"),
+    ([], [HCompTable(0, {(0, 0.0): 0})], "horizontal level 0 entry (0, 0.0) -> 0 is not made of cell indices"),
+])
+def test_construction_refuses_what_is_not_a_cell_index(vertical, horizontal, message):
+    """Levels, keys and values must be ints and not bools, as in a file;
+    anything else is a StructureError, not a TypeError or ValueError."""
+    G = loops_graph(2)
+    if horizontal:
+        G, T = build_cat_of_cats([z2_structure()[1]], depth=2)
+        vertical = T.vtables
+    with pytest.raises(StructureError) as err:
+        CategoryStructure(G, vertical, horizontal)
+    assert type(err.value) is StructureError
+    assert str(err.value) == message
 
 
 def test_composable_pairs_and_compose():
@@ -442,7 +489,7 @@ def test_check_category_reports_the_rows_of_laws():
     for S in carriers:
         for bits in itertools.product((False, True), repeat=5):
             S.flags = AxiomFlags(*bits)
-            rows = [(axiom, j) for axiom, j, _reads, _scan, _args in laws(S.graph, S.flags, named_tables(S))
+            rows = [(axiom, j) for axiom, j, _reads, _scan, _args in laws(S.graph, S.flags, S.tables)
                     if axiom != "units" or S.flags.unital]
             assert [(c.axiom, c.level) for c in check_category(S).checks] == rows, (S, bits)
 
@@ -454,7 +501,7 @@ def test_every_law_has_a_counterexample_shape_and_a_verdict_rank():
     carriers with level -1, vertical and horizontal tables, has both, and
     neither table keeps an axiom no row carries."""
     carriers, _extra = _report_edge_structures()
-    names = [named_tables(S) for S in carriers]
+    names = [S.tables for S in carriers]
     assert {d - j for tables in names for d, j in tables} == {1, 2}
     assert any((0, -1) in tables for tables in names)
     axioms = {row[0] for S, tables in zip(carriers, names)
@@ -487,6 +534,17 @@ def test_cocategory_typing():
     assert "co-right" in kinds
     with pytest.raises(NoTableAtLevel):
         check_cocategory(G, CocompTable(3, {}))
+
+
+@pytest.mark.parametrize("entries", [
+    {0: (0.0, 0, 0)}, {0: (0, True, 0)}, {0: (0, 0, "0")}, {0: (0, 0, None)}, {0.0: (0, 0, 0)}, {True: (0, 0, 0)},
+])
+def test_cocategory_reports_what_is_not_a_cell_index(entries):
+    """A witness or cell that is not an int, or is a bool, is reported out
+    of range, as the checkers never raise on a bad table."""
+    rep = check_cocategory(loops_graph(2), CocompTable(0, entries))
+    assert not rep.passed
+    assert [c.kind for c in rep.checks[0].counterexamples] == ["co-range"]
 
 
 # -- the checkers' reports against naive references -------------------------
