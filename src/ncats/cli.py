@@ -72,38 +72,25 @@ def _parse_levels(text):
         raise _Usage(f"bad level list {text!r}") from None
 
 
-def _env_limit(name, cast, fallback):
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise _Usage(f"{name} must be a number, got {raw!r}") from None
-
-
-def _at_least_zero(name, value):
-    # nan fails every comparison, so it is turned down with the negatives
-    if not value >= 0:
-        raise _Usage(f"{name} must be at least 0, got {value}")
-    return value
-
-
-def _budget(args, option, env, cast):
-    """The option's value, else the environment's, else the default."""
-    from .enumeration import EnumLimits
-
-    value = getattr(args, option)
-    if value is None:
-        return _at_least_zero(env, _env_limit(env, cast, getattr(EnumLimits, option)))
-    return _at_least_zero("--" + option.replace("_", "-"), value)
-
-
 def _limits(args):
+    """Each budget: its option, else its environment variable, else the default."""
     from .enumeration import EnumLimits
 
-    return EnumLimits(max_nodes=_budget(args, "max_nodes", "NCATS_MAX_NODES", int),
-                      time_budget=_budget(args, "time_budget", "NCATS_TIME_BUDGET", float))
+    limits = {}
+    for option, cast in (("max_nodes", int), ("time_budget", float)):
+        name, value = "--" + option.replace("_", "-"), getattr(args, option)
+        if value is None:
+            name = "NCATS_" + option.upper()
+            raw = os.environ.get(name)
+            try:
+                value = getattr(EnumLimits, option) if raw is None else cast(raw)
+            except ValueError:
+                raise _Usage(f"{name} must be a number, got {raw!r}") from None
+        # nan fails every comparison, so it is turned down with the negatives
+        if not value >= 0:
+            raise _Usage(f"{name} must be at least 0, got {value}")
+        limits[option] = value
+    return EnumLimits(**limits)
 
 
 def _load(path):
@@ -181,8 +168,11 @@ def _print_human(rep, cap):
 def _write_doc(doc, out):
     data = fmt.serialize(doc)
     if out:
-        with open(out, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(out, "wb") as fh:
+                fh.write(data)
+        except OSError as e:
+            raise _Usage(f"cannot write {out}: {e.strerror or e}") from None
     else:
         sys.stdout.write(data.decode("utf-8"))
 

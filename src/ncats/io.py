@@ -312,7 +312,8 @@ def parse(text: str | bytes) -> GraphDocument:
     """Decode, structurally validate and normalize one document.
 
     Raises ParseError (with line/column for malformed JSON, the offset of a
-    byte that is not UTF-8), UnknownVersion, or DanglingReference naming
+    byte that is not UTF-8; also for JSON nested too deeply or an integer
+    literal too long to read), UnknownVersion, or DanglingReference naming
     the missing id.  Semantic validation of the carrier axioms stays with
     validate_graph.
     """
@@ -324,6 +325,11 @@ def parse(text: str | bytes) -> GraphDocument:
         raise ParseError(f"byte {e.start}: not UTF-8 ({e.reason})") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("arrays or objects nested too deeply") from None
+    except ValueError:
+        # the interpreter's limit on the digits of an integer literal
+        raise ParseError("integer literal too long") from None
     _expect_keys(obj, _TOP_KEYS, "document")
     version = obj.get("format_version")
     if version != FORMAT_VERSION:

@@ -5,12 +5,13 @@ with boundaries and identities; the grade -1 component is the identity, so
 both carriers must have tails of the same size.  Contravariance at chosen
 levels is checked by reversing the codomain there first.  A functor is a
 graph morphism that also carries each defined composite, horizontal ones
-included, to a defined composite.  A transformation assigns to every
-dimension-i cell of the domain a (i+1)-cell of the codomain and must close
-the usual naturality square through the codomain's table; a modification
-hangs one dimension higher still and is checked against four boundary
-paths plus, when the codomain carries horizontal composition, the square
-of the inner cells.
+included, to a defined composite: one integer scan, ``functor_scan``, that
+``check_functor`` renders and ``enumerate_functors`` asks.  A
+transformation assigns to every dimension-i cell of the domain a (i+1)-cell
+of the codomain and must close the usual naturality square through the
+codomain's table; a modification hangs one dimension higher still and is
+checked against four boundary paths plus, when the codomain carries
+horizontal composition, the square of the inner cells.
 
 Every one of these squares goes through one scan, ``_squares``.  Each row
 names a d-cell c over the i-cells x and y, a component map t, and the
@@ -141,6 +142,17 @@ def check_contravariant(m: GraphMorphism, variance: VarianceSpec) -> AxiomReport
     return check_graph_morphism(GraphMorphism(m.domain, flipped, m.comps))
 
 
+def functor_scan(entries, fmap, image):
+    """The entries (a, b) -> v of one domain table whose image (fmap a,
+    fmap b) -> fmap v the codomain's table ``image`` lacks, as (a, b, v,
+    got) in stored order; ``got`` is ``image``'s entry there, or None."""
+    get = image.get
+    for (a, b), v in entries.items():
+        got = get((fmap[a], fmap[b]))
+        if got != fmap[v]:
+            yield a, b, v, got
+
+
 def check_functor(m: GraphMorphism, cE: CategoryStructure, cF: CategoryStructure) -> AxiomReport:
     """Graph morphism plus preservation of every defined composite.
 
@@ -151,24 +163,12 @@ def check_functor(m: GraphMorphism, cE: CategoryStructure, cF: CategoryStructure
         raise GraphError("structures do not live on the morphism's carriers")
     report = check_graph_morphism(m)
     for (d, j), entries in cE.tables.items():
-        fmap = m.comps[d]
-        target = cF.tables.get((d, j))
-        bad = []
-        for (a, b), v in sorted(entries.items()):
-            if target is None:
-                bad.append(Counterexample(
-                    "codomain-table-missing", (CellId(d, a), CellId(d, b)),
-                    expected=CellId(d, fmap[v])))
-                continue
-            got = target.get((fmap[a], fmap[b]))
-            if got is None:
-                bad.append(Counterexample(
-                    "codomain-gap", (CellId(d, a), CellId(d, b)),
-                    expected=CellId(d, fmap[v])))
-            elif got != fmap[v]:
-                bad.append(Counterexample(
-                    "composite-square", (CellId(d, a), CellId(d, b)),
-                    expected=CellId(d, fmap[v]), actual=CellId(d, got)))
+        fmap, image = m.comps[d], cF.tables.get((d, j))
+        bad = [Counterexample(
+            "codomain-table-missing" if image is None else "codomain-gap" if got is None else "composite-square",
+            (CellId(d, a), CellId(d, b)), expected=CellId(d, fmap[v]),
+            actual=None if got is None else CellId(d, got))
+            for a, b, v, got in sorted(functor_scan(entries, fmap, image or {}))]
         axiom = "functor" if d == j + 1 else "functor-horizontal"
         report = report.merged(_single(axiom, j, bad))
     return report
@@ -331,20 +331,14 @@ def check_modification(md: Modification, cE: CategoryStructure, cF: CategoryStru
 
 
 def enumerate_functors(cE: CategoryStructure, cF: CategoryStructure, bound: int = 10 ** 6) -> list[GraphMorphism]:
-    """Every functor from cE to cF, in a deterministic order.
-
-    Filters the graph morphisms ``graph_maps`` lists down to those that
-    preserve all defined composites.  ``bound`` caps the steps of that
-    listing, one per cell placed or map yielded; past it SpaceTooLarge is
-    raised.
-    """
+    """Every functor from cE to cF, in a deterministic order: the graph
+    morphisms ``graph_maps`` lists in whose tables ``functor_scan`` finds
+    no miss.  ``bound`` caps the steps of that listing, one per cell placed
+    or map yielded; past it SpaceTooLarge is raised."""
     E, F = cE.graph, cF.graph
-    out = []
-    for comps in graph_maps(E, F, max_steps=bound):
-        m = GraphMorphism(E, F, comps)
-        if check_functor(m, cE, cF).passed:
-            out.append(m)
-    return out
+    tables = [(d, entries, cF.tables.get((d, j), {})) for (d, j), entries in cE.tables.items()]
+    return [GraphMorphism(E, F, comps) for comps in graph_maps(E, F, max_steps=bound)
+            if not any(next(functor_scan(entries, comps[d], image), None) for d, entries, image in tables)]
 
 
 def enumerate_transformations(f: GraphMorphism, g: GraphMorphism,

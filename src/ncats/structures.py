@@ -33,6 +33,7 @@ from .graphs import (
     CellId,
     NGraph,
     _integer,
+    _sequence,
     boundary_fibers,
     boundary_map,
     hom_buckets,
@@ -653,16 +654,17 @@ def check_cocategory(G: NGraph, D: CocompTable) -> AxiomReport:
     """Typing of cocomposition: each witness splits a cell z: x -> y into
     pieces x -> w and w -> y through the chosen middle cell."""
     j = D.level
-    if not 0 <= j <= G.n - 1:
-        raise NoTableAtLevel(f"cocomposition level {j} outside 0..{G.n - 1}")
+    if not (_integer(j) and 0 <= j <= G.n - 1):
+        raise NoTableAtLevel(f"cocomposition level {j!r} outside 0..{G.n - 1}")
     d = j + 1
     smap, tmap = G.src_map(d), G.tgt_map(d)
     bad = []
-    for z, (w, p, q) in sorted(D.entries.items()):
+    for z in sorted(filter(_integer, D.entries)) + list(filterfalse(_integer, D.entries)):
+        witness = D.entries[z]
+        w, p, q = witness if _sequence(witness) and len(witness) == 3 else (None, None, None)
         if not (all(map(_integer, (z, w, p, q)))
                 and 0 <= z < G.count(d) and 0 <= p < G.count(d) and 0 <= q < G.count(d) and 0 <= w < G.count(j)):
-            bad.append(Counterexample("co-range", (CellId(d, z),),
-                                      actual=(w, p, q)))
+            bad.append(Counterexample("co-range", (CellId(d, z),), actual=witness))
             continue
         x, y = smap[z], tmap[z]
         if smap[p] != x or tmap[p] != w:

@@ -101,6 +101,17 @@ def test_check_of_bytes_that_are_not_utf8_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: byte 20: not UTF-8")
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"format_version": ' + "7" * 5000 + "}"],
+                         ids=["deep-array", "long-integer"])
+def test_check_of_json_too_deep_or_too_long_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "hostile.json"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_check_flag_override(z2_file):
     assert main(["check", z2_file, "--flags", "global,unital,associative,groupoid"]) == 0
 
@@ -251,6 +262,19 @@ def test_gen_cob_and_sets_check_out(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["verdict"] == "pass"
     assert main(["gen", "cob", "--max-points", "9", "-o", cob]) == 3
+
+
+def test_unwritable_outputs_are_usage_errors(z2_file, tmp_path, capsys):
+    """An output path that is a directory, or whose directory is missing,
+    ends the command with one error line and exit 2, as an unreadable
+    input does."""
+    for out in (tmp_path, tmp_path / "missing" / "out.json"):
+        for argv in (["gen", "sets"], ["opposite", z2_file, "--level", "1"]):
+            assert main([*argv, "-o", str(out)]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: cannot write {out}: ")
+            assert captured.err.count("\n") == 1
 
 
 def test_gen_argument_errors_exit_two(capsys):

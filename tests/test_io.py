@@ -215,6 +215,18 @@ def test_bytes_that_are_not_utf8_are_a_parse_error():
     assert str(err.value).startswith("byte 10: not UTF-8")
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    b'{"n": ' * 100_000,
+    # past CPython's 4300-digit limit; a build without that limit reads the
+    # number and refuses it as a format version instead
+    '{"format_version": ' + "7" * 5000 + "}",
+], ids=["deep-array", "deep-object", "long-integer"])
+def test_json_too_deep_or_too_long_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse(text)
+
+
 def test_unknown_version_rejected():
     bad = dict(MINIMAL, format_version="2")
     with pytest.raises(UnknownVersion):

@@ -5,10 +5,13 @@ import random
 import pytest
 
 from ncats import (
+    AxiomCheck,
     AxiomFlags,
+    AxiomReport,
     CategoryStructure,
     CellId,
     CompTable,
+    Counterexample,
     GraphAutomorphism,
     GraphError,
     GraphMorphism,
@@ -33,7 +36,7 @@ from ncats import (
     graph_maps,
     identity_morphism,
 )
-from ncats.structures import FAIL, NOT_APPLICABLE
+from ncats.structures import FAIL, NOT_APPLICABLE, PASS
 
 from util import (
     arrow_graph,
@@ -172,6 +175,83 @@ def test_functors_preserve_the_horizontal_table():
     rep = check_functor(identity_morphism(G), S, bare).find("functor-horizontal", 0)
     assert rep.verdict == FAIL
     assert {x.kind for x in rep.counterexamples} == {"codomain-table-missing"}
+
+
+def reference_check_functor(m, cE, cF):
+    """``check_functor`` as one loop over each domain table's sorted
+    entries, building every counterexample as it meets it: the reference
+    the report of the functor law's scan must match."""
+    report = check_graph_morphism(m)
+    for (d, j), entries in cE.tables.items():
+        fmap = m.comps[d]
+        target = cF.tables.get((d, j))
+        bad = []
+        for (a, b), v in sorted(entries.items()):
+            cells, want = (CellId(d, a), CellId(d, b)), CellId(d, fmap[v])
+            if target is None:
+                bad.append(Counterexample("codomain-table-missing", cells, expected=want))
+                continue
+            got = target.get((fmap[a], fmap[b]))
+            if got is None:
+                bad.append(Counterexample("codomain-gap", cells, expected=want))
+            elif got != fmap[v]:
+                bad.append(Counterexample("composite-square", cells, expected=want, actual=CellId(d, got)))
+        axiom = "functor" if d == j + 1 else "functor-horizontal"
+        report = report.merged(AxiomReport([AxiomCheck(axiom, j, FAIL if bad else PASS, bad)]))
+    return report
+
+
+def functor_fixtures():
+    """Pairs of structures whose graph maps cover every verdict and every
+    counterexample kind of the functor law: 86 maps in all."""
+    G, Z = z2_structure()
+    _, N = absorbing_structure()
+    pairs = [(Z, Z), (Z, N), (N, Z), (N, N)]
+    pairs += [(T, T) for T in (total_order_structure(k)[1] for k in (2, 3, 4))]
+    _, C = cat_of_z2s(1)
+    flat = CategoryStructure(C.graph, list(C.vtables.values()), [], C.flags)
+    pairs += [(C, C), (C, flat), (flat, C)]
+    partial = CategoryStructure(G, [CompTable(0, {(0, 0): 0, (0, 1): 1, (1, 0): 1})])
+    # two wrong entries out of key order, which the report must sort
+    partial_domain = CategoryStructure(G, [CompTable(0, {(1, 1): 1, (0, 1): 0})])
+    pairs += [(Z, partial), (Z, CategoryStructure(G, [])), (partial_domain, Z)]
+    return pairs
+
+
+def test_functor_reports_match_the_reference():
+    seen = 0
+    for cE, cF in functor_fixtures():
+        for comps in graph_maps(cE.graph, cF.graph):
+            m = GraphMorphism(cE.graph, cF.graph, comps)
+            got, want = check_functor(m, cE, cF), reference_check_functor(m, cE, cF)
+            assert got == want and repr(got) == repr(want)
+            seen += 1
+    assert seen == 86
+
+
+def test_enumerate_functors_is_the_filtered_listing():
+    for cE, cF in functor_fixtures():
+        E, F = cE.graph, cF.graph
+        assert enumerate_functors(cE, cF) == [
+            m for m in (GraphMorphism(E, F, comps) for comps in graph_maps(E, F))
+            if check_functor(m, cE, cF).passed]
+
+
+def cyclic_group(n):
+    """Z_n on one object, loop a standing for a mod n."""
+    G = loops_graph(n)
+    table = {(a, b): (a + b) % n for a in range(n) for b in range(n)}
+    return CategoryStructure(G, [CompTable(0, table)], [],
+                             AxiomFlags(global_=True, unital=True, associative=True))
+
+
+def test_homs_between_cyclic_groups():
+    """|Hom(Z_m, Z_n)| = gcd(m, n): a functor picks the image of the
+    generator among the elements whose order divides m."""
+    groups = [cyclic_group(n) for n in range(1, 8)]
+    for m, cE in enumerate(groups, 1):
+        for n, cF in enumerate(groups, 1):
+            assert len(enumerate_functors(cE, cF)) == math.gcd(m, n)
 
 
 def product_graph_maps(E, F):

@@ -547,6 +547,28 @@ def test_cocategory_reports_what_is_not_a_cell_index(entries):
     assert [c.kind for c in rep.checks[0].counterexamples] == ["co-range"]
 
 
+@pytest.mark.parametrize("level, entries, out_of_range", [
+    (0, {"x": (0, 0, 0), 1: (0, 0, 5), 0: (0, 0, 0)}, [1, "x"]),   # cells that do not compare
+    (0, {1: (0, 0), 0: (0, 0, 0)}, [1]),
+    (0, {0: (0, 0, 0, 0)}, [0]),
+    (0, {0: None, 1: (0, 1, 1)}, [0]),
+    (0.0, {0: (0, 0, 0)}, None),
+    ("0", {0: (0, 0, 0)}, None),
+])
+def test_cocategory_never_raises_on_a_bad_table(level, entries, out_of_range):
+    """A witness that is not three cell indices is reported out of range,
+    cell indices first, ascending, then the other cells in table order; a
+    level that is not an int has no table, as one out of range has none."""
+    D = CocompTable(level, entries)
+    if out_of_range is None:
+        with pytest.raises(NoTableAtLevel):
+            check_cocategory(loops_graph(2), D)
+        return
+    rep = check_cocategory(loops_graph(2), D)
+    assert [(c.kind, c.cells, c.actual) for c in rep.find("cocategory", 0).counterexamples] == [
+        ("co-range", (CellId(1, z),), entries[z]) for z in out_of_range]
+
+
 # -- the checkers' reports against naive references -------------------------
 #
 # Each reference walks keys, triples and cells from the definitions through
