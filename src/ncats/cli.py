@@ -9,7 +9,8 @@ a file, and ``gen`` writes example documents.
 Exit codes: 0 all requested checks passed (or the enumeration finished),
 1 a check failed (an invalid carrier fails its ``carrier`` check in every
 subcommand, invalid tables fail with their error in every subcommand that
-reads them), 2 usage or parse error, 3 a budget was exceeded.
+reads them), 2 usage or parse error, or a standard output that cannot be
+written, 3 a budget was exceeded.
 ``--json`` prints the machine-readable report instead of prose; human
 output shows at most 10 counterexamples per check unless ``--all`` is
 given.  NCATS_MAX_NODES and NCATS_TIME_BUDGET set default search budgets.
@@ -412,7 +413,7 @@ def _build_parser():
     return p
 
 
-def main(argv=None) -> int:
+def _run(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -431,6 +432,26 @@ def main(argv=None) -> int:
     except (GraphError, StructureError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
+
+
+def main(argv=None) -> int:
+    # every other file a command reads or writes reports its own OSError
+    # as a usage error, so one that gets here came from standard output
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except OSError as e:
+        sys.stderr.write(f"error: cannot write standard output: {e.strerror or e}\n")
+    # what is still buffered goes to the null device, so that the
+    # interpreter's last flush does not fail a second time
+    try:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+    except (OSError, ValueError):
+        pass
+    return 2
 
 
 if __name__ == "__main__":

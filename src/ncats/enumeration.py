@@ -29,9 +29,10 @@ slot's entry dict and key, its values and the watches of the rows of
 ``laws`` that read it.  A key's values are the cells of its composite's type
 (``composite_type``) in rank order, "absent" last in partial mode.  In a
 table (j+1, j) they are built once, narrowed by the unit law under
-``unital``; in a table (j+2, j) the type reads the table (j+1, j), so they
-are read, through the table's type lookup built once per search, when the
-search reaches the key.  The maximal-only filter tries the typed values of every absent key.
+``unital``; in a table (j+2, j) the type is the entries of table (j+1, j)
+at the key's two boundary keys, which ``composite_type`` lists once per
+carrier, so they are read there when the search reaches the key.  The
+maximal-only filter tries the typed values of every absent key.
 
 The search checks associativity only on the triples that read the entry
 (a, b) -> v it has just set, in four roles: (a, b, c) for each c that can
@@ -62,7 +63,8 @@ record, each φ's keys in the lex order of their images, with φ's cell map
 as one code character per cell and one extra slot for "absent".  The image
 of a record under φ is then one gather per table, the mapped value at each
 listed key, with no sorting.  The record step reads it from the search's
-own dicts and builds only the structures it keeps.
+own dicts and builds only the structures it keeps, each from copies of
+those dicts passed to ``CategoryStructure`` as the family ``tables=``.
 """
 
 from __future__ import annotations
@@ -103,7 +105,6 @@ from .structures import (
     interchange_partners,
     laws,
     neighbours,
-    split_tables,
     table_keys,
 )
 
@@ -321,8 +322,9 @@ def _slot_table(G, flags, tables, slots):
     exchange).  ``values``, the d-cells of the key's composite type in rank
     order, are built once for a key whose type reads no other table; a
     key whose type reads the table below has None there and ``typing``, its
-    table's hom buckets in rank order and composite-type lookup, which the
-    search reads when it reaches the key.
+    table's hom buckets in rank order, the table below's ``get`` and the
+    two keys there whose entries are the type, which the search reads when
+    it reaches the key.
     ``assoc`` holds, for a key (a, b) of a table with an associativity row
     in ``laws``, its preimage index and the cells that can follow b or
     precede a, ``exchange`` the key's interchange watch from the interchange
@@ -332,19 +334,18 @@ def _slot_table(G, flags, tables, slots):
     law_rows = laws(G, flags, tables)
     preimages = {(j + 1, j): [[] for _ in range(G.count(j + 1))]
                  for axiom, j, _reads, _scan, _args in law_rows if axiom == "associativity"}
-    lookups = {(d, j): (_ranked_buckets(G, d), composite_type(G, d, j, tables))
-               for d, j in tables if (d - 1, j) in tables}
     exchanges = [(j + 2, j) for axiom, j, _reads, scan, _args in law_rows
                  if axiom == "interchange" and scan is not None]
     watches = _exchange_watches(G, tables, slots, exchanges)
     rows = []
     for pos, (d, j, key) in enumerate(slots):
         a, b = key
-        values = assoc = None
-        typing = lookups.get((d, j))
-        if typing is None:
-            values = _ranked_buckets(G, d).get(composite_type(G, d, j, tables)[key], ())
-            if flags.unital and d == j + 1 and j >= 0:
+        values = assoc = typing = None
+        if d > j + 1:
+            typing = (_ranked_buckets(G, d), tables[d - 1, j].get, *composite_type(G, d, j)[key])
+        else:
+            values = _ranked_buckets(G, d).get(composite_type(G, d, j)[key], ())
+            if flags.unital and j >= 0:
                 smap, tmap, idn = G.src_map(d), G.tgt_map(d), G.idn_map(j)
                 if a == idn[smap[a]]:
                     values = (b,) if b in values else ()
@@ -363,12 +364,14 @@ def _extensions_exist(G, rows, tables):
     a family that passes them, so each extension's verdict settles every
     table but the one extended."""
     for (d, j), ent in tables.items():
-        buckets, types = hom_buckets(G, d), composite_type(G, d, j, tables)
+        buckets, types = hom_buckets(G, d), composite_type(G, d, j)
+        get = tables.get((d - 1, j), {}).get if d > j + 1 else None
         others = frozenset(name for name in tables if name != (d, j))
         for key in table_keys(G, d, j):
             if key in ent:
                 continue
-            for v in buckets.get(types[key], ()):
+            typ = types[key] if get is None else tuple(map(get, types[key]))
+            for v in buckets.get(typ, ()):
                 ent[key] = v
                 ok = _passes(rows, tables, others)
                 del ent[key]
@@ -414,7 +417,7 @@ def _recorder(G, spec, result, names, deadline=None):
         form = canonical_form(G, tables, orbit)
         if form not in result.canonical_counts and len(result.representatives) < cap:
             copies = {name: dict(entries) for name, entries in tables.items()}
-            result.representatives.append(CategoryStructure(G, *split_tables(copies), spec.flags))
+            result.representatives.append(CategoryStructure(G, tables=copies, flags=spec.flags))
         result.canonical_counts[form] += 1
 
     return record
@@ -518,8 +521,8 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
         ent, key, values, typing, assoc, exchange = rows[pos]
         if pos == len(stack):
             if values is None:
-                buckets, types = typing
-                values = buckets.get(types[key], ()) + tail
+                buckets, get, s, t = typing
+                values = buckets.get((get(s), get(t)), ()) + tail
             stack.append(iter(values))
         old = ent.pop(key, None)
         if old is not None and assoc is not None:
@@ -568,8 +571,8 @@ def brute_force_oracle(G: NGraph, spec: EnumSpec = EnumSpec(), space_bound: int 
     space, domains = 1, []
     for d, j, key in slots:
         cells = tuple(range(G.count(d)))
-        if (d - 1, j) not in names:
-            want = composite_type(G, d, j, {})[key]
+        if d == j + 1:
+            want = composite_type(G, d, j)[key]
             smap, tmap = G.src_map(d), G.tgt_map(d)
             cells = tuple(v for v in cells if (smap[v], tmap[v]) == want)
         domains.append(cells + tail)

@@ -155,8 +155,7 @@ class GraphDocument:
             d = j + _OFFSET[t["kind"]]
             tables[d, j] = {(at(d, a, "table"), at(d, b, "table")): at(d, v, "table")
                             for a, b, v in t["entries"]}
-        return CategoryStructure(G, *split_tables(tables),
-                                 self.flags() if flags is None else flags)
+        return CategoryStructure(G, tables=tables, flags=self.flags() if flags is None else flags)
 
     def cotables(self) -> list[CocompTable]:
         at, out = self.index_of, []

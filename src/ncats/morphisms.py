@@ -51,7 +51,6 @@ from .structures import (
     Counterexample,
     _single,
     check_category,
-    split_tables,
 )
 
 
@@ -384,8 +383,8 @@ def build_cat_of_cats(cats: list[CategoryStructure], depth: int = 2):
     for c in cats:
         if c.graph.n != 1:
             raise GraphError("inputs must be height-one carriers")
-        probe = CategoryStructure(c.graph, *split_tables(c.tables),
-                                  AxiomFlags(global_=True, unital=True, associative=True))
+        probe = CategoryStructure(c.graph, tables=c.tables,
+                                  flags=AxiomFlags(global_=True, unital=True, associative=True))
         if not check_category(probe).passed:
             raise GraphError("inputs must satisfy the global, unital and associative checks")
 

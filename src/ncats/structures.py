@@ -8,10 +8,10 @@ when d = j+1; otherwise its source and target are the (d-1, j) composites
 of the two sources and of the two targets (``composite_type``).  The
 vertical table at level j is (j+1, j), the horizontal one (j+2, j).  A
 structure keeps its tables once, as the entry dicts ``S.tables`` named
-(d, j); ``CompTable`` (alias ``HCompTable``) pairs one with its level, as
-the constructor, ``split_tables`` and the ``vtables``/``htables`` views
-take or give them.  Level -1 is only allowed on a monoidal carrier.  Entries
-are written in diagrammatic order: the key (a, b) means "a first, then b".
+(d, j), which its constructor takes as ``tables=``; ``CompTable`` pairs one
+with its level, as the constructor's lists, ``split_tables`` and the
+``vtables``/``htables`` views take or give them.  Level -1 is only allowed
+on a monoidal carrier.  Keys are in diagrammatic order: (a, b) is a, then b.
 
 Checkers never raise on a bad table; they return a report whose checks
 carry one verdict each (pass, fail, or not-applicable) plus explicit
@@ -165,40 +165,18 @@ def table_keys(G: NGraph, d: int, j: int):
 
 
 @per_carrier
-def _end_types(G: NGraph, d: int, j: int):
-    """(src a, tgt b) for every key (a, b) of a table (d, j) with d = j+1."""
-    smap, tmap = G.src_map(d), G.tgt_map(d)
-    return MappingProxyType({(a, b): (smap[a], tmap[b]) for a, b in table_keys(G, d, j)})
-
-
-class _Composites:
-    """The types of the keys of a table (d, j) with d > j+1, read through
-    the entries ``below`` of table (d-1, j) as they stand."""
-
-    def __init__(self, G: NGraph, d: int, below):
-        self.smap, self.tmap, self.get = G.src_map(d), G.tgt_map(d), below.get
-
-    def __getitem__(self, key):
-        a, b = key
-        smap, tmap, get = self.smap, self.tmap, self.get
-        s, t = get((smap[a], smap[b])), get((tmap[a], tmap[b]))
-        return None if s is None or t is None else (s, t)
-
-
-def composite_type(G: NGraph, d: int, j: int, tables):
-    """The typing rule of table (d, j) in the family ``tables`` (entry
-    dicts named (d, j)), read by key: ``types[a, b]`` is the (source,
-    target) pair of (d-1)-cells the composite of (a, b) must have.
-
-    At d = j+1 the composite runs from src a to tgt b.  Above that its
-    source is the (d-1, j) composite of the two sources and its target that
-    of the two targets, read in table (d-1, j) as it stands at each lookup;
-    the type is None while either is absent.  This is the one place that
-    tells the two cases apart.
+def composite_type(G: NGraph, d: int, j: int):
+    """The typing rule of table (d, j), per key, computed once per carrier.
+    At d = j+1 the composite of (a, b) runs from src a to tgt b, and the key
+    maps to that pair of (d-1)-cells.  Above that its source and target are
+    the (d-1, j) composites of the two sources and of the two targets: the
+    key maps to the keys ((src a, src b), (tgt a, tgt b)) of table (d-1, j),
+    whose entries as they stand are its type, undecided while one is absent.
     """
+    smap, tmap = G.src_map(d), G.tgt_map(d)
     if d == j + 1:
-        return _end_types(G, d, j)
-    return _Composites(G, d, tables.get((d - 1, j), {}))
+        return MappingProxyType({(a, b): (smap[a], tmap[b]) for a, b in table_keys(G, d, j)})
+    return MappingProxyType({(a, b): ((smap[a], smap[b]), (tmap[a], tmap[b])) for a, b in table_keys(G, d, j)})
 
 
 def composable(G: NGraph, j: int, a: int, b: int) -> bool:
@@ -258,62 +236,81 @@ class CategoryStructure:
     """A carrier plus its composition tables, kept once as ``tables``: entry
     dicts named (d, j), the (j+1, j) by ascending level, then the (j+2, j).
 
-    Tables may be partial; the flags say which axioms the candidate claims.
-    Construction files each given table's entry dict uncopied, rejecting
-    keys that are not composable and tables at levels the carrier cannot
-    host, but makes no judgement about the axioms; that is the checkers' job.
+    They come as two ``CompTable`` lists, vertical and horizontal, or as one
+    such family, ``tables=``, and may be partial; the flags say which axioms
+    the candidate claims.  Construction files each entry dict uncopied and
+    rejects keys that are not composable and tables at levels the carrier
+    cannot host, but judges no axiom; that is the checkers' job.
     """
 
-    def __init__(self, graph: NGraph, vtables=(), htables=(), flags: AxiomFlags = AxiomFlags()):
-        self.graph = graph
-        self.flags = flags
+    def __init__(self, graph: NGraph, vtables=(), htables=(), flags: AxiomFlags = AxiomFlags(), *, tables=None):
+        if tables is None:
+            tables = _named(vtables, htables)
+        elif vtables or htables:
+            raise TypeError("tables come as two lists or as tables=, not both")
+        self.graph, self.flags = graph, flags
         self.tables: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
         # a table at level j composes (j + offset)-cells; the lowest level
         # is offset - 2, and level -1 needs a monoidal carrier
-        for offset, given, kind, prefix, unmet in (
-                (1, vtables, "vertical", "", "is not composable"),
-                (2, htables, "horizontal", "horizontal ", "shares no boundary")):
-            given = list(given.values() if isinstance(given, dict) else given)
-            for t in given:
-                if not _integer(t.level):
-                    raise StructureError(f"{kind} level {t.level!r} is not an integer")
-            for t in sorted(given, key=lambda t: t.level):
-                j, d = t.level, t.level + offset
-                if not offset - 2 <= j <= graph.n - offset:
-                    raise NoTableAtLevel(f"{kind} level {j} outside {offset - 2}..{graph.n - offset}")
-                if j == -1 and not is_monoidal_carrier(graph):
-                    raise NoTableAtLevel("level -1 table needs a single (-1)-cell")
-                if (d, j) in self.tables:
-                    raise StructureError(f"duplicate {kind} table at level {j}")
-                cnt = graph.count(d)
-                tmap, smap = boundary_map(graph, d, j, TARGET), boundary_map(graph, d, j, SOURCE)
-                for key, v in t.entries.items():
-                    a, b = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
-                    # plain ints pass at once; anything else must pass io.parse's test
-                    if not (type(a) is type(b) is type(v) is int or all(map(_integer, (a, b, v)))):
-                        raise StructureError(f"{prefix}level {j} entry {key!r} -> {v!r} is not made of cell indices")
-                    if not (0 <= a < cnt and 0 <= b < cnt and 0 <= v < cnt):
-                        raise StructureError(f"{prefix}level {j} entry ({a}, {b}) -> {v} out of range")
-                    if tmap[a] != smap[b]:
-                        raise NotComposable(f"{prefix}level {j} key ({a}, {b}) {unmet}")
-                self.tables[d, j] = t.entries
+        for name in sorted(tables, key=_table_order):
+            (d, j), offset = name, name[0] - name[1]
+            kind, prefix, unmet = _KINDS[offset]
+            if not offset - 2 <= j <= graph.n - offset:
+                raise NoTableAtLevel(f"{kind} level {j} outside {offset - 2}..{graph.n - offset}")
+            if j == -1 and not is_monoidal_carrier(graph):
+                raise NoTableAtLevel("level -1 table needs a single (-1)-cell")
+            cnt = graph.count(d)
+            tmap, smap = boundary_map(graph, d, j, TARGET), boundary_map(graph, d, j, SOURCE)
+            for key, v in tables[name].items():
+                a, b = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+                # plain ints pass at once; anything else must pass io.parse's test
+                if not (type(a) is type(b) is type(v) is int or all(map(_integer, (a, b, v)))):
+                    raise StructureError(f"{prefix}level {j} entry {key!r} -> {v!r} is not made of cell indices")
+                if not (0 <= a < cnt and 0 <= b < cnt and 0 <= v < cnt):
+                    raise StructureError(f"{prefix}level {j} entry ({a}, {b}) -> {v} out of range")
+                if tmap[a] != smap[b]:
+                    raise NotComposable(f"{prefix}level {j} key ({a}, {b}) {unmet}")
+            self.tables[name] = tables[name]
 
     # views for API users: the tables of one kind by level, wrapping the same entry dicts
     vtables = property(lambda self: {t.level: t for t in split_tables(self.tables)[0]})
     htables = property(lambda self: {t.level: t for t in split_tables(self.tables)[1]})
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CategoryStructure)
-            and self.graph == other.graph
-            and self.flags == other.flags
-            and self.tables == other.tables
-        )
+        return isinstance(other, CategoryStructure) and (
+            self.graph == other.graph and self.flags == other.flags and self.tables == other.tables)
 
     def __repr__(self):
         vs, hs = ({j: len(entries) for (d, j), entries in self.tables.items() if d - j == offset}
                   for offset in (1, 2))
         return f"CategoryStructure(vertical {vs}, horizontal {hs}, flags {self.flags.names()})"
+
+
+# a table (j + offset, j) by offset: its kind, its entries' prefix and what an unmet key lacks
+_KINDS = {1: ("vertical", "", "is not composable"), 2: ("horizontal", "horizontal ", "shares no boundary")}
+
+
+def _named(vtables, htables):
+    """The family of entry dicts named (d, j) that lists (or dicts by level)
+    of vertical and horizontal ``CompTable`` give, uncopied."""
+    tables = {}
+    for offset, given in ((1, vtables), (2, htables)):
+        kind = _KINDS[offset][0]
+        for t in given.values() if isinstance(given, dict) else given:
+            if not _integer(t.level):
+                raise StructureError(f"{kind} level {t.level!r} is not an integer")
+            if (t.level + offset, t.level) in tables:
+                raise StructureError(f"duplicate {kind} table at level {t.level}")
+            tables[t.level + offset, t.level] = t.entries
+    return tables
+
+
+def _table_order(name):
+    """(d - j, j), the place in ``S.tables`` of a table named (j+1, j) or (j+2, j)."""
+    d, j = name if isinstance(name, tuple) and len(name) == 2 else (None, None)
+    if not ((type(d) is type(j) is int or _integer(d) and _integer(j)) and d - j in _KINDS):
+        raise StructureError(f"table name {name!r} is not (j+1, j) or (j+2, j) for an integer level j")
+    return d - j, j
 
 
 def split_tables(tables):
@@ -354,11 +351,14 @@ def typing_scan(G: NGraph, d: int, j: int, tables):
     (a, b, v, want) in stored order; ``want`` is that type, None when it is
     undecided."""
     smap, tmap = G.src_map(d), G.tgt_map(d)
-    types = composite_type(G, d, j, tables)
+    types = composite_type(G, d, j)
+    below = tables.get((d - 1, j), {}).get if d > j + 1 else None
     for key, v in tables[d, j].items():
-        want = types[key]
-        if want is None or want[0] != smap[v] or want[1] != tmap[v]:
-            yield key[0], key[1], v, want
+        s, t = types[key]
+        if below is not None:
+            s, t = below(s), below(t)
+        if s != smap[v] or t != tmap[v]:
+            yield key[0], key[1], v, None if s is None or t is None else (s, t)
 
 
 def global_scan(keys, name, tables):

@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -275,6 +276,21 @@ def test_unwritable_outputs_are_usage_errors(z2_file, tmp_path, capsys):
             assert captured.out == ""
             assert captured.err.startswith(f"error: cannot write {out}: ")
             assert captured.err.count("\n") == 1
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no full device to write to")
+@pytest.mark.parametrize("argv", [["check"], ["check", "--json"], ["enumerate", "--json"], ["gen", "sets"]])
+def test_unwritable_standard_output_exits_two(z2_file, argv):
+    """A standard output that refuses every write, the full device, ends a
+    command that prints with one error line and exit 2, not a traceback."""
+    src = str(Path(main.__code__.co_filename).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    args = argv if argv[0] == "gen" else [*argv, z2_file]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "ncats.cli", *args], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write standard output: No space left on device\n"
 
 
 def test_gen_argument_errors_exit_two(capsys):

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import random
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from ncats import (
     AxiomFlags,
     CategoryStructure,
+    CompTable,
     EnumLimits,
     EnumSpec,
     NotSkeletal,
@@ -37,6 +39,7 @@ from util import (
     relabeled,
     z2_structure,
 )
+from test_acceptance import oracle_family
 
 GLOBAL = AxiomFlags(global_=True)
 MONOID = AxiomFlags(global_=True, unital=True, associative=True)
@@ -270,6 +273,46 @@ def test_record_builds_structures_only_for_kept_representatives(monkeypatch):
         assert (res.raw_count, res.iso_count, len(res.representatives)) == (11, 7, 4)
         assert len(built) == 4
         assert all(S is R for S, R in zip(built, res.representatives))
+
+
+def test_record_keeps_copies_equal_to_the_two_list_form(monkeypatch):
+    """The representatives the search and the oracle keep equal the
+    structures the two-list constructor builds from the same tables, on the
+    criterion-2 carriers and on the cat-of-one-Z2 carrier; each holds
+    copies of the entry dicts of its record, never the dicts the route
+    fills."""
+    last = {}
+    real_form, real_structure = enumeration.canonical_form, enumeration.CategoryStructure
+
+    def form(G, tables, auts=None):
+        last.clear()
+        last.update(tables)
+        return real_form(G, tables, auts)
+
+    def build(*args, **kwargs):
+        S = real_structure(*args, **kwargs)
+        assert list(S.tables) == list(last)
+        assert all(S.tables[name] == last[name] and S.tables[name] is not last[name] for name in last)
+        return S
+
+    monkeypatch.setattr(enumeration, "canonical_form", form)
+    monkeypatch.setattr(enumeration, "CategoryStructure", build)
+    oracle = functools.partial(brute_force_oracle, space_bound=10 ** 5)
+    C = build_cat_of_cats([z2_structure()[1]], depth=2)[0]
+    # as criterion 2, but within a smaller space
+    runs = [(run, G, spec(flags)) for G in oracle_family() for flags in (AxiomFlags(), GLOBAL, MONOID)
+            if (G.count(1) + 1 - flags.global_) ** len(table_keys(G, 1, 0)) <= 10 ** 5
+            for run in (enumerate_structures, oracle)]
+    runs += [(enumerate_structures, C, spec(TWO_CATEGORY, include_horizontal=True)),
+             (oracle, C, spec(TWO_CATEGORY, levels=(0, 1)))]
+    kept = set()
+    for run, G, sp in runs:
+        for R in run(G, sp).representatives:
+            vertical, horizontal = ([CompTable(j, dict(entries)) for (d, j), entries in R.tables.items()
+                                     if d - j == offset] for offset in (1, 2))
+            assert R == CategoryStructure(G, vertical, horizontal, sp.flags)
+            kept.add((run, len(R.tables)))
+    assert kept == {(enumerate_structures, 1), (oracle, 1), (enumerate_structures, 3), (oracle, 2)}
 
 
 def test_node_budget_interrupts():

@@ -45,6 +45,9 @@ from ncats.structures import (
     UnitsRequired,
     inverses,
     laws,
+    split_tables,
+    table_keys,
+    typing_scan,
 )
 
 from util import (
@@ -52,6 +55,7 @@ from util import (
     chain_graph,
     loops_graph,
     parallel_pair_graph,
+    random_graph,
     total_order_structure,
     z2_structure,
 )
@@ -82,9 +86,9 @@ def test_construction_rejects_bad_tables():
         CategoryStructure(two_tail, [CompTable(-1, {})])
 
 
-def test_construction_errors_are_pinned():
-    """The exception type and exact message of every construction error,
-    for vertical and horizontal tables: ``ncats check`` prints them."""
+def _construction_faults():
+    """(graph, vertical, horizontal, error, message) for one construction
+    fault each, in vertical and in horizontal tables."""
     G = loops_graph(2)
     two_tail = NGraph(1, StructureTail(2, (0, 1)), [[0], [0]], [[1], [0]], [[0]])
     Z = z2_structure()[1]
@@ -119,11 +123,54 @@ def test_construction_errors_are_pinned():
         ((C, vt, [HCompTable(0, {(a, b): a})]), NotComposable,
          f"horizontal level 0 key ({a}, {b}) shares no boundary"),
     ]
-    for args, error, message in cases:
+    return [((*args, [])[:3], error, message) for args, error, message in cases]
+
+
+def test_construction_errors_are_pinned():
+    """The exception type and exact message of every construction error,
+    for vertical and horizontal tables: ``ncats check`` prints them."""
+    for args, error, message in _construction_faults():
         with pytest.raises(StructureError) as err:
             CategoryStructure(*args)
         assert type(err.value) is error
         assert str(err.value) == message
+
+
+def _family(vertical, horizontal):
+    """The tables of the two lists as one family named (d, j)."""
+    return {**{(t.level + 1, t.level): t.entries for t in vertical},
+            **{(t.level + 2, t.level): t.entries for t in horizontal}}
+
+
+def test_tables_keyword_refuses_the_same_faults():
+    """``tables=`` runs the checks of the two-list form: each fault a family
+    can hold (two tables at one level cannot share a name) raises the same
+    exception with the same message; a name that is not (j+1, j) or
+    (j+2, j) for an integer level j is refused, and so are both forms at
+    once."""
+    faults = _construction_faults()
+    for vertical in (CompTable(0, {(0.0, 0): 0}), CompTable(0, {(0, 0): False}), CompTable(0, {(0,): 0})):
+        faults.append(((loops_graph(2), [vertical], []), StructureError,
+                       f"level 0 entry {next(iter(vertical.entries))!r} -> "
+                       f"{next(iter(vertical.entries.values()))!r} is not made of cell indices"))
+    checked = 0
+    for (G, vertical, horizontal), error, message in faults:
+        if message.startswith("duplicate"):
+            continue
+        with pytest.raises(StructureError) as err:
+            CategoryStructure(G, tables=_family(vertical, horizontal))
+        assert type(err.value) is error
+        assert str(err.value) == message
+        checked += 1
+    assert checked == 14
+    G = loops_graph(2)
+    for name in ((1.0, 0.0), (True, False), (1, True), ("1", "0"), (1, None), (1,), (1, 0, 0), "10", (0, 0), (3, 0)):
+        with pytest.raises(StructureError) as err:
+            CategoryStructure(G, tables={name: {}})
+        assert type(err.value) is StructureError
+        assert str(err.value) == f"table name {name!r} is not (j+1, j) or (j+2, j) for an integer level j"
+    with pytest.raises(TypeError):
+        CategoryStructure(G, [CompTable(0, {})], tables={(1, 0): {}})
 
 
 def test_split_tables_inverts_the_tables():
@@ -138,18 +185,21 @@ def test_split_tables_inverts_the_tables():
         assert [((t.level + 1, t.level), t.entries) for t in vertical] + [
             ((t.level + 2, t.level), t.entries) for t in horizontal] == list(S.tables.items())
         assert all(t.entries is S.tables[t.level + 1, t.level] for t in vertical)
-        assert CategoryStructure(S.graph, vertical, horizontal, S.flags) == S
+        assert CategoryStructure(S.graph, vertical, horizontal, S.flags) == CategoryStructure(
+            S.graph, tables=S.tables, flags=S.flags) == S
 
 
 def test_tables_are_the_only_table_state_in_named_order():
     """A structure keeps its tables once, uncopied, as ``tables``: the
     vertical tables (j+1, j) by ascending level, then the horizontal ones
-    (j+2, j), in whatever order or form they were given.  ``vtables`` and
-    ``htables`` wrap those same dicts."""
+    (j+2, j), in whatever order or form they were given, also as a family
+    ``tables=``.  ``vtables`` and ``htables`` wrap those same dicts."""
     C, T = build_cat_of_cats([z2_structure()[1]], depth=2)
     T0, T1, H0 = CompTable(0, T.tables[1, 0]), CompTable(1, T.tables[2, 1]), CompTable(0, T.tables[2, 0])
-    for vertical in ([T1, T0], {1: T1, 0: T0}, (t for t in (T1, T0))):
-        S = CategoryStructure(C, vertical, [H0], T.flags)
+    family = {(2, 0): H0.entries, (2, 1): T1.entries, (1, 0): T0.entries}
+    for S in [*(CategoryStructure(C, vertical, [H0], T.flags)
+                for vertical in ([T1, T0], {1: T1, 0: T0}, (t for t in (T1, T0)))),
+              CategoryStructure(C, tables=family, flags=T.flags)]:
         assert list(S.tables) == [(1, 0), (2, 1), (2, 0)]
         assert [S.tables[name] for name in S.tables] == [T0.entries, T1.entries, H0.entries]
         assert all(S.tables[name] is t.entries for name, t in (((1, 0), T0), ((2, 1), T1), ((2, 0), H0)))
@@ -404,6 +454,61 @@ def test_check_category_reports_over_the_horizontal_rewrites_are_pinned():
             rewrites += 1
     assert rewrites == 1920
     assert digest.hexdigest() == "271e28319747372ab41d266a77afb2f77f3eff77f396cced9ce4de610123f145"
+
+
+def reference_typing_scan(G, d, j, tables):
+    """The typing rule read one key at a time, as a lookup through table
+    (d-1, j) as it stands: (src a, tgt b) at d = j+1, above that the
+    (d-1, j) composites of the two sources and of the two targets, None
+    while either is absent; the reference for ``structures.typing_scan``."""
+    smap, tmap = G.src_map(d), G.tgt_map(d)
+    below = tables.get((d - 1, j), {})
+    for (a, b), v in tables[d, j].items():
+        if d == j + 1:
+            want = (smap[a], tmap[b])
+        else:
+            s, t = below.get((smap[a], smap[b])), below.get((tmap[a], tmap[b]))
+            want = None if s is None or t is None else (s, t)
+        if want is None or want[0] != smap[v] or want[1] != tmap[v]:
+            yield a, b, v, want
+
+
+def test_typing_scan_matches_the_per_key_reference():
+    """On random 2-graphs, every table (d, j) the carrier can host, filled
+    in a random key order with mostly typed, some wrong values, next to a
+    table (d-1, j) that is full, partly filled or missing: ``typing_scan``
+    yields the reference's tuples in the same order."""
+    rng = random.Random(25)
+    seen = set()
+    for _ in range(60):
+        G = random_graph(rng, n=2, max_cells=rng.randint(2, 5))
+        names = [(j + k, j) for k in (1, 2) for j in range(-1 if k == 1 else 0, G.n - k + 1)]
+        tables = {}
+        for d, j in names:
+            smap, tmap = G.src_map(d), G.tgt_map(d)
+            below, fill = tables.get((d - 1, j), {}), rng.choice((0.3, 0.8, 1.0))
+            keys = list(table_keys(G, d, j))
+            rng.shuffle(keys)
+            tables[d, j] = entries = {}
+            for a, b in keys:
+                if rng.random() > fill:
+                    continue
+                # mostly typed values, so that the tables above can type their keys
+                want = ((smap[a], tmap[b]) if d == j + 1
+                        else (below.get((smap[a], smap[b])), below.get((tmap[a], tmap[b]))))
+                typed = [v for v in range(G.count(d)) if (smap[v], tmap[v]) == want]
+                entries[a, b] = rng.choice(typed) if typed and rng.random() < 0.8 else rng.randrange(G.count(d))
+        for d, j in names:
+            family = dict(tables)
+            if d > j + 1 and rng.random() < 0.2:
+                del family[d - 1, j]
+                seen.add((2, "missing below"))
+            got = list(typing_scan(G, d, j, family))
+            assert got == list(reference_typing_scan(G, d, j, family)), (d, j)
+            seen.update((d - j, "untypeable" if want is None else "mistyped") for _a, _b, _v, want in got)
+            seen.add((d - j, "typed") if len(got) < len(family[d, j]) else (d - j, "none typed"))
+    assert {(1, "mistyped"), (1, "typed"), (2, "missing below"), (2, "untypeable"), (2, "mistyped"),
+            (2, "typed")} <= seen, seen
 
 
 def _report_edge_structures():
