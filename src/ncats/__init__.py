@@ -25,11 +25,11 @@ _EXPORTS = {
     ),
     "structures": (
         "AxiomCheck", "AxiomFlags", "AxiomReport", "CategoryStructure",
-        "CocompTable", "CompTable", "Counterexample", "HCompTable",
-        "StructureError", "check_associativity", "check_category",
-        "check_cocategory", "check_global", "check_groupoid",
-        "check_interchange", "check_typing", "check_units", "compose",
-        "composable", "composable_pairs", "h_composable_pairs",
+        "CocompTable", "Counterexample", "StructureError",
+        "check_associativity", "check_category", "check_cocategory",
+        "check_global", "check_groupoid", "check_interchange",
+        "check_typing", "check_units", "compose", "composable",
+        "composable_pairs", "h_composable_pairs",
     ),
     "enumeration": (
         "EnumLimits", "EnumResult", "EnumSpec", "NotSkeletal",

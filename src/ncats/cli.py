@@ -314,8 +314,13 @@ def cmd_gen(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse would drop a failed write; main reports it
+        (file or sys.stdout).write(self.format_help())
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ncats",
         description="Check, count and generate finite higher-category structures.")
     sub = p.add_subparsers(dest="command", required=True)

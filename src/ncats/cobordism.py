@@ -23,8 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import GraphError, NGraph, SpaceTooLarge, StructureTail
-from .structures import AxiomFlags, CategoryStructure, CompTable
+from .graphs import GraphError, NGraph, SpaceTooLarge, StructureTail, _sequence
+from .structures import AxiomFlags, CategoryStructure
 
 SOURCE_SIDE = 0
 TARGET_SIDE = 1
@@ -101,16 +101,21 @@ class MatchDiagram:
         _check_signs(target)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
+        s, t = len(source), len(target)
+        if not _sequence(self.pairs):
+            raise GraphError(f"pairs {self.pairs!r} are not a list of strands")
+        # every point is checked before any is sorted
+        for strand in self.pairs:
+            ends = {_point_id(p, s, t) for p in strand} if _sequence(strand) and len(strand) == 2 else {None}
+            if None in ends or len(ends) < 2:
+                raise GraphError(f"bad strand {strand!r}")
         pairs = tuple(sorted(tuple(sorted(p)) for p in self.pairs))
         object.__setattr__(self, "pairs", pairs)
-        s, t = len(source), len(target)
         signs = reverse_orientation(source) + target
         inv = [-1] * (s + t)
         perfect = True
         for p, q in pairs:
             a, b = _point_id(p, s, t), _point_id(q, s, t)
-            if a is None or b is None or a == b:
-                raise GraphError(f"bad strand {p} -- {q}")
             if signs[a] + signs[b] != 0:
                 raise GraphError(f"strand {p} -- {q} is not orientation compatible")
             perfect = perfect and inv[a] < 0 and inv[b] < 0
@@ -267,8 +272,7 @@ def build_cob_truncation(max_points: int) -> tuple[NGraph, CategoryStructure]:
             for j in ids:
                 entries[i, j] = hom[_compose(m, invs[j], s, t)]
     structure = CategoryStructure(
-        graph, [CompTable(0, entries)], [],
-        AxiomFlags(global_=True, unital=True, associative=True))
+        graph, tables={(1, 0): entries}, flags=AxiomFlags(global_=True, unital=True, associative=True))
     return graph, structure
 
 

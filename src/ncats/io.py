@@ -27,7 +27,6 @@ from .structures import (
     CategoryStructure,
     CocompTable,
     Counterexample,
-    split_tables,
 )
 
 if TYPE_CHECKING:
@@ -41,8 +40,10 @@ MINUS_ONE = "minus-one"
 CO = "co"
 _KIND_ORDER = {MINUS_ONE: 0, VERTICAL: 1, HORIZONTAL: 2, CO: 3}
 # a table of each kind at level j holds (j + offset)-cells: the vertical
-# ones are the tables (j+1, j) of ``structures``, the horizontal ones (j+2, j)
+# ones are the tables (j+1, j) of ``structures``, the horizontal ones (j+2, j);
+# so the table (d, j) is written as minus-one at level -1, else by d - j
 _OFFSET = {MINUS_ONE: 1, VERTICAL: 1, HORIZONTAL: 2, CO: 1}
+_KIND = {1: VERTICAL, 2: HORIZONTAL}
 
 _TOP_KEYS = {"format_version", "n", "tail", "dims", "identities", "tables",
              "flags", "morphisms", "transformations", "modifications"}
@@ -442,14 +443,16 @@ def _default_ids(G: NGraph):
                  for d in range(G.n + 1))
 
 
-def build_document(G: NGraph, vtables=(), htables=(), cotables=(),
+def build_document(G: NGraph, tables=None, cotables=(),
                    flags: AxiomFlags | None = None,
                    morphisms=None, transformations=None,
                    modifications=None) -> GraphDocument:
     """Assemble a document around a carrier, naming cells c<dim>_<index>.
 
-    The morphism sections take {name: object} mappings; every object must
-    live on this carrier (endomorphisms in the case of graph morphisms).
+    ``tables`` holds entry dicts named (d, j), as ``S.tables`` does, and
+    ``cotables`` a list of ``CocompTable``.  The morphism sections take
+    {name: object} mappings; every object must live on this carrier
+    (endomorphisms in the case of graph morphisms).
     """
     ids = _default_ids(G)
     dims = []
@@ -472,20 +475,16 @@ def build_document(G: NGraph, vtables=(), htables=(), cotables=(),
             "tail": {"minus_one": G.tail.minus_one_count},
             "dims": dims, "identities": identities}
 
-    tables = []
-    named = [(MINUS_ONE if t.level == -1 else VERTICAL, t) for t in vtables]
-    named += [(HORIZONTAL, t) for t in htables]
-    for kind, t in named:
-        d = t.level + _OFFSET[kind]
-        tables.append({"kind": kind, "level": t.level, "entries": sorted(
-            [ids[d][a], ids[d][b], ids[d][v]] for (a, b), v in t.entries.items())})
+    records = [{"kind": MINUS_ONE if j == -1 else _KIND[d - j], "level": j, "entries": sorted(
+        [ids[d][a], ids[d][b], ids[d][v]] for (a, b), v in entries.items())}
+        for (d, j), entries in (tables or {}).items()]
     for t in cotables:
         d = t.level + 1
-        tables.append({"kind": CO, "level": t.level, "entries": sorted(
+        records.append({"kind": CO, "level": t.level, "entries": sorted(
             [ids[d][z], ids[t.level][w], ids[d][p], ids[d][q]]
             for z, (w, p, q) in t.entries.items())})
-    if tables:
-        data["tables"] = sorted(tables, key=lambda t: (_KIND_ORDER[t["kind"]], t["level"]))
+    if records:
+        data["tables"] = sorted(records, key=lambda t: (_KIND_ORDER[t["kind"]], t["level"]))
 
     if flags is not None and any(flags.names()):
         data["flags"] = list(flags.names())
@@ -521,7 +520,7 @@ def document_from_graph(G: NGraph) -> GraphDocument:
 
 
 def document_from_structure(S: CategoryStructure) -> GraphDocument:
-    return build_document(S.graph, *split_tables(S.tables), flags=S.flags)
+    return build_document(S.graph, S.tables, flags=S.flags)
 
 
 def _json_value(v, name_of):

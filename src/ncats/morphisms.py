@@ -47,7 +47,6 @@ from .structures import (
     AxiomFlags,
     AxiomReport,
     CategoryStructure,
-    CompTable,
     Counterexample,
     _single,
     check_category,
@@ -458,17 +457,15 @@ def build_cat_of_cats(cats: list[CategoryStructure], depth: int = 2):
             hlevel0[(t_idx, s_idx)] = transformation_index[(up_idx, vq_idx, comp)]
 
     n = depth
+    tables = {(1, 0): level0, (2, 1): level1, (2, 0): hlevel0}
     if depth == 3:
         m = len(transformations)
         src.append(list(range(m)))
         tgt.append(list(range(m)))
         idn.append(list(range(m)))
+        tables[3, 2] = {(i, i): i for i in range(m)}
 
     graph = NGraph(n, StructureTail(1, (0, 0)), src, tgt, idn)
-    vtables = [CompTable(0, level0), CompTable(1, level1)]
-    if depth == 3:
-        vtables.append(CompTable(2, {(i, i): i for i in range(len(transformations))}))
     structure = CategoryStructure(
-        graph, vtables, [CompTable(0, hlevel0)],
-        AxiomFlags(global_=True, unital=True, associative=True, interchange=True))
+        graph, tables=tables, flags=AxiomFlags(global_=True, unital=True, associative=True, interchange=True))
     return graph, structure

@@ -8,10 +8,9 @@ when d = j+1; otherwise its source and target are the (d-1, j) composites
 of the two sources and of the two targets (``composite_type``).  The
 vertical table at level j is (j+1, j), the horizontal one (j+2, j).  A
 structure keeps its tables once, as the entry dicts ``S.tables`` named
-(d, j), which its constructor takes as ``tables=``; ``CompTable`` pairs one
-with its level, as the constructor's lists, ``split_tables`` and the
-``vtables``/``htables`` views take or give them.  Level -1 is only allowed
-on a monoidal carrier.  Keys are in diagrammatic order: (a, b) is a, then b.
+(d, j), which its constructor takes as ``tables=``; ``CompTable`` lists
+and the ``vtables``/``htables`` views serve only the benchmark harness.
+Level -1 needs a monoidal carrier; keys are diagrammatic: (a, b) is a, then b.
 
 Checkers never raise on a bad table; they return a report whose checks
 carry one verdict each (pass, fail, or not-applicable) plus explicit
@@ -97,7 +96,7 @@ class AxiomFlags:
 
 @dataclass
 class CompTable:
-    """Composition at one level, vertical or horizontal: (a, b) -> a-then-b."""
+    """One table of the two-list adapter: (a, b) -> a-then-b at one level."""
 
     level: int
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -236,11 +235,11 @@ class CategoryStructure:
     """A carrier plus its composition tables, kept once as ``tables``: entry
     dicts named (d, j), the (j+1, j) by ascending level, then the (j+2, j).
 
-    They come as two ``CompTable`` lists, vertical and horizontal, or as one
-    such family, ``tables=``, and may be partial; the flags say which axioms
-    the candidate claims.  Construction files each entry dict uncopied and
-    rejects keys that are not composable and tables at levels the carrier
-    cannot host, but judges no axiom; that is the checkers' job.
+    They come as ``tables=`` and may be partial (the ``vtables``/``htables``
+    lists and views are the benchmark harness's adapter); the flags say
+    which axioms the candidate claims.  Construction files each entry dict
+    uncopied and rejects keys that are not composable and tables at levels
+    the carrier cannot host, but judges no axiom; that is the checkers' job.
     """
 
     def __init__(self, graph: NGraph, vtables=(), htables=(), flags: AxiomFlags = AxiomFlags(), *, tables=None):
@@ -272,9 +271,9 @@ class CategoryStructure:
                     raise NotComposable(f"{prefix}level {j} key ({a}, {b}) {unmet}")
             self.tables[name] = tables[name]
 
-    # views for API users: the tables of one kind by level, wrapping the same entry dicts
-    vtables = property(lambda self: {t.level: t for t in split_tables(self.tables)[0]})
-    htables = property(lambda self: {t.level: t for t in split_tables(self.tables)[1]})
+    # the adapter's views: the tables (j+1, j) and (j+2, j) by level j, wrapping the same entry dicts
+    vtables = property(lambda self: {j: CompTable(j, e) for (d, j), e in self.tables.items() if d == j + 1})
+    htables = property(lambda self: {j: CompTable(j, e) for (d, j), e in self.tables.items() if d == j + 2})
 
     def __eq__(self, other):
         return isinstance(other, CategoryStructure) and (
@@ -311,15 +310,6 @@ def _table_order(name):
     if not ((type(d) is type(j) is int or _integer(d) and _integer(j)) and d - j in _KINDS):
         raise StructureError(f"table name {name!r} is not (j+1, j) or (j+2, j) for an integer level j")
     return d - j, j
-
-
-def split_tables(tables):
-    """The vertical and the horizontal tables of entry dicts named (d, j),
-    as ``CategoryStructure`` takes them, uncopied: ``S.tables`` undone."""
-    split = {1: [], 2: []}
-    for (d, j), entries in tables.items():
-        split[d - j].append(CompTable(j, entries))
-    return split[1], split[2]
 
 
 def compose(S: CategoryStructure, a: CellId, b: CellId, j: int) -> CellId:

@@ -13,9 +13,7 @@ import time
 from ncats import (
     AxiomFlags,
     CategoryStructure,
-    CompTable,
     EnumSpec,
-    HCompTable,
     build_cat_of_cats,
     brute_force_oracle,
     check_category,
@@ -160,7 +158,7 @@ def test_criterion_5_interchange_witness():
     assert base.passed
     assert all(not c.counterexamples and not c.asymmetric for c in base.checks)
 
-    entries = S.htables[0].entries
+    entries = S.tables[2, 0]
     perturbed = 0
     for key, val in sorted(entries.items()):
         for alt in range(G.count(2)):
@@ -168,8 +166,7 @@ def test_criterion_5_interchange_witness():
                 continue
             bent_entries = dict(entries)
             bent_entries[key] = alt
-            bent = CategoryStructure(G, list(S.vtables.values()),
-                                     [HCompTable(0, bent_entries)], S.flags)
+            bent = CategoryStructure(G, tables={**S.tables, (2, 0): bent_entries}, flags=S.flags)
             if not check_typing(bent).passed:
                 continue
             perturbed += 1
@@ -240,8 +237,8 @@ def test_criterion_8_format_round_trip(tmp_path):
     broken = tmp_path / "broken.json"
     G = loops_graph(2)
     broken.write_bytes(serialize(document_from_structure(CategoryStructure(
-        G, [CompTable(0, {(0, 0): 1, (0, 1): 0, (1, 0): 1, (1, 1): 0})],
-        [], AxiomFlags(global_=True, unital=True)))))
+        G, tables={(1, 0): {(0, 0): 1, (0, 1): 0, (1, 0): 1, (1, 1): 0}},
+        flags=AxiomFlags(global_=True, unital=True)))))
     syntax = tmp_path / "syntax.json"
     syntax.write_text('{"format_version":')
 

@@ -9,9 +9,7 @@ from ncats import (
     AxiomFlags,
     CategoryStructure,
     CellId,
-    CompTable,
     EnumSpec,
-    HCompTable,
     NGraph,
     build_cat_of_cats,
     check_interchange,
@@ -171,8 +169,8 @@ def test_warmed_graph_keeps_its_identity():
 def test_construction_checks_keys_through_the_index():
     # level -1 keys always meet on a monoidal carrier
     G = skeletal_graph(2, 1)
-    S = CategoryStructure(G, [CompTable(-1, {(0, 1): 0, (1, 0): 1})])
-    assert S.vtables[-1].entries == {(0, 1): 0, (1, 0): 1}
+    S = CategoryStructure(G, tables={(0, -1): {(0, 1): 0, (1, 0): 1}})
+    assert S.tables[0, -1] == {(0, 1): 0, (1, 0): 1}
     Z = z2_structure()[1]
     C, T = build_cat_of_cats([Z, Z], depth=2)
     outer_t = [walk(C, CellId(2, i), 0, TARGET).index for i in range(C.count(2))]
@@ -180,7 +178,7 @@ def test_construction_checks_keys_through_the_index():
     a, b = next((a, b) for a in range(C.count(2)) for b in range(C.count(2))
                 if outer_t[a] != outer_s[b])
     with pytest.raises(NotComposable):
-        CategoryStructure(C, list(T.vtables.values()), [HCompTable(0, {(a, b): a})])
+        CategoryStructure(C, tables={**T.tables, (2, 0): {(a, b): a}})
 
 
 def naive_interchange(S, j):
@@ -188,8 +186,8 @@ def naive_interchange(S, j):
     found by walking cell by cell."""
     G = S.graph
     d = j + 2
-    V = S.vtables[j + 1].entries
-    H = S.htables[j].entries
+    V = S.tables[d, j + 1]
+    H = S.tables[d, j]
     cells = range(G.count(d))
     vpairs = [(a, a2) for a in cells for a2 in cells if G.tgt_map(d)[a] == G.src_map(d)[a2]]
     outer_t = [walk(G, CellId(d, i), j, TARGET) for i in cells]
@@ -216,13 +214,12 @@ def naive_interchange(S, j):
 def test_interchange_rewrites_match_naive_reference():
     Z = z2_structure()[1]
     G, S = build_cat_of_cats([Z, Z], depth=2)
-    entries = S.htables[0].entries
-    vtables = list(S.vtables.values())
+    entries = S.tables[2, 0]
     rewrites = [S]
     for key, val in sorted(entries.items()):
         for alt in range(G.count(2)):
             if alt != val:
-                bent = CategoryStructure(G, vtables, [HCompTable(0, {**entries, key: alt})], S.flags)
+                bent = CategoryStructure(G, tables={**S.tables, (2, 0): {**entries, key: alt}}, flags=S.flags)
                 if check_typing(bent).passed:
                     rewrites.append(bent)
     assert len(rewrites) == 1 + 128

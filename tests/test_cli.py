@@ -13,7 +13,6 @@ from ncats import (
     AxiomFlags,
     CategoryStructure,
     CocompTable,
-    CompTable,
     GraphMorphism,
     build_cat_of_cats,
     build_document,
@@ -65,8 +64,8 @@ def test_check_json_is_schema_valid(z2_file, capsys):
 def test_check_failure_exits_one(tmp_path, capsys):
     G = loops_graph(2)
     broken = CategoryStructure(
-        G, [CompTable(0, {(0, 0): 1, (0, 1): 0, (1, 0): 1, (1, 1): 0})],
-        [], AxiomFlags(global_=True, unital=True))
+        G, tables={(1, 0): {(0, 0): 1, (0, 1): 0, (1, 0): 1, (1, 1): 0}},
+        flags=AxiomFlags(global_=True, unital=True))
     path = write(tmp_path, "broken.json", document_from_structure(broken))
     assert main(["check", path]) == 1
     assert "verdict: fail" in capsys.readouterr().out
@@ -79,13 +78,13 @@ def test_check_reports_the_co_tables(tmp_path, capsys):
     from util import arrow_graph
 
     G = arrow_graph()
-    table = CompTable(0, {(0, 0): 0, (0, 2): 2, (1, 1): 1, (2, 1): 2})
+    table = {(0, 0): 0, (0, 2): 2, (1, 1): 1, (2, 1): 2}
     flags = AxiomFlags(global_=True, unital=True, associative=True)
     for witness, code, counterexamples in (
             ((0, 0, 2), 0, []),
             ((0, 2, 2), 1, [{"kind": "co-left", "cells": ["c1_2", "c1_2"],
                              "expected": ["c0_0", "c0_0"], "actual": ["c0_0", "c0_1"]}])):
-        doc = build_document(G, [table], cotables=[CocompTable(0, {2: witness})], flags=flags)
+        doc = build_document(G, {(1, 0): table}, cotables=[CocompTable(0, {2: witness})], flags=flags)
         assert main(["check", write(tmp_path, "co.json", doc), "--json"]) == code
         rep = json.loads(capsys.readouterr().out)
         schema_validate(rep, report_schema())
@@ -120,7 +119,7 @@ def test_check_flag_override(z2_file):
 def test_counterexample_cap_and_all(tmp_path, capsys):
     # an empty table on four loops misses 16 composites
     G = loops_graph(4)
-    S = CategoryStructure(G, [CompTable(0, {})], [], AxiomFlags(global_=True))
+    S = CategoryStructure(G, tables={(1, 0): {}}, flags=AxiomFlags(global_=True))
     path = write(tmp_path, "gaps.json", document_from_structure(S))
     assert main(["check", path]) == 1
     capped = capsys.readouterr().out
@@ -279,13 +278,15 @@ def test_unwritable_outputs_are_usage_errors(z2_file, tmp_path, capsys):
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no full device to write to")
-@pytest.mark.parametrize("argv", [["check"], ["check", "--json"], ["enumerate", "--json"], ["gen", "sets"]])
+@pytest.mark.parametrize("argv", [["check"], ["check", "--json"], ["enumerate", "--json"], ["gen", "sets"],
+                                  ["--help"], ["enumerate", "--help"]])
 def test_unwritable_standard_output_exits_two(z2_file, argv):
     """A standard output that refuses every write, the full device, ends a
-    command that prints with one error line and exit 2, not a traceback."""
+    command that prints, or a help, with one error line and exit 2, not a
+    traceback or a silent exit 0."""
     src = str(Path(main.__code__.co_filename).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    args = argv if argv[0] == "gen" else [*argv, z2_file]
+    args = argv if argv[0] == "gen" or "--help" in argv else [*argv, z2_file]
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "ncats.cli", *args], stdout=full,
                               stderr=subprocess.PIPE, text=True, env=env, timeout=120)
@@ -316,7 +317,7 @@ def morphism_file(tmp_path):
     collapse = next(m for m in fs if m.comps[1] == (0, 0))
     good = enumerate_transformations(ident, ident, S, S)[0]
     bad = Transformation(ident, collapse, {0: (1,)})
-    doc = build_document(G, S.vtables.values(), flags=S.flags,
+    doc = build_document(G, S.tables, flags=S.flags,
                          morphisms={"F": ident, "K": collapse},
                          transformations={"good": ("F", "F", good),
                                           "bad": ("F", "K", bad)})
@@ -340,7 +341,7 @@ def test_functor_subcommand_checks_the_horizontal_table(tmp_path, capsys):
     maps = [GraphMorphism(G, G, comps) for comps in graph_maps(G, G)]
     kept = enumerate_functors(S, S)
     broken = next(m for m in maps if m not in kept)
-    doc = build_document(G, S.vtables.values(), S.htables.values(), flags=S.flags,
+    doc = build_document(G, S.tables, flags=S.flags,
                          morphisms={"I": identity_morphism(G), "B": broken})
     path = write(tmp_path, "functors.json", doc)
     assert main(["functor", path, "--name", "I"]) == 0
@@ -441,7 +442,7 @@ def test_modification_with_unequal_levels_exits_two(tmp_path, capsys):
     low = Transformation(I, I, {0: (idf,)}, (0,))
     high = Transformation(I, I, {0: (idf,), 1: tuple(G.idn_map(1))}, (0, 1))
     md = Modification(high, high, {0: (G.idn_map(1)[idf],), 1: (0,) * G.count(1)})
-    doc = build_document(G, S.vtables.values(), S.htables.values(), flags=S.flags,
+    doc = build_document(G, S.tables, flags=S.flags,
                          morphisms={"I": I},
                          transformations={"low": ("I", "I", low), "high": ("I", "I", high)},
                          modifications={"M": ("high", "high", md)})
@@ -467,7 +468,7 @@ def _fuzz_bases():
     2-graph of categories and functors on Z2."""
     out = []
     for G, S in (z2_structure(), build_cat_of_cats([z2_structure()[1]])):
-        doc = build_document(G, S.vtables.values(), S.htables.values(), flags=S.flags,
+        doc = build_document(G, S.tables, flags=S.flags,
                              morphisms={"I": identity_morphism(G)})
         out.append(json.loads(serialize(doc)))
     return out

@@ -70,6 +70,22 @@ def test_diagram_points_are_integer_sides_and_indices():
         MatchDiagram((1, 1), (1, 1), (((0, 0), (1, 0)), ((0, 0), (1, 1))))
 
 
+@pytest.mark.parametrize("pairs, message", [
+    ([((0, 0), "x")], "bad strand ((0, 0), 'x')"),                     # a point that is not one
+    ([((0, 0),)], "bad strand ((0, 0),)"),                             # one end
+    ([1], "bad strand 1"),                                             # not a strand
+    (None, "pairs None are not a list of strands"),
+    ([((0, 0), (1, 0), (1, 1))], "bad strand ((0, 0), (1, 0), (1, 1))"),  # three ends
+])
+def test_malformed_strands_are_graph_errors(pairs, message):
+    """Strands that are not two points are refused with GraphError, not a
+    TypeError or ValueError from sorting or unpacking them."""
+    with pytest.raises(GraphError) as err:
+        MatchDiagram((1,), (1,), pairs)
+    assert type(err.value) is GraphError
+    assert str(err.value) == message
+
+
 def _reference_glue(M, N):
     """Gluing by the original route: strands followed through dicts keyed
     by (side, index) points, independent of the involution core."""
@@ -196,7 +212,7 @@ def test_truncation_tables_match_the_reference_route():
         G, S = build_cob_truncation(mp)
         arrows = _listed_arrows(mp)
         assert G.labels[1] == tuple(str(d) for d in arrows)
-        entries = S.vtables[0].entries
+        entries = S.tables[1, 0]
         composable = [(i, j) for i, d in enumerate(arrows)
                       for j, e in enumerate(arrows) if d.target == e.source]
         assert list(entries) == composable                 # entry order too
@@ -216,7 +232,7 @@ def test_truncation_documents_are_pinned():
 
 def test_four_point_truncation_sampled_against_the_reference():
     G, S = build_cob_truncation(4)
-    entries = S.vtables[0].entries
+    entries = S.tables[1, 0]
     assert (G.count(0), G.count(1), len(entries)) == (31, 2107, 241677)
     arrows = _listed_arrows(4)
     assert G.labels[1] == tuple(str(d) for d in arrows)

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from ncats import (
     AxiomFlags,
     CategoryStructure,
-    CompTable,
     EnumLimits,
     EnumSpec,
     NotSkeletal,
@@ -27,7 +26,7 @@ from ncats import (
 from ncats import enumeration, structures
 from ncats.enumeration import LevelUnavailable
 from ncats.graphs import NGraph, SpaceTooLarge, StructureTail, automorphisms, hom_buckets
-from ncats.structures import interchange_partners, split_tables, table_keys
+from ncats.structures import interchange_partners, table_keys
 
 from util import (
     chain_graph,
@@ -275,9 +274,9 @@ def test_record_builds_structures_only_for_kept_representatives(monkeypatch):
         assert all(S is R for S, R in zip(built, res.representatives))
 
 
-def test_record_keeps_copies_equal_to_the_two_list_form(monkeypatch):
+def test_record_keeps_copies_equal_to_a_fresh_construction(monkeypatch):
     """The representatives the search and the oracle keep equal the
-    structures the two-list constructor builds from the same tables, on the
+    structures the constructor builds from copies of their tables, on the
     criterion-2 carriers and on the cat-of-one-Z2 carrier; each holds
     copies of the entry dicts of its record, never the dicts the route
     fills."""
@@ -308,9 +307,8 @@ def test_record_keeps_copies_equal_to_the_two_list_form(monkeypatch):
     kept = set()
     for run, G, sp in runs:
         for R in run(G, sp).representatives:
-            vertical, horizontal = ([CompTable(j, dict(entries)) for (d, j), entries in R.tables.items()
-                                     if d - j == offset] for offset in (1, 2))
-            assert R == CategoryStructure(G, vertical, horizontal, sp.flags)
+            copies = {name: dict(entries) for name, entries in R.tables.items()}
+            assert R == CategoryStructure(G, tables=copies, flags=sp.flags)
             kept.add((run, len(R.tables)))
     assert kept == {(enumerate_structures, 1), (oracle, 1), (enumerate_structures, 3), (oracle, 2)}
 
@@ -381,7 +379,7 @@ def test_horizontal_search_on_skeletal_two_graph():
     G = skeletal_graph(1, 2, seed=0)
     res = enumerate_structures(G, spec(GLOBAL, include_horizontal=True))
     assert res.exhausted and res.raw_count == 1
-    assert res.representatives[0].htables
+    assert any(d == j + 2 for d, j in res.representatives[0].tables)
 
 
 # search nodes per random 2-graph seed and flag set, frozen from the search
@@ -673,7 +671,7 @@ def test_verdict_agrees_with_the_checkers():
         seen = set()
         for tables in _assignments(G, sp, rng, count):
             for flags in flag_sets:
-                S = CategoryStructure(G, *split_tables(tables), flags)
+                S = CategoryStructure(G, tables=tables, flags=flags)
                 verdict = _passes(G, flags, tables)
                 assert verdict == check_category(S).passed, (S, tables)
                 seen.add(verdict)
@@ -700,7 +698,7 @@ def test_settled_tables_keep_the_verdict():
                 changed = {**tables, name: rng.choice(families)[name]}
                 settled = [other for other in names if other != name]
                 verdict = _passes(G, flags, changed, settled)
-                S = CategoryStructure(G, *split_tables(changed), flags)
+                S = CategoryStructure(G, tables=changed, flags=flags)
                 assert verdict == _passes(G, flags, changed) == check_category(S).passed
                 seen.add((name, verdict))
     assert seen == {(name, verdict) for name in names for verdict in (False, True)}
@@ -730,7 +728,7 @@ def test_record_step_settles_a_table_only_as_it_last_passed():
     record = enumeration._recorder(G, sp, result, names)
     for tables in sequence:
         record(tables)
-    passed = [t for t in sequence if check_category(CategoryStructure(G, *split_tables(t), sp.flags)).passed]
+    passed = [t for t in sequence if check_category(CategoryStructure(G, tables=t, flags=sp.flags)).passed]
     assert len(passed) == 2
     assert (result.records, result.raw_count, result.rejected_at_record) == (5, 2, 3)
     assert result.canonical_counts == Counter(canonical_form(G, t) for t in passed)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 
 import pytest
@@ -9,7 +10,6 @@ from ncats import (
     AxiomFlags,
     CategoryStructure,
     CocompTable,
-    CompTable,
     DanglingReference,
     NGraph,
     ParseError,
@@ -90,20 +90,40 @@ def test_structure_and_flags_survive():
     _, S = z2_structure()
     doc = parse(serialize(document_from_structure(S)))
     S2 = doc.structure()
-    assert S2.vtables[0].entries == S.vtables[0].entries
+    assert S2.tables == S.tables
     assert S2.flags == S.flags
     assert check_category(S2).passed
     override = doc.structure(AxiomFlags(global_=True))
     assert override.flags == AxiomFlags(global_=True)
 
 
+def test_every_table_kind_is_written_as_pinned():
+    """A family named (d, j) with a level -1, three vertical and a
+    horizontal table, plus two co tables, is written with the kind each
+    name gives: the bytes the two-list form of ``build_document`` wrote."""
+    Z = z2_structure()[1]
+    G, T = build_cat_of_cats([Z, Z], depth=3)
+    S = CategoryStructure(G, tables={(0, -1): {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}, **T.tables},
+                          flags=T.flags)
+    idn = G.idn_map(0)
+    co = [CocompTable(0, {idn[x]: (x, idn[x], idn[x]) for x in range(G.count(0))}),
+          CocompTable(1, {0: (G.src_map(2)[0], 0, G.idn_map(1)[G.tgt_map(2)[0]])})]
+    doc = build_document(G, S.tables, cotables=co, flags=S.flags)
+    assert [(t["kind"], t["level"]) for t in doc.data["tables"]] == [
+        ("minus-one", -1), ("vertical", 0), ("vertical", 1), ("vertical", 2), ("horizontal", 0),
+        ("co", 0), ("co", 1)]
+    data = serialize(doc)
+    assert hashlib.sha256(data).hexdigest() == "6dbc17dec23111978aba8e2acb531815ea4a4e6dd35959ad6d9b51fea1ca3558"
+    assert parse(data).structure() == S
+
+
 def test_horizontal_and_co_tables_survive():
     G, S = build_cat_of_cats([z2_structure()[1]], depth=2)
     co = CocompTable(0, {G.idn_map(0)[0]: (0, G.idn_map(0)[0], G.idn_map(0)[0])})
     doc = parse(serialize(build_document(
-        G, S.vtables.values(), S.htables.values(), cotables=[co], flags=S.flags)))
+        G, S.tables, cotables=[co], flags=S.flags)))
     S2 = doc.structure()
-    assert S2.htables[0].entries == S.htables[0].entries
+    assert S2.tables[2, 0] == S.tables[2, 0]
     assert doc.cotables()[0].entries == co.entries
     schema_validate(doc.data, graph_schema())
 
@@ -122,7 +142,7 @@ def test_morphism_sections_round_trip():
     fs = enumerate_functors(S, S)
     ident = next(m for m in fs if m.comps[1] == (0, 1))
     ts = enumerate_transformations(ident, ident, S, S)
-    doc = build_document(G, S.vtables.values(), flags=S.flags,
+    doc = build_document(G, S.tables, flags=S.flags,
                          morphisms={"F": ident},
                          transformations={"T": ("F", "F", ts[0])})
     doc = parse(serialize(doc))
@@ -146,7 +166,7 @@ def modification_document():
     idf = G.idn_map(0)[0]
     tr = Transformation(I, I, {0: (idf,)}, (0,))
     md = Modification(tr, tr, {0: (G.idn_map(1)[idf],)})
-    doc = build_document(G, S.vtables.values(), S.htables.values(), flags=S.flags,
+    doc = build_document(G, S.tables, flags=S.flags,
                          morphisms={"I": I},
                          transformations={"S": ("I", "I", tr)},
                          modifications={"M": ("S", "S", md)})
@@ -489,8 +509,8 @@ def test_report_document_and_exit_codes():
     schema_validate(rep, report_schema())
     assert rep["verdict"] == "pass" and exit_code(rep) == 0
     broken = CategoryStructure(
-        S.graph, [CompTable(0, {(0, 0): 1, (0, 1): 0, (1, 0): 1, (1, 1): 0})],
-        [], AxiomFlags(global_=True, unital=True))
+        S.graph, tables={(1, 0): {(0, 0): 1, (0, 1): 0, (1, 0): 1, (1, 1): 0}},
+        flags=AxiomFlags(global_=True, unital=True))
     rep = report_document(check_category(broken))
     schema_validate(rep, report_schema())
     assert rep["verdict"] == "fail" and exit_code(rep) == 1
@@ -506,7 +526,7 @@ def test_report_document_and_exit_codes():
 def test_counterexample_names_use_document_ids():
     G = arrow_graph()
     doc = document_from_graph(G)
-    partial = CategoryStructure(G, [CompTable(0, {})], [], AxiomFlags(global_=True))
+    partial = CategoryStructure(G, tables={(1, 0): {}}, flags=AxiomFlags(global_=True))
     rep = report_document(check_category(partial), name_of=doc.cell_name)
     cells = [c for chk in rep["checks"] for ce in chk["counterexamples"]
              for c in ce["cells"]]

@@ -10,7 +10,6 @@ from ncats import (
     AxiomReport,
     CategoryStructure,
     CellId,
-    CompTable,
     Counterexample,
     GraphAutomorphism,
     GraphError,
@@ -51,8 +50,8 @@ def absorbing_structure():
     """Two loops where the non-identity swallows everything."""
     G = loops_graph(2)
     return G, CategoryStructure(
-        G, [CompTable(0, {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1})], [],
-        AxiomFlags(global_=True, unital=True, associative=True))
+        G, tables={(1, 0): {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}},
+        flags=AxiomFlags(global_=True, unital=True, associative=True))
 
 
 def test_morphism_construction_errors():
@@ -118,11 +117,11 @@ def test_functor_preserves_composites():
 
 def test_functor_flags_codomain_gaps():
     G, Z = z2_structure()
-    partial = CategoryStructure(G, [CompTable(0, {(0, 0): 0, (0, 1): 1, (1, 0): 1})])
+    partial = CategoryStructure(G, tables={(1, 0): {(0, 0): 0, (0, 1): 1, (1, 0): 1}})
     rep = check_functor(identity_morphism(G), Z, partial)
     kinds = {c.kind for c in rep.find("functor", 0).counterexamples}
     assert "codomain-gap" in kinds
-    bare = CategoryStructure(G, [])
+    bare = CategoryStructure(G)
     rep = check_functor(identity_morphism(G), Z, bare)
     kinds = {c.kind for c in rep.find("functor", 0).counterexamples}
     assert kinds == {"codomain-table-missing"}
@@ -171,7 +170,7 @@ def test_functors_preserve_the_horizontal_table():
             assert m in kept
     assert broken == 5
     # a codomain without the horizontal table cannot receive its composites
-    bare = CategoryStructure(G, list(S.vtables.values()), [], S.flags)
+    bare = without(S, (2, 0))
     rep = check_functor(identity_morphism(G), S, bare).find("functor-horizontal", 0)
     assert rep.verdict == FAIL
     assert {x.kind for x in rep.counterexamples} == {"codomain-table-missing"}
@@ -209,12 +208,12 @@ def functor_fixtures():
     pairs = [(Z, Z), (Z, N), (N, Z), (N, N)]
     pairs += [(T, T) for T in (total_order_structure(k)[1] for k in (2, 3, 4))]
     _, C = cat_of_z2s(1)
-    flat = CategoryStructure(C.graph, list(C.vtables.values()), [], C.flags)
+    flat = without(C, (2, 0))
     pairs += [(C, C), (C, flat), (flat, C)]
-    partial = CategoryStructure(G, [CompTable(0, {(0, 0): 0, (0, 1): 1, (1, 0): 1})])
+    partial = CategoryStructure(G, tables={(1, 0): {(0, 0): 0, (0, 1): 1, (1, 0): 1}})
     # two wrong entries out of key order, which the report must sort
-    partial_domain = CategoryStructure(G, [CompTable(0, {(1, 1): 1, (0, 1): 0})])
-    pairs += [(Z, partial), (Z, CategoryStructure(G, [])), (partial_domain, Z)]
+    partial_domain = CategoryStructure(G, tables={(1, 0): {(1, 1): 1, (0, 1): 0}})
+    pairs += [(Z, partial), (Z, CategoryStructure(G)), (partial_domain, Z)]
     return pairs
 
 
@@ -241,8 +240,8 @@ def cyclic_group(n):
     """Z_n on one object, loop a standing for a mod n."""
     G = loops_graph(n)
     table = {(a, b): (a + b) % n for a in range(n) for b in range(n)}
-    return CategoryStructure(G, [CompTable(0, table)], [],
-                             AxiomFlags(global_=True, unital=True, associative=True))
+    return CategoryStructure(G, tables={(1, 0): table},
+                             flags=AxiomFlags(global_=True, unital=True, associative=True))
 
 
 def test_homs_between_cyclic_groups():
@@ -321,8 +320,8 @@ def test_transformation_space_is_the_product_of_its_hom_sets():
     # Z2 on the object p, only its identity on q; the map onto p sends q's
     # component to Hom(q, p), which is empty, after p's two loops
     G = NGraph(1, StructureTail(1, (0, 0)), [[0, 0], [0, 1, 0]], [[0, 0], [0, 1, 0]], [[0, 1]])
-    S = CategoryStructure(G, [CompTable(0, {(0, 0): 0, (0, 2): 2, (1, 1): 1, (2, 0): 2, (2, 2): 0})], [],
-                          AxiomFlags(global_=True, unital=True, associative=True))
+    S = CategoryStructure(G, tables={(1, 0): {(0, 0): 0, (0, 2): 2, (1, 1): 1, (2, 0): 2, (2, 2): 0}},
+                          flags=AxiomFlags(global_=True, unital=True, associative=True))
     onto_p = GraphMorphism(G, G, ((0, 0), (0, 0, 2)))
     assert check_functor(onto_p, S, S).passed
     assert enumerate_transformations(identity_morphism(G), onto_p, S, S, bound=1) == []
@@ -340,7 +339,7 @@ def test_naturality_on_thin_category():
 
 def test_undefined_square_counts_against():
     G, Z = z2_structure()
-    partial = CategoryStructure(G, [CompTable(0, {(0, 0): 0})])
+    partial = CategoryStructure(G, tables={(1, 0): {(0, 0): 0}})
     fs = enumerate_functors(Z, Z)
     ident = next(m for m in fs if m.comps[1] == (0, 1))
     t = Transformation(ident, ident, {0: (0,)})
@@ -353,6 +352,11 @@ def test_undefined_square_counts_against():
 def cat_of_z2s(count, depth=2):
     Z = z2_structure()[1]
     return build_cat_of_cats([Z] * count, depth)
+
+
+def without(S, name):
+    """``S`` with its table ``name`` left out."""
+    return CategoryStructure(S.graph, tables={n: e for n, e in S.tables.items() if n != name}, flags=S.flags)
 
 
 def test_cat_of_cats_counts_and_axioms():
@@ -390,8 +394,8 @@ def test_cat_of_cats_rejects_bad_inputs():
         build_cat_of_cats([S2])        # two-dimensional input
     G = loops_graph(2)
     broken = CategoryStructure(
-        G, [CompTable(0, {(0, 0): 1, (0, 1): 0, (1, 0): 1, (1, 1): 0})], [],
-        AxiomFlags(global_=True, unital=True, associative=True))
+        G, tables={(1, 0): {(0, 0): 1, (0, 1): 0, (1, 0): 1, (1, 1): 0}},
+        flags=AxiomFlags(global_=True, unital=True, associative=True))
     with pytest.raises(GraphError):
         build_cat_of_cats([broken])
 
@@ -505,7 +509,7 @@ def test_maps_refuse_what_is_not_a_cell_index(bad):
 
 def test_modification_without_horizontal_table():
     G, S = cat_of_z2s(1)
-    bare = CategoryStructure(G, list(S.vtables.values()), [], S.flags)
+    bare = without(S, (2, 0))
     I = identity_morphism(G)
     idf = G.idn_map(0)[0]
     tr = Transformation(I, I, {0: (idf,)}, (0,))
@@ -549,7 +553,7 @@ def test_transformation_reports_are_pinned():
         level1,
     ]
     # no level-0 vertical table downstairs: one-cell undefined squares
-    no_level0 = CategoryStructure(G, [S.vtables[1]], list(S.htables.values()), S.flags)
+    no_level0 = without(S, (1, 0))
     assert pinned(check_transformation(t, S, no_level0)) == [
         ("naturality", 0, FAIL, [], [
             ("NaturalitySquareUndefined", (c(1, 0),), "codomain table at level 0", None),
@@ -585,7 +589,7 @@ def test_modification_reports_are_pinned():
     untyped = Modification(unnatural, natural, {0: (2,)})
     undefined = [("PathUndefined", (c(1, a), c(0, 0), c(0, 0)), "codomain table at level 0", None)
                  for a in (0, 1) for _ in range(8)]
-    assert pinned(check_modification(untyped, S, CategoryStructure(G, []))) == [
+    assert pinned(check_modification(untyped, S, CategoryStructure(G))) == [
         ("modification-paths", 0, FAIL, [], [
             ("ComponentUntyped", (c(0, 0),), (c(1, 1), c(1, 0)), c(2, 2)),
         ] + undefined),

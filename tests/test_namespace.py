@@ -14,8 +14,8 @@ from ncats import document_from_structure, serialize
 
 from util import z2_structure
 
-# the public names of the package: 89 exports and the six library submodules
-PUBLIC_NAMES = 95
+# the public names of the package: 87 exports and the six library submodules
+PUBLIC_NAMES = 93
 
 
 def loaded_modules(code):

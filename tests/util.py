@@ -5,7 +5,6 @@ import random
 from ncats import (
     AxiomFlags,
     CategoryStructure,
-    CompTable,
     NGraph,
     StructureTail,
 )
@@ -21,16 +20,16 @@ def loops_graph(k):
 def z2_structure():
     """The two-element group as a one-object structure."""
     G = loops_graph(2)
-    table = CompTable(0, {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0})
+    table = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
     return G, CategoryStructure(
-        G, [table], [], AxiomFlags(global_=True, unital=True, associative=True))
+        G, tables={(1, 0): table}, flags=AxiomFlags(global_=True, unital=True, associative=True))
 
 
 def trivial_structure():
     G = loops_graph(1)
     return G, CategoryStructure(
-        G, [CompTable(0, {(0, 0): 0})], [],
-        AxiomFlags(global_=True, unital=True, associative=True))
+        G, tables={(1, 0): {(0, 0): 0}},
+        flags=AxiomFlags(global_=True, unital=True, associative=True))
 
 
 def arrow_graph():
@@ -78,8 +77,8 @@ def total_order_structure(k):
             if y2 == y:
                 entries[(i, j)] = index[(x, z)]
     return G, CategoryStructure(
-        G, [CompTable(0, entries)], [],
-        AxiomFlags(global_=True, unital=True, associative=True))
+        G, tables={(1, 0): entries},
+        flags=AxiomFlags(global_=True, unital=True, associative=True))
 
 
 def long_order_graph():
