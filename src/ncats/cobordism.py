@@ -57,10 +57,13 @@ def reverse_orientation(signs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-s for s in signs)
 
 
-def _check_signs(signs: tuple[int, ...]) -> None:
+def _check_signs(signs: tuple[int, ...]) -> tuple[int, ...]:
+    if not _sequence(signs):
+        raise GraphError(f"signs {signs!r} are not a list of +1 and -1")
     for x in signs:
         if type(x) is not int or x not in (1, -1):
             raise GraphError(f"orientation sign {x!r} is not +1 or -1")
+    return signs
 
 
 def _point_id(point, s: int, t: int) -> int | None:
@@ -96,9 +99,7 @@ class MatchDiagram:
     pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
     def __post_init__(self):
-        source, target = tuple(self.source), tuple(self.target)
-        _check_signs(source)
-        _check_signs(target)
+        source, target = tuple(_check_signs(self.source)), tuple(_check_signs(self.target))
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         s, t = len(source), len(target)

@@ -16,11 +16,11 @@ only through the 0-cells and the non-identity cells within one type.
 but values whose type the carrier alone rules out; it exists so the search
 can be checked against an implementation too simple to share its bugs.
 Both hand each complete assignment to one record step, whose verdict runs
-the rows of ``structures.laws`` cheapest first (typing, totality, units,
-inverses, associativity, interchange), whatever the search pruned, except
-those that read only settled tables.  A table but the last in search order
-is settled while its entries equal those it had at the last record that
-passed, so each row left out reads exactly the input it passed on.
+the rows of ``structures.laws`` cheapest first, in ``_SHAPES`` order,
+whatever the search pruned, except those that read only settled tables.  A
+table but the last in search order is settled while its entries equal those
+it had at the last record that passed, so each row left out reads exactly
+the input it passed on.
 The search fills the vertical tables first, so they rarely change from one
 record to the next; with one table nothing is settled.
 
@@ -28,11 +28,11 @@ The search reads one slot table, built once next to the slot list: each
 slot's entry dict and key, its values and the watches of the rows of
 ``laws`` that read it.  A key's values are the cells of its composite's type
 (``composite_type``) in rank order, "absent" last in partial mode.  In a
-table (j+1, j) they are built once, narrowed by the unit law under
-``unital``; in a table (j+2, j) the type is the entries of table (j+1, j)
-at the key's two boundary keys, which ``composite_type`` lists once per
-carrier, so they are read there when the search reaches the key.  The
-maximal-only filter tries the typed values of every absent key.
+table (j+1, j) they are built once, under ``unital`` one cell at a unit
+key (``units_scan``); in a table (j+2, j) the type is the entries of table
+(j+1, j) at the key's two boundary keys, which ``composite_type`` lists
+once per carrier, so they are read there when the search reaches the key.
+The maximal-only filter tries the typed values of every absent key.
 
 The search checks associativity only on the triples that read the entry
 (a, b) -> v it has just set, in four roles: (a, b, c) for each c that can
@@ -90,6 +90,7 @@ from .graphs import (
     per_carrier,
 )
 from .structures import (
+    _SHAPES,
     AxiomFlags,
     CategoryStructure,
     check_associativity,  # noqa: F401 - the checkers stay module globals; perfbench's tracer rebinds them
@@ -106,6 +107,7 @@ from .structures import (
     laws,
     neighbours,
     table_keys,
+    units_scan,
 )
 
 
@@ -180,15 +182,10 @@ def _resolve_levels(G: NGraph, spec: EnumSpec):
     return levels, h_levels
 
 
-# any order decides alike, but most rejected records fail an early row
-_CHEAPEST_FIRST = ("typing", "typing-horizontal", "global", "global-horizontal",
-                   "units", "groupoid", "associativity", "interchange")
-
-
 def _verdict(G: NGraph, flags: AxiomFlags, names):
-    """The record verdict's rows: each row of ``laws`` that has a scan,
-    cheapest first, as (reads, run), ``run(tables)`` its scan on a family."""
-    rows = sorted(laws(G, flags, names), key=lambda row: _CHEAPEST_FIRST.index(row[0]))
+    """The record verdict's rows: each row of ``laws`` that has a scan, in
+    ``_SHAPES`` order, as (reads, run), ``run(tables)`` its scan on a family."""
+    rows = sorted(laws(G, flags, names), key=lambda row: list(_SHAPES).index(row[0]))
     return [(reads, partial(scan, *args)) for _axiom, _j, reads, scan, args in rows if scan is not None]
 
 
@@ -337,23 +334,21 @@ def _slot_table(G, flags, tables, slots):
     exchanges = [(j + 2, j) for axiom, j, _reads, scan, _args in law_rows
                  if axiom == "interchange" and scan is not None]
     watches = _exchange_watches(G, tables, slots, exchanges)
+    # on an empty table, with totality on, the unit law lists each unit key with the one cell it allows
+    units = {(d, j, key): a for d, j in tables if flags.unital and d == j + 1 and j >= 0
+             for a, _side, key, _got in units_scan(G, j, True, {(d, j): {}})}
     rows = []
     for pos, (d, j, key) in enumerate(slots):
-        a, b = key
         values = assoc = typing = None
         if d > j + 1:
             typing = (_ranked_buckets(G, d), tables[d - 1, j].get, *composite_type(G, d, j)[key])
         else:
             values = _ranked_buckets(G, d).get(composite_type(G, d, j)[key], ())
-            if flags.unital and j >= 0:
-                smap, tmap, idn = G.src_map(d), G.tgt_map(d), G.idn_map(j)
-                if a == idn[smap[a]]:
-                    values = (b,) if b in values else ()
-                elif b == idn[tmap[b]]:
-                    values = (a,) if a in values else ()
+            if (d, j, key) in units:
+                values = (units[d, j, key],)
             values += tail
         if (d, j) in preimages:
-            assoc = (preimages[d, j], neighbours(G, j, SOURCE)[b], neighbours(G, j, TARGET)[a])
+            assoc = (preimages[d, j], neighbours(G, j, SOURCE)[key[1]], neighbours(G, j, TARGET)[key[0]])
         rows.append((tables[d, j], key, values, typing, assoc, watches.get(pos)))
     return rows
 

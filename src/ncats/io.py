@@ -21,12 +21,14 @@ from typing import TYPE_CHECKING
 
 from .graphs import CellId, NGraph, ValidationReport, validate_graph
 from .structures import (
+    _KINDS,
     FLAG_NAMES,
     AxiomFlags,
     AxiomReport,
     CategoryStructure,
     CocompTable,
     Counterexample,
+    table_place,
 )
 
 if TYPE_CHECKING:
@@ -34,16 +36,11 @@ if TYPE_CHECKING:
 
 FORMAT_VERSION = "1"
 
-VERTICAL = "vertical"
-HORIZONTAL = "horizontal"
 MINUS_ONE = "minus-one"
 CO = "co"
-_KIND_ORDER = {MINUS_ONE: 0, VERTICAL: 1, HORIZONTAL: 2, CO: 3}
-# a table of each kind at level j holds (j + offset)-cells: the vertical
-# ones are the tables (j+1, j) of ``structures``, the horizontal ones (j+2, j);
-# so the table (d, j) is written as minus-one at level -1, else by d - j
-_OFFSET = {MINUS_ONE: 1, VERTICAL: 1, HORIZONTAL: 2, CO: 1}
-_KIND = {1: VERTICAL, 2: HORIZONTAL}
+# each table kind in file order, with the offset of its cells above its
+# level: the table (0, -1), then the kinds of ``structures`` by offset d - j
+_OFFSET = {MINUS_ONE: 1, **{kind: offset for offset, (kind, *_text) in _KINDS.items()}, CO: 1}
 
 _TOP_KEYS = {"format_version", "n", "tail", "dims", "identities", "tables",
              "flags", "morphisms", "transformations", "modifications"}
@@ -151,9 +148,8 @@ class GraphDocument:
     def structure(self, flags: AxiomFlags | None = None) -> CategoryStructure:
         G, at = self._carrier(), self.index_of
         tables = {}
-        for t in self._tables({VERTICAL, MINUS_ONE, HORIZONTAL}):
-            j = t["level"]
-            d = j + _OFFSET[t["kind"]]
+        for t in self._tables(_OFFSET.keys() - {CO}):
+            d, j = t["level"] + _OFFSET[t["kind"]], t["level"]
             tables[d, j] = {(at(d, a, "table"), at(d, b, "table")): at(d, v, "table")
                             for a, b, v in t["entries"]}
         return CategoryStructure(G, tables=tables, flags=self.flags() if flags is None else flags)
@@ -276,7 +272,7 @@ def _named_section(obj, what, ends, known, read, *extra):
 def _check_entries(t, ids_by_dim, n):
     _expect_keys(t, {"kind", "level", "entries"}, "table record")
     kind = t.get("kind")
-    _expect(isinstance(kind, str) and kind in _KIND_ORDER, f"unknown table kind {kind!r}")
+    _expect(isinstance(kind, str) and kind in _OFFSET, f"unknown table kind {kind!r}")
     level = t.get("level")
     _expect(isinstance(level, int) and not isinstance(level, bool),
             "table level must be an integer")
@@ -370,7 +366,7 @@ def parse(text: str | bytes) -> GraphDocument:
         tables = [_check_entries(t, ids_by_dim, n) for t in obj["tables"]]
         tagged = {(t["kind"], t["level"]) for t in tables}
         _expect(len(tagged) == len(tables), "duplicate table for one kind and level")
-        data["tables"] = sorted(tables, key=lambda t: (_KIND_ORDER[t["kind"]], t["level"]))
+        data["tables"] = sorted(tables, key=lambda t: (list(_OFFSET).index(t["kind"]), t["level"]))
 
     flags = _records(obj, "flags")
     if flags:
@@ -449,10 +445,10 @@ def build_document(G: NGraph, tables=None, cotables=(),
                    modifications=None) -> GraphDocument:
     """Assemble a document around a carrier, naming cells c<dim>_<index>.
 
-    ``tables`` holds entry dicts named (d, j), as ``S.tables`` does, and
-    ``cotables`` a list of ``CocompTable``.  The morphism sections take
-    {name: object} mappings; every object must live on this carrier
-    (endomorphisms in the case of graph morphisms).
+    ``tables`` holds entry dicts named (d, j), as ``S.tables`` does, each
+    name checked by ``table_place``, and ``cotables`` a list of ``CocompTable``.
+    The morphism sections take {name: object} mappings; every object must
+    live on this carrier (endomorphisms in the case of graph morphisms).
     """
     ids = _default_ids(G)
     dims = []
@@ -475,16 +471,19 @@ def build_document(G: NGraph, tables=None, cotables=(),
             "tail": {"minus_one": G.tail.minus_one_count},
             "dims": dims, "identities": identities}
 
-    records = [{"kind": MINUS_ONE if j == -1 else _KIND[d - j], "level": j, "entries": sorted(
-        [ids[d][a], ids[d][b], ids[d][v]] for (a, b), v in entries.items())}
-        for (d, j), entries in (tables or {}).items()]
+    records = []
+    for name, entries in (tables or {}).items():
+        offset, j = table_place(G, name)
+        cells = ids[j + offset]
+        records.append({"kind": MINUS_ONE if j == -1 else _KINDS[offset][0], "level": j, "entries": sorted(
+            [cells[a], cells[b], cells[v]] for (a, b), v in entries.items())})
     for t in cotables:
         d = t.level + 1
         records.append({"kind": CO, "level": t.level, "entries": sorted(
             [ids[d][z], ids[t.level][w], ids[d][p], ids[d][q]]
             for z, (w, p, q) in t.entries.items())})
     if records:
-        data["tables"] = sorted(records, key=lambda t: (_KIND_ORDER[t["kind"]], t["level"]))
+        data["tables"] = sorted(records, key=lambda t: (list(_OFFSET).index(t["kind"]), t["level"]))
 
     if flags is not None and any(flags.names()):
         data["flags"] = list(flags.names())

@@ -6,23 +6,24 @@ one rule covers every table.  Its keys are the pairs (a, b) whose
 j-boundaries meet (``table_keys``).  A composite runs from src a to tgt b
 when d = j+1; otherwise its source and target are the (d-1, j) composites
 of the two sources and of the two targets (``composite_type``).  The
-vertical table at level j is (j+1, j), the horizontal one (j+2, j).  A
-structure keeps its tables once, as the entry dicts ``S.tables`` named
-(d, j), which its constructor takes as ``tables=``; ``CompTable`` lists
-and the ``vtables``/``htables`` views serve only the benchmark harness.
-Level -1 needs a monoidal carrier; keys are diagrammatic: (a, b) is a, then b.
+vertical table at level j is (j+1, j), the horizontal one (j+2, j);
+``table_place`` alone decides which names a carrier can host.  A structure
+keeps its tables once, as the entry dicts ``S.tables`` named (d, j), taken
+as ``tables=``; ``CompTable`` lists and the ``vtables``/``htables`` views
+serve only the benchmark harness.  Keys are diagrammatic: (a, b) is a, then b.
 
 Checkers never raise on a bad table; they return a report whose checks
 carry one verdict each (pass, fail, or not-applicable) plus explicit
 counterexamples, so a caller can tell exactly which axiom broke and where.
 ``laws`` alone decides which axiom applies to which table under which
 flags.  The enumeration reads its rows; every checker reports them, each
-row as one check built by ``_check``.
+row as one check built by ``_check``.  A law is its row, its scan and its
+``_SHAPES`` entry, whose order the record verdict runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from itertools import filterfalse
 from types import MappingProxyType
 
@@ -44,8 +45,6 @@ from .graphs import (
 PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
-
-FLAG_NAMES = ("global", "unital", "associative", "interchange", "groupoid")
 
 
 class StructureError(Exception):
@@ -74,7 +73,7 @@ class UnitsRequired(StructureError):
 
 @dataclass(frozen=True)
 class AxiomFlags:
-    """One switch per name of ``FLAG_NAMES``, in its order."""
+    """One switch per axiom flag, named in ``FLAG_NAMES``: ``global_`` as ``global``."""
 
     global_: bool = False
     unital: bool = False
@@ -92,6 +91,9 @@ class AxiomFlags:
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, on in zip(FLAG_NAMES, astuple(self)) if on)
+
+
+FLAG_NAMES = tuple(f.name.rstrip("_") for f in fields(AxiomFlags))
 
 
 @dataclass
@@ -249,15 +251,10 @@ class CategoryStructure:
             raise TypeError("tables come as two lists or as tables=, not both")
         self.graph, self.flags = graph, flags
         self.tables: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-        # a table at level j composes (j + offset)-cells; the lowest level
-        # is offset - 2, and level -1 needs a monoidal carrier
-        for name in sorted(tables, key=_table_order):
-            (d, j), offset = name, name[0] - name[1]
-            kind, prefix, unmet = _KINDS[offset]
-            if not offset - 2 <= j <= graph.n - offset:
-                raise NoTableAtLevel(f"{kind} level {j} outside {offset - 2}..{graph.n - offset}")
-            if j == -1 and not is_monoidal_carrier(graph):
-                raise NoTableAtLevel("level -1 table needs a single (-1)-cell")
+        # file each table under the name it came with: the structures a search keeps share those tuples
+        for name in sorted(tables, key=lambda name: table_place(graph, name)):
+            d, j = name
+            _kind, prefix, unmet = _KINDS[d - j]
             cnt = graph.count(d)
             tmap, smap = boundary_map(graph, d, j, TARGET), boundary_map(graph, d, j, SOURCE)
             for key, v in tables[name].items():
@@ -304,12 +301,19 @@ def _named(vtables, htables):
     return tables
 
 
-def _table_order(name):
-    """(d - j, j), the place in ``S.tables`` of a table named (j+1, j) or (j+2, j)."""
+def table_place(G: NGraph, name):
+    """(d - j, j), the place in ``S.tables`` of a table (d, j) that ``G``
+    can host, whose kind is ``_KINDS[d - j]``; StructureError for a name of
+    no kind, NoTableAtLevel for a level the kind or the carrier rules out."""
     d, j = name if isinstance(name, tuple) and len(name) == 2 else (None, None)
     if not ((type(d) is type(j) is int or _integer(d) and _integer(j)) and d - j in _KINDS):
         raise StructureError(f"table name {name!r} is not (j+1, j) or (j+2, j) for an integer level j")
-    return d - j, j
+    offset = d - j
+    if not offset - 2 <= j <= G.n - offset:
+        raise NoTableAtLevel(f"{_KINDS[offset][0]} level {j} outside {offset - 2}..{G.n - offset}")
+    if j == -1 and not is_monoidal_carrier(G):
+        raise NoTableAtLevel("level -1 table needs a single (-1)-cell")
+    return offset, j
 
 
 def compose(S: CategoryStructure, a: CellId, b: CellId, j: int) -> CellId:
@@ -530,17 +534,17 @@ def _unequal(kind):
                                           expected=CellId(d, x[-2]), actual=CellId(d, x[-1]))
 
 
-# axiom: (the dimension of its cells above the level, the counterexample of
-# one violation, and, where the scan also collects the instances with one
-# side undefined, what such an instance lacks)
+# axiom: (the dimension of its cells above the level, the counterexample of one violation,
+# and, where the scan also collects the instances with one side undefined, what such an
+# instance lacks), in the record verdict's order: most rejected records fail an early row
 _SHAPES = {
     "typing": (1, _mistyped, None),
     "typing-horizontal": (2, _mistyped, None),
     "global": (1, _missing, None),
     "global-horizontal": (2, _missing, None),
     "units": (1, _not_a_unit, None),
-    "associativity": (1, _unequal("associativity"), "both bracketings defined or neither"),
     "groupoid": (1, _no_inverse, None),
+    "associativity": (1, _unequal("associativity"), "both bracketings defined or neither"),
     "interchange": (2, _unequal("interchange"), "both evaluation orders defined or neither"),
 }
 

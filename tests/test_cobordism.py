@@ -86,6 +86,26 @@ def test_malformed_strands_are_graph_errors(pairs, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("source, target, message", [
+    (None, (1,), "signs None are not a list of +1 and -1"),
+    ((1,), 5, "signs 5 are not a list of +1 and -1"),
+    ((1,), "+", "signs '+' are not a list of +1 and -1"),
+])
+def test_malformed_boundaries_are_graph_errors(source, target, message):
+    """A source or target that is not a list or tuple of signs is refused
+    with GraphError, not a TypeError from reading it."""
+    with pytest.raises(GraphError) as err:
+        MatchDiagram(source, target, [((0, 0), (1, 0))])
+    assert type(err.value) is GraphError
+    assert str(err.value) == message
+
+
+def test_a_generator_of_signs_is_refused():
+    with pytest.raises(GraphError, match="are not a list of"):
+        MatchDiagram((x for x in (1,)), (1,), [((0, 0), (1, 0))])
+    assert MatchDiagram([1], [1], [((0, 0), (1, 0))]) == MatchDiagram((1,), (1,), [((0, 0), (1, 0))])
+
+
 def _reference_glue(M, N):
     """Gluing by the original route: strands followed through dicts keyed
     by (side, index) points, independent of the involution core."""

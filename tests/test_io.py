@@ -28,8 +28,10 @@ from ncats import (
     report_document,
     serialize,
 )
+from ncats import io
 from ncats.io import exit_code
 from ncats.morphisms import Modification, Transformation
+from ncats.structures import FLAG_NAMES, NoTableAtLevel, StructureError
 
 from util import arrow_graph, loops_graph, z2_structure
 
@@ -115,6 +117,40 @@ def test_every_table_kind_is_written_as_pinned():
     data = serialize(doc)
     assert hashlib.sha256(data).hexdigest() == "6dbc17dec23111978aba8e2acb531815ea4a4e6dd35959ad6d9b51fea1ca3558"
     assert parse(data).structure() == S
+
+
+def test_build_document_refuses_table_names_as_the_constructor_does():
+    """``build_document`` asks the constructor's rule about each table
+    name: on a 3-graph a name that is not (j+1, j) or (j+2, j), or a level
+    the carrier cannot host, raises the constructor's exception with its
+    message, and only the name (0, -1) is written as a minus-one table."""
+    G = build_cat_of_cats([z2_structure()[1]], depth=3)[0]
+    two_tail = NGraph(1, StructureTail(2, (0, 1)), [[0], [0]], [[1], [0]], [[0]])
+    assert G.n == 3
+    cases = [
+        (G, (3, 0), StructureError, "table name (3, 0) is not (j+1, j) or (j+2, j) for an integer level j"),
+        (G, "x", StructureError, "table name 'x' is not (j+1, j) or (j+2, j) for an integer level j"),
+        (G, (1, -1), NoTableAtLevel, "horizontal level -1 outside 0..1"),
+        (two_tail, (0, -1), NoTableAtLevel, "level -1 table needs a single (-1)-cell"),
+    ]
+    for carrier, name, error, message in cases:
+        for build in (build_document, lambda carrier, tables: CategoryStructure(carrier, tables=tables)):
+            with pytest.raises(StructureError) as err:
+                build(carrier, {name: {}})
+            assert type(err.value) is error
+            assert str(err.value) == message
+    doc = build_document(G, {(2, 0): {}, (1, 0): {}, (0, -1): {}})
+    assert [(t["kind"], t["level"]) for t in doc.data["tables"]] == [
+        ("minus-one", -1), ("vertical", 0), ("horizontal", 0)]
+
+
+def test_schema_lists_the_flags_and_table_kinds_of_the_code():
+    """``graph.schema.json`` names the flags ``FLAG_NAMES`` names, in its
+    order, and the table kinds ``io`` reads and writes: a new flag or table
+    kind extends the schema with the code."""
+    schema = graph_schema()
+    assert schema["properties"]["flags"]["items"]["enum"] == list(FLAG_NAMES)
+    assert sorted(schema["$defs"]["table"]["properties"]["kind"]["enum"]) == sorted(io._OFFSET)
 
 
 def test_horizontal_and_co_tables_survive():

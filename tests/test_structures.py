@@ -29,7 +29,7 @@ from ncats import (
 )
 from ncats import structures
 from ncats.cobordism import build_cob_truncation
-from ncats.enumeration import _CHEAPEST_FIRST
+from ncats.enumeration import _verdict
 from ncats.graphs import SOURCE, TARGET
 from ncats.structures import (
     FAIL,
@@ -605,18 +605,29 @@ def test_check_category_reports_the_rows_of_laws():
 
 def test_every_law_has_a_counterexample_shape_and_a_verdict_rank():
     """A law joins ``laws`` as a row; its axiom must also have a
-    counterexample shape at the report edge and a rank in the record
-    verdict's order.  Every axiom a row carries, under every flag set, on
-    carriers with level -1, vertical and horizontal tables, has both, and
-    neither table keeps an axiom no row carries."""
+    counterexample shape at the report edge, whose place in ``_SHAPES`` is
+    its rank in the record verdict's order.  Every axiom a row carries,
+    under every flag set, on carriers with level -1, vertical and horizontal
+    tables, has a shape, ``_SHAPES`` keeps no axiom no row carries, and the
+    record verdict runs every row that has a scan, in ``_SHAPES`` order."""
     carriers, _extra = _report_edge_structures()
     names = [S.tables for S in carriers]
     assert {d - j for tables in names for d, j in tables} == {1, 2}
     assert any((0, -1) in tables for tables in names)
-    axioms = {row[0] for S, tables in zip(carriers, names)
-              for bits in itertools.product((False, True), repeat=5)
-              for row in laws(S.graph, AxiomFlags(*bits), tables)}
-    assert axioms == set(structures._SHAPES) == set(_CHEAPEST_FIRST)
+    rank = list(structures._SHAPES).index
+    axioms, reordered = set(), 0
+    for S, tables in zip(carriers, names):
+        for bits in itertools.product((False, True), repeat=5):
+            rows = laws(S.graph, AxiomFlags(*bits), tables)
+            axioms |= {row[0] for row in rows}
+            runs = [row[2:] for row in rows]
+            verdict = [(reads, run.func, run.args) for reads, run in _verdict(S.graph, AxiomFlags(*bits), tables)]
+            assert sorted(verdict, key=runs.index) == [run for run in runs if run[1] is not None], (S, bits)
+            ranks = [rank(rows[runs.index(run)][0]) for run in verdict]
+            assert ranks == sorted(ranks), (S, bits)
+            reordered += sorted(verdict, key=runs.index) != verdict
+    assert axioms == set(structures._SHAPES)
+    assert reordered > 0
 
 
 def test_every_failing_check_carries_a_counterexample():
