@@ -199,9 +199,7 @@ def all_diagrams(source: tuple[int, ...], target: tuple[int, ...]) -> list[Match
     Empty unless the reversed-source-plus-target points balance, in which
     case the diagrams are the bijections from inflow to outflow points.
     """
-    source, target = tuple(source), tuple(target)
-    _check_signs(source)
-    _check_signs(target)
+    source, target = tuple(_check_signs(source)), tuple(_check_signs(target))
     s = len(source)
     signs = reverse_orientation(source) + target
     plus = [_point(p, s) for p, x in enumerate(signs) if x > 0]

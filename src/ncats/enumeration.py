@@ -25,23 +25,35 @@ The search fills the vertical tables first, so they rarely change from one
 record to the next; with one table nothing is settled.
 
 The search reads one slot table, built once next to the slot list: each
-slot's entry dict and key, its values and the watches of the rows of
-``laws`` that read it.  A key's values are the cells of its composite's type
-(``composite_type``) in rank order, "absent" last in partial mode.  In a
-table (j+1, j) they are built once, under ``unital`` one cell at a unit
-key (``units_scan``); in a table (j+2, j) the type is the entries of table
-(j+1, j) at the key's two boundary keys, which ``composite_type`` lists
-once per carrier, so they are read there when the search reaches the key.
+slot's entry dict and key, its values, its row and column and the watches
+of the rows of ``laws`` that read it.  A key's values are the cells of its
+composite's type (``composite_type``) in rank order, "absent" last in
+partial mode.  In a table (j+1, j) they are built once, under ``unital``
+one cell at a unit key (``units_scan``); in a table (j+2, j) the type is
+the entries of table (j+1, j) at the key's two boundary keys, which
+``composite_type`` lists once per carrier, so they are read there when the
+search reaches the key.
 The maximal-only filter tries the typed values of every absent key.
+
+A table that a watch reads, one with an associativity or interchange row,
+keeps its entries twice: in its entry dict and in rows (``_rows``), one
+list per d-cell a with a slot for each cell b that can follow a, the
+cells of one source fiber, b at its place there (``_fiber_pos``), None
+where the entry is absent; they hold one slot per key.  The search writes
+a row wherever it sets or clears the dict entry.  The watches read rows
+only, so a read builds and hashes no key tuple; the record verdict,
+``canonical_form``, the kept copies, the oracle and every checker read the
+entry dicts.
 
 The search checks associativity only on the triples that read the entry
 (a, b) -> v it has just set, in four roles: (a, b, c) for each c that can
 follow b, (p, a, b) for each p that can precede a, (p, q, b) for each key
 (p, q) whose value is a, and (a, q, r) for each key (q, r) whose value is
 b.  The last two come from a preimage index per table, value -> keys now
-holding it, which the search appends to when it sets an entry and pops
-from when it clears one; its stack sets and clears entries last-in,
-first-out, so the key it clears is always the last one listed.
+holding it, each by its rows and columns, which the search appends to
+when it sets an entry and pops from when it clears one; its stack sets and
+clears entries last-in, first-out, so the key it clears is always the last
+one listed.
 
 Interchange pairs a horizontal table (j+2, j) with the vertical table
 (j+2, j+1).  A middle-four quadruple reads four entries at fixed keys, two
@@ -83,6 +95,7 @@ from .graphs import (
     NGraph,
     SpaceTooLarge,
     automorphisms,
+    boundary_fibers,
     boundary_map,
     hom_buckets,
     is_monoidal_carrier,
@@ -278,7 +291,27 @@ def _keys(G, levels, h_levels):
     return names, slots
 
 
-def _exchange_watches(G, tables, slots, exchanges):
+@per_carrier
+def _fiber_pos(G, d, j):
+    """Each d-cell's place in its source fiber at level j, the cells of
+    ``boundary_fibers(G, d, j, SOURCE)`` at its j-source: its column in the
+    rows of table (d, j)."""
+    pos = [0] * G.count(d)
+    for cells in boundary_fibers(G, d, j, SOURCE).values():
+        for i, c in enumerate(cells):
+            pos[c] = i
+    return tuple(pos)
+
+
+def _rows(G, d, j):
+    """Empty rows for table (d, j): one list per d-cell a, with one slot per
+    cell b that can follow a, ``boundary_fibers(G, d, j, SOURCE)`` at a's
+    j-target, at b's ``_fiber_pos``.  They hold the table's keys once each."""
+    fibers = boundary_fibers(G, d, j, SOURCE)
+    return [[None] * len(fibers.get(t, ())) for t in boundary_map(G, d, j, TARGET)]
+
+
+def _exchange_watches(G, rows, slots, exchanges):
     """The interchange watches of each slot position, from the slot order.
 
     Each of the ``exchanges``, a horizontal table H = (d, j), pairs it with
@@ -289,19 +322,21 @@ def _exchange_watches(G, tables, slots, exchanges):
     of its H-keys, and composing at each later slot of H whose key its V
     composites may form, pre-filtered by their boundaries (vs[a], vt[a2])
     and (vs[b], vt[b2]), as the search only places typed values.  At any
-    other slot one of its reads is absent.  Each watch is (V, held,
-    composing), a quadruple stored as its keys
-    ((a, b), (a2, b2), (a, a2), (b, b2)).
+    other slot one of its reads is absent.  Each watch is (H rows, V rows,
+    H columns, V columns, held, composing), a quadruple stored as the cells
+    and columns of its four fixed reads, (a, ph[b], a2, ph[b2], pv[a2], b,
+    pv[b2]) with ph and pv the ``_fiber_pos`` of H and V.
     """
     at = {((d, j), key): pos for pos, (d, j, key) in enumerate(slots)}
     watches = {}
     for d, j in exchanges:
         V, H = (d, j + 1), (d, j)
         vs, vt = boundary_map(G, d, j + 1, SOURCE), boundary_map(G, d, j + 1, TARGET)
+        ph, pv = _fiber_pos(G, d, j), _fiber_pos(G, d, j + 1)
         held, by_type = {}, {}
         for (a, a2), partners in interchange_partners(G, j):
             for b, b2 in partners:
-                quad = ((a, b), (a2, b2), (a, a2), (b, b2))
+                quad = (a, ph[b], a2, ph[b2], pv[a2], b, pv[b2])
                 last = max(at[H, (a, b)], at[H, (a2, b2)])
                 held.setdefault(last, []).append(quad)
                 by_type.setdefault((vs[a], vt[a2], vs[b], vt[b2]), []).append((last, quad))
@@ -310,36 +345,42 @@ def _exchange_watches(G, tables, slots, exchanges):
             composing = tuple(quad for last, quad in by_type.get((vs[x], vt[x], vs[y], vt[y]), ())
                               if last < pos)
             if pos in held or composing:
-                watches[pos] = (tables[V], tuple(held.get(pos, ())), composing)
+                watches[pos] = (rows[H], rows[V], ph, pv, tuple(held.get(pos, ())), composing)
     return watches
 
 
 def _slot_table(G, flags, tables, slots):
-    """The search's row per slot: (entries, key, values, typing, assoc,
-    exchange).  ``values``, the d-cells of the key's composite type in rank
-    order, are built once for a key whose type reads no other table; a
-    key whose type reads the table below has None there and ``typing``, its
-    table's hom buckets in rank order, the table below's ``get`` and the
-    two keys there whose entries are the type, which the search reads when
-    it reaches the key.
+    """The search's entry per slot: (entries, key, values, typing, row,
+    column, assoc, exchange).  ``values``, the d-cells of the key's
+    composite type in rank order, are built once for a key whose type reads
+    no other table; a key whose type reads the table below has None there
+    and ``typing``, its table's hom buckets in rank order, the table below's
+    ``get`` and the two keys there whose entries are the type, which the
+    search reads when it reaches the key.
+    ``row`` and ``column`` place a key (a, b) of a watched table in its
+    ``_rows``, a's row and b's column, both None in any other table.
     ``assoc`` holds, for a key (a, b) of a table with an associativity row
-    in ``laws``, its preimage index and the cells that can follow b or
-    precede a, ``exchange`` the key's interchange watch from the interchange
-    rows (see ``_exchange_watches``), each None where there is no such row
-    or, for ``exchange``, where the slot order leaves nothing to decide."""
+    in ``laws``, its preimage index, row a, row b, column a, column b, the
+    table's rows and columns and the rows of the cells that can precede a;
+    the preimage index lists each key by this tuple.  ``exchange`` holds
+    the key's interchange watch from the interchange rows (see
+    ``_exchange_watches``).  Each is None where there is no such row or,
+    for ``exchange``, where the slot order leaves nothing to decide."""
     tail = () if flags.global_ else (None,)
     law_rows = laws(G, flags, tables)
-    preimages = {(j + 1, j): [[] for _ in range(G.count(j + 1))]
-                 for axiom, j, _reads, _scan, _args in law_rows if axiom == "associativity"}
+    assoc = {(j + 1, j) for axiom, j, _reads, _scan, _args in law_rows if axiom == "associativity"}
     exchanges = [(j + 2, j) for axiom, j, _reads, scan, _args in law_rows
                  if axiom == "interchange" and scan is not None]
-    watches = _exchange_watches(G, tables, slots, exchanges)
+    rows = {name: _rows(G, *name) for name in assoc | {(d, i) for d, j in exchanges for i in (j, j + 1)}}
+    watches = _exchange_watches(G, rows, slots, exchanges)
+    preimages = {(d, j): [[] for _ in range(G.count(d))] for d, j in assoc}
+    before = {(d, j): [tuple(rows[d, j][p] for p in ps) for ps in neighbours(G, j, TARGET)] for d, j in assoc}
     # on an empty table, with totality on, the unit law lists each unit key with the one cell it allows
     units = {(d, j, key): a for d, j in tables if flags.unital and d == j + 1 and j >= 0
              for a, _side, key, _got in units_scan(G, j, True, {(d, j): {}})}
-    rows = []
+    out = []
     for pos, (d, j, key) in enumerate(slots):
-        values = assoc = typing = None
+        values = typing = row = col = watch = None
         if d > j + 1:
             typing = (_ranked_buckets(G, d), tables[d - 1, j].get, *composite_type(G, d, j)[key])
         else:
@@ -347,10 +388,14 @@ def _slot_table(G, flags, tables, slots):
             if (d, j, key) in units:
                 values = (units[d, j, key],)
             values += tail
-        if (d, j) in preimages:
-            assoc = (preimages[d, j], neighbours(G, j, SOURCE)[key[1]], neighbours(G, j, TARGET)[key[0]])
-        rows.append((tables[d, j], key, values, typing, assoc, watches.get(pos)))
-    return rows
+        if (d, j) in rows:
+            R, P = rows[d, j], _fiber_pos(G, d, j)
+            a, b = key
+            row, col = R[a], P[b]
+            if (d, j) in assoc:
+                watch = (preimages[d, j], row, R[b], P[a], col, R, P, before[d, j][a])
+        out.append((tables[d, j], key, values, typing, row, col, watch, watches.get(pos)))
+    return out
 
 
 def _extensions_exist(G, rows, tables):
@@ -448,58 +493,61 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
         result.exhausted, pos = False, -1
     tail = () if flags.global_ else (None,)
 
-    def assoc_ok(ent, key, v, watch):
+    def assoc_ok(key, v, watch):
         """Associativity on the triples that read the new entry (a, b) -> v,
-        in the four roles the module docstring lists; every other triple
-        reads only entries its parent node passed."""
+        in the four roles the module docstring lists, reading rows only: v
+        follows what a follows and is followed by what b is, so row v and
+        row b share their columns; every other triple reads only entries
+        its parent node passed."""
         a, b = key
-        preimage, after, before = watch
-        get = ent.get
-        for c in after:
-            bc = get((b, c))
-            right = get((a, bc)) if bc is not None else None
-            if right is not None:
-                left = get((v, c))
-                if left is not None and left != right:
-                    return False
-        for p in before:
-            pa = get((p, a))
-            left = get((pa, b)) if pa is not None else None
-            if left is not None:
-                right = get((p, v))
+        preimage, Ra, Rb, ia, ib, R, P, before = watch
+        for bc, left in zip(Rb, R[v]):
+            if bc is not None and left is not None:
+                right = Ra[P[bc]]
                 if right is not None and right != left:
                     return False
-        for p, q in preimage[a]:
-            qb = get((q, b))
-            right = get((p, qb)) if qb is not None else None
-            if right is not None and right != v:
-                return False
-        for q, r in preimage[b]:
-            aq = get((a, q))
-            left = get((aq, r)) if aq is not None else None
-            if left is not None and left != v:
-                return False
+        iv = P[v]
+        for Rp in before:
+            pa = Rp[ia]
+            if pa is not None:
+                left = R[pa][ib]
+                if left is not None:
+                    right = Rp[iv]
+                    if right is not None and right != left:
+                        return False
+        for pq in preimage[a]:  # a key (p, q) -> a by its watch: rows p, q at 1, 2
+            qb = pq[2][ib]
+            if qb is not None:
+                right = pq[1][P[qb]]
+                if right is not None and right != v:
+                    return False
+        for qr in preimage[b]:  # a key (q, r) -> b: columns q, r at 3, 4
+            aq = Ra[qr[3]]
+            if aq is not None:
+                left = R[aq][qr[4]]
+                if left is not None and left != v:
+                    return False
         return True
 
-    def interchange_ok(H, key, v, V, held, composing):
+    def interchange_ok(key, v, H, V, ph, pv, held, composing):
         """Middle-four exchange on the quadruples the new entry key -> v of
-        the horizontal table H can decide (see ``_exchange_watches``): a held
-        one reads all six entries; a composing one matches when its V-keys
-        compose to ``key``, and then its outer H composite is v itself."""
-        hget, vget = H.get, V.get
-        for hk, hk2, vk, vk2 in held:
-            hl, hr, vl, vr = hget(hk), hget(hk2), vget(vk), vget(vk2)
+        the horizontal table H can decide (see ``_exchange_watches``),
+        reading the rows of H and V: a held one reads all six entries; a
+        composing one matches when its V-keys compose to ``key``, and then
+        its outer H composite is v itself."""
+        for a, hb, a2, hb2, va2, b, vb2 in held:
+            hl, hr, vl, vr = H[a][hb], H[a2][hb2], V[a][va2], V[b][vb2]
             if hl is None or hr is None or vl is None or vr is None:
                 continue
-            one, other = vget((hl, hr)), hget((vl, vr))
+            one, other = V[hl][pv[hr]], H[vl][ph[vr]]
             if one is not None and other is not None and one != other:
                 return False
         x, y = key
-        for hk, hk2, vk, vk2 in composing:
-            if vget(vk) == x and vget(vk2) == y:
-                hl, hr = hget(hk), hget(hk2)
+        for a, hb, a2, hb2, va2, b, vb2 in composing:
+            if V[a][va2] == x and V[b][vb2] == y:
+                hl, hr = H[a][hb], H[a2][hb2]
                 if hl is not None and hr is not None:
-                    one = vget((hl, hr))
+                    one = V[hl][pv[hr]]
                     if one is not None and one != v:
                         return False
         return True
@@ -513,15 +561,17 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
             record(tables)
             pos -= 1
             continue
-        ent, key, values, typing, assoc, exchange = rows[pos]
+        ent, key, values, typing, row, col, assoc, exchange = rows[pos]
         if pos == len(stack):
             if values is None:
                 buckets, get, s, t = typing
                 values = buckets.get((get(s), get(t)), ()) + tail
             stack.append(iter(values))
         old = ent.pop(key, None)
-        if old is not None and assoc is not None:
-            assoc[0][old].pop()
+        if old is not None and row is not None:
+            row[col] = None
+            if assoc is not None:
+                assoc[0][old].pop()
         value = next(stack[pos], _END)
         if value is _END:
             stack.pop()
@@ -534,12 +584,14 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
             break
         if value is not None:
             ent[key] = value
-            if assoc is not None:
-                assoc[0][value].append(key)
-                if not assoc_ok(ent, key, value, assoc):
+            if row is not None:
+                row[col] = value
+                if assoc is not None:
+                    assoc[0][value].append(assoc)
+                    if not assoc_ok(key, value, assoc):
+                        continue
+                if exchange is not None and not interchange_ok(key, value, *exchange):
                     continue
-            if exchange is not None and not interchange_ok(ent, key, value, *exchange):
-                continue
         pos += 1
     result.nodes = nodes
     result.iso_count = len(result.canonical_counts)

@@ -28,6 +28,7 @@ from .structures import (
     CategoryStructure,
     CocompTable,
     Counterexample,
+    _check_table,
     table_place,
 )
 
@@ -446,7 +447,8 @@ def build_document(G: NGraph, tables=None, cotables=(),
     """Assemble a document around a carrier, naming cells c<dim>_<index>.
 
     ``tables`` holds entry dicts named (d, j), as ``S.tables`` does, each
-    name checked by ``table_place``, and ``cotables`` a list of ``CocompTable``.
+    name and entry checked as the constructor checks them, and ``cotables``
+    a list of ``CocompTable``.
     The morphism sections take {name: object} mappings; every object must
     live on this carrier (endomorphisms in the case of graph morphisms).
     """
@@ -474,6 +476,7 @@ def build_document(G: NGraph, tables=None, cotables=(),
     records = []
     for name, entries in (tables or {}).items():
         offset, j = table_place(G, name)
+        _check_table(G, name, entries)
         cells = ids[j + offset]
         records.append({"kind": MINUS_ONE if j == -1 else _KINDS[offset][0], "level": j, "entries": sorted(
             [cells[a], cells[b], cells[v]] for (a, b), v in entries.items())})

@@ -253,19 +253,7 @@ class CategoryStructure:
         self.tables: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
         # file each table under the name it came with: the structures a search keeps share those tuples
         for name in sorted(tables, key=lambda name: table_place(graph, name)):
-            d, j = name
-            _kind, prefix, unmet = _KINDS[d - j]
-            cnt = graph.count(d)
-            tmap, smap = boundary_map(graph, d, j, TARGET), boundary_map(graph, d, j, SOURCE)
-            for key, v in tables[name].items():
-                a, b = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
-                # plain ints pass at once; anything else must pass io.parse's test
-                if not (type(a) is type(b) is type(v) is int or all(map(_integer, (a, b, v)))):
-                    raise StructureError(f"{prefix}level {j} entry {key!r} -> {v!r} is not made of cell indices")
-                if not (0 <= a < cnt and 0 <= b < cnt and 0 <= v < cnt):
-                    raise StructureError(f"{prefix}level {j} entry ({a}, {b}) -> {v} out of range")
-                if tmap[a] != smap[b]:
-                    raise NotComposable(f"{prefix}level {j} key ({a}, {b}) {unmet}")
+            _check_table(graph, name, tables[name])
             self.tables[name] = tables[name]
 
     # the adapter's views: the tables (j+1, j) and (j+2, j) by level j, wrapping the same entry dicts
@@ -284,6 +272,24 @@ class CategoryStructure:
 
 # a table (j + offset, j) by offset: its kind, its entries' prefix and what an unmet key lacks
 _KINDS = {1: ("vertical", "", "is not composable"), 2: ("horizontal", "horizontal ", "shares no boundary")}
+
+
+def _check_table(G, name, entries):
+    """Refuse an entry of the table ``name``, which ``G`` can host, that is
+    not a composable key of cell indices with a cell index as its value."""
+    d, j = name
+    _kind, prefix, unmet = _KINDS[d - j]
+    cnt = G.count(d)
+    tmap, smap = boundary_map(G, d, j, TARGET), boundary_map(G, d, j, SOURCE)
+    for key, v in entries.items():
+        a, b = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+        # plain ints pass at once; anything else must pass io.parse's test
+        if not (type(a) is type(b) is type(v) is int or all(map(_integer, (a, b, v)))):
+            raise StructureError(f"{prefix}level {j} entry {key!r} -> {v!r} is not made of cell indices")
+        if not (0 <= a < cnt and 0 <= b < cnt and 0 <= v < cnt):
+            raise StructureError(f"{prefix}level {j} entry ({a}, {b}) -> {v} out of range")
+        if tmap[a] != smap[b]:
+            raise NotComposable(f"{prefix}level {j} key ({a}, {b}) {unmet}")
 
 
 def _named(vtables, htables):

@@ -93,11 +93,13 @@ def test_malformed_strands_are_graph_errors(pairs, message):
 ])
 def test_malformed_boundaries_are_graph_errors(source, target, message):
     """A source or target that is not a list or tuple of signs is refused
-    with GraphError, not a TypeError from reading it."""
-    with pytest.raises(GraphError) as err:
-        MatchDiagram(source, target, [((0, 0), (1, 0))])
-    assert type(err.value) is GraphError
-    assert str(err.value) == message
+    with GraphError, not a TypeError from reading it, by the diagram and
+    by ``all_diagrams`` alike."""
+    for build in (lambda: MatchDiagram(source, target, [((0, 0), (1, 0))]), lambda: all_diagrams(source, target)):
+        with pytest.raises(GraphError) as err:
+            build()
+        assert type(err.value) is GraphError
+        assert str(err.value) == message
 
 
 def test_a_generator_of_signs_is_refused():

@@ -25,7 +25,17 @@ from ncats import (
 )
 from ncats import enumeration, structures
 from ncats.enumeration import LevelUnavailable
-from ncats.graphs import NGraph, SpaceTooLarge, StructureTail, automorphisms, hom_buckets
+from ncats.graphs import (
+    SOURCE,
+    TARGET,
+    NGraph,
+    SpaceTooLarge,
+    StructureTail,
+    automorphisms,
+    boundary_fibers,
+    boundary_map,
+    hom_buckets,
+)
 from ncats.structures import interchange_partners, table_keys
 
 from util import (
@@ -424,11 +434,24 @@ def test_interchange_search_matches_oracle():
                 assert fast.nodes == pinned, (seed, name, maximal)
 
 
+def _quad_keys(G, d, j, quad):
+    """The keys (a, b), (a2, b2), (a, a2), (b, b2) of a quadruple stored as
+    the cells and row columns of its four fixed reads, each column decoded
+    through the source fiber of its table."""
+    a, hb, a2, hb2, va2, b, vb2 = quad
+
+    def follower(i, x, col):
+        return boundary_fibers(G, d, i, SOURCE)[boundary_map(G, d, i, TARGET)[x]][col]
+
+    return (a, follower(j, a, hb)), (a2, follower(j, a2, hb2)), (a, follower(j + 1, a, va2)), \
+        (b, follower(j + 1, b, vb2))
+
+
 def test_interchange_watches_follow_the_slot_order():
     """Each quadruple is held at the slot of its last positional read,
     found here by position in the slot list, and composes only at a later
     slot; every vertical table is filled before every horizontal one, so no
-    vertical row watches anything."""
+    vertical slot watches anything."""
     carriers = [random_graph(random.Random(seed), n=2, max_cells=3) for seed in INTERCHANGE_NODES]
     carriers.append(build_cat_of_cats([z2_structure()[1]], depth=2)[0])
     for G in carriers:
@@ -447,16 +470,77 @@ def test_interchange_watches_follow_the_slot_order():
                 for b, b2 in partners:
                     want[j, (a, a2, b, b2), last(j, a, a2, b, b2)] += 1
         for pos, ((d, j, _key), row) in enumerate(zip(slots, rows)):
-            exchange = row[5]
+            exchange = row[7]
             if exchange is None:
                 continue
             assert d == j + 2
-            _Y, holding, composing = exchange
-            for (p, q), (r, s), _yk, _yk2 in holding:
+            _H, _V, _ph, _pv, holding, composing = exchange
+            for quad in holding:
+                (p, q), (r, s), vk, vk2 = _quad_keys(G, d, j, quad)
+                assert (vk, vk2) == ((p, r), (q, s))
                 held[j, (p, r, q, s), pos] += 1
-            for (p, q), (r, s), _yk, _yk2 in composing:
+            for quad in composing:
+                (p, q), (r, s), vk, vk2 = _quad_keys(G, d, j, quad)
+                assert (vk, vk2) == ((p, r), (q, s))
                 assert last(j, p, r, q, s) < pos
         assert held == want and want
+
+
+def test_watched_rows_hold_the_entries_at_every_record(monkeypatch):
+    """The rows the watches read hold, at every record, exactly the values
+    of their tables' entry dicts, one slot per key, on carriers whose cells
+    sit in their source fibers at places other than their indices; and the
+    search that reads them counts as the oracle does, raw, up to isomorphism
+    and class by class, under associativity and under interchange, partial
+    and global.  The partial families of the 2-graph with a non-identity
+    2-cell, and every family on the carrier of Cat(Z2), are too many for
+    the oracle; Cat(Z2)'s 2-categories are checked for the rows alone."""
+    built, checked = [], Counter()  # records checked, by whether the search kept rows
+    real_slots, real_recorder = enumeration._slot_table, enumeration._recorder
+
+    def slot_table(*args):
+        built.append(real_slots(*args))
+        return built[-1]
+
+    def recorder(*args, **kw):
+        record = real_recorder(*args, **kw)
+        if not built:
+            return record  # the oracle's
+        slots = built.pop()
+        rows = {id(row): row for _ent, _key, _values, _typing, row, _col, *_watch in slots if row is not None}
+        cols = Counter((id(row), col) for _ent, _key, _values, _typing, row, col, *_watch in slots if row is not None)
+        assert sorted(cols) == sorted((i, col) for i, row in rows.items() for col in range(len(row)))
+        assert set(cols.values()) <= {1}
+
+        def checking(tables):
+            for ent, key, _values, _typing, row, col, *_watch in slots:
+                if row is not None:
+                    assert row[col] == ent.get(key)
+            checked[bool(rows)] += 1
+            record(tables)
+        return checking
+
+    monkeypatch.setattr(enumeration, "_slot_table", slot_table)
+    monkeypatch.setattr(enumeration, "_recorder", recorder)
+    either, only_global = (AxiomFlags(), GLOBAL), (GLOBAL,)
+    cases = [(parallel_pair_graph(), either), (random_graph(random.Random(12), n=2, max_cells=3), either),
+             (random_graph(random.Random(7), n=2, max_cells=3), only_global)]
+    for G, modes in cases:
+        assert G.count(0) >= 2
+        assert any(enumeration._fiber_pos(G, d, d - 1) != tuple(range(G.count(d))) for d in range(1, G.n + 1))
+        for mode in modes:
+            for law in (AxiomFlags(associative=True), AxiomFlags(interchange=True)):
+                flags = AxiomFlags(global_=mode.global_, associative=law.associative, interchange=law.interchange)
+                sp = spec(flags, include_horizontal=True)
+                fast, slow = enumerate_structures(G, sp), brute_force_oracle(G, sp)
+                assert fast.exhausted and fast.records
+                assert (fast.raw_count, fast.iso_count) == (slow.raw_count, slow.iso_count), (G, flags)
+                assert fast.canonical_counts == slow.canonical_counts
+    G = build_cat_of_cats([z2_structure()[1]])[0]
+    assert enumeration._fiber_pos(G, 2, 1) != tuple(range(G.count(2)))
+    res = enumerate_structures(G, spec(TWO_CATEGORY, include_horizontal=True))
+    assert (res.raw_count, res.iso_count, res.exhausted) == (2098, 2098, True)
+    assert checked[True] > 2098 and not built
 
 
 def _loops_with_identity_at(k, r):
@@ -767,7 +851,8 @@ def test_the_record_step_is_still_the_net(monkeypatch):
              (random_graph(random.Random(7), n=2, max_cells=3), TWO_CATEGORY)]
     pruned = [enumerate_structures(G, spec(flags, include_horizontal=True)) for G, flags in cases]
     real = enumeration._slot_table
-    monkeypatch.setattr(enumeration, "_slot_table", lambda *args: [row[:4] + (None, None) for row in real(*args)])
+    # each slot keeps its row and column, so the watched tables' rows are still written
+    monkeypatch.setattr(enumeration, "_slot_table", lambda *args: [row[:6] + (None, None) for row in real(*args)])
     for (G, flags), want in zip(cases, pruned):
         got = enumerate_structures(G, spec(flags, include_horizontal=True))
         assert got.exhausted and want.exhausted

@@ -144,6 +144,22 @@ def test_build_document_refuses_table_names_as_the_constructor_does():
         ("minus-one", -1), ("vertical", 0), ("horizontal", 0)]
 
 
+@pytest.mark.parametrize("entries, message", [
+    ({(0, 9): 0}, "level 0 entry (0, 9) -> 0 out of range"),
+    ({(0, 1): 2}, "level 0 entry (0, 1) -> 2 out of range"),
+    ({(0, 1): "x"}, "level 0 entry (0, 1) -> 'x' is not made of cell indices"),
+])
+def test_build_document_refuses_entries_as_the_constructor_does(entries, message):
+    """An entry whose key or value is not a cell of the table is refused by
+    ``build_document`` with the constructor's exception and message, not an
+    IndexError or TypeError from naming its cells."""
+    for build in (build_document, lambda carrier, tables: CategoryStructure(carrier, tables=tables)):
+        with pytest.raises(StructureError) as err:
+            build(loops_graph(2), {(1, 0): entries})
+        assert type(err.value) is StructureError
+        assert str(err.value) == message
+
+
 def test_schema_lists_the_flags_and_table_kinds_of_the_code():
     """``graph.schema.json`` names the flags ``FLAG_NAMES`` names, in its
     order, and the table kinds ``io`` reads and writes: a new flag or table
