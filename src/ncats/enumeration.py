@@ -1,8 +1,11 @@
 """Exact enumeration of the category structures a finite carrier admits.
 
-Two routes compute the same answer.  Both keep a family of tables as
-entry dicts named (d, j), as ``structures`` names them: the vertical
-tables (j+1, j), levels ascending, then the horizontal ones (j+2, j).
+Two routes compute the same answer.  Both keep a family of tables named
+(d, j), as ``structures`` names them, the vertical tables (j+1, j), levels
+ascending, then the horizontal ones (j+2, j), and keep each table only as
+rows (``structures.empty_rows``): one list per d-cell a with a slot for
+each cell b that can follow a, b at its ``fiber_pos``, None where the
+entry is absent.
 ``enumerate_structures`` backtracks over table entries in that order,
 pruning branches as soon as typing, unit, associativity or interchange
 constraints are decided and can never recover.  It orders the cells of
@@ -18,15 +21,15 @@ can be checked against an implementation too simple to share its bugs.
 Both hand each complete assignment to one record step, whose verdict runs
 the rows of ``structures.laws`` cheapest first, in ``_SHAPES`` order,
 whatever the search pruned, except those that read only settled tables.  A
-table but the last in search order is settled while its entries equal those
+table but the last in search order is settled while its rows equal those
 it had at the last record that passed, so each row left out reads exactly
 the input it passed on.
 The search fills the vertical tables first, so they rarely change from one
 record to the next; with one table nothing is settled.
 
 The search reads one slot table, built once next to the slot list: each
-slot's entry dict and key, its values, its row and column and the watches
-of the rows of ``laws`` that read it.  A key's values are the cells of its
+slot's values, its row and column and the watches of the rows of ``laws``
+that read it.  A key's values are the cells of its
 composite's type (``composite_type``) in rank order, "absent" last in
 partial mode.  In a table (j+1, j) they are built once, under ``unital``
 one cell at a unit key (``units_scan``); in a table (j+2, j) the type is
@@ -35,15 +38,14 @@ the entries of table (j+1, j) at the key's two boundary keys, which
 search reaches the key.
 The maximal-only filter tries the typed values of every absent key.
 
-A table that a watch reads, one with an associativity or interchange row,
-keeps its entries twice: in its entry dict and in rows (``_rows``), one
-list per d-cell a with a slot for each cell b that can follow a, the
-cells of one source fiber, b at its place there (``_fiber_pos``), None
-where the entry is absent; they hold one slot per key.  The search writes
-a row wherever it sets or clears the dict entry.  The watches read rows
-only, so a read builds and hashes no key tuple; the record verdict,
-``canonical_form``, the kept copies, the oracle and every checker read the
-entry dicts.
+The search writes each entry once, in its row, where it sets or clears
+it, and the oracle writes every slot of one reused row family per
+assignment.  The watches, the record verdict, the settled-table test and
+the canonical gather read those rows, so a read builds and hashes no key
+tuple.  Entry dicts are made only at the edges: the record step builds
+them from the rows for the representatives it keeps, and the public
+``canonical_form``, like the checkers, converts the dicts it is given
+with ``structures.row_family``.
 
 The search checks associativity only on the triples that read the entry
 (a, b) -> v it has just set, in four roles: (a, b, c) for each c that can
@@ -71,12 +73,13 @@ on one carrier are isomorphic when some graph automorphism carries one onto
 the other, so the canonical form of a family is its least image over the
 automorphism orbit, serialized.  Every automorphism φ preserves each table's
 key set, so the record step lists once per search, at its first passing
-record, each φ's keys in the lex order of their images, with φ's cell map
-as one code character per cell and one extra slot for "absent".  The image
-of a record under φ is then one gather per table, the mapped value at each
-listed key, with no sorting.  The record step reads it from the search's
-own dicts and builds only the structures it keeps, each from copies of
-those dicts passed to ``CategoryStructure`` as the family ``tables=``.
+record (``_Orbit``), each φ's slots in the lex order of their keys' images
+and the code of φ's image of each value, one character per cell and one
+for "absent".  A record's rows read as one string of codes; its image
+under φ is one gather of that string and one translation, with no sorting.
+The record step builds only the structures it keeps, each from entry
+dicts made from the record's rows, passed to ``CategoryStructure`` as the
+family ``tables=``.
 """
 
 from __future__ import annotations
@@ -86,17 +89,16 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, compress, repeat
+from operator import is_not, itemgetter
 from types import MappingProxyType
 
 from .graphs import (
-    SOURCE,
     TARGET,
     GraphError,
     NGraph,
     SpaceTooLarge,
     automorphisms,
-    boundary_fibers,
-    boundary_map,
     hom_buckets,
     is_monoidal_carrier,
     is_skeletal,
@@ -114,12 +116,17 @@ from .structures import (
     check_units,  # noqa: F401
     composable_pairs,  # noqa: F401 - unused here; perfbench's tracer rebinds it
     composable_triples,  # noqa: F401
+    _check_table,
     composite_type,
+    empty_rows,
+    fiber_pos,
     h_composable_pairs,  # noqa: F401
     interchange_partners,
     laws,
     neighbours,
+    row_family,
     table_keys,
+    table_place,
     units_scan,
 )
 
@@ -213,31 +220,47 @@ def _passes(rows, tables, settled=frozenset()) -> bool:
 
 
 class _Orbit(list):
-    """A table family's key orbit, built once per search: for each
-    automorphism φ, one (keys, codes, N) per table (d, j) in ``names``: the
-    keys in the lex order of their images under φ and the code character of
-    each d-cell's image, chr(48 + φ(v)) ("0" for cell 0, so a small
-    carrier's forms read as digits), with one extra slot, N = the number of
-    d-cells, for "absent", both tuples.  It keeps |Aut|·(keys + cells)
-    references for the whole search; the benchmarks measure it only up to
-    |Aut| = 720."""
+    """A table family's key orbit, built once per search.  A record's rows,
+    tables ascending by (d, j), read as one string: ``codes`` holds for
+    each slot its table's code, one character for each value and one for
+    "absent", distinct across tables.  For each automorphism φ the orbit
+    holds (gather, translation):
+    ``gather`` picks the slots, table by table, in the lex order of their
+    keys' images under φ, and ``translation`` maps each character to the
+    code of φ's image of its value, chr(48 + φ(v)) ("0" for cell 0, so a
+    small carrier's forms read as digits), or to chr(48 + N) for "absent",
+    N the number of d-cells.  It keeps |Aut|·keys references for the whole
+    search; the benchmarks measure it only up to |Aut| = 720."""
 
     def __init__(self, G: NGraph, names, auts):
-        super().__init__([[self._table(G, d, j, phi.maps[d]) for d, j in names] for phi in auts])
-        self.names = names
+        self.names, self.names_repr, self.codes, spans = names, repr(names), [], []
+        start = 0
+        for d, j in names:
+            n = G.count(d)
+            code = {None: chr(start + n), **{v: chr(start + v) for v in range(n)}}
+            self.codes += [code] * len(table_keys(G, d, j))
+            spans.append(start)
+            start += n + 1
+        super().__init__(self._image(G, phi, spans) for phi in auts)
 
-    @staticmethod
-    def _table(G, d, j, m):
-        n = G.count(d)
-        keys = tuple(sorted(table_keys(G, d, j), key=lambda k: (m[k[0]], m[k[1]])))
-        return keys, tuple(chr(48 + v) for v in (*m, n)), n
+    def _image(self, G, phi, spans):
+        slots, translation, base = [], {}, 0
+        for (d, j), start in zip(self.names, spans):
+            m, keys, n = phi.maps[d], table_keys(G, d, j), G.count(d)
+            order = sorted(range(len(keys)), key=lambda i: (m[keys[i][0]], m[keys[i][1]]))
+            slots += [base + i for i in order]
+            translation.update({start + v: 48 + m[v] for v in range(n)})
+            translation[start + n] = 48 + n
+            base += len(keys)
+        return itemgetter(*slots) if slots else itemgetter(slice(0)), translation
 
 
 def canonical_form(G: NGraph, tables, auts=None) -> bytes:
     """Least image of a table family over the automorphism orbit.
 
-    ``tables`` maps names (d, j) to entry dicts, as the search keeps them;
-    ``auts`` lists the automorphisms, or is the per-search ``_Orbit``.  An
+    ``tables`` maps names (d, j) to entry dicts, checked as the constructor
+    checks them; ``auts`` lists the automorphisms.  The record step passes
+    the per-search ``_Orbit`` as ``auts`` and its rows as ``tables``.  An
     automorphism φ preserves each table's key set, so φ's image of a family
     is one gather: the code of the relabeled value, or of "absent", at each
     key in the lex order of its image, tables ascending by (d, j).  Only the
@@ -246,14 +269,15 @@ def canonical_form(G: NGraph, tables, auts=None) -> bytes:
     relabels one into the other.
     """
     if not isinstance(auts, _Orbit):
+        for name, entries in tables.items():
+            table_place(G, name)
+            _check_table(G, name, entries)
         auts = _Orbit(G, sorted(tables), automorphisms(G) if auts is None else auts)
-    gets = [tables[name].get for name in auts.names]
-    best = None
-    for row in auts:
-        image = [m[get(k, n)] for get, (keys, m, n) in zip(gets, row) for k in keys]
-        if best is None or image < best:
-            best = image
-    return repr((auts.names, "".join(best))).encode()
+        tables = row_family(G, tables)
+    slots = chain.from_iterable(chain.from_iterable(map(tables.__getitem__, auts.names)))
+    record = "".join(map(dict.__getitem__, auts.codes, slots))
+    best = min("".join(gather(record)).translate(translation) for gather, translation in auts)
+    return f"({auts.names_repr}, {best!r})".encode()
 
 
 @per_carrier
@@ -291,26 +315,6 @@ def _keys(G, levels, h_levels):
     return names, slots
 
 
-@per_carrier
-def _fiber_pos(G, d, j):
-    """Each d-cell's place in its source fiber at level j, the cells of
-    ``boundary_fibers(G, d, j, SOURCE)`` at its j-source: its column in the
-    rows of table (d, j)."""
-    pos = [0] * G.count(d)
-    for cells in boundary_fibers(G, d, j, SOURCE).values():
-        for i, c in enumerate(cells):
-            pos[c] = i
-    return tuple(pos)
-
-
-def _rows(G, d, j):
-    """Empty rows for table (d, j): one list per d-cell a, with one slot per
-    cell b that can follow a, ``boundary_fibers(G, d, j, SOURCE)`` at a's
-    j-target, at b's ``_fiber_pos``.  They hold the table's keys once each."""
-    fibers = boundary_fibers(G, d, j, SOURCE)
-    return [[None] * len(fibers.get(t, ())) for t in boundary_map(G, d, j, TARGET)]
-
-
 def _exchange_watches(G, rows, slots, exchanges):
     """The interchange watches of each slot position, from the slot order.
 
@@ -325,14 +329,14 @@ def _exchange_watches(G, rows, slots, exchanges):
     other slot one of its reads is absent.  Each watch is (H rows, V rows,
     H columns, V columns, held, composing), a quadruple stored as the cells
     and columns of its four fixed reads, (a, ph[b], a2, ph[b2], pv[a2], b,
-    pv[b2]) with ph and pv the ``_fiber_pos`` of H and V.
+    pv[b2]) with ph and pv the ``fiber_pos`` of H and V.
     """
     at = {((d, j), key): pos for pos, (d, j, key) in enumerate(slots)}
     watches = {}
     for d, j in exchanges:
         V, H = (d, j + 1), (d, j)
-        vs, vt = boundary_map(G, d, j + 1, SOURCE), boundary_map(G, d, j + 1, TARGET)
-        ph, pv = _fiber_pos(G, d, j), _fiber_pos(G, d, j + 1)
+        vs, vt = G.src_map(d), G.tgt_map(d)
+        ph, pv = fiber_pos(G, d, j), fiber_pos(G, d, j + 1)
         held, by_type = {}, {}
         for (a, a2), partners in interchange_partners(G, j):
             for b, b2 in partners:
@@ -345,24 +349,25 @@ def _exchange_watches(G, rows, slots, exchanges):
             composing = tuple(quad for last, quad in by_type.get((vs[x], vt[x], vs[y], vt[y]), ())
                               if last < pos)
             if pos in held or composing:
-                watches[pos] = (rows[H], rows[V], ph, pv, tuple(held.get(pos, ())), composing)
+                watches[pos] = (rows[H], rows[V], ph, pv, tuple(held.get(pos, ())), composing, (x, y))
     return watches
 
 
 def _slot_table(G, flags, tables, slots):
-    """The search's entry per slot: (entries, key, values, typing, row,
-    column, assoc, exchange).  ``values``, the d-cells of the key's
-    composite type in rank order, are built once for a key whose type reads
-    no other table; a key whose type reads the table below has None there
-    and ``typing``, its table's hom buckets in rank order, the table below's
-    ``get`` and the two keys there whose entries are the type, which the
-    search reads when it reaches the key.
-    ``row`` and ``column`` place a key (a, b) of a watched table in its
-    ``_rows``, a's row and b's column, both None in any other table.
+    """The search's entry per slot of the row family ``tables``: (values,
+    typing, row, column, assoc, exchange).  ``row`` and ``column`` place
+    the slot's key (a, b) in its table's rows, a's row and b's column.
+    ``values``, the d-cells of the key's composite type in rank order, are
+    built once for a key whose type reads no other table; a key whose type
+    reads the table below has None there and ``typing``, its table's hom
+    buckets in rank order and the rows and columns of the two keys of the
+    table below whose entries are the type, which the search reads when it
+    reaches the key.
     ``assoc`` holds, for a key (a, b) of a table with an associativity row
     in ``laws``, its preimage index, row a, row b, column a, column b, the
-    table's rows and columns and the rows of the cells that can precede a;
-    the preimage index lists each key by this tuple.  ``exchange`` holds
+    table's rows and columns, the rows of the cells that can precede a and
+    the index's lists of the keys whose values are a and b; the preimage
+    index lists each key by this tuple.  ``exchange`` holds
     the key's interchange watch from the interchange rows (see
     ``_exchange_watches``).  Each is None where there is no such row or,
     for ``exchange``, where the slot order leaves nothing to decide."""
@@ -371,65 +376,78 @@ def _slot_table(G, flags, tables, slots):
     assoc = {(j + 1, j) for axiom, j, _reads, _scan, _args in law_rows if axiom == "associativity"}
     exchanges = [(j + 2, j) for axiom, j, _reads, scan, _args in law_rows
                  if axiom == "interchange" and scan is not None]
-    rows = {name: _rows(G, *name) for name in assoc | {(d, i) for d, j in exchanges for i in (j, j + 1)}}
-    watches = _exchange_watches(G, rows, slots, exchanges)
+    watches = _exchange_watches(G, tables, slots, exchanges)
     preimages = {(d, j): [[] for _ in range(G.count(d))] for d, j in assoc}
-    before = {(d, j): [tuple(rows[d, j][p] for p in ps) for ps in neighbours(G, j, TARGET)] for d, j in assoc}
+    before = {(d, j): [tuple(tables[d, j][p] for p in ps) for ps in neighbours(G, j, TARGET)] for d, j in assoc}
     # on an empty table, with totality on, the unit law lists each unit key with the one cell it allows
     units = {(d, j, key): a for d, j in tables if flags.unital and d == j + 1 and j >= 0
-             for a, _side, key, _got in units_scan(G, j, True, {(d, j): {}})}
+             for a, _side, key, _got in units_scan(G, j, True, {(d, j): empty_rows(G, d, j)})}
     out = []
     for pos, (d, j, key) in enumerate(slots):
-        values = typing = row = col = watch = None
+        values = typing = watch = None
+        R, P = tables[d, j], fiber_pos(G, d, j)
+        a, b = key
         if d > j + 1:
-            typing = (_ranked_buckets(G, d), tables[d - 1, j].get, *composite_type(G, d, j)[key])
+            below, Pb = tables[d - 1, j], fiber_pos(G, d - 1, j)
+            (sa, sb), (ta, tb) = composite_type(G, d, j)[key]
+            typing = (_ranked_buckets(G, d), below[sa], Pb[sb], below[ta], Pb[tb])
         else:
             values = _ranked_buckets(G, d).get(composite_type(G, d, j)[key], ())
             if (d, j, key) in units:
                 values = (units[d, j, key],)
             values += tail
-        if (d, j) in rows:
-            R, P = rows[d, j], _fiber_pos(G, d, j)
-            a, b = key
-            row, col = R[a], P[b]
-            if (d, j) in assoc:
-                watch = (preimages[d, j], row, R[b], P[a], col, R, P, before[d, j][a])
-        out.append((tables[d, j], key, values, typing, row, col, watch, watches.get(pos)))
+        if (d, j) in assoc:
+            index = preimages[d, j]
+            watch = (index, R[a], R[b], P[a], P[b], R, P, before[d, j][a], index[a], index[b])
+        out.append((values, typing, R[a], P[b], watch, watches.get(pos)))
     return out
 
 
 def _extensions_exist(G, rows, tables):
-    """Whether any single absent entry could be filled with a typed value
-    while passing the verdict ``rows``; used for the maximal-only filter on
-    a family that passes them, so each extension's verdict settles every
-    table but the one extended."""
-    for (d, j), ent in tables.items():
-        buckets, types = hom_buckets(G, d), composite_type(G, d, j)
-        get = tables.get((d - 1, j), {}).get if d > j + 1 else None
+    """Whether any single absent entry of the row family ``tables`` could be
+    filled with a typed value while passing the verdict ``rows``; used for
+    the maximal-only filter on a family that passes them, so each
+    extension's verdict settles every table but the one extended."""
+    for (d, j), R in tables.items():
+        buckets, P = hom_buckets(G, d), fiber_pos(G, d, j)
+        if d > j + 1:
+            below, Pb = tables[d - 1, j], fiber_pos(G, d - 1, j)
         others = frozenset(name for name in tables if name != (d, j))
-        for key in table_keys(G, d, j):
-            if key in ent:
+        for (a, b), typ in composite_type(G, d, j).items():
+            row, col = R[a], P[b]
+            if row[col] is not None:
                 continue
-            typ = types[key] if get is None else tuple(map(get, types[key]))
+            if d > j + 1:
+                (sa, sb), (ta, tb) = typ
+                typ = (below[sa][Pb[sb]], below[ta][Pb[tb]])
             for v in buckets.get(typ, ()):
-                ent[key] = v
+                row[col] = v
                 ok = _passes(rows, tables, others)
-                del ent[key]
+                row[col] = None
                 if ok:
                     return True
     return False
 
 
+def _entries(G, name, rows):
+    """The entry dict of the table ``name`` that ``rows`` hold."""
+    keys, flat = table_keys(G, *name), [*chain.from_iterable(rows)]
+    if None in flat:
+        return dict(compress(zip(keys, flat), map(is_not, flat, repeat(None))))
+    return dict(zip(keys, flat))
+
+
 def _recorder(G, spec, result, names, deadline=None):
-    """The record step both routes share, for table families named by
+    """The record step both routes share, for row families named by
     ``names`` in search order.  The returned function takes one complete
     assignment; when it passes the flags (and, in maximal-only mode, admits
     no single-entry extension) it is tallied raw and by canonical form;
-    only the representatives kept are built.  The verdict settles each
-    table but the last whose entries equal its copy from the last record
-    that passed the flags.  Listing the automorphisms past ``deadline`` or
-    in more steps than the node budget raises SpaceTooLarge; their key
-    orbit is built at the first record that passes."""
+    only the representatives kept are built, each from entry dicts made
+    from its rows.  The verdict settles each table but the last whose rows
+    equal their copy from the last record that passed the flags.  Listing
+    the automorphisms past ``deadline`` or in more steps than the node
+    budget raises SpaceTooLarge; their key orbit is built at the first
+    record that passes."""
     auts = automorphisms(G, deadline, spec.limits.max_nodes)
     rows = _verdict(G, spec.flags, names)
     maximal = spec.maximal_only and not spec.flags.global_
@@ -447,7 +465,7 @@ def _recorder(G, spec, result, names, deadline=None):
             return
         for name in last_pass:
             if name not in settled:
-                last_pass[name] = dict(tables[name])
+                last_pass[name] = [row[:] for row in tables[name]]
         if maximal and _extensions_exist(G, rows, tables):
             result.rejected_at_record += 1
             return
@@ -456,7 +474,7 @@ def _recorder(G, spec, result, names, deadline=None):
             orbit = _Orbit(G, sorted(tables), auts)
         form = canonical_form(G, tables, orbit)
         if form not in result.canonical_counts and len(result.representatives) < cap:
-            copies = {name: dict(entries) for name, entries in tables.items()}
+            copies = {name: _entries(G, name, R) for name, R in tables.items()}
             result.representatives.append(CategoryStructure(G, tables=copies, flags=spec.flags))
         result.canonical_counts[form] += 1
 
@@ -482,7 +500,7 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
     start = time.monotonic()
     deadline = None if limits.time_budget is None else start + limits.time_budget
     names, slots = _keys(G, levels, h_levels)
-    tables = {name: {} for name in names}
+    tables = {name: empty_rows(G, *name) for name in names}
     rows = _slot_table(G, flags, tables, slots)
     result = EnumResult(0, 0, [], True)
     nodes, pos, stack = 0, 0, []
@@ -493,14 +511,13 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
         result.exhausted, pos = False, -1
     tail = () if flags.global_ else (None,)
 
-    def assoc_ok(key, v, watch):
+    def assoc_ok(v, watch):
         """Associativity on the triples that read the new entry (a, b) -> v,
-        in the four roles the module docstring lists, reading rows only: v
-        follows what a follows and is followed by what b is, so row v and
-        row b share their columns; every other triple reads only entries
-        its parent node passed."""
-        a, b = key
-        preimage, Ra, Rb, ia, ib, R, P, before = watch
+        in the four roles the module docstring lists: v follows what a
+        follows and is followed by what b is, so row v and row b share their
+        columns; every other triple reads only entries its parent node
+        passed."""
+        _preimage, Ra, Rb, ia, ib, R, P, before, to_a, to_b = watch
         for bc, left in zip(Rb, R[v]):
             if bc is not None and left is not None:
                 right = Ra[P[bc]]
@@ -515,13 +532,13 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
                     right = Rp[iv]
                     if right is not None and right != left:
                         return False
-        for pq in preimage[a]:  # a key (p, q) -> a by its watch: rows p, q at 1, 2
+        for pq in to_a:  # a key (p, q) -> a by its watch: rows p, q at 1, 2
             qb = pq[2][ib]
             if qb is not None:
                 right = pq[1][P[qb]]
                 if right is not None and right != v:
                     return False
-        for qr in preimage[b]:  # a key (q, r) -> b: columns q, r at 3, 4
+        for qr in to_b:  # a key (q, r) -> b: columns q, r at 3, 4
             aq = Ra[qr[3]]
             if aq is not None:
                 left = R[aq][qr[4]]
@@ -529,7 +546,7 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
                     return False
         return True
 
-    def interchange_ok(key, v, H, V, ph, pv, held, composing):
+    def interchange_ok(v, H, V, ph, pv, held, composing, key):
         """Middle-four exchange on the quadruples the new entry key -> v of
         the horizontal table H can decide (see ``_exchange_watches``),
         reading the rows of H and V: a held one reads all six entries; a
@@ -553,7 +570,7 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
         return True
 
     # Backtracking with an explicit stack: stack[pos] iterates the values of
-    # slot pos, made when the search reaches it, and the slot's entry holds
+    # slot pos, made when the search reaches it, and the slot's row holds
     # the value last taken; pos == depth is a complete assignment
     depth = len(rows)
     while pos >= 0:
@@ -561,14 +578,14 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
             record(tables)
             pos -= 1
             continue
-        ent, key, values, typing, row, col, assoc, exchange = rows[pos]
+        values, typing, row, col, assoc, exchange = rows[pos]
         if pos == len(stack):
             if values is None:
-                buckets, get, s, t = typing
-                values = buckets.get((get(s), get(t)), ()) + tail
+                buckets, srow, scol, trow, tcol = typing
+                values = buckets.get((srow[scol], trow[tcol]), ()) + tail
             stack.append(iter(values))
-        old = ent.pop(key, None)
-        if old is not None and row is not None:
+        old = row[col]
+        if old is not None:
             row[col] = None
             if assoc is not None:
                 assoc[0][old].pop()
@@ -583,15 +600,13 @@ def enumerate_structures(G: NGraph, spec: EnumSpec = EnumSpec()) -> EnumResult:
             result.exhausted = False
             break
         if value is not None:
-            ent[key] = value
-            if row is not None:
-                row[col] = value
-                if assoc is not None:
-                    assoc[0][value].append(assoc)
-                    if not assoc_ok(key, value, assoc):
-                        continue
-                if exchange is not None and not interchange_ok(key, value, *exchange):
+            row[col] = value
+            if assoc is not None:
+                assoc[0][value].append(assoc)
+                if not assoc_ok(value, assoc):
                     continue
+            if exchange is not None and not interchange_ok(value, *exchange):
+                continue
         pos += 1
     result.nodes = nodes
     result.iso_count = len(result.canonical_counts)
@@ -629,12 +644,12 @@ def brute_force_oracle(G: NGraph, spec: EnumSpec = EnumSpec(), space_bound: int 
 
     result = EnumResult(0, 0, [], True)
     record = _recorder(G, spec, result, names)
-
+    # one row family, every slot of which each assignment writes
+    tables = {name: empty_rows(G, *name) for name in names}
+    places = [(tables[d, j][a], fiber_pos(G, d, j)[b]) for d, j, (a, b) in slots]
     for combo in itertools.product(*domains):
-        tables = {name: {} for name in names}
-        for (d, j, key), value in zip(slots, combo):
-            if value is not None:
-                tables[d, j][key] = value
+        for (row, col), value in zip(places, combo):
+            row[col] = value
         record(tables)
 
     result.iso_count = len(result.canonical_counts)

@@ -263,20 +263,28 @@ class NGraph:
     def idn_map(self, dim: int) -> tuple[int, ...]:
         return self._idn[dim]
 
+    def index(self, z: CellId) -> int:
+        """The index of the cell ``z`` names; BadLevel for a dimension
+        outside -1..n, GraphError for an index with no cell there."""
+        count = self.count(z.dim)
+        if not (_integer(z.index) and 0 <= z.index < count):
+            raise GraphError(f"no cell {z}: dimension {z.dim} has {count} cells")
+        return z.index
+
     def src(self, z: CellId) -> CellId:
         if not 0 <= z.dim <= self.n:
             raise BadLevel(f"no boundary below dimension {z.dim}")
-        return CellId(z.dim - 1, self._src[z.dim][z.index])
+        return CellId(z.dim - 1, self._src[z.dim][self.index(z)])
 
     def tgt(self, z: CellId) -> CellId:
         if not 0 <= z.dim <= self.n:
             raise BadLevel(f"no boundary below dimension {z.dim}")
-        return CellId(z.dim - 1, self._tgt[z.dim][z.index])
+        return CellId(z.dim - 1, self._tgt[z.dim][self.index(z)])
 
     def idn(self, x: CellId) -> CellId:
         if not 0 <= x.dim < self.n:
             raise BadLevel(f"no identity section at dimension {x.dim}")
-        return CellId(x.dim + 1, self._idn[x.dim][x.index])
+        return CellId(x.dim + 1, self._idn[x.dim][self.index(x)])
 
     def label(self, z: CellId):
         if self.labels is None or z.dim < 0:

@@ -12,19 +12,29 @@ keeps its tables once, as the entry dicts ``S.tables`` named (d, j), taken
 as ``tables=``; ``CompTable`` lists and the ``vtables``/``htables`` views
 serve only the benchmark harness.  Keys are diagrammatic: (a, b) is a, then b.
 
+Inside the core a table is kept as rows, one list per d-cell a with one
+slot per cell that can follow it, None where the entry is absent; read
+one after another they run in ``table_keys`` order.  Every scan reads a
+family of rows.  ``row_family`` converts entry dicts to rows: the
+checkers convert ``S.tables`` once per call, ``inverses`` and
+``enumeration.canonical_form`` the dicts they are given, and the
+enumeration keeps nothing but rows.
+
 Checkers never raise on a bad table; they return a report whose checks
 carry one verdict each (pass, fail, or not-applicable) plus explicit
 counterexamples, so a caller can tell exactly which axiom broke and where.
 ``laws`` alone decides which axiom applies to which table under which
-flags.  The enumeration reads its rows; every checker reports them, each
-row as one check built by ``_check``.  A law is its row, its scan and its
-``_SHAPES`` entry, whose order the record verdict runs.
+flags.  The enumeration's record verdict runs its rows; every checker
+reports them, each row as one check built by ``_check``.  A law is its
+row, its scan and its ``_SHAPES`` entry, whose order the record verdict
+runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field, fields
-from itertools import filterfalse
+from itertools import chain, compress, filterfalse, repeat
+from operator import is_
 from types import MappingProxyType
 
 from .graphs import (
@@ -233,6 +243,21 @@ def interchange_partners(G: NGraph, j: int):
     return tuple((pair, by_outer_src.get(outer_t[pair[0]], ())) for pair in vpairs)
 
 
+@per_carrier
+def _exchange_places(G: NGraph, j: int):
+    """``interchange_partners`` with the columns of their cells in the rows
+    of the tables (j+2, j+1) and (j+2, j): each key (a, a2) as (a, a2,
+    column of a2), each partner (b, b2) as (b, b2, column of b, column of
+    b2 in table (j+2, j), column of b2 in table (j+2, j+1))."""
+    pv, ph = fiber_pos(G, j + 2, j + 1), fiber_pos(G, j + 2, j)
+    shared, out = {}, []  # partner tuples stay shared, as in interchange_partners
+    for (a, a2), partners in interchange_partners(G, j):
+        if partners not in shared:
+            shared[partners] = tuple((b, b2, ph[b], ph[b2], pv[b2]) for b, b2 in partners)
+        out.append((a, a2, pv[a2], shared[partners]))
+    return tuple(out)
+
+
 class CategoryStructure:
     """A carrier plus its composition tables, kept once as ``tables``: entry
     dicts named (d, j), the (j+1, j) by ascending level, then the (j+2, j).
@@ -322,13 +347,23 @@ def table_place(G: NGraph, name):
     return offset, j
 
 
-def compose(S: CategoryStructure, a: CellId, b: CellId, j: int) -> CellId:
-    """Table lookup for "a then b" at level j, raising when impossible."""
+def _vertical_cells(S: CategoryStructure, j: int, *cells: CellId):
+    """Refuse a query of the vertical table at level j of ``S`` about
+    ``cells`` unless ``S`` has that table and each cell is one of the
+    carrier's (j+1)-cells, the cells it composes."""
     d = j + 1
     if (d, j) not in S.tables:
         raise NoTableAtLevel(f"no vertical table at level {j}")
-    if a.dim != d or b.dim != d:
-        raise NotComposable(f"level {j} composes dimension-{d} cells, got {a} and {b}")
+    for z in cells:
+        if z.dim != d:
+            raise NotComposable(f"level {j} composes dimension-{d} cells, got {z}")
+        S.graph.index(z)
+
+
+def compose(S: CategoryStructure, a: CellId, b: CellId, j: int) -> CellId:
+    """Table lookup for "a then b" at level j, raising when impossible."""
+    _vertical_cells(S, j, a, b)
+    d = j + 1
     if not composable(S.graph, j, a.index, b.index):
         raise NotComposable(f"{a} and {b} do not meet end to end")
     try:
@@ -337,33 +372,102 @@ def compose(S: CategoryStructure, a: CellId, b: CellId, j: int) -> CellId:
         raise NotDefined(f"level {j} table has no entry for ({a}, {b})") from None
 
 
+# -- the row layout ----------------------------------------------------------
+#
+# The rows of table (d, j): one list per d-cell a, with one slot per cell b
+# that can follow a, the cells of ``boundary_fibers(G, d, j, SOURCE)`` at
+# a's j-target, b at its place there (``fiber_pos``), None where the entry
+# is absent.  Read row after row, the slots run in ``table_keys`` order,
+# one per key, as the canonical gather and the global scan rely on.
+
+
+@per_carrier
+def fiber_pos(G: NGraph, d: int, j: int):
+    """Each d-cell's place in its source fiber at level j: its column in the
+    rows of table (d, j)."""
+    pos = [0] * G.count(d)
+    for cells in boundary_fibers(G, d, j, SOURCE).values():
+        for i, c in enumerate(cells):
+            pos[c] = i
+    return tuple(pos)
+
+
+@per_carrier
+def _row_slices(G: NGraph, d: int, j: int):
+    """For each d-cell a, the slice of ``table_keys(G, d, j)`` that row a
+    holds: the keys (a, b)."""
+    fibers, start, out = boundary_fibers(G, d, j, SOURCE), 0, []
+    for t in boundary_map(G, d, j, TARGET):
+        stop = start + len(fibers.get(t, ()))
+        out.append(slice(start, stop))
+        start = stop
+    return tuple(out)
+
+
+@per_carrier
+def _typing_rule(G: NGraph, d: int, j: int):
+    """``composite_type`` as the rows read it: (a, b, x, y) per key (a, b)
+    of table (d, j), in key order.  At d = j+1, (x, y) is the type of the
+    composite; above it x and y are the slots, in the rows of table
+    (d-1, j) read one after another, of the two keys there whose entries
+    are that type."""
+    types = composite_type(G, d, j)
+    if d == j + 1:
+        return tuple((a, b, x, y) for (a, b), (x, y) in types.items())
+    starts, pos = [s.start for s in _row_slices(G, d - 1, j)], fiber_pos(G, d - 1, j)
+    return tuple((a, b, starts[sa] + pos[sb], starts[ta] + pos[tb])
+                 for (a, b), ((sa, sb), (ta, tb)) in types.items())
+
+
+def empty_rows(G: NGraph, d: int, j: int):
+    """The rows of table (d, j) with every entry absent."""
+    return [[None] * (s.stop - s.start) for s in _row_slices(G, d, j)]
+
+
+def row_family(G: NGraph, tables):
+    """The rows of each table of ``tables``, entry dicts named (d, j) whose
+    keys are keys of their tables, as the constructor checks them."""
+    out = {}
+    for (d, j), entries in tables.items():
+        flat = list(map(entries.get, table_keys(G, d, j)))
+        out[d, j] = list(map(flat.__getitem__, _row_slices(G, d, j)))
+    return out
+
+
 # -- one integer scan per axiom ---------------------------------------------
 #
-# Each scan reads a family of entry dicts named (d, j) and yields one
-# integer tuple per violation.  The checkers below turn those tuples into
-# counterexamples at the report edge; the enumeration's record step only
-# asks whether a scan yields anything, so it stops at the first violation.
-
+# Each scan reads a row family named (d, j) and yields one integer tuple per
+# violation.  The checkers below turn those tuples into counterexamples at
+# the report edge; the enumeration's record step only asks whether a scan
+# yields anything, so it stops at the first violation.  A value may be
+# mistyped, so a scan reads an entry at a key made of values only where the
+# two cells meet, as a key of the table must.
 
 def typing_scan(G: NGraph, d: int, j: int, tables):
     """Entries of table (d, j) in the family ``tables`` whose value does not
     have the type of their composite (see ``composite_type``), as
-    (a, b, v, want) in stored order; ``want`` is that type, None when it is
+    (a, b, v, want) in key order; ``want`` is that type, None when it is
     undecided."""
     smap, tmap = G.src_map(d), G.tgt_map(d)
-    types = composite_type(G, d, j)
-    below = tables.get((d - 1, j), {}).get if d > j + 1 else None
-    for key, v in tables[d, j].items():
-        s, t = types[key]
-        if below is not None:
-            s, t = below(s), below(t)
+    slots = zip(_typing_rule(G, d, j), chain.from_iterable(tables[d, j]))
+    if d == j + 1:
+        for (a, b, s, t), v in slots:
+            if v is not None and (s != smap[v] or t != tmap[v]):
+                yield a, b, v, (s, t)
+        return
+    below = tables.get((d - 1, j))
+    flat = [*chain.from_iterable(below)] if below is not None else [None] * len(table_keys(G, d - 1, j))
+    for (a, b, si, ti), v in slots:
+        if v is None:
+            continue
+        s, t = flat[si], flat[ti]
         if s != smap[v] or t != tmap[v]:
-            yield key[0], key[1], v, None if s is None or t is None else (s, t)
+            yield a, b, v, None if s is None or t is None else (s, t)
 
 
 def global_scan(keys, name, tables):
     """The keys, in order, that have no entry in the table ``name``."""
-    return filterfalse(tables[name].__contains__, keys)
+    return compress(keys, map(is_, chain.from_iterable(tables[name]), repeat(None)))
 
 
 def units_scan(G: NGraph, j: int, total: bool, tables):
@@ -371,17 +475,17 @@ def units_scan(G: NGraph, j: int, total: bool, tables):
     (a, side, key, got): side 0 for the left unit key (idn(src a), a) and 1
     for the right one (a, idn(tgt a)), ``got`` the entry there.  A missing
     entry (``got`` None) is a violation only when ``total``."""
-    get = tables[j + 1, j].get
+    R, pos = tables[j + 1, j], fiber_pos(G, j + 1, j)
     idn = G.idn_map(j)
     smap, tmap = G.src_map(j + 1), G.tgt_map(j + 1)
     for a in range(G.count(j + 1)):
-        for side, key in ((0, (idn[smap[a]], a)), (1, (a, idn[tmap[a]]))):
-            got = get(key)
-            if got is None:
-                if total:
-                    yield a, side, key, None
-            elif got != a:
-                yield a, side, key, got
+        x, y = idn[smap[a]], idn[tmap[a]]
+        got = R[x][pos[a]]
+        if total if got is None else got != a:
+            yield a, 0, (x, a), got
+        got = R[a][pos[y]]
+        if total if got is None else got != a:
+            yield a, 1, (a, y), got
 
 
 def assoc_scan(G: NGraph, j: int, tables, lopsided=None):
@@ -394,18 +498,22 @@ def assoc_scan(G: NGraph, j: int, tables, lopsided=None):
     right one.
     """
     after = neighbours(G, j, SOURCE)
-    get = tables[j + 1, j].get
-    for a, nxt in enumerate(after):
-        for b in nxt:
-            ab = get((a, b))
-            if ab is None and lopsided is None:
+    R, pos = tables[j + 1, j], fiber_pos(G, j + 1, j)
+    smap, tmap = G.src_map(j + 1), G.tgt_map(j + 1)
+    for a, (nxt, Ra) in enumerate(zip(after, R)):
+        ta = tmap[a]
+        for b, ab in zip(nxt, Ra):
+            # row ab, where ab ends as b does, holds (ab, c) in the column of (b, c)
+            if ab is not None and tmap[ab] == tmap[b]:
+                lefts = R[ab]
+            elif lopsided is None:
                 continue
-            for c in after[b]:
-                left = get((ab, c)) if ab is not None else None
+            else:
+                lefts = repeat(None)
+            for c, bc, left in zip(after[b], R[b], lefts):
                 if left is None and lopsided is None:
                     continue
-                bc = get((b, c))
-                right = get((a, bc)) if bc is not None else None
+                right = Ra[pos[bc]] if bc is not None and smap[bc] == ta else None
                 if left is not None and right is not None:
                     if left != right:
                         yield a, b, c, left, right
@@ -420,19 +528,22 @@ def interchange_scan(G: NGraph, j: int, tables, lopsided=None):
     outer ones are defined and disagree, as (a, a2, b, b2, lhs, rhs).
     Given a list, the scan also appends to ``lopsided`` each quadruple with
     only one outer composite defined."""
-    vget, hget = tables[j + 2, j + 1].get, tables[j + 2, j].get
-    for (a, a2), partners in interchange_partners(G, j):
-        va = vget((a, a2))
+    d = j + 2
+    V, H = tables[d, j + 1], tables[d, j]
+    pv, ph = fiber_pos(G, d, j + 1), fiber_pos(G, d, j)
+    vs, vt = G.src_map(d), G.tgt_map(d)
+    hs, ht = boundary_map(G, d, j, SOURCE), boundary_map(G, d, j, TARGET)
+    for a, a2, ia2, partners in _exchange_places(G, j):
+        va = V[a][ia2]
         if va is None:
             continue
-        for b, b2 in partners:
-            vb = vget((b, b2))
-            hab = hget((a, b))
-            hab2 = hget((a2, b2))
+        Ha, Ha2, Hva, tva = H[a], H[a2], H[va], ht[va]
+        for b, b2, ib, ib2, vb2 in partners:
+            vb, hab, hab2 = V[b][vb2], Ha[ib], Ha2[ib2]
             if vb is None or hab is None or hab2 is None:
                 continue
-            lhs = hget((va, vb))
-            rhs = vget((hab, hab2))
+            lhs = Hva[ph[vb]] if tva == hs[vb] else None
+            rhs = V[hab][pv[hab2]] if vt[hab] == vs[hab2] else None
             if lhs is not None and rhs is not None:
                 if lhs != rhs:
                     yield a, a2, b, b2, lhs, rhs
@@ -442,11 +553,12 @@ def interchange_scan(G: NGraph, j: int, tables, lopsided=None):
 
 def _inverses(G: NGraph, j: int, tables, a: int):
     """The two-sided inverses of the (j+1)-cell ``a`` in ``tables``, ascending."""
-    get = tables[j + 1, j].get
+    R, pos = tables[j + 1, j], fiber_pos(G, j + 1, j)
     idn = G.idn_map(j)
     x, y = G.src_map(j + 1)[a], G.tgt_map(j + 1)[a]
+    Ra, ia = R[a], pos[a]
     for b in hom_buckets(G, j + 1).get((y, x), ()):
-        if get((a, b)) == idn[x] and get((b, a)) == idn[y]:
+        if Ra[pos[b]] == idn[x] and R[b][ia] == idn[y]:
             yield b
 
 
@@ -575,9 +687,13 @@ def _check(G: NGraph, row, tables) -> AxiomCheck:
 
 def _rows(S: CategoryStructure, names, flags: AxiomFlags, axioms) -> AxiomReport:
     """The checks of ``S`` from the rows of ``laws`` under ``flags`` on the
-    tables ``names`` whose axiom is one of ``axioms``."""
+    tables ``names`` whose axiom is one of ``axioms``, on the rows of the
+    tables they read."""
     G = S.graph
-    return AxiomReport([_check(G, row, S.tables) for row in laws(G, flags, names) if row[0] in axioms])
+    rows = [row for row in laws(G, flags, names) if row[0] in axioms]
+    reads = frozenset().union(*(row[2] for row in rows))
+    tables = row_family(G, {name: entries for name, entries in S.tables.items() if name in reads})
+    return AxiomReport([_check(G, row, tables) for row in rows])
 
 
 def check_typing(S: CategoryStructure) -> AxiomReport:
@@ -647,7 +763,9 @@ def check_groupoid(S: CategoryStructure, j: int) -> AxiomReport:
 def inverses(S: CategoryStructure, j: int, a: CellId) -> list[CellId]:
     """All two-sided inverses of ``a`` at level j (used to confirm that a
     passing groupoid check pins the inverse down uniquely)."""
-    return [CellId(j + 1, b) for b in _inverses(S.graph, j, S.tables, a.index)]
+    _vertical_cells(S, j, a)
+    tables = row_family(S.graph, {(j + 1, j): S.tables[j + 1, j]})
+    return [CellId(j + 1, b) for b in _inverses(S.graph, j, tables, a.index)]
 
 
 def check_cocategory(G: NGraph, D: CocompTable) -> AxiomReport:
@@ -683,7 +801,8 @@ def check_category(S: CategoryStructure) -> AxiomReport:
     The unit row, which the groupoid row presupposes, is reported only
     under ``unital``; a groupoid row after a failing unit row fails with the
     unit counterexamples and a note instead of raising."""
-    G, tables, checks = S.graph, S.tables, []
+    G, checks = S.graph, []
+    tables = row_family(G, S.tables)
     for row in laws(G, S.flags, tables):
         axiom, j = row[:2]
         if axiom == "groupoid" and unit.verdict == FAIL:

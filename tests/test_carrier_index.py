@@ -27,7 +27,10 @@ from ncats.structures import (
     NotComposable,
     composable,
     composable_triples,
+    empty_rows,
+    fiber_pos,
     neighbours,
+    row_family,
     table_keys,
 )
 
@@ -82,6 +85,25 @@ def test_boundary_maps_match_step_by_step_walks(name):
                     want = walk(G, CellId(d, i), j, side)
                     assert CellId(j, bmap[i]) == want
                     assert iterated_boundary(G, CellId(d, i), j, side) == want
+
+
+def test_rows_run_in_table_keys_order():
+    """Every table (d, j) a carrier can host, vertical at levels -1..n-1
+    and horizontal, keeps key (a, b) in row a at b's ``fiber_pos``, and its
+    rows, read one after another, run in ``table_keys`` order: the order
+    in which the canonical gather and the global scan read them."""
+    graphs = [*carriers().values(), loops_graph(3), parallel_pair_graph()]
+    graphs += [random_graph(random.Random(seed), n=2, max_cells=4) for seed in range(10)]
+    tables = 0
+    for G in graphs:
+        for d, j in [(j + 1, j) for j in range(-1, G.n)] + [(j + 2, j) for j in range(G.n - 1)]:
+            keys = table_keys(G, d, j)
+            rows = row_family(G, {(d, j): {key: i for i, key in enumerate(keys)}})[d, j]
+            assert [i for row in rows for i in row] == list(range(len(keys))), (G, d, j)
+            assert all(rows[a][fiber_pos(G, d, j)[b]] == i for i, (a, b) in enumerate(keys))
+            assert [len(row) for row in rows] == [len(row) for row in empty_rows(G, d, j)]
+            tables += 1
+    assert tables > 40
 
 
 def test_boundary_map_keeps_argument_checks():
@@ -281,7 +303,7 @@ def test_search_values_are_the_hom_set_of_the_composite_type():
             typed = naive_hom(G, (G.src(CellId(d, a)), G.tgt(CellId(d, b)))) if d == j + 1 else ()
             if typed and rng.random() < 0.7:
                 tables[d, j][(a, b)] = rng.choice(typed)
-        rows = enumeration._slot_table(G, AxiomFlags(), tables, slots)
+        rows = enumeration._slot_table(G, AxiomFlags(), row_family(G, tables), slots)
         for (d, j, key), row in zip(slots, rows):
             A, B = CellId(d, key[0]), CellId(d, key[1])
             if d == j + 1:
@@ -292,10 +314,10 @@ def test_search_values_are_the_hom_set_of_the_composite_type():
                 t = below.get((G.tgt(A).index, G.tgt(B).index))
                 want = None if s is None or t is None else (CellId(d - 1, s), CellId(d - 1, t))
                 decided += want is not None
-            values = row[2]
+            values = row[0]
             if values is None:
-                buckets, get, s, t = row[3]
-                values = buckets.get((get(s), get(t)), ()) + (None,)
+                buckets, srow, scol, trow, tcol = row[1]
+                values = buckets.get((srow[scol], trow[tcol]), ()) + (None,)
             ranked = sorted(naive_hom(G, want) if want else (), key=enumeration._rank(G, d).__getitem__)
             assert values == (*ranked, None), (d, j, key)
     assert decided > 0

@@ -36,7 +36,15 @@ from ncats.graphs import (
     boundary_map,
     hom_buckets,
 )
-from ncats.structures import interchange_partners, table_keys
+from ncats.structures import (
+    NoTableAtLevel,
+    StructureError,
+    empty_rows,
+    fiber_pos,
+    interchange_partners,
+    row_family,
+    table_keys,
+)
 
 from util import (
     chain_graph,
@@ -46,6 +54,7 @@ from util import (
     parallel_pair_graph,
     random_graph,
     relabeled,
+    total_order_structure,
     z2_structure,
 )
 from test_acceptance import oracle_family
@@ -180,6 +189,41 @@ def test_canonical_form_is_orbit_invariant():
                 assert canonical_form(G, image, auts) == form
 
 
+def test_canonical_form_bytes_are_pinned():
+    """``canonical_form`` bytes, frozen from the gather over entry dicts,
+    of Z2, the seven order-3 monoids the search keeps, one 2-category on
+    the carrier of Cat(Z2), that family without its vertical table and
+    with half its horizontal entries, and two partial families with absent
+    entries and a mistyped one."""
+    G, Z = z2_structure()
+    C, cat = build_cat_of_cats([Z])
+    _, order = total_order_structure(3)
+    families = [(G, Z.tables, b"([(1, 0)], '0110')"),
+                (C, cat.tables, b"([(1, 0), (2, 0), (2, 1)], '0001010101100123013201102332')"),
+                (C, {(2, 1): cat.tables[2, 1], (2, 0): {k: v for k, v in cat.tables[2, 0].items() if k[0] != 1}},
+                 b"([(2, 0), (2, 1)], '010144440123013201102332')"),
+                (parallel_pair_graph(), {(1, 0): {(0, 2): 0, (2, 1): 3}}, b"([(1, 0)], '404434')"),
+                (order.graph, {(1, 0): dict(list(order.tables[1, 0].items())[::2])}, b"([(1, 0)], '0626263646')")]
+    for H, tables, want in families:
+        assert canonical_form(H, tables) == want
+    monoids = enumerate_structures(loops_graph(3), spec(MONOID)).representatives
+    assert [canonical_form(loops_graph(3), S.tables) for S in monoids] == [
+        b"([(1, 0)], '%s')" % form for form in (b"012102222", b"012111211", b"012111212", b"012111222",
+                                                 b"012112212", b"012112221", b"012120201")]
+
+
+def test_canonical_form_refuses_a_family_the_carrier_cannot_hold():
+    """A table name the carrier cannot host and an entry out of range are
+    refused as the constructor refuses them, not with a bare IndexError."""
+    G = loops_graph(3)
+    for tables, kind, message in (({(2, 0): {}}, NoTableAtLevel, "horizontal level 0 outside 0..-1"),
+                                  ({(1, 0): {(0, 1): 9}}, StructureError, "level 0 entry (0, 1) -> 9 out of range")):
+        for refuse in (canonical_form, lambda G, tables: CategoryStructure(G, tables=tables)):
+            with pytest.raises(kind) as err:
+                refuse(G, tables)
+            assert type(err.value) is kind and str(err.value) == message
+
+
 # random carriers with a non-trivial automorphism group, one- and two-dimensional
 SYMMETRIC = [G for G in (random_graph(random.Random(seed), n, cells)
                          for seed in range(40) for n in (1, 2) for cells in (3, 4))
@@ -265,7 +309,7 @@ def test_record_step_builds_one_orbit_per_search(monkeypatch):
 
 
 def test_record_builds_structures_only_for_kept_representatives(monkeypatch):
-    """The record step tallies every record from its entry dicts; a
+    """The record step tallies every record from its rows; a
     ``CategoryStructure`` is built only for a representative it keeps."""
     built = []
     real = enumeration.CategoryStructure
@@ -284,24 +328,31 @@ def test_record_builds_structures_only_for_kept_representatives(monkeypatch):
         assert all(S is R for S, R in zip(built, res.representatives))
 
 
+def _entry_dicts(G, tables):
+    """The entry dicts that the row family ``tables`` holds, read key by
+    key through the source fibers."""
+    return {(d, j): {(a, b): R[a][fiber_pos(G, d, j)[b]] for a, b in table_keys(G, d, j)
+                     if R[a][fiber_pos(G, d, j)[b]] is not None}
+            for (d, j), R in tables.items()}
+
+
 def test_record_keeps_copies_equal_to_a_fresh_construction(monkeypatch):
     """The representatives the search and the oracle keep equal the
     structures the constructor builds from copies of their tables, on the
-    criterion-2 carriers and on the cat-of-one-Z2 carrier; each holds
-    copies of the entry dicts of its record, never the dicts the route
-    fills."""
+    criterion-2 carriers and on the cat-of-one-Z2 carrier; each holds the
+    entry dicts that the rows of its record hold, tables in search order."""
     last = {}
     real_form, real_structure = enumeration.canonical_form, enumeration.CategoryStructure
 
     def form(G, tables, auts=None):
         last.clear()
-        last.update(tables)
+        last.update(_entry_dicts(G, tables))
         return real_form(G, tables, auts)
 
     def build(*args, **kwargs):
         S = real_structure(*args, **kwargs)
         assert list(S.tables) == list(last)
-        assert all(S.tables[name] == last[name] and S.tables[name] is not last[name] for name in last)
+        assert S.tables == last
         return S
 
     monkeypatch.setattr(enumeration, "canonical_form", form)
@@ -457,7 +508,7 @@ def test_interchange_watches_follow_the_slot_order():
     for G in carriers:
         sp = spec(AxiomFlags(interchange=True), include_horizontal=True)
         names, slots = enumeration._keys(G, *enumeration._resolve_levels(G, sp))
-        rows = enumeration._slot_table(G, sp.flags, {name: {} for name in names}, slots)
+        rows = enumeration._slot_table(G, sp.flags, {name: empty_rows(G, *name) for name in names}, slots)
         at = {(d, j, key): pos for pos, (d, j, key) in enumerate(slots)}
 
         def last(j, a, a2, b, b2):
@@ -469,12 +520,13 @@ def test_interchange_watches_follow_the_slot_order():
             for (a, a2), partners in interchange_partners(G, j):
                 for b, b2 in partners:
                     want[j, (a, a2, b, b2), last(j, a, a2, b, b2)] += 1
-        for pos, ((d, j, _key), row) in enumerate(zip(slots, rows)):
-            exchange = row[7]
+        for pos, ((d, j, key), row) in enumerate(zip(slots, rows)):
+            exchange = row[5]
             if exchange is None:
                 continue
             assert d == j + 2
-            _H, _V, _ph, _pv, holding, composing = exchange
+            _H, _V, _ph, _pv, holding, composing, at_key = exchange
+            assert at_key == key
             for quad in holding:
                 (p, q), (r, s), vk, vk2 = _quad_keys(G, d, j, quad)
                 assert (vk, vk2) == ((p, r), (q, s))
@@ -487,15 +539,17 @@ def test_interchange_watches_follow_the_slot_order():
 
 
 def test_watched_rows_hold_the_entries_at_every_record(monkeypatch):
-    """The rows the watches read hold, at every record, exactly the values
-    of their tables' entry dicts, one slot per key, on carriers whose cells
-    sit in their source fibers at places other than their indices; and the
-    search that reads them counts as the oracle does, raw, up to isomorphism
-    and class by class, under associativity and under interchange, partial
-    and global.  The partial families of the 2-graph with a non-identity
-    2-cell, and every family on the carrier of Cat(Z2), are too many for
-    the oracle; Cat(Z2)'s 2-categories are checked for the rows alone."""
-    built, checked = [], Counter()  # records checked, by whether the search kept rows
+    """The rows the search writes and its watches read are the family the
+    record step reads at every record: the slot table places every slot of
+    every table once, and every watch reads rows of that family, on
+    carriers whose cells sit in their source fibers at places other than
+    their indices; and the search counts as the oracle does, raw, up to
+    isomorphism and class by class, under associativity and under
+    interchange, partial and global.  The partial families of the 2-graph
+    with a non-identity 2-cell, and every family on the carrier of Cat(Z2),
+    are too many for the oracle; Cat(Z2)'s 2-categories are checked for
+    the rows alone."""
+    built, checked = [], Counter()  # records checked, by whether the search has watches
     real_slots, real_recorder = enumeration._slot_table, enumeration._recorder
 
     def slot_table(*args):
@@ -507,16 +561,20 @@ def test_watched_rows_hold_the_entries_at_every_record(monkeypatch):
         if not built:
             return record  # the oracle's
         slots = built.pop()
-        rows = {id(row): row for _ent, _key, _values, _typing, row, _col, *_watch in slots if row is not None}
-        cols = Counter((id(row), col) for _ent, _key, _values, _typing, row, col, *_watch in slots if row is not None)
-        assert sorted(cols) == sorted((i, col) for i, row in rows.items() for col in range(len(row)))
-        assert set(cols.values()) <= {1}
+        places = Counter((id(row), col) for _values, _typing, row, col, _assoc, _exchange in slots)
+        watched = [R for *_rest, assoc, exchange in slots
+                   for R in ((assoc[5],) if assoc else ()) + (exchange[:2] if exchange else ())]
+        family = []
 
         def checking(tables):
-            for ent, key, _values, _typing, row, col, *_watch in slots:
-                if row is not None:
-                    assert row[col] == ent.get(key)
-            checked[bool(rows)] += 1
+            if not family:
+                family.append(tables)
+                rows = {id(row): row for R in tables.values() for row in R}
+                assert sorted(places) == sorted((i, col) for i, row in rows.items() for col in range(len(row)))
+                assert set(places.values()) == {1}
+                assert all(any(R is T for T in tables.values()) for R in watched)
+            assert tables is family[0]
+            checked[bool(watched)] += 1
             record(tables)
         return checking
 
@@ -527,7 +585,7 @@ def test_watched_rows_hold_the_entries_at_every_record(monkeypatch):
              (random_graph(random.Random(7), n=2, max_cells=3), only_global)]
     for G, modes in cases:
         assert G.count(0) >= 2
-        assert any(enumeration._fiber_pos(G, d, d - 1) != tuple(range(G.count(d))) for d in range(1, G.n + 1))
+        assert any(fiber_pos(G, d, d - 1) != tuple(range(G.count(d))) for d in range(1, G.n + 1))
         for mode in modes:
             for law in (AxiomFlags(associative=True), AxiomFlags(interchange=True)):
                 flags = AxiomFlags(global_=mode.global_, associative=law.associative, interchange=law.interchange)
@@ -537,7 +595,7 @@ def test_watched_rows_hold_the_entries_at_every_record(monkeypatch):
                 assert (fast.raw_count, fast.iso_count) == (slow.raw_count, slow.iso_count), (G, flags)
                 assert fast.canonical_counts == slow.canonical_counts
     G = build_cat_of_cats([z2_structure()[1]])[0]
-    assert enumeration._fiber_pos(G, 2, 1) != tuple(range(G.count(2)))
+    assert fiber_pos(G, 2, 1) != tuple(range(G.count(2)))
     res = enumerate_structures(G, spec(TWO_CATEGORY, include_horizontal=True))
     assert (res.raw_count, res.iso_count, res.exhausted) == (2098, 2098, True)
     assert checked[True] > 2098 and not built
@@ -728,14 +786,14 @@ def _assignments(G, sp, rng, count):
 
 
 def _passes(G, flags, tables, settled=()):
-    """The record verdict on one family, with ``settled`` naming the tables
-    whose rows it may leave out."""
-    return enumeration._passes(enumeration._verdict(G, flags, tables), tables, frozenset(settled))
+    """The record verdict on the rows of one family of entry dicts, with
+    ``settled`` naming the tables whose rows it may leave out."""
+    return enumeration._passes(enumeration._verdict(G, flags, tables), row_family(G, tables), frozenset(settled))
 
 
 def test_verdict_agrees_with_the_checkers():
-    """The record step's verdict, run on bare entry dicts, decides exactly
-    as ``check_category`` does on the structure they make."""
+    """The record step's verdict, run on the rows of bare entry dicts,
+    decides exactly as ``check_category`` does on the structure they make."""
     rng = random.Random(6)
     every = [AxiomFlags(*bits) for bits in itertools.product((False, True), repeat=5)]
     some = [AxiomFlags(), GLOBAL, AxiomFlags(unital=True), AxiomFlags(associative=True),
@@ -811,7 +869,7 @@ def test_record_step_settles_a_table_only_as_it_last_passed():
     result = enumeration.EnumResult(0, 0, [], True)
     record = enumeration._recorder(G, sp, result, names)
     for tables in sequence:
-        record(tables)
+        record(row_family(G, tables))
     passed = [t for t in sequence if check_category(CategoryStructure(G, tables=t, flags=sp.flags)).passed]
     assert len(passed) == 2
     assert (result.records, result.raw_count, result.rejected_at_record) == (5, 2, 3)
@@ -851,8 +909,8 @@ def test_the_record_step_is_still_the_net(monkeypatch):
              (random_graph(random.Random(7), n=2, max_cells=3), TWO_CATEGORY)]
     pruned = [enumerate_structures(G, spec(flags, include_horizontal=True)) for G, flags in cases]
     real = enumeration._slot_table
-    # each slot keeps its row and column, so the watched tables' rows are still written
-    monkeypatch.setattr(enumeration, "_slot_table", lambda *args: [row[:6] + (None, None) for row in real(*args)])
+    # each slot keeps its values, row and column, so the search still writes every entry
+    monkeypatch.setattr(enumeration, "_slot_table", lambda *args: [row[:4] + (None, None) for row in real(*args)])
     for (G, flags), want in zip(cases, pruned):
         got = enumerate_structures(G, spec(flags, include_horizontal=True))
         assert got.exhausted and want.exhausted

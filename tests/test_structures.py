@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from itertools import filterfalse
 
 import pytest
 
@@ -30,7 +31,7 @@ from ncats import (
 from ncats import structures
 from ncats.cobordism import build_cob_truncation
 from ncats.enumeration import _verdict
-from ncats.graphs import SOURCE, TARGET
+from ncats.graphs import SOURCE, TARGET, BadLevel, GraphError, hom_buckets
 from ncats.structures import (
     FAIL,
     NOT_APPLICABLE,
@@ -43,10 +44,19 @@ from ncats.structures import (
     HCompTable,
     StructureError,
     UnitsRequired,
+    _inverses,
+    assoc_scan,
+    global_scan,
+    groupoid_scan,
+    interchange_partners,
+    interchange_scan,
     inverses,
     laws,
+    neighbours,
+    row_family,
     table_keys,
     typing_scan,
+    units_scan,
 )
 
 from util import (
@@ -261,6 +271,39 @@ def test_composable_pairs_and_compose():
         compose(T, CellId(1, 2), CellId(1, 3), 0)
     with pytest.raises(NotDefined):
         compose(T, CellId(1, 0), CellId(1, 2), 0)
+
+
+def test_cell_queries_refuse_cells_that_do_not_exist():
+    """``compose``, ``inverses`` and the boundary and identity queries
+    answer only for cells of the carrier: a cell of the wrong dimension is
+    not composable, an index out of range, negative ones included, names no
+    cell, and a level without a vertical table has no table to read."""
+    _, Z = z2_structure()
+    G3 = loops_graph(3)
+    Z3 = CategoryStructure(G3, tables={(1, 0): {(a, b): (a + b) % 3 for a in range(3) for b in range(3)}})
+    with pytest.raises(NotComposable, match="level 0 composes dimension-1 cells, got 0#0"):
+        inverses(Z3, 0, CellId(0, 0))
+    for bad in (CellId(1, 7), CellId(1, -1)):
+        with pytest.raises(GraphError, match=f"no cell {bad}: dimension 1 has 3 cells"):
+            inverses(Z3, 0, bad)
+        with pytest.raises(GraphError, match=f"no cell {bad}"):
+            compose(Z3, bad, CellId(1, 1), 0)
+        with pytest.raises(GraphError, match=f"no cell {bad}"):
+            compose(Z3, CellId(1, 1), bad, 0)
+        for query in (G3.src, G3.tgt):
+            with pytest.raises(GraphError, match=f"no cell {bad}"):
+                query(bad)
+    with pytest.raises(GraphError, match="no cell 0#-1"):
+        G3.idn(CellId(0, -1))
+    with pytest.raises(BadLevel):
+        G3.index(CellId(5, 0))
+    for j in (1, 2, -1):
+        with pytest.raises(NoTableAtLevel, match=f"no vertical table at level {j}"):
+            inverses(Z3, j, CellId(j + 1, 0))
+    assert inverses(Z3, 0, CellId(1, 1)) == [CellId(1, 2)]
+    assert compose(Z3, CellId(1, 2), CellId(1, 2), 0) == CellId(1, 1)
+    assert G3.src(CellId(1, 2)) == G3.tgt(CellId(1, 2)) == CellId(0, 0)
+    assert inverses(Z, 0, CellId(1, 1)) == [CellId(1, 1)]
 
 
 def test_typing_flags_bad_values():
@@ -478,42 +521,175 @@ def reference_typing_scan(G, d, j, tables):
             yield a, b, v, want
 
 
+def _random_family(rng, G):
+    """Every table (d, j) the carrier can host, level -1 included, filled
+    in a random key order with mostly typed, some wrong values, each table
+    full or partly filled."""
+    names = [(j + k, j) for k in (1, 2) for j in range(-1 if k == 1 else 0, G.n - k + 1)]
+    tables = {}
+    for d, j in names:
+        smap, tmap = G.src_map(d), G.tgt_map(d)
+        below, fill = tables.get((d - 1, j), {}), rng.choice((0.3, 0.8, 1.0))
+        keys = list(table_keys(G, d, j))
+        rng.shuffle(keys)
+        tables[d, j] = entries = {}
+        for a, b in keys:
+            if rng.random() > fill:
+                continue
+            # mostly typed values, so that the tables above can type their keys
+            want = ((smap[a], tmap[b]) if d == j + 1
+                    else (below.get((smap[a], smap[b])), below.get((tmap[a], tmap[b]))))
+            typed = [v for v in range(G.count(d)) if (smap[v], tmap[v]) == want]
+            entries[a, b] = rng.choice(typed) if typed and rng.random() < 0.8 else rng.randrange(G.count(d))
+    return tables
+
+
 def test_typing_scan_matches_the_per_key_reference():
     """On random 2-graphs, every table (d, j) the carrier can host, filled
     in a random key order with mostly typed, some wrong values, next to a
     table (d-1, j) that is full, partly filled or missing: ``typing_scan``
-    yields the reference's tuples in the same order."""
+    on the family's rows yields the reference's tuples in key order."""
     rng = random.Random(25)
     seen = set()
     for _ in range(60):
         G = random_graph(rng, n=2, max_cells=rng.randint(2, 5))
-        names = [(j + k, j) for k in (1, 2) for j in range(-1 if k == 1 else 0, G.n - k + 1)]
-        tables = {}
-        for d, j in names:
-            smap, tmap = G.src_map(d), G.tgt_map(d)
-            below, fill = tables.get((d - 1, j), {}), rng.choice((0.3, 0.8, 1.0))
-            keys = list(table_keys(G, d, j))
-            rng.shuffle(keys)
-            tables[d, j] = entries = {}
-            for a, b in keys:
-                if rng.random() > fill:
-                    continue
-                # mostly typed values, so that the tables above can type their keys
-                want = ((smap[a], tmap[b]) if d == j + 1
-                        else (below.get((smap[a], smap[b])), below.get((tmap[a], tmap[b]))))
-                typed = [v for v in range(G.count(d)) if (smap[v], tmap[v]) == want]
-                entries[a, b] = rng.choice(typed) if typed and rng.random() < 0.8 else rng.randrange(G.count(d))
-        for d, j in names:
+        tables = _random_family(rng, G)
+        for d, j in tables:
             family = dict(tables)
             if d > j + 1 and rng.random() < 0.2:
                 del family[d - 1, j]
                 seen.add((2, "missing below"))
-            got = list(typing_scan(G, d, j, family))
-            assert got == list(reference_typing_scan(G, d, j, family)), (d, j)
+            got = list(typing_scan(G, d, j, row_family(G, family)))
+            assert got == sorted(reference_typing_scan(G, d, j, family)), (d, j)
             seen.update((d - j, "untypeable" if want is None else "mistyped") for _a, _b, _v, want in got)
             seen.add((d - j, "typed") if len(got) < len(family[d, j]) else (d - j, "none typed"))
     assert {(1, "mistyped"), (1, "typed"), (2, "missing below"), (2, "untypeable"), (2, "mistyped"),
             (2, "typed")} <= seen, seen
+
+
+# The scans as they read entry dicts, before the core kept rows: each key
+# looked up by its tuple, a key that is not composable simply absent.
+
+def reference_global_scan(keys, name, tables):
+    return filterfalse(tables[name].__contains__, keys)
+
+
+def reference_units_scan(G, j, total, tables):
+    get = tables[j + 1, j].get
+    idn = G.idn_map(j)
+    smap, tmap = G.src_map(j + 1), G.tgt_map(j + 1)
+    for a in range(G.count(j + 1)):
+        for side, key in ((0, (idn[smap[a]], a)), (1, (a, idn[tmap[a]]))):
+            got = get(key)
+            if got is None:
+                if total:
+                    yield a, side, key, None
+            elif got != a:
+                yield a, side, key, got
+
+
+def reference_assoc_scan(G, j, tables, lopsided=None):
+    after = neighbours(G, j, SOURCE)
+    get = tables[j + 1, j].get
+    for a, nxt in enumerate(after):
+        for b in nxt:
+            ab = get((a, b))
+            if ab is None and lopsided is None:
+                continue
+            for c in after[b]:
+                left = get((ab, c)) if ab is not None else None
+                if left is None and lopsided is None:
+                    continue
+                bc = get((b, c))
+                right = get((a, bc)) if bc is not None else None
+                if left is not None and right is not None:
+                    if left != right:
+                        yield a, b, c, left, right
+                elif lopsided is not None and (left is not None or right is not None):
+                    lopsided.append((a, b, c))
+
+
+def reference_interchange_scan(G, j, tables, lopsided=None):
+    vget, hget = tables[j + 2, j + 1].get, tables[j + 2, j].get
+    for (a, a2), partners in interchange_partners(G, j):
+        va = vget((a, a2))
+        if va is None:
+            continue
+        for b, b2 in partners:
+            vb = vget((b, b2))
+            hab = hget((a, b))
+            hab2 = hget((a2, b2))
+            if vb is None or hab is None or hab2 is None:
+                continue
+            lhs = hget((va, vb))
+            rhs = vget((hab, hab2))
+            if lhs is not None and rhs is not None:
+                if lhs != rhs:
+                    yield a, a2, b, b2, lhs, rhs
+            elif lopsided is not None and (lhs is not None or rhs is not None):
+                lopsided.append((a, a2, b, b2))
+
+
+def reference_inverses(G, j, tables, a):
+    get = tables[j + 1, j].get
+    idn = G.idn_map(j)
+    x, y = G.src_map(j + 1)[a], G.tgt_map(j + 1)[a]
+    for b in hom_buckets(G, j + 1).get((y, x), ()):
+        if get((a, b)) == idn[x] and get((b, a)) == idn[y]:
+            yield b
+
+
+def reference_groupoid_scan(G, j, tables):
+    for a in range(G.count(j + 1)):
+        if next(reference_inverses(G, j, tables, a), None) is None:
+            yield a
+
+
+def test_row_scans_match_the_dict_references():
+    """On random 1- and 2-graphs, level -1, vertical and horizontal tables,
+    partial and total, with mistyped and untypeable entries: every scan on
+    the family's rows yields the dict reference's violations, in key order,
+    and the same lopsided instances in the same order."""
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(400):
+        G = random_graph(rng, n=rng.choice((1, 2)), max_cells=rng.randint(2, 5))
+        tables = _random_family(rng, G)
+        rows = row_family(G, tables)
+        for (d, j), entries in tables.items():
+            got = list(typing_scan(G, d, j, rows))
+            assert got == sorted(reference_typing_scan(G, d, j, tables)), (d, j)
+            seen.update(("untypeable" if want is None else "mistyped") for *_key, want in got)
+            keys = table_keys(G, d, j)
+            missing = list(global_scan(keys, (d, j), rows))
+            assert missing == list(reference_global_scan(keys, (d, j), tables))
+            seen.add("partial" if missing else "total")
+            seen.add(("level -1" if j == -1 else "vertical") if d == j + 1 else "horizontal")
+            if d == j + 1:
+                lopsided, want = [], []
+                assert list(assoc_scan(G, j, rows)) == list(reference_assoc_scan(G, j, tables))
+                assert list(assoc_scan(G, j, rows, lopsided)) == list(reference_assoc_scan(G, j, tables, want))
+                assert lopsided == want
+                seen.add("lopsided triple" if want else "no lopsided triple")
+            if d == j + 1 and j >= 0:
+                for total in (False, True):
+                    assert list(units_scan(G, j, total, rows)) == list(reference_units_scan(G, j, total, tables))
+                assert list(groupoid_scan(G, j, rows)) == list(reference_groupoid_scan(G, j, tables))
+                for a in range(G.count(d)):
+                    assert list(_inverses(G, j, rows, a)) == list(reference_inverses(G, j, tables, a))
+                    seen.add("inverse" if next(reference_inverses(G, j, tables, a), None) is not None else "none")
+            if d == j + 2:
+                lopsided, want = [], []
+                found = list(interchange_scan(G, j, rows))
+                assert found == list(reference_interchange_scan(G, j, tables))
+                assert list(interchange_scan(G, j, rows, lopsided)) == list(
+                    reference_interchange_scan(G, j, tables, want))
+                assert lopsided == want
+                seen.add("lopsided quadruple" if want else "no lopsided quadruple")
+                seen.add("exchange fails" if found else "exchange holds")
+    assert seen >= {"untypeable", "mistyped", "partial", "total", "level -1", "vertical", "horizontal",
+                    "lopsided triple", "lopsided quadruple", "inverse", "none", "exchange fails",
+                    "exchange holds"}, seen
 
 
 def _report_edge_structures():
