@@ -43,9 +43,9 @@ it, and the oracle writes every slot of one reused row family per
 assignment.  The watches, the record verdict, the settled-table test and
 the canonical gather read those rows, so a read builds and hashes no key
 tuple.  Entry dicts are made only at the edges: the record step builds
-them from the rows for the representatives it keeps, and the public
-``canonical_form``, like the checkers, converts the dicts it is given
-with ``structures.row_family``.
+its representatives from their rows (``structures.structure_of_rows``),
+and the public ``canonical_form``, like the checkers, converts the dicts
+it is given with ``structures.row_family``.
 
 The search checks associativity only on the triples that read the entry
 (a, b) -> v it has just set, in four roles: (a, b, c) for each c that can
@@ -77,9 +77,9 @@ record (``_Orbit``), each φ's slots in the lex order of their keys' images
 and the code of φ's image of each value, one character per cell and one
 for "absent".  A record's rows read as one string of codes; its image
 under φ is one gather of that string and one translation, with no sorting.
-The record step builds only the structures it keeps, each from entry
-dicts made from the record's rows, passed to ``CategoryStructure`` as the
-family ``tables=``.
+The record step builds only the structures it keeps, from the record's
+rows with ``structures.structure_of_rows``, without the constructor's
+checks: each key is its table's own, each value a cell the verdict typed.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, compress, repeat
-from operator import is_not, itemgetter
+from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
 
 from .graphs import (
@@ -125,6 +125,7 @@ from .structures import (
     laws,
     neighbours,
     row_family,
+    structure_of_rows,
     table_keys,
     table_place,
     units_scan,
@@ -429,22 +430,14 @@ def _extensions_exist(G, rows, tables):
     return False
 
 
-def _entries(G, name, rows):
-    """The entry dict of the table ``name`` that ``rows`` hold."""
-    keys, flat = table_keys(G, *name), [*chain.from_iterable(rows)]
-    if None in flat:
-        return dict(compress(zip(keys, flat), map(is_not, flat, repeat(None))))
-    return dict(zip(keys, flat))
-
-
 def _recorder(G, spec, result, names, deadline=None):
     """The record step both routes share, for row families named by
     ``names`` in search order.  The returned function takes one complete
     assignment; when it passes the flags (and, in maximal-only mode, admits
     no single-entry extension) it is tallied raw and by canonical form;
-    only the representatives kept are built, each from entry dicts made
-    from its rows.  The verdict settles each table but the last whose rows
-    equal their copy from the last record that passed the flags.  Listing
+    only the representatives kept are built, by ``structure_of_rows``.
+    The verdict settles each table but the last whose rows equal their
+    copy from the last record that passed the flags.  Listing
     the automorphisms past ``deadline`` or in more steps than the node
     budget raises SpaceTooLarge; their key orbit is built at the first
     record that passes."""
@@ -452,7 +445,7 @@ def _recorder(G, spec, result, names, deadline=None):
     rows = _verdict(G, spec.flags, names)
     maximal = spec.maximal_only and not spec.flags.global_
     cap = spec.limits.max_representatives
-    orbit = None
+    orbit, keys = None, {name: table_keys(G, *name) for name in names}
     last_pass, nothing = dict.fromkeys(names[:-1]), frozenset()
 
     def record(tables):
@@ -474,8 +467,7 @@ def _recorder(G, spec, result, names, deadline=None):
             orbit = _Orbit(G, sorted(tables), auts)
         form = canonical_form(G, tables, orbit)
         if form not in result.canonical_counts and len(result.representatives) < cap:
-            copies = {name: _entries(G, name, R) for name, R in tables.items()}
-            result.representatives.append(CategoryStructure(G, tables=copies, flags=spec.flags))
+            result.representatives.append(structure_of_rows(G, tables, spec.flags, keys))
         result.canonical_counts[form] += 1
 
     return record

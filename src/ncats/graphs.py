@@ -390,7 +390,7 @@ def hom_set(G: NGraph, x: CellId, y: CellId) -> HomSet:
     if not 0 <= x.dim <= G.n - 1:
         raise BadLevel(f"hom-sets live over dimensions 0..{G.n - 1}, got {x.dim}")
     d = x.dim + 1
-    members = tuple(CellId(d, i) for i in hom_buckets(G, d).get((x.index, y.index), ()))
+    members = tuple(CellId(d, i) for i in hom_buckets(G, d).get((G.index(x), G.index(y)), ()))
     return HomSet(x.dim, x, y, members)
 
 
@@ -401,7 +401,7 @@ def iterated_boundary(G: NGraph, z: CellId, j: int, side: str) -> CellId:
         raise ValueError(f"side must be {SOURCE!r} or {TARGET!r}")
     if not -1 <= j < z.dim:
         raise BadLevel(f"no dimension-{j} boundary for a cell of dimension {z.dim}")
-    return CellId(j, boundary_map(G, z.dim, j, side)[z.index])
+    return CellId(j, boundary_map(G, z.dim, j, side)[G.index(z)])
 
 
 def is_skeletal(G: NGraph) -> bool:

@@ -15,10 +15,10 @@ serve only the benchmark harness.  Keys are diagrammatic: (a, b) is a, then b.
 Inside the core a table is kept as rows, one list per d-cell a with one
 slot per cell that can follow it, None where the entry is absent; read
 one after another they run in ``table_keys`` order.  Every scan reads a
-family of rows.  ``row_family`` converts entry dicts to rows: the
-checkers convert ``S.tables`` once per call, ``inverses`` and
-``enumeration.canonical_form`` the dicts they are given, and the
-enumeration keeps nothing but rows.
+family of rows.  ``row_family`` converts entry dicts to rows, for the
+checkers, ``inverses`` and ``enumeration.canonical_form``, once per
+call; the enumeration keeps nothing but rows, and ``structure_of_rows``
+turns them back into the representatives it keeps.
 
 Checkers never raise on a bad table; they return a report whose checks
 carry one verdict each (pass, fail, or not-applicable) plus explicit
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field, fields
 from itertools import chain, compress, filterfalse, repeat
-from operator import is_
+from operator import is_, is_not
 from types import MappingProxyType
 
 from .graphs import (
@@ -432,6 +432,19 @@ def row_family(G: NGraph, tables):
         flat = list(map(entries.get, table_keys(G, d, j)))
         out[d, j] = list(map(flat.__getitem__, _row_slices(G, d, j)))
     return out
+
+
+def structure_of_rows(G: NGraph, rows, flags: AxiomFlags, keys):
+    """The inverse of ``row_family``: the structure whose tables, named in
+    ``table_place`` order with ``keys`` their ``table_keys``, ``rows`` holds,
+    unchecked, as rows that pass the record verdict pass the constructor."""
+    S = CategoryStructure.__new__(CategoryStructure)
+    S.graph, S.flags, S.tables = G, flags, {}
+    for name, R in rows.items():
+        flat = [*chain.from_iterable(R)]
+        pairs = zip(keys[name], flat)
+        S.tables[name] = dict(compress(pairs, map(is_not, flat, repeat(None))) if None in flat else pairs)
+    return S
 
 
 # -- one integer scan per axiom ---------------------------------------------

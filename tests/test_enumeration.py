@@ -309,16 +309,16 @@ def test_record_step_builds_one_orbit_per_search(monkeypatch):
 
 
 def test_record_builds_structures_only_for_kept_representatives(monkeypatch):
-    """The record step tallies every record from its rows; a
-    ``CategoryStructure`` is built only for a representative it keeps."""
+    """The record step tallies every record from its rows; a structure is
+    built, by ``structure_of_rows``, only for a representative it keeps."""
     built = []
-    real = enumeration.CategoryStructure
+    real = enumeration.structure_of_rows
 
     def counted(*args, **kwargs):
         built.append(real(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(enumeration, "CategoryStructure", counted)
+    monkeypatch.setattr(enumeration, "structure_of_rows", counted)
     sp = spec(MONOID, limits=EnumLimits(max_representatives=4))
     for run in (enumerate_structures, brute_force_oracle):
         built.clear()
@@ -337,12 +337,14 @@ def _entry_dicts(G, tables):
 
 
 def test_record_keeps_copies_equal_to_a_fresh_construction(monkeypatch):
-    """The representatives the search and the oracle keep equal the
+    """The representatives the search and the oracle keep, which
+    ``structure_of_rows`` builds without the constructor's checks, equal the
     structures the constructor builds from copies of their tables, on the
-    criterion-2 carriers and on the cat-of-one-Z2 carrier; each holds the
-    entry dicts that the rows of its record hold, tables in search order."""
+    criterion-2 carriers, on the cat-of-one-Z2 carrier and, partial with
+    absent horizontal entries, on a random 2-graph; each holds the entry
+    dicts that the rows of its record hold, tables in search order."""
     last = {}
-    real_form, real_structure = enumeration.canonical_form, enumeration.CategoryStructure
+    real_form, real_structure = enumeration.canonical_form, enumeration.structure_of_rows
 
     def form(G, tables, auts=None):
         last.clear()
@@ -356,7 +358,7 @@ def test_record_keeps_copies_equal_to_a_fresh_construction(monkeypatch):
         return S
 
     monkeypatch.setattr(enumeration, "canonical_form", form)
-    monkeypatch.setattr(enumeration, "CategoryStructure", build)
+    monkeypatch.setattr(enumeration, "structure_of_rows", build)
     oracle = functools.partial(brute_force_oracle, space_bound=10 ** 5)
     C = build_cat_of_cats([z2_structure()[1]], depth=2)[0]
     # as criterion 2, but within a smaller space
@@ -365,13 +367,19 @@ def test_record_keeps_copies_equal_to_a_fresh_construction(monkeypatch):
             for run in (enumerate_structures, oracle)]
     runs += [(enumerate_structures, C, spec(TWO_CATEGORY, include_horizontal=True)),
              (oracle, C, spec(TWO_CATEGORY, levels=(0, 1)))]
+    H = random_graph(random.Random(5), n=2, max_cells=3)
+    runs += [(run, H, spec(AxiomFlags(interchange=True), include_horizontal=True))
+             for run in (enumerate_structures, oracle)]
     kept = set()
     for run, G, sp in runs:
         for R in run(G, sp).representatives:
             copies = {name: dict(entries) for name, entries in R.tables.items()}
             assert R == CategoryStructure(G, tables=copies, flags=sp.flags)
-            kept.add((run, len(R.tables)))
-    assert kept == {(enumerate_structures, 1), (oracle, 1), (enumerate_structures, 3), (oracle, 2)}
+            # whether a horizontal table of the copy has absent entries
+            gaps = any(len(R.tables[d, j]) < len(table_keys(G, d, j)) for d, j in R.tables if d == j + 2)
+            kept.add((run, len(R.tables), gaps))
+    assert kept == {(enumerate_structures, 1, False), (oracle, 1, False), (enumerate_structures, 3, False),
+                    (oracle, 2, False), (oracle, 3, False), (enumerate_structures, 3, True), (oracle, 3, True)}
 
 
 def test_node_budget_interrupts():

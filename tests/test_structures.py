@@ -31,7 +31,7 @@ from ncats import (
 from ncats import structures
 from ncats.cobordism import build_cob_truncation
 from ncats.enumeration import _verdict
-from ncats.graphs import SOURCE, TARGET, BadLevel, GraphError, hom_buckets
+from ncats.graphs import SOURCE, TARGET, BadLevel, GraphError, hom_buckets, hom_set, iterated_boundary
 from ncats.structures import (
     FAIL,
     NOT_APPLICABLE,
@@ -274,8 +274,8 @@ def test_composable_pairs_and_compose():
 
 
 def test_cell_queries_refuse_cells_that_do_not_exist():
-    """``compose``, ``inverses`` and the boundary and identity queries
-    answer only for cells of the carrier: a cell of the wrong dimension is
+    """``compose``, ``inverses``, ``hom_set`` and the boundary and identity
+    queries answer only for cells of the carrier: a cell of the wrong dimension is
     not composable, an index out of range, negative ones included, names no
     cell, and a level without a vertical table has no table to read."""
     _, Z = z2_structure()
@@ -290,11 +290,14 @@ def test_cell_queries_refuse_cells_that_do_not_exist():
             compose(Z3, bad, CellId(1, 1), 0)
         with pytest.raises(GraphError, match=f"no cell {bad}"):
             compose(Z3, CellId(1, 1), bad, 0)
-        for query in (G3.src, G3.tgt):
+        for query in (G3.src, G3.tgt, lambda z: iterated_boundary(G3, z, 0, SOURCE),
+                      lambda z: iterated_boundary(G3, z, -1, TARGET)):
             with pytest.raises(GraphError, match=f"no cell {bad}"):
                 query(bad)
-    with pytest.raises(GraphError, match="no cell 0#-1"):
-        G3.idn(CellId(0, -1))
+    for bad in (CellId(0, -1), CellId(0, 1)):
+        for query in (G3.idn, lambda x: hom_set(G3, x, CellId(0, 0)), lambda y: hom_set(G3, CellId(0, 0), y)):
+            with pytest.raises(GraphError, match=f"no cell {bad}: dimension 0 has 1 cells"):
+                query(bad)
     with pytest.raises(BadLevel):
         G3.index(CellId(5, 0))
     for j in (1, 2, -1):
