@@ -275,9 +275,10 @@ def test_composable_pairs_and_compose():
 
 def test_cell_queries_refuse_cells_that_do_not_exist():
     """``compose``, ``inverses``, ``hom_set`` and the boundary and identity
-    queries answer only for cells of the carrier: a cell of the wrong dimension is
-    not composable, an index out of range, negative ones included, names no
-    cell, and a level without a vertical table has no table to read."""
+    queries answer only for cells of the carrier: a cell of the wrong
+    dimension is not composable, an index out of range, negative ones
+    included, names no cell, and a level without a vertical table has no
+    table to read."""
     _, Z = z2_structure()
     G3 = loops_graph(3)
     Z3 = CategoryStructure(G3, tables={(1, 0): {(a, b): (a + b) % 3 for a in range(3) for b in range(3)}})
