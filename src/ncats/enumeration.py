@@ -58,8 +58,9 @@ clears entries last-in, first-out, so the key it clears is always the last
 one listed.
 
 Interchange pairs a horizontal table (j+2, j) with the vertical table
-(j+2, j+1).  A middle-four quadruple reads four entries at fixed keys, two
-in each table, and two outer composites whose keys depend on the values.
+(j+2, j+1).  Each middle-four quadruple, as ``structures._exchange_places``
+lists them once per carrier, reads four entries at fixed keys, two in each
+table, and two outer composites whose keys depend on the values.
 Every vertical table is filled before every horizontal one, so only the
 horizontal slots watch quadruples.  A quadruple is held at the later of its
 two horizontal keys and read in full.  At a later horizontal slot whose key
@@ -119,9 +120,9 @@ from .structures import (
     _check_table,
     composite_type,
     empty_rows,
+    _exchange_places,
     fiber_pos,
     h_composable_pairs,  # noqa: F401
-    interchange_partners,
     laws,
     neighbours,
     row_family,
@@ -321,16 +322,16 @@ def _exchange_watches(G, rows, slots, exchanges):
 
     Each of the ``exchanges``, a horizontal table H = (d, j), pairs it with
     the vertical table V = (d, j+1), all of whose slots come first.  A
-    quadruple (a, a2, b, b2) reads H-keys (a, b), (a2, b2), V-keys (a, a2),
-    (b, b2) and the outer composites H(V(a, a2), V(b, b2)) and
-    V(H(a, b), H(a2, b2)).  It is held, all six entries read, at the later
-    of its H-keys, and composing at each later slot of H whose key its V
-    composites may form, pre-filtered by their boundaries (vs[a], vt[a2])
-    and (vs[b], vt[b2]), as the search only places typed values.  At any
-    other slot one of its reads is absent.  Each watch is (H rows, V rows,
-    H columns, V columns, held, composing), a quadruple stored as the cells
-    and columns of its four fixed reads, (a, ph[b], a2, ph[b2], pv[a2], b,
-    pv[b2]) with ph and pv the ``fiber_pos`` of H and V.
+    quadruple (a, a2, b, b2) of ``_exchange_places`` reads H-keys (a, b),
+    (a2, b2), V-keys (a, a2), (b, b2) and the outer composites
+    H(V(a, a2), V(b, b2)) and V(H(a, b), H(a2, b2)).  It is held, all six
+    entries read, at the later of its H-keys, and composing at each later
+    slot of H whose key its V composites may form, pre-filtered by their
+    boundaries (vs[a], vt[a2]) and (vs[b], vt[b2]), as the search only
+    places typed values.  At any other slot one of its reads is absent.
+    Each watch is (H rows, V rows, H columns ph, V columns pv, held,
+    composing, key), a quadruple stored as its listing's cells and columns
+    (a, ph[b], a2, ph[b2], pv[a2], b, pv[b2]) of its four fixed reads.
     """
     at = {((d, j), key): pos for pos, (d, j, key) in enumerate(slots)}
     watches = {}
@@ -339,9 +340,9 @@ def _exchange_watches(G, rows, slots, exchanges):
         vs, vt = G.src_map(d), G.tgt_map(d)
         ph, pv = fiber_pos(G, d, j), fiber_pos(G, d, j + 1)
         held, by_type = {}, {}
-        for (a, a2), partners in interchange_partners(G, j):
-            for b, b2 in partners:
-                quad = (a, ph[b], a2, ph[b2], pv[a2], b, pv[b2])
+        for a, a2, ia2, partners in _exchange_places(G, j):
+            for b, b2, ib, ib2, vb2 in partners:
+                quad = (a, ib, a2, ib2, ia2, b, vb2)
                 last = max(at[H, (a, b)], at[H, (a2, b2)])
                 held.setdefault(last, []).append(quad)
                 by_type.setdefault((vs[a], vt[a2], vs[b], vt[b2]), []).append((last, quad))

@@ -287,9 +287,10 @@ class NGraph:
         return CellId(x.dim + 1, self._idn[x.dim][self.index(x)])
 
     def label(self, z: CellId):
+        i = self.index(z)
         if self.labels is None or z.dim < 0:
             return None
-        return self.labels[z.dim][z.index]
+        return self.labels[z.dim][i]
 
 
 def validate_graph(raw) -> NGraph | ValidationReport:
@@ -491,6 +492,10 @@ class GraphAutomorphism:
     def apply(self, z: CellId) -> CellId:
         if z.dim == -1:
             return z
+        if not 0 <= z.dim < len(self.maps):
+            raise BadLevel(f"dimension {z.dim} outside -1..{len(self.maps) - 1}")
+        if not (_integer(z.index) and 0 <= z.index < len(self.maps[z.dim])):
+            raise GraphError(f"no cell {z}: dimension {z.dim} has {len(self.maps[z.dim])} cells")
         return CellId(z.dim, self.maps[z.dim][z.index])
 
     def then(self, other: "GraphAutomorphism") -> "GraphAutomorphism":

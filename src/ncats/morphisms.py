@@ -77,9 +77,8 @@ class GraphMorphism:
                     raise GraphError(f"dimension {d} component value {v!r} out of range")
 
     def apply(self, z: CellId) -> CellId:
-        if z.dim == -1:
-            return z
-        return CellId(z.dim, self.comps[z.dim][z.index])
+        i = self.domain.index(z)
+        return z if z.dim == -1 else CellId(z.dim, self.comps[z.dim][i])
 
 
 def identity_morphism(G: NGraph) -> GraphMorphism:

@@ -27,7 +27,9 @@ counterexamples, so a caller can tell exactly which axiom broke and where.
 flags.  The enumeration's record verdict runs its rows; every checker
 reports them, each row as one check built by ``_check``.  A law is its
 row, its scan and its ``_SHAPES`` entry, whose order the record verdict
-runs.
+runs.  Interchange's instances, the middle-four quadruples, are listed once
+per carrier (``_exchange_places``); its scan and the enumeration's watches
+both read that listing.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from types import MappingProxyType
 from .graphs import (
     SOURCE,
     TARGET,
+    BadLevel,
     CellId,
     NGraph,
     _integer,
@@ -191,8 +194,12 @@ def composite_type(G: NGraph, d: int, j: int):
 
 
 def composable(G: NGraph, j: int, a: int, b: int) -> bool:
-    """Whether (a, b) is a key of the vertical table at level j."""
-    return G.tgt_map(j + 1)[a] == G.src_map(j + 1)[b]
+    """Whether (a, b) is a key of the vertical table at level j; BadLevel
+    for a level outside -1..n-1, GraphError for an index with no cell."""
+    if not (_integer(j) and -1 <= j < G.n):
+        raise BadLevel(f"vertical level {j} outside -1..{G.n - 1}")
+    d = j + 1
+    return G.tgt_map(d)[G.index(CellId(d, a))] == G.src_map(d)[G.index(CellId(d, b))]
 
 
 @per_carrier
@@ -224,38 +231,25 @@ def h_composable_pairs(G: NGraph, j: int):
 
 
 @per_carrier
-def interchange_partners(G: NGraph, j: int):
-    """Each level-(j+1) key (a, a2) of (j+2)-cells, in ``composable_pairs``
-    order, with the keys (b, b2), in the same order, such that (a, b) and
-    (a2, b2) are level-j horizontal keys: the quadruples that middle-four
-    exchange constrains.  Computed once per carrier; the partner tuples are
-    shared, so the index grows with the number of keys, not quadruples."""
+def _exchange_places(G: NGraph, j: int):
+    """The middle-four quadruples of interchange at level j, listed once
+    per carrier: each key (a, a2) of V = (j+2, j+1), in key order, as
+    (a, a2, column of a2 in V, partners), its partners the keys (b, b2) of
+    V, in order, with (a, b) and (a2, b2) keys of H = (j+2, j), as (b, b2,
+    columns of b and b2 in H, column of b2 in V).  Keys whose a share a
+    j-target share one partner tuple, so the listing grows with the number
+    of keys, not of quadruples."""
     d = j + 2
-    outer_t = boundary_map(G, d, j, TARGET)
-    outer_s = boundary_map(G, d, j, SOURCE)
-    vpairs = composable_pairs(G, j + 1)
+    pv, ph = fiber_pos(G, d, j + 1), fiber_pos(G, d, j)
+    outer_s, outer_t = boundary_map(G, d, j, SOURCE), boundary_map(G, d, j, TARGET)
+    vkeys = table_keys(G, d, j + 1)
     by_outer_src = {}
-    for pair in vpairs:
-        by_outer_src.setdefault(outer_s[pair[0]], []).append(pair)
-    by_outer_src = {x: tuple(pairs) for x, pairs in by_outer_src.items()}
+    for b, b2 in vkeys:
+        by_outer_src.setdefault(outer_s[b], []).append((b, b2, ph[b], ph[b2], pv[b2]))
+    by_outer_src = {x: tuple(partners) for x, partners in by_outer_src.items()}
     # by globularity the two cells of a level-(j+1) key share their
     # dimension-j boundaries, so (a2, b2) meets exactly when (a, b) does
-    return tuple((pair, by_outer_src.get(outer_t[pair[0]], ())) for pair in vpairs)
-
-
-@per_carrier
-def _exchange_places(G: NGraph, j: int):
-    """``interchange_partners`` with the columns of their cells in the rows
-    of the tables (j+2, j+1) and (j+2, j): each key (a, a2) as (a, a2,
-    column of a2), each partner (b, b2) as (b, b2, column of b, column of
-    b2 in table (j+2, j), column of b2 in table (j+2, j+1))."""
-    pv, ph = fiber_pos(G, j + 2, j + 1), fiber_pos(G, j + 2, j)
-    shared, out = {}, []  # partner tuples stay shared, as in interchange_partners
-    for (a, a2), partners in interchange_partners(G, j):
-        if partners not in shared:
-            shared[partners] = tuple((b, b2, ph[b], ph[b2], pv[b2]) for b, b2 in partners)
-        out.append((a, a2, pv[a2], shared[partners]))
-    return tuple(out)
+    return tuple((a, a2, pv[a2], by_outer_src.get(outer_t[a], ())) for a, a2 in vkeys)
 
 
 class CategoryStructure:
@@ -364,7 +358,7 @@ def compose(S: CategoryStructure, a: CellId, b: CellId, j: int) -> CellId:
     """Table lookup for "a then b" at level j, raising when impossible."""
     _vertical_cells(S, j, a, b)
     d = j + 1
-    if not composable(S.graph, j, a.index, b.index):
+    if S.graph.tgt_map(d)[a.index] != S.graph.src_map(d)[b.index]:
         raise NotComposable(f"{a} and {b} do not meet end to end")
     try:
         return CellId(d, S.tables[d, j][a.index, b.index])
@@ -537,7 +531,7 @@ def assoc_scan(G: NGraph, j: int, tables, lopsided=None):
 def interchange_scan(G: NGraph, j: int, tables, lopsided=None):
     """Middle-four exchange between the vertical table (j+2, j+1) and the
     horizontal table (j+2, j): the quadruples (a, a2, b, b2), in
-    ``interchange_partners`` order, whose four inner composites and both
+    ``_exchange_places`` order, whose four inner composites and both
     outer ones are defined and disagree, as (a, a2, b, b2, lhs, rhs).
     Given a list, the scan also appends to ``lopsided`` each quadruple with
     only one outer composite defined."""

@@ -34,7 +34,7 @@ from ncats.structures import (
     table_keys,
 )
 
-from util import loops_graph, parallel_pair_graph, random_graph, z2_structure
+from util import loops_graph, middle_four, parallel_pair_graph, random_graph, z2_structure
 
 
 def carriers():
@@ -204,32 +204,25 @@ def test_construction_checks_keys_through_the_index():
 
 
 def naive_interchange(S, j):
-    """Every pair of vertical keys against every other, with boundaries
-    found by walking cell by cell."""
+    """Every middle-four quadruple, found cell by cell, read from the entry
+    dicts."""
     G = S.graph
     d = j + 2
     V = S.tables[d, j + 1]
     H = S.tables[d, j]
-    cells = range(G.count(d))
-    vpairs = [(a, a2) for a in cells for a2 in cells if G.tgt_map(d)[a] == G.src_map(d)[a2]]
-    outer_t = [walk(G, CellId(d, i), j, TARGET) for i in cells]
-    outer_s = [walk(G, CellId(d, i), j, SOURCE) for i in cells]
     bad, lopsided = [], []
-    for a, a2 in vpairs:
-        for b, b2 in vpairs:
-            if outer_t[a] != outer_s[b] or outer_t[a2] != outer_s[b2]:
-                continue
-            parts = (V.get((a, a2)), V.get((b, b2)), H.get((a, b)), H.get((a2, b2)))
-            if None in parts:
-                continue
-            va, vb, hab, hab2 = parts
-            lhs, rhs = H.get((va, vb)), V.get((hab, hab2))
-            quad = (CellId(d, a), CellId(d, a2), CellId(d, b), CellId(d, b2))
-            if lhs is not None and rhs is not None:
-                if lhs != rhs:
-                    bad.append(("interchange", quad, CellId(d, lhs), CellId(d, rhs)))
-            elif lhs is not None or rhs is not None:
-                lopsided.append(("partiality-asymmetry", quad))
+    for a, a2, b, b2 in middle_four(G, j):
+        parts = (V.get((a, a2)), V.get((b, b2)), H.get((a, b)), H.get((a2, b2)))
+        if None in parts:
+            continue
+        va, vb, hab, hab2 = parts
+        lhs, rhs = H.get((va, vb)), V.get((hab, hab2))
+        quad = (CellId(d, a), CellId(d, a2), CellId(d, b), CellId(d, b2))
+        if lhs is not None and rhs is not None:
+            if lhs != rhs:
+                bad.append(("interchange", quad, CellId(d, lhs), CellId(d, rhs)))
+        elif lhs is not None or rhs is not None:
+            lopsided.append(("partiality-asymmetry", quad))
     return bad, lopsided
 
 

@@ -1,6 +1,7 @@
 import functools
 import gc
 import itertools
+import math
 import random
 import time
 import weakref
@@ -35,13 +36,14 @@ from ncats.graphs import (
     boundary_fibers,
     boundary_map,
     hom_buckets,
+    hom_graph,
+    opposite,
 )
 from ncats.structures import (
     NoTableAtLevel,
     StructureError,
     empty_rows,
     fiber_pos,
-    interchange_partners,
     row_family,
     table_keys,
 )
@@ -50,6 +52,7 @@ from util import (
     chain_graph,
     long_order_graph,
     loops_graph,
+    middle_four,
     oriental_2_graph,
     parallel_pair_graph,
     random_graph,
@@ -115,7 +118,9 @@ def test_oracle_agreement_on_the_second_oriental():
     domains it iterates, the typed values of each key: 32 assignments,
     where every cell of each key's dimension would count about 1.9e18.
     A horizontal key's type reads a vertical table, so its domain is every
-    2-cell, and that product stays out of reach."""
+    2-cell, and that product stays out of reach; there duality is the
+    second route: O_2 and both its opposites admit 2 strict 2-categories,
+    2 up to isomorphism."""
     G = oriental_2_graph()
     for flags, raw in ((GLOBAL, 32), (MONOID, 2)):
         fast = enumerate_structures(G, spec(flags))
@@ -126,6 +131,9 @@ def test_oracle_agreement_on_the_second_oriental():
         brute_force_oracle(G, spec(GLOBAL), space_bound=31)
     with pytest.raises(SpaceTooLarge):
         brute_force_oracle(G, spec(MONOID, include_horizontal=True))
+    for H in (G, opposite(G, 1), opposite(G, 2)):
+        res = enumerate_structures(H, spec(TWO_CATEGORY, include_horizontal=True))
+        assert (res.exhausted, res.raw_count, res.iso_count) == (True, 2, 2)
 
 
 def test_oracle_agreement_partial_mode():
@@ -525,9 +533,8 @@ def test_interchange_watches_follow_the_slot_order():
 
         held, want = Counter(), Counter()
         for j in range(G.n - 1):
-            for (a, a2), partners in interchange_partners(G, j):
-                for b, b2 in partners:
-                    want[j, (a, a2, b, b2), last(j, a, a2, b, b2)] += 1
+            for quad in middle_four(G, j):
+                want[j, quad, last(j, *quad)] += 1
         for pos, ((d, j, key), row) in enumerate(zip(slots, rows)):
             exchange = row[5]
             if exchange is None:
@@ -673,6 +680,35 @@ def test_two_categories_on_relabeled_carriers():
         res = enumerate_structures(relabeled(G, perms), spec(TWO_CATEGORY, include_horizontal=True))
         assert res.exhausted
         assert (res.nodes, res.records, res.raw_count, res.iso_count) == pinned, perms
+
+
+# the node cap under which the identities below compare two runs: a run
+# that does not finish under it is left out
+IDENTITY_LIMITS = EnumLimits(max_nodes=5000, time_budget=None)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.sampled_from((1, 2)),
+       flags=st.builds(AxiomFlags, *[st.booleans()] * 5), horizontal=st.booleans())
+def test_counts_agree_across_opposites_and_hom_graphs(seed, n, flags, horizontal):
+    """Two identities give the search a second route past the oracle's
+    reach.  Duality: reversing every table (d, i-1) maps the structures on
+    a carrier one-to-one onto those on ``opposite(G, i)``, flags kept, so
+    raw and iso counts agree for every i.  Factorization: on a 2-graph
+    with only its top table no key or law crosses a hom-graph, so its raw
+    count is the product of those of the hom-graphs between its 0-cells.
+    Random 1- and 2-graphs under random flag sets, with and without
+    horizontal tables; only runs that finish under the node cap count."""
+    G = random_graph(random.Random(seed), n=n, max_cells=3)
+    sp = spec(flags, include_horizontal=horizontal, limits=IDENTITY_LIMITS)
+    runs = [enumerate_structures(H, sp) for H in (G, *(opposite(G, i) for i in range(1, n + 1)))]
+    assert len({(r.raw_count, r.iso_count) for r in runs if r.exhausted}) <= 1
+    if n == 2:
+        top = enumerate_structures(G, spec(flags, levels=(1,), limits=IDENTITY_LIMITS))
+        homs = [enumerate_structures(hom_graph(G, x, y), spec(flags, limits=IDENTITY_LIMITS))
+                for x in G.cells(0) for y in G.cells(0)]
+        if top.exhausted and all(h.exhausted for h in homs):
+            assert top.raw_count == math.prod(h.raw_count for h in homs)
 
 
 def test_search_does_not_depend_on_where_the_identity_loop_sits():

@@ -31,7 +31,17 @@ from ncats import (
 from ncats import structures
 from ncats.cobordism import build_cob_truncation
 from ncats.enumeration import _verdict
-from ncats.graphs import SOURCE, TARGET, BadLevel, GraphError, hom_buckets, hom_set, iterated_boundary
+from ncats.graphs import (
+    SOURCE,
+    TARGET,
+    BadLevel,
+    GraphAutomorphism,
+    GraphError,
+    hom_buckets,
+    hom_set,
+    iterated_boundary,
+)
+from ncats.morphisms import identity_morphism
 from ncats.structures import (
     FAIL,
     NOT_APPLICABLE,
@@ -48,7 +58,6 @@ from ncats.structures import (
     assoc_scan,
     global_scan,
     groupoid_scan,
-    interchange_partners,
     interchange_scan,
     inverses,
     laws,
@@ -63,6 +72,7 @@ from util import (
     arrow_graph,
     chain_graph,
     loops_graph,
+    middle_four,
     parallel_pair_graph,
     random_graph,
     total_order_structure,
@@ -274,13 +284,16 @@ def test_composable_pairs_and_compose():
 
 
 def test_cell_queries_refuse_cells_that_do_not_exist():
-    """``compose``, ``inverses``, ``hom_set`` and the boundary and identity
-    queries answer only for cells of the carrier: a cell of the wrong
-    dimension is not composable, an index out of range, negative ones
-    included, names no cell, and a level without a vertical table has no
-    table to read."""
+    """``compose``, ``inverses``, ``hom_set``, the boundary, identity and
+    label queries and the images under a graph morphism or automorphism
+    answer only for cells of the carrier: a cell of the wrong dimension is
+    not composable, an index out of range, negative ones included, names
+    no cell, and a level without a vertical table has no table to read."""
     _, Z = z2_structure()
     G3 = loops_graph(3)
+    labelled = NGraph(1, StructureTail(1, (0, 0)), [[0], [0] * 3], [[0], [0] * 3], [[0]],
+                      labels=[["pt"], ["id", "p", "q"]])
+    maps = (identity_morphism(G3).apply, GraphAutomorphism.identity(G3).apply)
     Z3 = CategoryStructure(G3, tables={(1, 0): {(a, b): (a + b) % 3 for a in range(3) for b in range(3)}})
     with pytest.raises(NotComposable, match="level 0 composes dimension-1 cells, got 0#0"):
         inverses(Z3, 0, CellId(0, 0))
@@ -292,9 +305,14 @@ def test_cell_queries_refuse_cells_that_do_not_exist():
         with pytest.raises(GraphError, match=f"no cell {bad}"):
             compose(Z3, CellId(1, 1), bad, 0)
         for query in (G3.src, G3.tgt, lambda z: iterated_boundary(G3, z, 0, SOURCE),
-                      lambda z: iterated_boundary(G3, z, -1, TARGET)):
+                      lambda z: iterated_boundary(G3, z, -1, TARGET), labelled.label, G3.label, *maps):
             with pytest.raises(GraphError, match=f"no cell {bad}"):
                 query(bad)
+    with pytest.raises(GraphError, match="no cell -1#5: dimension -1 has 1 cells"):
+        identity_morphism(G3).apply(CellId(-1, 5))
+    for query in (G3.label, *maps):
+        with pytest.raises(BadLevel):
+            query(CellId(5, 0))
     for bad in (CellId(0, -1), CellId(0, 1)):
         for query in (G3.idn, lambda x: hom_set(G3, x, CellId(0, 0)), lambda y: hom_set(G3, CellId(0, 0), y)):
             with pytest.raises(GraphError, match=f"no cell {bad}: dimension 0 has 1 cells"):
@@ -308,6 +326,27 @@ def test_cell_queries_refuse_cells_that_do_not_exist():
     assert compose(Z3, CellId(1, 2), CellId(1, 2), 0) == CellId(1, 1)
     assert G3.src(CellId(1, 2)) == G3.tgt(CellId(1, 2)) == CellId(0, 0)
     assert inverses(Z, 0, CellId(1, 1)) == [CellId(1, 1)]
+    assert labelled.label(CellId(1, 2)) == "q" and labelled.label(CellId(-1, 0)) is None
+    assert [f(CellId(1, 2)) for f in maps] == [CellId(1, 2)] * 2
+    assert [f(CellId(-1, 0)) for f in maps] == [CellId(-1, 0)] * 2
+
+
+def test_composable_refuses_levels_and_cells_that_do_not_exist():
+    """``composable`` answers only for a level that has a vertical table
+    and for cells of the dimension it composes, refusing the rest as the
+    boundary queries do: a negative index names no cell rather than one
+    counted from the end."""
+    G = arrow_graph()
+    assert composable(G, 0, 2, 1) and not composable(G, 0, 1, 2)
+    assert composable(G, -1, 0, 1)
+    for j in (-2, 1, 5):
+        with pytest.raises(BadLevel, match=f"vertical level {j} outside -1..0"):
+            composable(G, j, 0, 0)
+    for a, b, bad in ((-1, 1, "1#-1"), (0, 5, "1#5"), (3, 0, "1#3")):
+        with pytest.raises(GraphError, match=f"no cell {bad}: dimension 1 has 3 cells"):
+            composable(G, 0, a, b)
+    with pytest.raises(GraphError, match="no cell 0#2: dimension 0 has 2 cells"):
+        composable(G, -1, 2, 0)
 
 
 def test_typing_flags_bad_values():
@@ -615,23 +654,17 @@ def reference_assoc_scan(G, j, tables, lopsided=None):
 
 def reference_interchange_scan(G, j, tables, lopsided=None):
     vget, hget = tables[j + 2, j + 1].get, tables[j + 2, j].get
-    for (a, a2), partners in interchange_partners(G, j):
-        va = vget((a, a2))
-        if va is None:
+    for a, a2, b, b2 in middle_four(G, j):
+        va, vb, hab, hab2 = vget((a, a2)), vget((b, b2)), hget((a, b)), hget((a2, b2))
+        if va is None or vb is None or hab is None or hab2 is None:
             continue
-        for b, b2 in partners:
-            vb = vget((b, b2))
-            hab = hget((a, b))
-            hab2 = hget((a2, b2))
-            if vb is None or hab is None or hab2 is None:
-                continue
-            lhs = hget((va, vb))
-            rhs = vget((hab, hab2))
-            if lhs is not None and rhs is not None:
-                if lhs != rhs:
-                    yield a, a2, b, b2, lhs, rhs
-            elif lopsided is not None and (lhs is not None or rhs is not None):
-                lopsided.append((a, a2, b, b2))
+        lhs = hget((va, vb))
+        rhs = vget((hab, hab2))
+        if lhs is not None and rhs is not None:
+            if lhs != rhs:
+                yield a, a2, b, b2, lhs, rhs
+        elif lopsided is not None and (lhs is not None or rhs is not None):
+            lopsided.append((a, a2, b, b2))
 
 
 def reference_inverses(G, j, tables, a):

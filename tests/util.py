@@ -62,6 +62,25 @@ def oriental_2_graph():
                   [[0, 1, 2], [0, 1, 2, 3, 4, 5, 6]])
 
 
+def middle_four(G, j):
+    """The quadruples (a, a2, b, b2) of (j+2)-cells that middle-four
+    exchange at level j reads, lexicographically, found cell by cell from
+    the boundary maps: a then a2 and b then b2 meet at dimension j+1, and
+    a then b and a2 then b2 meet at dimension j."""
+    d = j + 2
+    cells = range(G.count(d))
+
+    def end(x, side):
+        # the dimension-j boundary of the d-cell x, one map down at a time
+        for k in (d, d - 1):
+            x = side(k)[x]
+        return x
+
+    vkeys = [(a, a2) for a in cells for a2 in cells if G.tgt_map(d)[a] == G.src_map(d)[a2]]
+    return [(a, a2, b, b2) for a, a2 in vkeys for b, b2 in vkeys
+            if end(a, G.tgt_map) == end(b, G.src_map) and end(a2, G.tgt_map) == end(b2, G.src_map)]
+
+
 def total_order_structure(k):
     """The linear order on k objects as a thin category."""
     objects = list(range(k))
