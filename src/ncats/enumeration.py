@@ -26,6 +26,12 @@ it had at the last record that passed, so each row left out reads exactly
 the input it passed on.
 The search fills the vertical tables first, so they rarely change from one
 record to the next; with one table nothing is settled.
+Typing, associativity and interchange run as the first-violation forms of
+``structures.FIRST_VIOLATION``, loops built once per search over their
+scans' listings that return at the first violation; the typing form reads
+only the keys whose composite type does not hold every cell.  Typing rows
+come first, and a settled table passed them with the same rows, so the
+other two forms read every value as typed and skip the scans' guards.
 
 The search reads one slot table, built once next to the slot list: each
 slot's values, its row and column and the watches of the rows of ``laws``
@@ -107,6 +113,7 @@ from .graphs import (
 )
 from .structures import (
     _SHAPES,
+    FIRST_VIOLATION,
     AxiomFlags,
     CategoryStructure,
     check_associativity,  # noqa: F401 - the checkers stay module globals; perfbench's tracer rebinds them
@@ -204,19 +211,30 @@ def _resolve_levels(G: NGraph, spec: EnumSpec):
     return levels, h_levels
 
 
+def _violated(scan, *args) -> bool:
+    """Whether ``scan(*args)`` yields a violation, stopping at the first."""
+    return next(scan(*args), None) is not None
+
+
 def _verdict(G: NGraph, flags: AxiomFlags, names):
     """The record verdict's rows: each row of ``laws`` that has a scan, in
-    ``_SHAPES`` order, as (reads, run), ``run(tables)`` its scan on a family."""
+    ``_SHAPES`` order, typing first, as (reads, violated), where
+    ``violated(tables)`` says whether a family breaks the row's law: the
+    scan's first-violation form where it has one, else the scan itself run
+    to its first violation."""
     rows = sorted(laws(G, flags, names), key=lambda row: list(_SHAPES).index(row[0]))
-    return [(reads, partial(scan, *args)) for _axiom, _j, reads, scan, args in rows if scan is not None]
+    return [(reads, FIRST_VIOLATION[scan](*args) if scan in FIRST_VIOLATION else partial(_violated, scan, *args))
+            for _axiom, _j, reads, scan, args in rows if scan is not None]
 
 
 def _passes(rows, tables, settled=frozenset()) -> bool:
     """Whether the family ``tables`` passes every verdict row, as
     ``check_category`` decides, stopping at the first violation; a row is
-    left out when it reads only tables in ``settled``, which passed it."""
-    for reads, run in rows:
-        if not reads <= settled and next(run(tables), None) is not None:
+    left out when it reads only tables in ``settled``, which passed it.
+    The rows run in order, so every table a form reads as typed has passed
+    its typing rows, here or, settled, with the same rows."""
+    for reads, violated in rows:
+        if not reads <= settled and violated(tables):
             return False
     return True
 

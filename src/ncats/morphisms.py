@@ -77,8 +77,9 @@ class GraphMorphism:
                     raise GraphError(f"dimension {d} component value {v!r} out of range")
 
     def apply(self, z: CellId) -> CellId:
+        """The image of ``z``; a (-1)-cell maps to itself, which the codomain must have."""
         i = self.domain.index(z)
-        return z if z.dim == -1 else CellId(z.dim, self.comps[z.dim][i])
+        return CellId(-1, self.codomain.index(z)) if z.dim == -1 else CellId(z.dim, self.comps[z.dim][i])
 
 
 def identity_morphism(G: NGraph) -> GraphMorphism:

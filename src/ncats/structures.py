@@ -445,10 +445,12 @@ def structure_of_rows(G: NGraph, rows, flags: AxiomFlags, keys):
 #
 # Each scan reads a row family named (d, j) and yields one integer tuple per
 # violation.  The checkers below turn those tuples into counterexamples at
-# the report edge; the enumeration's record step only asks whether a scan
-# yields anything, so it stops at the first violation.  A value may be
-# mistyped, so a scan reads an entry at a key made of values only where the
-# two cells meet, as a key of the table must.
+# the report edge.  A value may be mistyped, so a scan reads an entry at a
+# key made of values only where the two cells meet, as a key of the table
+# must.  Typing, associativity and interchange also have a first-violation
+# form (``FIRST_VIOLATION``), which the record verdict runs: built once per
+# search from the scan's listing, it says whether a family breaks the law,
+# stopping at the first violation, and the latter two read values as typed.
 
 def typing_scan(G: NGraph, d: int, j: int, tables):
     """Entries of table (d, j) in the family ``tables`` whose value does not
@@ -470,6 +472,29 @@ def typing_scan(G: NGraph, d: int, j: int, tables):
         s, t = flat[si], flat[ti]
         if s != smap[v] or t != tmap[v]:
             yield a, b, v, None if s is None or t is None else (s, t)
+
+
+def typing_violated(G: NGraph, d: int, j: int):
+    """``typing_scan(G, d, j, tables)``'s first-violation form, a function
+    of ``tables``, on a family that holds every table the scan reads.  It
+    reads ``_typing_rule`` as (a, column of b, x, y), only at the keys
+    (a, b) whose type may not hold the value: above d = j+1 every key, at
+    it those whose type is not every d-cell's.  Its x and y index the type
+    in ``flat``: the (d-1)-cells at d = j+1, above it the table below."""
+    smap, tmap, pos, name = G.src_map(d), G.tgt_map(d), fiber_pos(G, d, j), (d, j)
+    slots = [(a, pos[b], x, y) for a, b, x, y in _typing_rule(G, d, j)
+             if d > j + 1 or len(hom_buckets(G, d).get((x, y), ())) < G.count(d)]
+    cells = range(G.count(d - 1))
+
+    def violated(tables) -> bool:
+        R = tables[name]
+        flat = [*chain.from_iterable(tables[d - 1, j])] if d > j + 1 else cells
+        for a, col, x, y in slots:
+            v = R[a][col]
+            if v is not None and (flat[x] != smap[v] or flat[y] != tmap[v]):
+                return True
+        return False
+    return violated
 
 
 def global_scan(keys, name, tables):
@@ -495,15 +520,11 @@ def units_scan(G: NGraph, j: int, total: bool, tables):
             yield a, 1, (a, y), got
 
 
-def assoc_scan(G: NGraph, j: int, tables, lopsided=None):
+def assoc_scan(G: NGraph, j: int, tables, lopsided):
     """Composable triples of table (j+1, j) whose two bracketings are both
-    defined and differ, as (a, b, c, left, right), lexicographically.
-
-    Given a list, the scan also appends to ``lopsided`` each triple, as
-    (a, b, c), with exactly one bracketing defined; without one it skips
-    every triple whose left bracketing is undefined before reading the
-    right one.
-    """
+    defined and differ, as (a, b, c, left, right), lexicographically; the
+    scan also appends to the list ``lopsided`` each triple, as (a, b, c),
+    with exactly one bracketing defined."""
     after = neighbours(G, j, SOURCE)
     R, pos = tables[j + 1, j], fiber_pos(G, j + 1, j)
     smap, tmap = G.src_map(j + 1), G.tgt_map(j + 1)
@@ -511,30 +532,42 @@ def assoc_scan(G: NGraph, j: int, tables, lopsided=None):
         ta = tmap[a]
         for b, ab in zip(nxt, Ra):
             # row ab, where ab ends as b does, holds (ab, c) in the column of (b, c)
-            if ab is not None and tmap[ab] == tmap[b]:
-                lefts = R[ab]
-            elif lopsided is None:
-                continue
-            else:
-                lefts = repeat(None)
+            lefts = R[ab] if ab is not None and tmap[ab] == tmap[b] else repeat(None)
             for c, bc, left in zip(after[b], R[b], lefts):
-                if left is None and lopsided is None:
-                    continue
                 right = Ra[pos[bc]] if bc is not None and smap[bc] == ta else None
                 if left is not None and right is not None:
                     if left != right:
                         yield a, b, c, left, right
-                elif lopsided is not None and (left is not None or right is not None):
+                elif left is not None or right is not None:
                     lopsided.append((a, b, c))
 
 
-def interchange_scan(G: NGraph, j: int, tables, lopsided=None):
+def assoc_violated(G: NGraph, j: int):
+    """``assoc_scan(G, j, tables, lopsided)``'s first-violation form on
+    typed rows, a function of ``tables``."""
+    after, pos, name = neighbours(G, j, SOURCE), fiber_pos(G, j + 1, j), (j + 1, j)
+
+    def violated(tables) -> bool:
+        R = tables[name]
+        for Ra, nxt in zip(R, after):
+            for b, ab in zip(nxt, Ra):
+                if ab is not None:
+                    for bc, left in zip(R[b], R[ab]):
+                        if left is not None and bc is not None:
+                            right = Ra[pos[bc]]
+                            if right is not None and right != left:
+                                return True
+        return False
+    return violated
+
+
+def interchange_scan(G: NGraph, j: int, tables, lopsided):
     """Middle-four exchange between the vertical table (j+2, j+1) and the
     horizontal table (j+2, j): the quadruples (a, a2, b, b2), in
     ``_exchange_places`` order, whose four inner composites and both
-    outer ones are defined and disagree, as (a, a2, b, b2, lhs, rhs).
-    Given a list, the scan also appends to ``lopsided`` each quadruple with
-    only one outer composite defined."""
+    outer ones are defined and disagree, as (a, a2, b, b2, lhs, rhs); the
+    scan also appends to the list ``lopsided`` each quadruple with only one
+    outer composite defined."""
     d = j + 2
     V, H = tables[d, j + 1], tables[d, j]
     pv, ph = fiber_pos(G, d, j + 1), fiber_pos(G, d, j)
@@ -554,8 +587,30 @@ def interchange_scan(G: NGraph, j: int, tables, lopsided=None):
             if lhs is not None and rhs is not None:
                 if lhs != rhs:
                     yield a, a2, b, b2, lhs, rhs
-            elif lopsided is not None and (lhs is not None or rhs is not None):
+            elif lhs is not None or rhs is not None:
                 lopsided.append((a, a2, b, b2))
+
+
+def interchange_violated(G: NGraph, j: int):
+    """``interchange_scan(G, j, tables, lopsided)``'s first-violation form
+    on typed rows, a function of ``tables``."""
+    d = j + 2
+    places, pv, ph = _exchange_places(G, j), fiber_pos(G, d, j + 1), fiber_pos(G, d, j)
+
+    def violated(tables) -> bool:
+        V, H = tables[d, j + 1], tables[d, j]
+        for a, a2, ia2, partners in places:
+            va = V[a][ia2]
+            if va is not None:
+                Ha, Ha2, Hva = H[a], H[a2], H[va]
+                for b, b2, ib, ib2, vb2 in partners:
+                    vb, hab, hab2 = V[b][vb2], Ha[ib], Ha2[ib2]
+                    if vb is not None and hab is not None and hab2 is not None:
+                        lhs, rhs = Hva[ph[vb]], V[hab][pv[hab2]]
+                        if lhs is not None and rhs is not None and lhs != rhs:
+                            return True
+        return False
+    return violated
 
 
 def _inverses(G: NGraph, j: int, tables, a: int):
@@ -575,6 +630,10 @@ def groupoid_scan(G: NGraph, j: int, tables):
     for a in range(G.count(j + 1)):
         if next(_inverses(G, j, tables, a), None) is None:
             yield a
+
+
+FIRST_VIOLATION = {typing_scan: typing_violated, assoc_scan: assoc_violated,
+                   interchange_scan: interchange_violated}
 
 
 def laws(G: NGraph, flags: AxiomFlags, names) -> list[tuple]:

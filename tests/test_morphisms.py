@@ -96,6 +96,19 @@ def test_graph_morphism_tail_mismatch():
     assert "tail-size" in kinds
 
 
+def test_apply_refuses_a_tail_cell_the_codomain_lacks():
+    """A (-1)-cell maps to itself, so a morphism from a 2-tail carrier into
+    a 1-tail one has no image for the second (-1)-cell."""
+    H = NGraph(1, StructureTail(2, (0, 1)), [[0], [0]], [[1], [0]], [[0]])
+    m = GraphMorphism(H, loops_graph(1), ((0,), (0,)))
+    assert m.apply(CellId(-1, 0)) == CellId(-1, 0)
+    assert m.apply(CellId(0, 0)) == CellId(0, 0)
+    with pytest.raises(GraphError):
+        m.apply(CellId(-1, 1))
+    with pytest.raises(GraphError):
+        m.apply(CellId(-1, 2))
+
+
 def test_contravariance_via_reversed_codomain():
     G = arrow_graph()
     flip = GraphMorphism(G, G, ((1, 0), (1, 0, 2)))

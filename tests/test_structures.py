@@ -1,7 +1,9 @@
 import hashlib
+import inspect
 import itertools
 import json
 import random
+from collections import Counter
 from itertools import filterfalse
 
 import pytest
@@ -30,7 +32,7 @@ from ncats import (
 )
 from ncats import structures
 from ncats.cobordism import build_cob_truncation
-from ncats.enumeration import _verdict
+from ncats.enumeration import _verdict, _violated
 from ncats.graphs import (
     SOURCE,
     TARGET,
@@ -44,6 +46,7 @@ from ncats.graphs import (
 from ncats.morphisms import identity_morphism
 from ncats.structures import (
     FAIL,
+    FIRST_VIOLATION,
     NOT_APPLICABLE,
     PASS,
     MissingTables,
@@ -704,7 +707,6 @@ def test_row_scans_match_the_dict_references():
             seen.add(("level -1" if j == -1 else "vertical") if d == j + 1 else "horizontal")
             if d == j + 1:
                 lopsided, want = [], []
-                assert list(assoc_scan(G, j, rows)) == list(reference_assoc_scan(G, j, tables))
                 assert list(assoc_scan(G, j, rows, lopsided)) == list(reference_assoc_scan(G, j, tables, want))
                 assert lopsided == want
                 seen.add("lopsided triple" if want else "no lopsided triple")
@@ -717,16 +719,55 @@ def test_row_scans_match_the_dict_references():
                     seen.add("inverse" if next(reference_inverses(G, j, tables, a), None) is not None else "none")
             if d == j + 2:
                 lopsided, want = [], []
-                found = list(interchange_scan(G, j, rows))
-                assert found == list(reference_interchange_scan(G, j, tables))
-                assert list(interchange_scan(G, j, rows, lopsided)) == list(
-                    reference_interchange_scan(G, j, tables, want))
+                found = list(interchange_scan(G, j, rows, lopsided))
+                assert found == list(reference_interchange_scan(G, j, tables, want))
                 assert lopsided == want
                 seen.add("lopsided quadruple" if want else "no lopsided quadruple")
                 seen.add("exchange fails" if found else "exchange holds")
     assert seen >= {"untypeable", "mistyped", "partial", "total", "level -1", "vertical", "horizontal",
                     "lopsided triple", "lopsided quadruple", "inverse", "none", "exchange fails",
                     "exchange holds"}, seen
+
+
+def _typed_family(G, tables):
+    """``tables`` without the entries its typing rows refuse: those of the
+    tables (j+1, j) first, then those of the tables (j+2, j), typed by the
+    entries left below."""
+    tables = dict(tables)
+    for d, j in sorted(tables, key=lambda name: name[0] - name[1]):
+        bad = {(a, b) for a, b, _v, _want in typing_scan(G, d, j, row_family(G, tables))}
+        tables[d, j] = {key: v for key, v in tables[d, j].items() if key not in bad}
+    return tables
+
+
+def test_first_violation_forms_match_their_scans():
+    """On random 1- and 2-graphs, level -1, vertical and horizontal tables,
+    partial and total: each first-violation form says whether its scan
+    yields a violation.  The typing form runs on the family as drawn,
+    mistyped entries and all, and once its typing rows pass; the
+    associativity and interchange forms read values as typed, so they run
+    only on the latter."""
+    rng = random.Random(32)
+    seen = set()
+    flags = AxiomFlags(associative=True, interchange=True)
+    for _ in range(500):
+        G = random_graph(rng, n=rng.choice((1, 2)), max_cells=rng.randint(2, 5))
+        drawn = _random_family(rng, G)
+        typed = _typed_family(G, drawn)
+        for family in (drawn, typed):
+            rows = row_family(G, family)
+            for axiom, j, reads, scan, args in laws(G, flags, family):
+                if scan is None or family is drawn and not axiom.startswith("typing"):
+                    continue
+                lopsided = ([],) if structures._SHAPES[axiom][2] else ()
+                found = next(scan(*args, rows, *lopsided), None) is not None
+                assert FIRST_VIOLATION[scan](*args)(rows) == found, (axiom, j)
+                assert not (found and family is typed and axiom.startswith("typing"))
+                seen.add((axiom, found))
+                seen.update("level -1" if i == -1 else "partial" if None in itertools.chain(*rows[d, i]) else "total"
+                            for d, i in reads)
+    assert seen >= {(axiom, found) for axiom in ("typing", "typing-horizontal", "associativity", "interchange")
+                    for found in (False, True)} | {"level -1", "partial", "total"}, seen
 
 
 def _report_edge_structures():
@@ -816,13 +857,35 @@ def test_check_category_reports_the_rows_of_laws():
             assert [(c.axiom, c.level) for c in check_category(S).checks] == rows, (S, bits)
 
 
+def _verdict_scans(G, flags, names):
+    """The record verdict's rows as (reads, scan, args), ``args`` what the
+    row's scan takes before the family: a row run through ``_violated``
+    names them; a first-violation form is matched to the one row of
+    ``laws`` whose scan's form, built from its arguments, has the same code
+    and binds the same values."""
+    def bound(run):
+        return run.__code__, inspect.getclosurevars(run).nonlocals
+
+    forms = [(bound(FIRST_VIOLATION[scan](*args)), (scan, args))
+             for _axiom, _j, _reads, scan, args in laws(G, flags, names) if scan in FIRST_VIOLATION]
+    out = []
+    for reads, run in _verdict(G, flags, names):
+        if getattr(run, "func", None) is _violated:
+            out.append((reads, run.args[0], run.args[1:]))
+        else:
+            [(scan, args)] = [row for form, row in forms if form == bound(run)]
+            out.append((reads, scan, args))
+    return out
+
+
 def test_every_law_has_a_counterexample_shape_and_a_verdict_rank():
     """A law joins ``laws`` as a row; its axiom must also have a
     counterexample shape at the report edge, whose place in ``_SHAPES`` is
     its rank in the record verdict's order.  Every axiom a row carries,
     under every flag set, on carriers with level -1, vertical and horizontal
     tables, has a shape, ``_SHAPES`` keeps no axiom no row carries, and the
-    record verdict runs every row that has a scan, in ``_SHAPES`` order."""
+    record verdict runs every row that has a scan, in ``_SHAPES`` order,
+    through the scan's first-violation form where it has one."""
     carriers, _extra = _report_edge_structures()
     names = [S.tables for S in carriers]
     assert {d - j for tables in names for d, j in tables} == {1, 2}
@@ -834,13 +897,32 @@ def test_every_law_has_a_counterexample_shape_and_a_verdict_rank():
             rows = laws(S.graph, AxiomFlags(*bits), tables)
             axioms |= {row[0] for row in rows}
             runs = [row[2:] for row in rows]
-            verdict = [(reads, run.func, run.args) for reads, run in _verdict(S.graph, AxiomFlags(*bits), tables)]
+            verdict = _verdict_scans(S.graph, AxiomFlags(*bits), tables)
             assert sorted(verdict, key=runs.index) == [run for run in runs if run[1] is not None], (S, bits)
             ranks = [rank(rows[runs.index(run)][0]) for run in verdict]
             assert ranks == sorted(ranks), (S, bits)
             reordered += sorted(verdict, key=runs.index) != verdict
     assert axioms == set(structures._SHAPES)
     assert reordered > 0
+
+
+def test_the_verdict_types_every_table_before_other_rows_read_it():
+    """The associativity and interchange forms read values as typed, as
+    the record verdict leaves them: on carriers with level -1, vertical and
+    horizontal tables, under every flag set, every verdict row but a typing
+    row runs after the typing row of each table it reads."""
+    carriers, _extra = _report_edge_structures()
+    later = Counter()
+    for S in carriers:
+        for bits in itertools.product((False, True), repeat=5):
+            typed = set()
+            for reads, scan, args in _verdict_scans(S.graph, AxiomFlags(*bits), S.tables):
+                if scan is typing_scan:
+                    typed.add(args[1:])
+                    continue
+                assert reads <= typed, (S, bits, reads)
+                later[scan] += 1
+    assert later[assoc_scan] and later[interchange_scan]
 
 
 def test_every_failing_check_carries_a_counterexample():
