@@ -26,12 +26,14 @@ it had at the last record that passed, so each row left out reads exactly
 the input it passed on.
 The search fills the vertical tables first, so they rarely change from one
 record to the next; with one table nothing is settled.
-Typing, associativity and interchange run as the first-violation forms of
-``structures.FIRST_VIOLATION``, loops built once per search over their
-scans' listings that return at the first violation; the typing form reads
+Every row runs as its scan's first-violation form
+(``structures.FIRST_VIOLATION``), a loop built once per search over its
+scan's listing that returns at the first violation; the typing form reads
 only the keys whose composite type does not hold every cell.  Typing rows
 come first, and a settled table passed them with the same rows, so the
-other two forms read every value as typed and skip the scans' guards.
+associativity and interchange forms read every value as typed and skip the
+scans' guards.  The totality, unit and groupoid forms read entries only at
+fixed keys, so they hold on any family.
 
 The search reads one slot table, built once next to the slot list: each
 slot's values, its row and column and the watches of the rows of ``laws``
@@ -95,7 +97,6 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
@@ -105,6 +106,8 @@ from .graphs import (
     GraphError,
     NGraph,
     SpaceTooLarge,
+    _integer,
+    _sequence,
     automorphisms,
     hom_buckets,
     is_monoidal_carrier,
@@ -197,8 +200,10 @@ _END = object()
 def _resolve_levels(G: NGraph, spec: EnumSpec):
     if spec.levels is None:
         levels = tuple(range(0, G.n))
-    else:
+    elif _sequence(spec.levels) and all(map(_integer, spec.levels)):
         levels = tuple(sorted(set(spec.levels)))
+    else:
+        raise LevelUnavailable(f"levels {spec.levels!r} are not a list or tuple of integers")
     for j in levels:
         if not -1 <= j <= G.n - 1:
             raise LevelUnavailable(f"level {j} outside -1..{G.n - 1}")
@@ -211,28 +216,22 @@ def _resolve_levels(G: NGraph, spec: EnumSpec):
     return levels, h_levels
 
 
-def _violated(scan, *args) -> bool:
-    """Whether ``scan(*args)`` yields a violation, stopping at the first."""
-    return next(scan(*args), None) is not None
-
-
 def _verdict(G: NGraph, flags: AxiomFlags, names):
     """The record verdict's rows: each row of ``laws`` that has a scan, in
     ``_SHAPES`` order, typing first, as (reads, violated), where
-    ``violated(tables)`` says whether a family breaks the row's law: the
-    scan's first-violation form where it has one, else the scan itself run
-    to its first violation."""
+    ``violated(tables)`` is the scan's first-violation form: whether a
+    family breaks the row's law."""
     rows = sorted(laws(G, flags, names), key=lambda row: list(_SHAPES).index(row[0]))
-    return [(reads, FIRST_VIOLATION[scan](*args) if scan in FIRST_VIOLATION else partial(_violated, scan, *args))
-            for _axiom, _j, reads, scan, args in rows if scan is not None]
+    return [(reads, FIRST_VIOLATION[scan](*args)) for _axiom, _j, reads, scan, args in rows if scan is not None]
 
 
 def _passes(rows, tables, settled=frozenset()) -> bool:
     """Whether the family ``tables`` passes every verdict row, as
     ``check_category`` decides, stopping at the first violation; a row is
     left out when it reads only tables in ``settled``, which passed it.
-    The rows run in order, so every table a form reads as typed has passed
-    its typing rows, here or, settled, with the same rows."""
+    The rows run in order, so every table the associativity and
+    interchange forms read as typed has passed its typing rows, here or,
+    settled, with the same rows."""
     for reads, violated in rows:
         if not reads <= settled and violated(tables):
             return False

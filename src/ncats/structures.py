@@ -447,10 +447,11 @@ def structure_of_rows(G: NGraph, rows, flags: AxiomFlags, keys):
 # violation.  The checkers below turn those tuples into counterexamples at
 # the report edge.  A value may be mistyped, so a scan reads an entry at a
 # key made of values only where the two cells meet, as a key of the table
-# must.  Typing, associativity and interchange also have a first-violation
-# form (``FIRST_VIOLATION``), which the record verdict runs: built once per
-# search from the scan's listing, it says whether a family breaks the law,
-# stopping at the first violation, and the latter two read values as typed.
+# must.  Every scan also has a first-violation form (``FIRST_VIOLATION``),
+# which the record verdict runs: built once per search from the scan's
+# listing, it says whether a family breaks the law, stopping at the first
+# violation.  The associativity and interchange forms read values as typed;
+# the others read entries only at fixed keys, so they hold on any family.
 
 def typing_scan(G: NGraph, d: int, j: int, tables):
     """Entries of table (d, j) in the family ``tables`` whose value does not
@@ -502,6 +503,17 @@ def global_scan(keys, name, tables):
     return compress(keys, map(is_, chain.from_iterable(tables[name]), repeat(None)))
 
 
+def global_violated(keys, name):
+    """``global_scan(keys, name, tables)``'s first-violation form, a
+    function of ``tables``: whether some row of ``name`` has a gap."""
+    def violated(tables) -> bool:
+        for row in tables[name]:
+            if None in row:
+                return True
+        return False
+    return violated
+
+
 def units_scan(G: NGraph, j: int, total: bool, tables):
     """Unit-law violations in table (j+1, j), j >= 0, cell by cell, as
     (a, side, key, got): side 0 for the left unit key (idn(src a), a) and 1
@@ -518,6 +530,25 @@ def units_scan(G: NGraph, j: int, total: bool, tables):
         got = R[a][pos[y]]
         if total if got is None else got != a:
             yield a, 1, (a, y), got
+
+
+def units_violated(G: NGraph, j: int, total: bool):
+    """``units_scan(G, j, total, tables)``'s first-violation form, a
+    function of ``tables``.  It reads, per (j+1)-cell a: x -> y, (a, idn x,
+    column of a, column of idn y): the left unit key (idn x, a) in row
+    idn x, the right one (a, idn y) in row a."""
+    idn, smap, tmap = G.idn_map(j), G.src_map(j + 1), G.tgt_map(j + 1)
+    pos, name = fiber_pos(G, j + 1, j), (j + 1, j)
+    slots = tuple((a, idn[smap[a]], pos[a], pos[idn[tmap[a]]]) for a in range(G.count(j + 1)))
+
+    def violated(tables) -> bool:
+        R = tables[name]
+        for a, x, ia, iy in slots:
+            left, right = R[x][ia], R[a][iy]
+            if left != a and (total or left is not None) or right != a and (total or right is not None):
+                return True
+        return False
+    return violated
 
 
 def assoc_scan(G: NGraph, j: int, tables, lopsided):
@@ -632,8 +663,34 @@ def groupoid_scan(G: NGraph, j: int, tables):
             yield a
 
 
-FIRST_VIOLATION = {typing_scan: typing_violated, assoc_scan: assoc_violated,
-                   interchange_scan: interchange_violated}
+def groupoid_violated(G: NGraph, j: int):
+    """``groupoid_scan(G, j, tables)``'s first-violation form, a function
+    of ``tables``.  It reads, per (j+1)-cell a: x -> y, (a, column of a,
+    idn x, idn y, candidates), the candidates the cells y -> x with their
+    columns, one tuple per hom-set shared by its cells, so the listing holds
+    no more pairs than the table has keys."""
+    idn, smap, tmap = G.idn_map(j), G.src_map(j + 1), G.tgt_map(j + 1)
+    pos, name = fiber_pos(G, j + 1, j), (j + 1, j)
+    homs = {xy: tuple((b, pos[b]) for b in cells) for xy, cells in hom_buckets(G, j + 1).items()}
+    slots = tuple((a, pos[a], idn[smap[a]], idn[tmap[a]], homs.get((tmap[a], smap[a]), ()))
+                  for a in range(G.count(j + 1)))
+
+    def violated(tables) -> bool:
+        R = tables[name]
+        for a, ia, ex, ey, candidates in slots:
+            Ra = R[a]
+            for b, ib in candidates:
+                if Ra[ib] == ex and R[b][ia] == ey:
+                    break
+            else:
+                return True
+        return False
+    return violated
+
+
+FIRST_VIOLATION = {typing_scan: typing_violated, global_scan: global_violated, units_scan: units_violated,
+                   assoc_scan: assoc_violated, interchange_scan: interchange_violated,
+                   groupoid_scan: groupoid_violated}
 
 
 def laws(G: NGraph, flags: AxiomFlags, names) -> list[tuple]:
@@ -771,9 +828,16 @@ def check_typing(S: CategoryStructure) -> AxiomReport:
     return _rows(S, S.tables, AxiomFlags(), ("typing", "typing-horizontal"))
 
 
+def _level(j):
+    """Refuse a level that is not an integer, as ``io.parse`` refuses it."""
+    if not _integer(j):
+        raise NoTableAtLevel(f"level {j!r} is not an integer")
+
+
 def check_global(S: CategoryStructure, j: int) -> AxiomReport:
     """Totality at level j: every key of the vertical and of the horizontal
     table there, whichever ``S`` has, has an entry."""
+    _level(j)
     here = [(d, i) for d, i in S.tables if i == j]
     if not here:
         raise NoTableAtLevel(f"no table at level {j}")
@@ -787,6 +851,7 @@ def check_units(S: CategoryStructure, j: int) -> AxiomReport:
     Level -1 is not applicable: there is no identity section below
     dimension 0, so the product of 0-cells carries no designated unit.
     """
+    _level(j)
     if j != -1 and (j + 1, j) not in S.tables:
         raise NoTableAtLevel(f"no vertical table at level {j}")
     return _rows(S, [(j + 1, j)], AxiomFlags(global_=S.flags.global_, unital=True), ("units",))
@@ -796,6 +861,7 @@ def check_associativity(S: CategoryStructure, j: int) -> AxiomReport:
     """Both bracketings of every composable triple agree when both are
     defined.  Triples where exactly one side is defined are collected
     separately; partiality alone is not a violation."""
+    _level(j)
     if (j + 1, j) not in S.tables:
         raise NoTableAtLevel(f"no vertical table at level {j}")
     return _rows(S, [(j + 1, j)], AxiomFlags(associative=True), ("associativity",))
@@ -809,6 +875,7 @@ def check_interchange(S: CategoryStructure, j: int) -> AxiomReport:
     defined, the two evaluation orders must agree.  Quadruples where only
     one outer side is defined are collected separately.
     """
+    _level(j)
     if (j + 2, j + 1) not in S.tables or (j + 2, j) not in S.tables:
         raise MissingTables(f"interchange at level {j} needs the vertical table "
                             f"at level {j + 1} and the horizontal table at level {j}")

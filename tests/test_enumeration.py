@@ -446,6 +446,17 @@ def test_level_minus_one_needs_monoidal_carrier():
         enumerate_structures(two_tail, spec(GLOBAL, levels=(-1,)))
 
 
+@pytest.mark.parametrize("levels", [(0.0,), (None,), ("0",), ([0],), (0, True), (False,), 0, {0}])
+def test_levels_that_are_not_integers_are_unavailable(levels):
+    """``levels`` must be a list or tuple of ints, bools refused, as
+    ``io.parse`` decides: anything else is unavailable to both routes, where
+    0.0 and None raised TypeError and (0, True) was searched as (0, 1)."""
+    G = NGraph(2, StructureTail(1, (0, 0)), [[0], [0], [0, 0]], [[0], [0], [0, 0]], [[0], [0]])
+    for run in (enumerate_structures, brute_force_oracle):
+        with pytest.raises(LevelUnavailable, match="not a list or tuple of integers"):
+            run(G, spec(GLOBAL, levels=levels))
+
+
 def test_level_minus_one_composes_objects():
     G = loops_graph(1)
     res = enumerate_structures(G, spec(GLOBAL, levels=(-1,)))
@@ -778,16 +789,20 @@ def test_record_counters():
 
 
 def test_record_scans_the_unit_law_once_per_level(monkeypatch):
-    """Under ``groupoid`` the one unit scan of a level is also the
-    precondition of the inverse scan."""
+    """Under ``groupoid`` the one unit row of a level is also the
+    precondition of the inverse row: the record verdict runs the unit form
+    once per record."""
     levels = []
-    real = structures.units_scan
 
-    def counted(G, j, *rest):
-        levels.append(j)
-        return real(G, j, *rest)
+    def counted(G, j, total):
+        violated = structures.units_violated(G, j, total)
 
-    monkeypatch.setattr(structures, "units_scan", counted)
+        def run(tables):
+            levels.append(j)
+            return violated(tables)
+        return run
+
+    monkeypatch.setitem(structures.FIRST_VIOLATION, structures.units_scan, counted)
     res = enumerate_structures(loops_graph(4), spec(GROUP))
     assert (res.raw_count, res.iso_count, res.records) == (4, 2, 156)
     assert levels == [0] * 156

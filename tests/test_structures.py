@@ -32,7 +32,7 @@ from ncats import (
 )
 from ncats import structures
 from ncats.cobordism import build_cob_truncation
-from ncats.enumeration import _verdict, _violated
+from ncats.enumeration import _verdict
 from ncats.graphs import (
     SOURCE,
     TARGET,
@@ -743,31 +743,36 @@ def _typed_family(G, tables):
 def test_first_violation_forms_match_their_scans():
     """On random 1- and 2-graphs, level -1, vertical and horizontal tables,
     partial and total: each first-violation form says whether its scan
-    yields a violation.  The typing form runs on the family as drawn,
-    mistyped entries and all, and once its typing rows pass; the
-    associativity and interchange forms read values as typed, so they run
-    only on the latter."""
+    yields a violation.  The typing, global, unit and groupoid forms run on
+    the family as drawn, mistyped entries and all, and once its typing rows
+    pass; the associativity and interchange forms read values as typed, so
+    they run only on the latter.  The unit form runs with ``total`` False
+    and True."""
     rng = random.Random(32)
     seen = set()
-    flags = AxiomFlags(associative=True, interchange=True)
+    every, unital_only = AxiomFlags(*[True] * 5), AxiomFlags(unital=True)
     for _ in range(500):
         G = random_graph(rng, n=rng.choice((1, 2)), max_cells=rng.randint(2, 5))
         drawn = _random_family(rng, G)
         typed = _typed_family(G, drawn)
         for family in (drawn, typed):
             rows = row_family(G, family)
-            for axiom, j, reads, scan, args in laws(G, flags, family):
-                if scan is None or family is drawn and not axiom.startswith("typing"):
+            partial_units = [row for row in laws(G, unital_only, family) if row[0] == "units"]
+            for axiom, j, reads, scan, args in laws(G, every, family) + partial_units:
+                if scan is None or family is drawn and scan in (assoc_scan, interchange_scan):
                     continue
                 lopsided = ([],) if structures._SHAPES[axiom][2] else ()
                 found = next(scan(*args, rows, *lopsided), None) is not None
                 assert FIRST_VIOLATION[scan](*args)(rows) == found, (axiom, j)
                 assert not (found and family is typed and axiom.startswith("typing"))
-                seen.add((axiom, found))
+                seen.add((axiom, args[-1] if scan is units_scan else None, found))
                 seen.update("level -1" if i == -1 else "partial" if None in itertools.chain(*rows[d, i]) else "total"
                             for d, i in reads)
-    assert seen >= {(axiom, found) for axiom in ("typing", "typing-horizontal", "associativity", "interchange")
-                    for found in (False, True)} | {"level -1", "partial", "total"}, seen
+    rows_seen = {(axiom, None) for axiom in ("typing", "typing-horizontal", "global", "global-horizontal",
+                                             "associativity", "interchange", "groupoid")}
+    rows_seen |= {("units", False), ("units", True)}
+    assert seen >= {(*row, found) for row in rows_seen for found in (False, True)} | {
+        "level -1", "partial", "total"}, seen
 
 
 def _report_edge_structures():
@@ -859,10 +864,9 @@ def test_check_category_reports_the_rows_of_laws():
 
 def _verdict_scans(G, flags, names):
     """The record verdict's rows as (reads, scan, args), ``args`` what the
-    row's scan takes before the family: a row run through ``_violated``
-    names them; a first-violation form is matched to the one row of
-    ``laws`` whose scan's form, built from its arguments, has the same code
-    and binds the same values."""
+    row's scan takes before the family: each row's first-violation form is
+    matched to the one row of ``laws`` whose scan's form, built from its
+    arguments, has the same code and binds the same values."""
     def bound(run):
         return run.__code__, inspect.getclosurevars(run).nonlocals
 
@@ -870,11 +874,8 @@ def _verdict_scans(G, flags, names):
              for _axiom, _j, _reads, scan, args in laws(G, flags, names) if scan in FIRST_VIOLATION]
     out = []
     for reads, run in _verdict(G, flags, names):
-        if getattr(run, "func", None) is _violated:
-            out.append((reads, run.args[0], run.args[1:]))
-        else:
-            [(scan, args)] = [row for form, row in forms if form == bound(run)]
-            out.append((reads, scan, args))
+        [(scan, args)] = [row for form, row in forms if form == bound(run)]
+        out.append((reads, scan, args))
     return out
 
 
@@ -885,7 +886,7 @@ def test_every_law_has_a_counterexample_shape_and_a_verdict_rank():
     under every flag set, on carriers with level -1, vertical and horizontal
     tables, has a shape, ``_SHAPES`` keeps no axiom no row carries, and the
     record verdict runs every row that has a scan, in ``_SHAPES`` order,
-    through the scan's first-violation form where it has one."""
+    through the scan's first-violation form."""
     carriers, _extra = _report_edge_structures()
     names = [S.tables for S in carriers]
     assert {d - j for tables in names for d, j in tables} == {1, 2}
@@ -923,6 +924,18 @@ def test_the_verdict_types_every_table_before_other_rows_read_it():
                 assert reads <= typed, (S, bits, reads)
                 later[scan] += 1
     assert later[assoc_scan] and later[interchange_scan]
+
+
+@pytest.mark.parametrize("level", ["0", 0.0, None, [0], True, False])
+def test_checkers_refuse_a_level_that_is_not_an_integer(level):
+    """A level is an int and not a bool, as ``io.parse`` decides; each
+    checker refuses any other with NoTableAtLevel, where a string, None or a
+    list raised TypeError, 0.0 answered for level 0 and True for level 1."""
+    _, S = build_cat_of_cats([z2_structure()[1]])
+    S.flags = AxiomFlags(global_=True, unital=True)
+    for check in (check_global, check_units, check_associativity, check_interchange, check_groupoid):
+        with pytest.raises(NoTableAtLevel, match="is not an integer"):
+            check(S, level)
 
 
 def test_every_failing_check_carries_a_counterexample():
