@@ -27,21 +27,21 @@ the input it passed on.
 The search fills the vertical tables first, so they rarely change from one
 record to the next; with one table nothing is settled.
 Every row runs as its scan's first-violation form
-(``structures.FIRST_VIOLATION``), a loop built once per search over its
-scan's listing that returns at the first violation; the typing form reads
-only the keys whose composite type does not hold every cell.  Typing rows
-come first, and a settled table passed them with the same rows, so the
-associativity and interchange forms read every value as typed and skip the
-scans' guards.  The totality, unit and groupoid forms read entries only at
-fixed keys, so they hold on any family.
+(``structures.FIRST_VIOLATION``), a loop built once per search over the
+per-carrier listing its scan reads that returns at the first violation;
+the typing listing skips the keys whose composite type holds every cell.
+Typing rows come first, and a settled table passed them with the same
+rows, so the associativity and interchange forms read every value as
+typed and skip the scans' guards.  The totality, unit and groupoid forms
+read entries only at fixed keys, so they hold on any family.
 
 The search reads one slot table, built once next to the slot list: each
 slot's values, its row and column and the watches of the rows of ``laws``
-that read it.  A key's values are the cells of its
-composite's type (``composite_type``) in rank order, "absent" last in
-partial mode.  In a table (j+1, j) they are built once, under ``unital``
-one cell at a unit key (``units_scan``); in a table (j+2, j) the type is
-the entries of table (j+1, j) at the key's two boundary keys, which
+that read it.  A key's values are the cells of its composite's type
+(``composite_type``) in rank order, "absent" last in partial mode.  In a
+table (j+1, j) they are built once, under ``unital`` one cell at a unit
+key (``structures._unit_places``); in a table (j+2, j) the type is the
+entries of table (j+1, j) at the key's two boundary keys, which
 ``composite_type`` lists once per carrier, so they are read there when the
 search reaches the key.
 The maximal-only filter tries the typed values of every absent key.
@@ -131,6 +131,7 @@ from .structures import (
     composite_type,
     empty_rows,
     _exchange_places,
+    _unit_places,
     fiber_pos,
     h_composable_pairs,  # noqa: F401
     laws,
@@ -139,7 +140,6 @@ from .structures import (
     structure_of_rows,
     table_keys,
     table_place,
-    units_scan,
 )
 
 
@@ -398,9 +398,9 @@ def _slot_table(G, flags, tables, slots):
     watches = _exchange_watches(G, tables, slots, exchanges)
     preimages = {(d, j): [[] for _ in range(G.count(d))] for d, j in assoc}
     before = {(d, j): [tuple(tables[d, j][p] for p in ps) for ps in neighbours(G, j, TARGET)] for d, j in assoc}
-    # on an empty table, with totality on, the unit law lists each unit key with the one cell it allows
+    # the unit law allows one cell at each unit key, the cell it is a unit key of
     units = {(d, j, key): a for d, j in tables if flags.unital and d == j + 1 and j >= 0
-             for a, _side, key, _got in units_scan(G, j, True, {(d, j): empty_rows(G, d, j)})}
+             for a, x, y, _ia, _iy in _unit_places(G, j) for key in ((x, a), (a, y))}
     out = []
     for pos, (d, j, key) in enumerate(slots):
         values = typing = watch = None

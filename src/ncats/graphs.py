@@ -245,6 +245,8 @@ class NGraph:
         return f"NGraph(n={self.n}, cells by dimension [{counts}])"
 
     def count(self, dim: int) -> int:
+        if not _integer(dim):
+            raise BadLevel(f"dimension {dim!r} is not an integer")
         if dim == -1:
             return self.tail.minus_one_count
         if 0 <= dim <= self.n:
@@ -272,18 +274,18 @@ class NGraph:
         return z.index
 
     def src(self, z: CellId) -> CellId:
-        if not 0 <= z.dim <= self.n:
-            raise BadLevel(f"no boundary below dimension {z.dim}")
+        if not (_integer(z.dim) and 0 <= z.dim <= self.n):
+            raise BadLevel(f"no boundary below dimension {z.dim!r}")
         return CellId(z.dim - 1, self._src[z.dim][self.index(z)])
 
     def tgt(self, z: CellId) -> CellId:
-        if not 0 <= z.dim <= self.n:
-            raise BadLevel(f"no boundary below dimension {z.dim}")
+        if not (_integer(z.dim) and 0 <= z.dim <= self.n):
+            raise BadLevel(f"no boundary below dimension {z.dim!r}")
         return CellId(z.dim - 1, self._tgt[z.dim][self.index(z)])
 
     def idn(self, x: CellId) -> CellId:
-        if not 0 <= x.dim < self.n:
-            raise BadLevel(f"no identity section at dimension {x.dim}")
+        if not (_integer(x.dim) and 0 <= x.dim < self.n):
+            raise BadLevel(f"no identity section at dimension {x.dim!r}")
         return CellId(x.dim + 1, self._idn[x.dim][self.index(x)])
 
     def label(self, z: CellId):
@@ -490,10 +492,10 @@ class GraphAutomorphism:
     maps: tuple[tuple[int, ...], ...]
 
     def apply(self, z: CellId) -> CellId:
+        if not (_integer(z.dim) and -1 <= z.dim < len(self.maps)):
+            raise BadLevel(f"dimension {z.dim!r} outside -1..{len(self.maps) - 1}")
         if z.dim == -1:
             return z
-        if not 0 <= z.dim < len(self.maps):
-            raise BadLevel(f"dimension {z.dim} outside -1..{len(self.maps) - 1}")
         if not (_integer(z.index) and 0 <= z.index < len(self.maps[z.dim])):
             raise GraphError(f"no cell {z}: dimension {z.dim} has {len(self.maps[z.dim])} cells")
         return CellId(z.dim, self.maps[z.dim][z.index])

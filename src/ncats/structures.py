@@ -27,9 +27,10 @@ counterexamples, so a caller can tell exactly which axiom broke and where.
 flags.  The enumeration's record verdict runs its rows; every checker
 reports them, each row as one check built by ``_check``.  A law is its
 row, its scan and its ``_SHAPES`` entry, whose order the record verdict
-runs.  Interchange's instances, the middle-four quadruples, are listed once
-per carrier (``_exchange_places``); its scan and the enumeration's watches
-both read that listing.
+runs.  Each law's instances are listed once per carrier, and its scan,
+its first-violation form and the search read that listing:
+``_typing_places``, ``table_keys``, ``_unit_places``, ``neighbours``,
+``_inverse_places`` and ``_exchange_places``.
 """
 
 from __future__ import annotations
@@ -252,6 +253,47 @@ def _exchange_places(G: NGraph, j: int):
     return tuple((a, a2, pv[a2], by_outer_src.get(outer_t[a], ())) for a, a2 in vkeys)
 
 
+@per_carrier
+def _typing_places(G: NGraph, d: int, j: int):
+    """The typing law's instances in table (d, j), listed once per carrier:
+    (a, b, column of b, x, y) per key (a, b), in key order.  At d = j+1,
+    (x, y) is its composite's type, and a key is left out when every d-cell,
+    so every value in range, has that type; above it x and y are the slots,
+    in the rows of table (d-1, j) read one after another, of the two keys
+    whose entries are that type (``composite_type``)."""
+    types, pos = composite_type(G, d, j), fiber_pos(G, d, j)
+    if d == j + 1:
+        buckets, cells = hom_buckets(G, d), G.count(d)
+        return tuple((a, b, pos[b], x, y) for (a, b), (x, y) in types.items()
+                     if len(buckets.get((x, y), ())) < cells)
+    starts, below = [s.start for s in _row_slices(G, d - 1, j)], fiber_pos(G, d - 1, j)
+    return tuple((a, b, pos[b], starts[sa] + below[sb], starts[ta] + below[tb])
+                 for (a, b), ((sa, sb), (ta, tb)) in types.items())
+
+
+@per_carrier
+def _unit_places(G: NGraph, j: int):
+    """The unit law's instances in table (j+1, j), j >= 0, listed once per
+    carrier: per (j+1)-cell a: x -> y, ascending, (a, idn x, idn y, column
+    of a, column of idn y).  Its left unit key (idn x, a) sits in row idn x
+    at the column of a, its right one (a, idn y) in row a at that of idn y."""
+    idn, smap, tmap, pos = G.idn_map(j), G.src_map(j + 1), G.tgt_map(j + 1), fiber_pos(G, j + 1, j)
+    return tuple((a, idn[smap[a]], idn[tmap[a]], pos[a], pos[idn[tmap[a]]]) for a in range(G.count(j + 1)))
+
+
+@per_carrier
+def _inverse_places(G: NGraph, j: int):
+    """The groupoid law's instances in table (j+1, j), j >= 0, listed once
+    per carrier: per (j+1)-cell a: x -> y, ascending, (a, column of a,
+    idn x, idn y, candidates), the candidates the cells y -> x with their
+    columns, one tuple per hom-set shared by its cells, so the listing holds
+    no more pairs than the table has keys."""
+    idn, smap, tmap, pos = G.idn_map(j), G.src_map(j + 1), G.tgt_map(j + 1), fiber_pos(G, j + 1, j)
+    homs = {xy: tuple((b, pos[b]) for b in cells) for xy, cells in hom_buckets(G, j + 1).items()}
+    return tuple((a, pos[a], idn[smap[a]], idn[tmap[a]], homs.get((tmap[a], smap[a]), ()))
+                 for a in range(G.count(j + 1)))
+
+
 class CategoryStructure:
     """A carrier plus its composition tables, kept once as ``tables``: entry
     dicts named (d, j), the (j+1, j) by ascending level, then the (j+2, j).
@@ -345,6 +387,7 @@ def _vertical_cells(S: CategoryStructure, j: int, *cells: CellId):
     """Refuse a query of the vertical table at level j of ``S`` about
     ``cells`` unless ``S`` has that table and each cell is one of the
     carrier's (j+1)-cells, the cells it composes."""
+    _level(j)
     d = j + 1
     if (d, j) not in S.tables:
         raise NoTableAtLevel(f"no vertical table at level {j}")
@@ -398,21 +441,6 @@ def _row_slices(G: NGraph, d: int, j: int):
     return tuple(out)
 
 
-@per_carrier
-def _typing_rule(G: NGraph, d: int, j: int):
-    """``composite_type`` as the rows read it: (a, b, x, y) per key (a, b)
-    of table (d, j), in key order.  At d = j+1, (x, y) is the type of the
-    composite; above it x and y are the slots, in the rows of table
-    (d-1, j) read one after another, of the two keys there whose entries
-    are that type."""
-    types = composite_type(G, d, j)
-    if d == j + 1:
-        return tuple((a, b, x, y) for (a, b), (x, y) in types.items())
-    starts, pos = [s.start for s in _row_slices(G, d - 1, j)], fiber_pos(G, d - 1, j)
-    return tuple((a, b, starts[sa] + pos[sb], starts[ta] + pos[tb])
-                 for (a, b), ((sa, sb), (ta, tb)) in types.items())
-
-
 def empty_rows(G: NGraph, d: int, j: int):
     """The rows of table (d, j) with every entry absent."""
     return [[None] * (s.stop - s.start) for s in _row_slices(G, d, j)]
@@ -448,8 +476,8 @@ def structure_of_rows(G: NGraph, rows, flags: AxiomFlags, keys):
 # the report edge.  A value may be mistyped, so a scan reads an entry at a
 # key made of values only where the two cells meet, as a key of the table
 # must.  Every scan also has a first-violation form (``FIRST_VIOLATION``),
-# which the record verdict runs: built once per search from the scan's
-# listing, it says whether a family breaks the law, stopping at the first
+# which the record verdict runs: built once per search over the listing its
+# scan reads, it says whether a family breaks the law, stopping at the first
 # violation.  The associativity and interchange forms read values as typed;
 # the others read entries only at fixed keys, so they hold on any family.
 
@@ -458,39 +486,31 @@ def typing_scan(G: NGraph, d: int, j: int, tables):
     have the type of their composite (see ``composite_type``), as
     (a, b, v, want) in key order; ``want`` is that type, None when it is
     undecided."""
-    smap, tmap = G.src_map(d), G.tgt_map(d)
-    slots = zip(_typing_rule(G, d, j), chain.from_iterable(tables[d, j]))
+    smap, tmap, R = G.src_map(d), G.tgt_map(d), tables[d, j]
     if d == j + 1:
-        for (a, b, s, t), v in slots:
-            if v is not None and (s != smap[v] or t != tmap[v]):
-                yield a, b, v, (s, t)
-        return
-    below = tables.get((d - 1, j))
-    flat = [*chain.from_iterable(below)] if below is not None else [None] * len(table_keys(G, d - 1, j))
-    for (a, b, si, ti), v in slots:
+        flat = range(G.count(d - 1))
+    else:
+        below = tables.get((d - 1, j))
+        flat = [*chain.from_iterable(below)] if below is not None else [None] * len(table_keys(G, d - 1, j))
+    for a, b, col, x, y in _typing_places(G, d, j):
+        v = R[a][col]
         if v is None:
             continue
-        s, t = flat[si], flat[ti]
+        s, t = flat[x], flat[y]
         if s != smap[v] or t != tmap[v]:
             yield a, b, v, None if s is None or t is None else (s, t)
 
 
 def typing_violated(G: NGraph, d: int, j: int):
     """``typing_scan(G, d, j, tables)``'s first-violation form, a function
-    of ``tables``, on a family that holds every table the scan reads.  It
-    reads ``_typing_rule`` as (a, column of b, x, y), only at the keys
-    (a, b) whose type may not hold the value: above d = j+1 every key, at
-    it those whose type is not every d-cell's.  Its x and y index the type
-    in ``flat``: the (d-1)-cells at d = j+1, above it the table below."""
-    smap, tmap, pos, name = G.src_map(d), G.tgt_map(d), fiber_pos(G, d, j), (d, j)
-    slots = [(a, pos[b], x, y) for a, b, x, y in _typing_rule(G, d, j)
-             if d > j + 1 or len(hom_buckets(G, d).get((x, y), ())) < G.count(d)]
+    of ``tables``, on a family that holds every table the scan reads."""
+    smap, tmap, places, name = G.src_map(d), G.tgt_map(d), _typing_places(G, d, j), (d, j)
     cells = range(G.count(d - 1))
 
     def violated(tables) -> bool:
         R = tables[name]
         flat = [*chain.from_iterable(tables[d - 1, j])] if d > j + 1 else cells
-        for a, col, x, y in slots:
+        for a, _b, col, x, y in places:
             v = R[a][col]
             if v is not None and (flat[x] != smap[v] or flat[y] != tmap[v]):
                 return True
@@ -519,31 +539,24 @@ def units_scan(G: NGraph, j: int, total: bool, tables):
     (a, side, key, got): side 0 for the left unit key (idn(src a), a) and 1
     for the right one (a, idn(tgt a)), ``got`` the entry there.  A missing
     entry (``got`` None) is a violation only when ``total``."""
-    R, pos = tables[j + 1, j], fiber_pos(G, j + 1, j)
-    idn = G.idn_map(j)
-    smap, tmap = G.src_map(j + 1), G.tgt_map(j + 1)
-    for a in range(G.count(j + 1)):
-        x, y = idn[smap[a]], idn[tmap[a]]
-        got = R[x][pos[a]]
+    R = tables[j + 1, j]
+    for a, x, y, ia, iy in _unit_places(G, j):
+        got = R[x][ia]
         if total if got is None else got != a:
             yield a, 0, (x, a), got
-        got = R[a][pos[y]]
+        got = R[a][iy]
         if total if got is None else got != a:
             yield a, 1, (a, y), got
 
 
 def units_violated(G: NGraph, j: int, total: bool):
     """``units_scan(G, j, total, tables)``'s first-violation form, a
-    function of ``tables``.  It reads, per (j+1)-cell a: x -> y, (a, idn x,
-    column of a, column of idn y): the left unit key (idn x, a) in row
-    idn x, the right one (a, idn y) in row a."""
-    idn, smap, tmap = G.idn_map(j), G.src_map(j + 1), G.tgt_map(j + 1)
-    pos, name = fiber_pos(G, j + 1, j), (j + 1, j)
-    slots = tuple((a, idn[smap[a]], pos[a], pos[idn[tmap[a]]]) for a in range(G.count(j + 1)))
+    function of ``tables``."""
+    places, name = _unit_places(G, j), (j + 1, j)
 
     def violated(tables) -> bool:
         R = tables[name]
-        for a, x, ia, iy in slots:
+        for a, x, _y, ia, iy in places:
             left, right = R[x][ia], R[a][iy]
             if left != a and (total or left is not None) or right != a and (total or right is not None):
                 return True
@@ -644,40 +657,24 @@ def interchange_violated(G: NGraph, j: int):
     return violated
 
 
-def _inverses(G: NGraph, j: int, tables, a: int):
-    """The two-sided inverses of the (j+1)-cell ``a`` in ``tables``, ascending."""
-    R, pos = tables[j + 1, j], fiber_pos(G, j + 1, j)
-    idn = G.idn_map(j)
-    x, y = G.src_map(j + 1)[a], G.tgt_map(j + 1)[a]
-    Ra, ia = R[a], pos[a]
-    for b in hom_buckets(G, j + 1).get((y, x), ()):
-        if Ra[pos[b]] == idn[x] and R[b][ia] == idn[y]:
-            yield b
-
-
 def groupoid_scan(G: NGraph, j: int, tables):
     """The (j+1)-cells, ascending, with no two-sided inverse in table
     (j+1, j); meaningful once the unit law holds there."""
-    for a in range(G.count(j + 1)):
-        if next(_inverses(G, j, tables, a), None) is None:
+    R = tables[j + 1, j]
+    for a, ia, ex, ey, candidates in _inverse_places(G, j):
+        Ra = R[a]
+        if not any(Ra[ib] == ex and R[b][ia] == ey for b, ib in candidates):
             yield a
 
 
 def groupoid_violated(G: NGraph, j: int):
     """``groupoid_scan(G, j, tables)``'s first-violation form, a function
-    of ``tables``.  It reads, per (j+1)-cell a: x -> y, (a, column of a,
-    idn x, idn y, candidates), the candidates the cells y -> x with their
-    columns, one tuple per hom-set shared by its cells, so the listing holds
-    no more pairs than the table has keys."""
-    idn, smap, tmap = G.idn_map(j), G.src_map(j + 1), G.tgt_map(j + 1)
-    pos, name = fiber_pos(G, j + 1, j), (j + 1, j)
-    homs = {xy: tuple((b, pos[b]) for b in cells) for xy, cells in hom_buckets(G, j + 1).items()}
-    slots = tuple((a, pos[a], idn[smap[a]], idn[tmap[a]], homs.get((tmap[a], smap[a]), ()))
-                  for a in range(G.count(j + 1)))
+    of ``tables``."""
+    places, name = _inverse_places(G, j), (j + 1, j)
 
     def violated(tables) -> bool:
         R = tables[name]
-        for a, ia, ex, ey, candidates in slots:
+        for a, ia, ex, ey, candidates in places:
             Ra = R[a]
             for b, ib in candidates:
                 if Ra[ib] == ex and R[b][ia] == ey:
@@ -763,9 +760,8 @@ def _not_a_unit(G, d, x):
 
 
 def _no_inverse(G, d, a):
-    idn = G.idn_map(d - 1)
-    return Counterexample("no-inverse", (CellId(d, a),),
-                          expected=_cells(d, (idn[G.src_map(d)[a]], idn[G.tgt_map(d)[a]])))
+    _a, _ia, ex, ey, _candidates = _inverse_places(G, d - 1)[a]
+    return Counterexample("no-inverse", (CellId(d, a),), expected=_cells(d, (ex, ey)))
 
 
 def _unequal(kind):
@@ -897,8 +893,9 @@ def inverses(S: CategoryStructure, j: int, a: CellId) -> list[CellId]:
     """All two-sided inverses of ``a`` at level j (used to confirm that a
     passing groupoid check pins the inverse down uniquely)."""
     _vertical_cells(S, j, a)
-    tables = row_family(S.graph, {(j + 1, j): S.tables[j + 1, j]})
-    return [CellId(j + 1, b) for b in _inverses(S.graph, j, tables, a.index)]
+    R = row_family(S.graph, {(j + 1, j): S.tables[j + 1, j]})[j + 1, j]
+    i, ia, ex, ey, candidates = _inverse_places(S.graph, j)[a.index]
+    return [CellId(j + 1, b) for b, ib in candidates if R[i][ib] == ex and R[b][ia] == ey]
 
 
 def check_cocategory(G: NGraph, D: CocompTable) -> AxiomReport:

@@ -58,6 +58,7 @@ from util import (
     random_graph,
     relabeled,
     total_order_structure,
+    unit_keys,
     z2_structure,
 )
 from test_acceptance import oracle_family
@@ -523,6 +524,35 @@ def _quad_keys(G, d, j, quad):
 
     return (a, follower(j, a, hb)), (a2, follower(j, a2, hb2)), (a, follower(j + 1, a, va2)), \
         (b, follower(j + 1, b, vb2))
+
+
+def test_unit_narrowing_offers_the_cell_each_unit_key_allows():
+    """Under ``unital``, with and without ``global``, the slot table offers
+    at each unit key, as ``unit_keys`` finds them from the raw maps, exactly
+    the cell it is a unit key of, plus "absent" in partial mode; every other
+    vertical key, level -1 included, keeps every cell of its composite's
+    type, in some order."""
+    rng = random.Random(35)
+    seen = set()
+    for _ in range(80):
+        G = random_graph(rng, n=rng.choice((1, 2)), max_cells=rng.randint(2, 5))
+        units = {j: unit_keys(G, j) for j in range(G.n)}
+        for flags in (AxiomFlags(unital=True), AxiomFlags(global_=True, unital=True)):
+            sp = spec(flags, levels=tuple(range(-1, G.n)))
+            names, slots = enumeration._keys(G, *enumeration._resolve_levels(G, sp))
+            rows = enumeration._slot_table(G, flags, {name: empty_rows(G, *name) for name in names}, slots)
+            tail = () if flags.global_ else (None,)
+            for (d, j, (a, b)), (values, *_rest) in zip(slots, rows):
+                assert values[len(values) - len(tail):] == tail
+                offered = sorted(values[:len(values) - len(tail)])
+                if (a, b) in units.get(j, {}):
+                    assert offered == [units[j][a, b]], (G, d, j, (a, b))
+                    seen.add("unit key")
+                else:
+                    smap, tmap = G.src_map(d), G.tgt_map(d)
+                    assert offered == [v for v in range(G.count(d)) if (smap[v], tmap[v]) == (smap[a], tmap[b])]
+                    seen.add("level -1" if j == -1 else "other key")
+    assert seen == {"unit key", "other key", "level -1"}
 
 
 def test_interchange_watches_follow_the_slot_order():

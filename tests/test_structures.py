@@ -57,7 +57,6 @@ from ncats.structures import (
     HCompTable,
     StructureError,
     UnitsRequired,
-    _inverses,
     assoc_scan,
     global_scan,
     groupoid_scan,
@@ -291,7 +290,8 @@ def test_cell_queries_refuse_cells_that_do_not_exist():
     label queries and the images under a graph morphism or automorphism
     answer only for cells of the carrier: a cell of the wrong dimension is
     not composable, an index out of range, negative ones included, names
-    no cell, and a level without a vertical table has no table to read."""
+    no cell, a dimension that is not an int, bools included, is a bad
+    level, and a level without a vertical table has no table to read."""
     _, Z = z2_structure()
     G3 = loops_graph(3)
     labelled = NGraph(1, StructureTail(1, (0, 0)), [[0], [0] * 3], [[0], [0] * 3], [[0]],
@@ -322,6 +322,13 @@ def test_cell_queries_refuse_cells_that_do_not_exist():
                 query(bad)
     with pytest.raises(BadLevel):
         G3.index(CellId(5, 0))
+    # True read dimension 1, the others raised TypeError
+    for dim in (True, 1.0, "1", None):
+        with pytest.raises(BadLevel, match="is not an integer"):
+            G3.count(dim)
+        for query in (G3.index, G3.src, G3.tgt, G3.idn, G3.label, labelled.label, *maps):
+            with pytest.raises(BadLevel):
+                query(CellId(dim, 0))
     for j in (1, 2, -1):
         with pytest.raises(NoTableAtLevel, match=f"no vertical table at level {j}"):
             inverses(Z3, j, CellId(j + 1, 0))
@@ -696,6 +703,7 @@ def test_row_scans_match_the_dict_references():
         G = random_graph(rng, n=rng.choice((1, 2)), max_cells=rng.randint(2, 5))
         tables = _random_family(rng, G)
         rows = row_family(G, tables)
+        S = CategoryStructure(G, tables=tables)
         for (d, j), entries in tables.items():
             got = list(typing_scan(G, d, j, rows))
             assert got == sorted(reference_typing_scan(G, d, j, tables)), (d, j)
@@ -715,8 +723,9 @@ def test_row_scans_match_the_dict_references():
                     assert list(units_scan(G, j, total, rows)) == list(reference_units_scan(G, j, total, tables))
                 assert list(groupoid_scan(G, j, rows)) == list(reference_groupoid_scan(G, j, tables))
                 for a in range(G.count(d)):
-                    assert list(_inverses(G, j, rows, a)) == list(reference_inverses(G, j, tables, a))
-                    seen.add("inverse" if next(reference_inverses(G, j, tables, a), None) is not None else "none")
+                    want = [CellId(d, b) for b in reference_inverses(G, j, tables, a)]
+                    assert inverses(S, j, CellId(d, a)) == want
+                    seen.add("inverse" if want else "none")
             if d == j + 2:
                 lopsided, want = [], []
                 found = list(interchange_scan(G, j, rows, lopsided))
@@ -929,11 +938,13 @@ def test_the_verdict_types_every_table_before_other_rows_read_it():
 @pytest.mark.parametrize("level", ["0", 0.0, None, [0], True, False])
 def test_checkers_refuse_a_level_that_is_not_an_integer(level):
     """A level is an int and not a bool, as ``io.parse`` decides; each
-    checker refuses any other with NoTableAtLevel, where a string, None or a
-    list raised TypeError, 0.0 answered for level 0 and True for level 1."""
+    checker, ``compose`` and ``inverses`` refuse any other with
+    NoTableAtLevel, where a string, None or a list raised TypeError, 0.0
+    answered for level 0 and True for level 1."""
     _, S = build_cat_of_cats([z2_structure()[1]])
     S.flags = AxiomFlags(global_=True, unital=True)
-    for check in (check_global, check_units, check_associativity, check_interchange, check_groupoid):
+    queries = (lambda S, j: compose(S, CellId(2, 0), CellId(2, 0), j), lambda S, j: inverses(S, j, CellId(2, 0)))
+    for check in (check_global, check_units, check_associativity, check_interchange, check_groupoid, *queries):
         with pytest.raises(NoTableAtLevel, match="is not an integer"):
             check(S, level)
 

@@ -81,6 +81,18 @@ def middle_four(G, j):
             if end(a, G.tgt_map) == end(b, G.src_map) and end(a2, G.tgt_map) == end(b2, G.src_map)]
 
 
+def unit_keys(G, j):
+    """The unit keys of table (j+1, j), j >= 0, each mapped to the one cell
+    the unit law allows there, found cell by cell from the raw maps: a
+    (j+1)-cell a: x -> y is the value at (idn x, a) and at (a, idn y)."""
+    d, idn = j + 1, G.idn_map(j)
+    keys = {}
+    for a in range(G.count(d)):
+        keys[idn[G.src_map(d)[a]], a] = a
+        keys[a, idn[G.tgt_map(d)[a]]] = a
+    return keys
+
+
 def total_order_structure(k):
     """The linear order on k objects as a thin category."""
     objects = list(range(k))
